@@ -365,6 +365,8 @@ def cmd_solve_time(args) -> int:
     t0 = time.perf_counter()
     sol = run_time_domain(scene, meshes, grid, pw, scheme, threads=args.threads)
     manifest.wall_times["time-solve"] = time.perf_counter() - t0
+    manifest.metrics["max_residual"] = sol.max_residual
+    manifest.metrics["worst_s"] = [sol.worst_s.real, sol.worst_s.imag]
 
     fems = assemble_all(scene, meshes, grid)
     series = boundary_data_bundle(pw, grid, sol.times)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
-from .fem import apply_rhs
+from .fem import apply_rhs  # noqa: F401  (span seam of bench/tracer.py)
 from .freq import FrequencySolver
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
@@ -110,7 +110,8 @@ class TimeSolution:
 
     imag_residue is the measured conjugation defect of the frequency solves
     (mirror node versus conjugate); initial_ratio the t = 0 state norm
-    relative to the trajectory peak.
+    relative to the trajectory peak; max_residual the largest relative
+    residual of the half-spectrum node solves, reached at frequency worst_s.
     """
 
     times: np.ndarray
@@ -118,6 +119,8 @@ class TimeSolution:
     scheme: CqScheme
     imag_residue: float = 0.0
     initial_ratio: float = 0.0
+    max_residual: float = 0.0
+    worst_s: complex = 0j
 
     @property
     def n_steps(self) -> int:
@@ -160,52 +163,48 @@ def run_time_domain(
 
     solver = FrequencySolver(scene, meshes, grid)
     n_half = n1 // 2
-    loads = [
-        _restricted_load(solver, TraceVector(g_hat[l])) for l in range(n_half + 1)
-    ]
+    loads = [solver.load(TraceVector(g_hat[l])) for l in range(n_half + 1)]
     u_hat = np.empty((n_half + 1, loads[0].size), dtype=np.complex128)
+    residuals = np.empty(n_half + 1)
 
-    def solve_node(l: int) -> tuple[int, np.ndarray]:
-        return l, solver.solve_load(s_nodes[l], loads[l])
+    # Each solve factorizes, certifies and frees its own LU, so at most
+    # `threads` factorizations are alive at once.
+    def solve_node(l: int) -> tuple[int, np.ndarray, float]:
+        return (l, *solver.solve_load(s_nodes[l], loads[l], node=l))
 
     indices = range(n_half + 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for l, x in pool.map(solve_node, indices):
-                u_hat[l] = x
+            for l, x, res in pool.map(solve_node, indices):
+                u_hat[l], residuals[l] = x, res
     else:
         for l in indices:
-            u_hat[l] = solve_node(l)[1]
+            _, u_hat[l], residuals[l] = solve_node(l)
 
     # Half-spectrum synthesis: the mirrored nodes are conjugates by
     # construction, so the inverse transform is real structurally.  The
     # residue reported below measures the one place realness could leak:
-    # solve the mirror of node 1 explicitly and compare with the conjugate.
+    # solve the mirror of node 1 (node n1 - 1) explicitly and compare with
+    # the conjugate.
     hist = np.fft.irfft(u_hat, n=n1, axis=0)
     hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
     imag_residue = 0.0
     if n1 >= 3:
-        mirror = solver.solve_load(
-            np.conj(s_nodes[1]), _restricted_load(solver, TraceVector(np.conj(g_hat[1])))
+        mirror, _ = solver.solve_load(
+            np.conj(s_nodes[1]), solver.load(TraceVector(np.conj(g_hat[1]))), node=n1 - 1
         )
         ref = float(np.max(np.abs(u_hat[1])))
         if ref > 0.0:
             imag_residue = float(np.max(np.abs(mirror - np.conj(u_hat[1]))) / ref)
-    real_hist = np.ascontiguousarray(hist)
-
-    # Expand free DOFs to full per-cavity node blocks.
-    fields = []
-    op = solver.operator(s_nodes[0])
-    for f, lo in zip(op.fems, op.free_offsets):
-        block = np.zeros((n1, f.n_nodes))
-        block[:, f.free_nodes] = real_hist[:, lo : lo + f.n_free]
-        fields.append(block)
+    worst = int(np.argmax(residuals))
 
     sol = TimeSolution(
         times=times,
-        fields=fields,
+        fields=solver.expand(hist),
         scheme=scheme,
         imag_residue=imag_residue,
+        max_residual=float(residuals[worst]),
+        worst_s=complex(s_nodes[worst]),
     )
     norms = sol.step_norms()
     peak_norm = float(np.max(norms))
@@ -217,13 +216,6 @@ def run_time_domain(
             f"the pulse delay"
         )
     return sol
-
-
-def _restricted_load(solver: FrequencySolver, data: TraceVector) -> np.ndarray:
-    loads = apply_rhs(data, solver.meshes, solver.grid, solver.fems)
-    return np.concatenate(
-        [b[f.free_nodes] for b, f in zip(loads, solver.fems)]
-    )
 
 
 def time_derivative(sol: TimeSolution, scheme: CqScheme | None = None) -> list[np.ndarray]:

@@ -10,7 +10,9 @@ shared line operator: the assembled action at frequency s is
     u  ->  s*M u + (1/s)*K u - (1/(s*mu0)) * R^T Q B R u
 
 with Q the uniform line quadrature and B the FFT boundary operator over
-the union of the zero-extended aperture traces.
+the union of the zero-extended aperture traces.  The coupled matrix lives
+on one sparsity pattern per scene (SystemPattern), built once; a frequency
+only fills its values.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .scene import CavitySpec, Mesh, Scene
 from .trace import DtnSymbol, TraceGrid, TraceVector, apply_B_columns
 
 __all__ = [
+    "DEFAULT_ORDERING",
     "FemMatrices",
     "SystemOperator",
+    "SystemPattern",
     "assemble",
     "assemble_all",
     "aperture_quadrature",
@@ -42,7 +46,12 @@ __all__ = [
     "build_system",
     "build_system_single",
     "export_matrix",
+    "restrict_loads",
 ]
+
+# SuperLU column ordering: minimum degree on A^T + A suits the complex
+# symmetric coupled matrix and fills less than COLAMD.
+DEFAULT_ORDERING = "MMD_AT_PLUS_A"
 
 # Barycentric coordinates of the three edge midpoints (degree-2 exact rule).
 _MIDPOINT_LAMBDAS = np.array(
@@ -237,17 +246,21 @@ def apply_rhs(
     return loads
 
 
+def restrict_loads(loads: list[np.ndarray], fems: list[FemMatrices]) -> np.ndarray:
+    """Stack the free-node entries of per-cavity load vectors."""
+    if len(loads) != len(fems):
+        raise DimensionMismatch(f"{len(loads)} load blocks for {len(fems)} cavities")
+    return np.concatenate([b[f.free_nodes] for b, f in zip(loads, fems)])
+
+
 @dataclass
 class SystemOperator:
     """Frequency-domain coupled operator with a lazy direct factorization."""
 
     s: complex
-    grid: TraceGrid
-    mu0: float
     matrix: sp.csc_matrix
     fems: list[FemMatrices]
-    free_offsets: np.ndarray
-    ordering: str = "COLAMD"
+    ordering: str = DEFAULT_ORDERING
     _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
@@ -271,41 +284,78 @@ class SystemOperator:
         return self.factorize().solve(b)
 
     def restrict_loads(self, loads: list[np.ndarray]) -> np.ndarray:
-        if len(loads) != len(self.fems):
-            raise DimensionMismatch(
-                f"{len(loads)} load blocks for {len(self.fems)} cavities"
-            )
-        return np.concatenate(
-            [b[f.free_nodes] for b, f in zip(loads, self.fems)]
+        return restrict_loads(loads, self.fems)
+
+
+@dataclass(frozen=True)
+class SystemPattern:
+    """Fixed CSC sparsity of the coupled matrix, shared by every frequency.
+
+    The pattern is the union of the block-diagonal free-node volume part
+    and the dense aperture block.  mass / stiffness hold the volume values
+    at positions vol_index of the data array (the two matrices share one
+    pattern); ra is the dense trace restriction onto the aperture columns,
+    whose coupling block lands at positions ap_index, row-major.  Building
+    the matrix at one frequency then fills a single data array.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    vol_index: np.ndarray
+    mass: np.ndarray
+    stiffness: np.ndarray
+    ap_index: np.ndarray
+    ra: np.ndarray
+    free_offsets: np.ndarray
+
+    @classmethod
+    def from_fems(cls, fems: list[FemMatrices]) -> "SystemPattern":
+        n_free = [f.n_free for f in fems]
+        offsets = np.concatenate([[0], np.cumsum(n_free)[:-1]]).astype(np.int64)
+        n = int(sum(n_free))
+        rows, cols, mass, stiffness = [], [], [], []
+        for f, lo in zip(fems, offsets):
+            m = f.mass[f.free_nodes][:, f.free_nodes].tocoo()
+            k = f.stiffness[f.free_nodes][:, f.free_nodes].tocoo()
+            if not (np.array_equal(m.row, k.row) and np.array_equal(m.col, k.col)):
+                raise DimensionMismatch("mass and stiffness patterns differ")
+            rows.append(m.row + lo)
+            cols.append(m.col + lo)
+            mass.append(m.data)
+            stiffness.append(k.data)
+
+        r_stack = sp.hstack(
+            [f.restriction[:, f.free_nodes] for f in fems], format="csc"
+        )
+        ap_cols = np.nonzero(np.diff(r_stack.indptr) > 0)[0]
+        ra = np.asarray(r_stack[:, ap_cols].todense())
+
+        # CSC order is (column, row); unique keys give the union pattern.
+        vol_keys = np.concatenate(cols).astype(np.int64) * n + np.concatenate(rows)
+        ap_keys = np.tile(ap_cols, ap_cols.size) * n + np.repeat(ap_cols, ap_cols.size)
+        keys, inverse = np.unique(np.concatenate([vol_keys, ap_keys]), return_inverse=True)
+        counts = np.bincount(keys // n, minlength=n)
+        return cls(
+            shape=(n, n),
+            indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+            indices=(keys % n).astype(np.int32),
+            vol_index=inverse[: vol_keys.size],
+            mass=np.concatenate(mass),
+            stiffness=np.concatenate(stiffness),
+            ap_index=inverse[vol_keys.size :],
+            ra=ra,
+            free_offsets=offsets,
         )
 
-    def expand(self, x: np.ndarray) -> list[np.ndarray]:
-        """Scatter a free-DOF vector back to full per-cavity node vectors."""
-        out = []
-        for f, lo in zip(self.fems, self.free_offsets):
-            full = np.zeros(f.n_nodes, dtype=np.complex128)
-            full[f.free_nodes] = x[lo : lo + f.n_free]
-            out.append(full)
-        return out
-
-
-def _coupling_block(
-    r_stack: sp.csr_matrix, s: complex, grid: TraceGrid, sym: DtnSymbol
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense aperture coupling R^T Q B R restricted to its nonzero columns."""
-    csc = r_stack.tocsc()
-    ap_cols = np.nonzero(np.diff(csc.indptr) > 0)[0]
-    ra = np.asarray(csc[:, ap_cols].todense())
-    b_cols = apply_B_columns(ra.astype(np.complex128), s, grid, sym)
-    block = ra.T @ (grid.dx * b_cols)
-    return block, ap_cols
-
-
-def _volume_block(fem: FemMatrices, s: complex) -> sp.csr_matrix:
-    free = fem.free_nodes
-    m = fem.mass[free][:, free]
-    k = fem.stiffness[free][:, free]
-    return (s * m + (1.0 / s) * k).tocsr()
+    def matrix(self, s: complex, grid: TraceGrid, sym: DtnSymbol, mu0: float) -> sp.csc_matrix:
+        """s*M + (1/s)*K - (1/(s*mu0)) * R^T Q B(s) R on the fixed pattern."""
+        data = np.zeros(self.indices.size, dtype=np.complex128)
+        data[self.vol_index] = s * self.mass + (1.0 / s) * self.stiffness
+        b_cols = apply_B_columns(self.ra.astype(np.complex128), s, grid, sym)
+        coupling = self.ra.T @ (grid.dx * b_cols)
+        data[self.ap_index] += (-1.0 / (s * mu0)) * coupling.ravel()
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def build_system(
@@ -314,13 +364,14 @@ def build_system(
     grid: TraceGrid,
     s: complex,
     fems: list[FemMatrices] | None = None,
-    ordering: str = "COLAMD",
+    ordering: str = DEFAULT_ORDERING,
+    pattern: SystemPattern | None = None,
 ) -> SystemOperator:
     """Assemble the coupled operator for all cavities at frequency s.
 
     Cross-cavity blocks enter only through the boundary operator applied
     to the union of zero-extended traces; everything else is block
-    diagonal per cavity.
+    diagonal per cavity.  Pass the pattern of `fems` to skip rebuilding it.
     """
     s = complex(s)
     if s.real <= 0.0:
@@ -337,33 +388,12 @@ def build_system(
         )
     if fems is None:
         fems = assemble_all(scene, meshes, grid)
-
-    blocks = [_volume_block(f, s) for f in fems]
-    r_stack = sp.hstack(
-        [f.restriction[:, f.free_nodes] for f in fems], format="csr"
-    )
-    volume = sp.block_diag(blocks, format="csr")
-    sym = DtnSymbol(scene.c)
-    coupling, ap_cols = _coupling_block(r_stack, s, grid, sym)
-    dtn = sp.coo_matrix(
-        (
-            (-1.0 / (s * scene.mu0)) * coupling.ravel(),
-            (
-                np.repeat(ap_cols, ap_cols.size),
-                np.tile(ap_cols, ap_cols.size),
-            ),
-        ),
-        shape=volume.shape,
-    )
-    matrix = (volume + dtn).tocsc()
-    offsets = np.concatenate([[0], np.cumsum([f.n_free for f in fems])[:-1]])
+    if pattern is None:
+        pattern = SystemPattern.from_fems(fems)
     return SystemOperator(
         s=s,
-        grid=grid,
-        mu0=scene.mu0,
-        matrix=matrix,
+        matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=fems,
-        free_offsets=offsets,
         ordering=ordering,
     )
 
@@ -374,13 +404,13 @@ def build_system_single(
     grid: TraceGrid,
     s: complex,
     fem: FemMatrices | None = None,
-    ordering: str = "COLAMD",
+    ordering: str = DEFAULT_ORDERING,
 ) -> SystemOperator:
-    """Straight-line single-cavity assembly (degeneracy reference path).
+    """Single-cavity assembly (degeneracy reference path).
 
-    Mirrors the one-cavity variational form directly, without the
-    multi-cavity stacking; the general path with one cavity must reproduce
-    it bit for bit.
+    Builds the one-block pattern of a lone cavity directly, without the
+    scene checks of the general path, and fills it with the same value
+    kernel; the general path with one cavity must reproduce it bit for bit.
     """
     s = complex(s)
     if s.real <= 0.0:
@@ -389,28 +419,11 @@ def build_system_single(
         raise DimensionMismatch("single-cavity path requires exactly one cavity")
     if fem is None:
         fem = assemble(mesh, scene.cavities[0], grid)
-    volume = _volume_block(fem, s)
-    r_free = fem.restriction[:, fem.free_nodes].tocsr()
-    sym = DtnSymbol(scene.c)
-    coupling, ap_cols = _coupling_block(r_free, s, grid, sym)
-    dtn = sp.coo_matrix(
-        (
-            (-1.0 / (s * scene.mu0)) * coupling.ravel(),
-            (
-                np.repeat(ap_cols, ap_cols.size),
-                np.tile(ap_cols, ap_cols.size),
-            ),
-        ),
-        shape=volume.shape,
-    )
-    matrix = (volume + dtn).tocsc()
+    pattern = SystemPattern.from_fems([fem])
     return SystemOperator(
         s=s,
-        grid=grid,
-        mu0=scene.mu0,
-        matrix=matrix,
+        matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=[fem],
-        free_offsets=np.array([0]),
         ordering=ordering,
     )
 

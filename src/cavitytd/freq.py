@@ -1,10 +1,13 @@
 """Frequency-domain solves and the resolvent-bound report.
 
-Systems are factorized once per frequency with a sparse direct solver and
-cached for reuse across right-hand sides (the time-domain engine solves
-the same frequency for many transformed data vectors only when conjugate
-pairs collapse, so the cache is keyed purely by s).  The estimate report
-measures the discrete counterpart of the resolvent bound
+The solver is a streaming engine: everything that does not depend on the
+frequency (the per-cavity matrices, the sparsity pattern of the coupled
+system and the dense aperture restriction) is built once, and each solve
+fills the pattern's values at its s, factorizes, solves, certifies the
+relative residual and drops the factorization.  Nothing is cached across
+frequencies, so memory stays flat in the number of solves and at most one
+factorization per worker thread is alive.  The estimate report measures
+the discrete counterpart of the resolvent bound
 
     ||grad u|| + ||s u||  <=  C * |s| / Re(s) * ||data||_{-1/2}
 
@@ -20,7 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .fem import FemMatrices, apply_rhs, assemble_all, build_system
+from .fem import (
+    DEFAULT_ORDERING,
+    FemMatrices,
+    SystemPattern,
+    apply_rhs,
+    assemble_all,
+    build_system,
+    restrict_loads,
+)
 from .scene import Mesh, Scene
 from .trace import TraceGrid, TraceVector, restrict_union, trace_norm
 
@@ -50,14 +61,20 @@ class FrequencySolution:
 
 
 class FrequencySolver:
-    """Direct solver with per-frequency factorization cache."""
+    """Streaming direct solver: fixed pattern, one short-lived LU per solve.
+
+    Construction assembles the cavities and the coupled sparsity pattern;
+    `operator(s)` returns a fresh, unfactorized SystemOperator, and the
+    solve methods factorize it, check the relative residual against
+    1e-10 and let the factorization go when they return.
+    """
 
     def __init__(
         self,
         scene: Scene,
         meshes: list[Mesh],
         grid: TraceGrid,
-        ordering: str = "COLAMD",
+        ordering: str = DEFAULT_ORDERING,
     ) -> None:
         if len(meshes) != scene.n_cavities:
             raise DimensionMismatch(
@@ -68,48 +85,62 @@ class FrequencySolver:
         self.grid = grid
         self.ordering = ordering
         self.fems: list[FemMatrices] = assemble_all(scene, meshes, grid)
-        self._operators: dict[complex, object] = {}
+        self.pattern = SystemPattern.from_fems(self.fems)
+        self.free_offsets = self.pattern.free_offsets
 
     def operator(self, s: complex):
-        s = complex(s)
-        op = self._operators.get(s)
-        if op is None:
-            op = build_system(
-                self.scene, self.meshes, self.grid, s,
-                fems=self.fems, ordering=self.ordering,
-            )
-            self._operators[s] = op
-        return op
+        return build_system(
+            self.scene, self.meshes, self.grid, complex(s),
+            fems=self.fems, ordering=self.ordering, pattern=self.pattern,
+        )
+
+    def load(self, data: TraceVector) -> np.ndarray:
+        """Free-DOF load vector of aperture data, stacked over the cavities."""
+        return restrict_loads(apply_rhs(data, self.meshes, self.grid, self.fems), self.fems)
+
+    def expand(self, x: np.ndarray) -> list[np.ndarray]:
+        """Full per-cavity node blocks of free-DOF values (last axis)."""
+        out = []
+        for f, lo in zip(self.fems, self.free_offsets):
+            full = np.zeros(x.shape[:-1] + (f.n_nodes,), dtype=x.dtype)
+            full[..., f.free_nodes] = x[..., lo : lo + f.n_free]
+            out.append(full)
+        return out
 
     def solve(self, s: complex, data: TraceVector) -> FrequencySolution:
         """Solve the coupled problem at s for aperture data (Re s > 0)."""
         t0 = time.perf_counter()
-        op = self.operator(s)
-        loads = apply_rhs(data, self.meshes, self.grid, self.fems)
-        b = op.restrict_loads(loads)
-        if np.max(np.abs(b)) == 0.0:
-            x = np.zeros_like(b)
-            residual = 0.0
-        else:
-            x = op.solve(b)
-            residual = float(
-                np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b)
-            )
-            if residual > _RESIDUAL_LIMIT:
-                raise DomainError(
-                    f"direct solve residual {residual:.3e} exceeds "
-                    f"{_RESIDUAL_LIMIT} at s={s}"
-                )
+        x, residual = self._solve(s, self.load(data), f"at s={s}")
         return FrequencySolution(
             s=complex(s),
-            fields=op.expand(x),
+            fields=self.expand(x),
             residual=residual,
             solve_time=time.perf_counter() - t0,
         )
 
-    def solve_load(self, s: complex, b: np.ndarray) -> np.ndarray:
-        """Low-level solve for a pre-restricted load (time-domain engine)."""
-        return self.operator(s).solve(b)
+    def solve_load(
+        self, s: complex, b: np.ndarray, node: int | None = None
+    ) -> tuple[np.ndarray, float]:
+        """Certified solve of a free-DOF load (time-domain engine).
+
+        Returns the solution and its relative residual; `node` names the
+        CQ contour node in the error raised above the residual limit.
+        """
+        where = f"at s={s}" if node is None else f"at CQ node {node} (s={s})"
+        return self._solve(s, b, where)
+
+    def _solve(self, s: complex, b: np.ndarray, where: str) -> tuple[np.ndarray, float]:
+        op = self.operator(s)
+        if not np.any(b):
+            return np.zeros_like(b), 0.0
+        x = op.solve(b)
+        residual = float(np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b))
+        if not residual <= _RESIDUAL_LIMIT:
+            raise DomainError(
+                f"direct solve residual {residual:.3e} exceeds "
+                f"{_RESIDUAL_LIMIT} {where}"
+            )
+        return x, residual
 
 
 def solve_frequency(
@@ -118,7 +149,7 @@ def solve_frequency(
     grid: TraceGrid,
     s: complex,
     data: TraceVector,
-    ordering: str = "COLAMD",
+    ordering: str = DEFAULT_ORDERING,
 ) -> FrequencySolution:
     """One-shot coupled solve at a single frequency."""
     return FrequencySolver(scene, meshes, grid, ordering=ordering).solve(s, data)

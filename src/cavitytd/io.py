@@ -115,6 +115,7 @@ class RunManifest:
     scheme: dict[str, Any] | None = None
     mesh_stats: list[dict[str, int]] = field(default_factory=list)
     wall_times: dict[str, float] = field(default_factory=dict)
+    metrics: dict[str, Any] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     checks: dict[str, bool] = field(default_factory=dict)
 
@@ -137,6 +138,7 @@ class RunManifest:
             "scheme": self.scheme,
             "mesh_stats": self.mesh_stats,
             "wall_times": self.wall_times,
+            "metrics": self.metrics,
             "outputs": self.outputs,
             "checks": self.checks,
             "passed": self.passed(),

@@ -169,6 +169,8 @@ class TestSolveTime:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["checks"]["causality"] is True
         assert manifest["checks"]["realness"] is True
+        assert 0.0 < manifest["metrics"]["max_residual"] <= 1e-10
+        assert len(manifest["metrics"]["worst_s"]) == 2
 
     def test_deterministic_probes(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -192,7 +194,8 @@ class TestSolveTime:
         assert main(["solve-time", "--config", str(path), "--out", str(out1)]) == 0
         assert main(["solve-time", "--config", str(path), "--out", str(out2),
                      "--threads", "2"]) == 0
-        assert (out1 / "probes.csv").read_bytes() == (out2 / "probes.csv").read_bytes()
+        for name in ("probes.csv", "energy.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestMeshExport:

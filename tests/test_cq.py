@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import cavitytd as ct
+from cavitytd import freq
 from cavitytd.cq import CqScheme, TimeSolution, cq_frequencies, time_derivative
-from cavitytd.errors import UnsupportedPolarization
+from cavitytd.errors import DomainError, UnsupportedPolarization
 
 
 class TestCqScheme:
@@ -100,6 +103,17 @@ class TestRunTimeDomain:
     def test_conjugation_residue_small(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         assert sol.imag_residue <= 1e-10
+
+    def test_node_solves_certified(self, unit_scene, unit_meshes, unit_grid,
+                                   gaussian_wave, monkeypatch):
+        sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+        assert 0.0 < sol.max_residual <= 1e-10
+        assert sol.worst_s in cq_frequencies(sol.scheme)
+        # Above the limit the run fails and names the node and its s.
+        monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
+        s0 = cq_frequencies(sol.scheme)[0]
+        with pytest.raises(DomainError, match=re.escape(f"at CQ node 0 (s={s0})")):
+            self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
 
     def test_threads_deterministic(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
         sol1 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave, threads=1)

@@ -13,6 +13,7 @@ from cavitytd.fem import (
     export_matrix,
 )
 from cavitytd.trace import DtnSymbol, TraceVector, apply_B_columns
+from conftest import load_reference
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,35 @@ class TestSystemOperator:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) == op.matrix.nnz + 1
+
+
+class TestFixedPattern:
+    def test_matches_block_assembly_bitwise(self):
+        # Two cavities, one with variable epsilon: the fixed-pattern fill
+        # equals the block-diagonal volume part plus the COO aperture block.
+        _, scene, meshes, grid, _, _ = load_reference("reference_two")
+        fems = assemble_all(scene, meshes, grid)
+        solver = ct.FrequencySolver(scene, meshes, grid)
+        sym = DtnSymbol(scene.c)
+        r = sp.hstack([f.restriction[:, f.free_nodes] for f in fems], format="csc")
+        ap = np.nonzero(np.diff(r.indptr) > 0)[0]
+        ra = r[:, ap].toarray()
+        for s in (0.3 + 0.0j, 1.2 + 2.3j, 4.0 - 7.5j):
+            volume = sp.block_diag(
+                [s * f.mass[f.free_nodes][:, f.free_nodes]
+                 + (1.0 / s) * f.stiffness[f.free_nodes][:, f.free_nodes]
+                 for f in fems],
+                format="csr",
+            )
+            coupling = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, sym))
+            dtn = sp.coo_matrix(
+                ((-1.0 / (s * scene.mu0)) * coupling.ravel(),
+                 (np.repeat(ap, ap.size), np.tile(ap, ap.size))),
+                shape=volume.shape,
+            )
+            expected = (volume + dtn).toarray()
+            for op in (solver.operator(s), build_system(scene, meshes, grid, s)):
+                assert np.array_equal(op.matrix.toarray(), expected)  # bit for bit
 
 
 class TestSingleCavityDegeneracy:

@@ -1,8 +1,13 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 import cavitytd as ct
+from cavitytd.cq import CqScheme
 from cavitytd.errors import DomainError
+from cavitytd.fem import SystemOperator
 from cavitytd.freq import FrequencySolver, estimate_report, save_solution_csv, sweep_estimate
 from cavitytd.trace import TraceVector
 
@@ -50,12 +55,39 @@ class TestSolveFrequency:
         diff = np.max(np.abs(field[order] - field[mirror]))
         assert diff <= 1e-10 * max(1.0, np.max(np.abs(field)))
 
-    def test_factorization_cache_reused(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
+    def test_no_lu_outlives_its_solve(self, unit_scene, unit_meshes, unit_grid,
+                                      gaussian_wave, monkeypatch):
+        # Count operators from their first factorization until they are
+        # collected: every LU must die with its solve, so a run never holds
+        # more than one per worker thread.
+        lock = threading.Lock()
+        live, peak = [0], [0]
+        factorize = SystemOperator.factorize
+
+        def release():
+            with lock:
+                live[0] -= 1
+
+        def counting_factorize(op):
+            if op._lu is None:
+                weakref.finalize(op, release)
+                with lock:
+                    live[0] += 1
+                    peak[0] = max(peak[0], live[0])
+            return factorize(op)
+
+        monkeypatch.setattr(SystemOperator, "factorize", counting_factorize)
+        scheme = CqScheme(dt=0.125, steps=48, contour_tol=1e-20)
+        for threads in (1, 2):
+            peak[0] = 0
+            ct.run_time_domain(unit_scene, unit_meshes, unit_grid, gaussian_wave,
+                               scheme, threads=threads)
+            assert live[0] == 0
+            assert 1 <= peak[0] <= threads
         solver = FrequencySolver(unit_scene, unit_meshes, unit_grid)
         s = 1.1 + 2.2j
-        op1 = solver.operator(s)
-        op2 = solver.operator(s)
-        assert op1 is op2
+        solver.solve(s, ct.boundary_data_freq(gaussian_wave, unit_grid, s))
+        assert live[0] == 0
 
     def test_ordering_invariance(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
         s = 1.7 + 1.1j
