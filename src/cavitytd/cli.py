@@ -347,11 +347,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_solve_time(args) -> int:
     config = load_config(args.config)
+    scheme = _scheme_from_config(config)
     scene = build_scene(config)
     grid = _grid_from_config(scene, config)
     meshes = mesh_scene(scene, _mesh_h(config))
     pw = _plane_wave_from_config(scene, config)
-    scheme = _scheme_from_config(config)
     probes = [tuple(map(float, p)) for p in config.get("probes", [])]
     snap_every = int(config.get("snapshots", {}).get("every", 0))
     out = _out_dir(args)

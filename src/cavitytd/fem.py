@@ -35,7 +35,6 @@ from .scene import CavitySpec, Mesh, Scene
 from .trace import DtnSymbol, TraceGrid, TraceVector, apply_B_columns
 
 __all__ = [
-    "DEFAULT_ORDERING",
     "FemMatrices",
     "SystemOperator",
     "SystemPattern",
@@ -48,10 +47,6 @@ __all__ = [
     "export_matrix",
     "restrict_loads",
 ]
-
-# SuperLU column ordering: minimum degree on A^T + A suits the complex
-# symmetric coupled matrix and fills less than COLAMD.
-DEFAULT_ORDERING = "MMD_AT_PLUS_A"
 
 # Barycentric coordinates of the three edge midpoints (degree-2 exact rule).
 _MIDPOINT_LAMBDAS = np.array(
@@ -260,7 +255,6 @@ class SystemOperator:
     s: complex
     matrix: sp.csc_matrix
     fems: list[FemMatrices]
-    ordering: str = DEFAULT_ORDERING
     _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
@@ -272,8 +266,18 @@ class SystemOperator:
 
     def factorize(self) -> spla.SuperLU:
         if self._lu is None:
+            # The one SuperLU configuration.  The matrix is complex symmetric
+            # with a symmetric pattern: minimum degree on A^T + A orders it,
+            # and symmetric mode keeps that ordering instead of post-ordering
+            # by the column elimination tree of A^T A, which roughly doubles
+            # the fill at CQ nodes.  Partial pivoting keeps its default
+            # threshold.
             try:
-                self._lu = spla.splu(self.matrix, permc_spec=self.ordering)
+                self._lu = spla.splu(
+                    self.matrix,
+                    permc_spec="MMD_AT_PLUS_A",
+                    options={"SymmetricMode": True},
+                )
             except RuntimeError as exc:
                 raise FactorizationFailure(
                     f"sparse factorization failed at s={self.s}: {exc}"
@@ -364,7 +368,6 @@ def build_system(
     grid: TraceGrid,
     s: complex,
     fems: list[FemMatrices] | None = None,
-    ordering: str = DEFAULT_ORDERING,
     pattern: SystemPattern | None = None,
 ) -> SystemOperator:
     """Assemble the coupled operator for all cavities at frequency s.
@@ -394,7 +397,6 @@ def build_system(
         s=s,
         matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=fems,
-        ordering=ordering,
     )
 
 
@@ -404,7 +406,6 @@ def build_system_single(
     grid: TraceGrid,
     s: complex,
     fem: FemMatrices | None = None,
-    ordering: str = DEFAULT_ORDERING,
 ) -> SystemOperator:
     """Single-cavity assembly (degeneracy reference path).
 
@@ -424,7 +425,6 @@ def build_system_single(
         s=s,
         matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=[fem],
-        ordering=ordering,
     )
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .fem import (
-    DEFAULT_ORDERING,
     FemMatrices,
     SystemPattern,
     apply_rhs,
@@ -74,7 +73,6 @@ class FrequencySolver:
         scene: Scene,
         meshes: list[Mesh],
         grid: TraceGrid,
-        ordering: str = DEFAULT_ORDERING,
     ) -> None:
         if len(meshes) != scene.n_cavities:
             raise DimensionMismatch(
@@ -83,7 +81,6 @@ class FrequencySolver:
         self.scene = scene
         self.meshes = meshes
         self.grid = grid
-        self.ordering = ordering
         self.fems: list[FemMatrices] = assemble_all(scene, meshes, grid)
         self.pattern = SystemPattern.from_fems(self.fems)
         self.free_offsets = self.pattern.free_offsets
@@ -91,7 +88,7 @@ class FrequencySolver:
     def operator(self, s: complex):
         return build_system(
             self.scene, self.meshes, self.grid, complex(s),
-            fems=self.fems, ordering=self.ordering, pattern=self.pattern,
+            fems=self.fems, pattern=self.pattern,
         )
 
     def load(self, data: TraceVector) -> np.ndarray:
@@ -149,10 +146,9 @@ def solve_frequency(
     grid: TraceGrid,
     s: complex,
     data: TraceVector,
-    ordering: str = DEFAULT_ORDERING,
 ) -> FrequencySolution:
     """One-shot coupled solve at a single frequency."""
-    return FrequencySolver(scene, meshes, grid, ordering=ordering).solve(s, data)
+    return FrequencySolver(scene, meshes, grid).solve(s, data)
 
 
 def estimate_report(
@@ -202,8 +198,9 @@ def sweep_estimate(
 
 
 def save_solution_csv(path: str | Path, mesh: Mesh, field: np.ndarray) -> None:
+    """One row `x,y,re_u,im_u` per vertex, every value at 17 significant digits."""
+    field = np.asarray(field, dtype=np.complex128)
+    rows = np.column_stack([mesh.vertices, field.real, field.imag])
     with open(path, "w", encoding="utf-8") as f:
         f.write("x,y,re_u,im_u\n")
-        for (x, y), v in zip(mesh.vertices, field):
-            v = complex(v)
-            f.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        f.write("%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))

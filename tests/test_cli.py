@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cavitytd.cli as cli
 from cavitytd.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -187,6 +188,20 @@ class TestSolveTime:
         config = small_config(scheme={"dt": 0.2, "steps": 32, "contour_tol": 1e-3})
         path = write_config(tmp_path, config)
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 1
+
+    def test_nan_dt_exit_2(self, tmp_path, monkeypatch, capsys):
+        # json reads the NaN literal; the scheme check must reject it before
+        # the scene is meshed, let alone solved.
+        def no_work(*args, **kwargs):
+            raise AssertionError("config error reached the compute stage")
+
+        monkeypatch.setattr(cli, "mesh_scene", no_work)
+        monkeypatch.setattr(cli, "run_time_domain", no_work)
+        config = small_config(scheme={"dt": float("nan"), "steps": 32})
+        path = write_config(tmp_path, config)
+        assert "NaN" in path.read_text()
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
 
     def test_threads_flag(self, tmp_path):
         path = write_config(tmp_path, small_config())

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import cavitytd as ct
-from cavitytd import freq
+from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme, TimeSolution, cq_frequencies, time_derivative
 from cavitytd.errors import DomainError, UnsupportedPolarization
+from cavitytd.trace import TraceVector
 
 
 class TestCqScheme:
     def test_validation(self):
         with pytest.raises(ValueError):
             CqScheme(dt=0.0, steps=16)
+        with pytest.raises(ValueError):
+            CqScheme(dt=float("nan"), steps=16)
         with pytest.raises(ValueError):
             CqScheme(dt=0.1, steps=1)
         with pytest.raises(ValueError):
@@ -100,9 +103,25 @@ class TestRunTimeDomain:
         early = norms[sol.times < arrival]
         assert np.all(early <= 1e-6 * peak)
 
-    def test_conjugation_residue_small(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
+    def test_conjugation_residue_small(self, unit_scene, unit_meshes, unit_grid,
+                                       gaussian_wave, monkeypatch):
+        splu, calls = fem.spla.splu, []
+        monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         assert sol.imag_residue <= 1e-10
+        # One factorization per half-spectrum node: the mirror is checked, not solved.
+        assert len(calls) == (sol.n_steps + 1) // 2 + 1
+
+    def test_conjugation_residue_detects_defect(self, unit_scene, unit_meshes, unit_grid,
+                                                gaussian_wave):
+        solver = freq.FrequencySolver(unit_scene, unit_meshes, unit_grid)
+        s = 1.3 + 0.7j
+        data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
+        x, _ = solver.solve_load(s, solver.load(data))
+        mirror = TraceVector(np.conj(data.values))
+        assert cq._conjugation_residue(solver, s, x, mirror) <= 1e-10
+        assert cq._conjugation_residue(solver, s, x * (1.0 + 1e-6), mirror) > 1e-8
+        assert cq._conjugation_residue(solver, s, x, data) > 1e-8
 
     def test_node_solves_certified(self, unit_scene, unit_meshes, unit_grid,
                                    gaussian_wave, monkeypatch):

@@ -3,13 +3,16 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import cavitytd as ct
-from cavitytd.cq import CqScheme
+from cavitytd.cq import CqScheme, cq_frequencies
 from cavitytd.errors import DomainError
 from cavitytd.fem import SystemOperator
 from cavitytd.freq import FrequencySolver, estimate_report, save_solution_csv, sweep_estimate
 from cavitytd.trace import TraceVector
+
+from conftest import load_reference
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +92,37 @@ class TestSolveFrequency:
         solver.solve(s, ct.boundary_data_freq(gaussian_wave, unit_grid, s))
         assert live[0] == 0
 
-    def test_ordering_invariance(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
-        s = 1.7 + 1.1j
-        data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
-        sols = [
-            FrequencySolver(unit_scene, unit_meshes, unit_grid, ordering=o).solve(s, data)
-            for o in ("COLAMD", "NATURAL")
-        ]
-        scale = np.max(np.abs(sols[0].fields[0]))
-        assert np.max(np.abs(sols[0].fields[0] - sols[1].fields[0])) <= 1e-10 * scale
+
+@pytest.fixture(scope="module")
+def three_solver():
+    """reference_three's solver (229 free DOFs) and its CQ contour nodes."""
+    _, scene, meshes, grid, pw, scheme = load_reference("reference_three")
+    return FrequencySolver(scene, meshes, grid), pw, cq_frequencies(scheme)
+
+
+class TestFactorization:
+    def test_matches_independent_solve(self, three_solver):
+        # A real s and the CQ node with the smallest Re s / |s|.
+        solver, pw, s_nodes = three_solver
+        for s in (1.3 + 0.0j, s_nodes[np.argmin(s_nodes.real / np.abs(s_nodes))]):
+            data = ct.boundary_data_freq(pw, solver.grid, s)
+            sol = solver.solve(s, data)
+            ref = spla.spsolve(solver.operator(s).matrix, solver.load(data))
+            got = np.concatenate(
+                [u[f.free_nodes] for f, u in zip(solver.fems, sol.fields)]
+            )
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_symmetric_mode_pins(self, three_solver):
+        # Symmetric mode keeps the minimum-degree ordering on A^T + A and
+        # every pivot on the diagonal; the default mode post-orders by the
+        # column elimination tree of A^T A and fills about twice as much.
+        solver, _, s_nodes = three_solver
+        op = solver.operator(s_nodes[1])
+        lu = op.factorize()
+        assert op.n_dofs == 229
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.nnz < spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A").nnz
 
 
 class TestEstimateReport:
@@ -135,6 +160,24 @@ class TestEstimateReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,y,re_u,im_u"
         assert len(lines) == unit_meshes[0].n_vertices + 1
+
+    def test_solution_csv_matches_row_writer(self, unit_meshes, tmp_path):
+        mesh = unit_meshes[0]
+        field = np.random.default_rng(7).standard_normal(mesh.n_vertices) * (1.0 + 1.0j)
+        special = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.7976931348623157e308,
+                   -1e300, 0.1, 1.0 / 3.0, 123456789.0]
+        field.real[: len(special)] = special
+        field.imag[: len(special)] = special[::-1]
+        field[len(special)] = complex(-0.0, -0.0)
+        path = tmp_path / "sol.csv"
+        save_solution_csv(path, mesh, field)
+        # Reference: the per-row formatting the writer must reproduce byte for byte.
+        expected = "x,y,re_u,im_u\n" + "".join(
+            f"{x:.17g},{y:.17g},{complex(v).real:.17g},{complex(v).imag:.17g}\n"
+            for (x, y), v in zip(mesh.vertices, field)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert ",-0,-0\n" in expected and "e-324," in expected
 
 
 class TestMultiCavity:
