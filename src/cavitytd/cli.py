@@ -26,7 +26,7 @@ from .errors import (
     MeshFailure,
     UnsupportedPolarization,
 )
-from .fem import assemble_all
+from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
 from .freq import FrequencySolver, estimate_report, save_solution_csv
 from .incident import PlaneWave, WaveProfile, boundary_data_bundle, boundary_data_freq
 from .io import RunManifest, probe_matrix, write_csv, write_vtk_snapshot
@@ -50,13 +50,16 @@ _DEFAULT_SWEEP = {"s_re": [0.25, 8.0], "count": 20, "s_im": 0.0}
 
 def _grid_from_config(scene: Scene, cfg: dict) -> TraceGrid:
     block = cfg.get("trace", {})
-    if "L" in block and "N" in block:
-        return TraceGrid(
-            L=float(block["L"]), N=int(block["N"]), apertures=scene.apertures
+    try:
+        if "L" in block and "N" in block:
+            return TraceGrid(
+                L=float(block["L"]), N=int(block["N"]), apertures=scene.apertures
+            )
+        return TraceGrid.for_apertures(
+            scene.apertures, min_samples=int(block.get("min_samples", 32))
         )
-    return TraceGrid.for_apertures(
-        scene.apertures, min_samples=int(block.get("min_samples", 32))
-    )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed trace block: {exc}") from exc
 
 
 def _mesh_h(cfg: dict) -> float:
@@ -77,16 +80,15 @@ def _plane_wave_from_config(scene: Scene, cfg: dict) -> PlaneWave:
             amplitude=float(prof.get("amplitude", 1.0)),
             causality_tol=prof.get("causality_tol"),
         )
-        theta = float(block.get("theta", math.pi / 2))
+        return PlaneWave(
+            profile=profile,
+            theta=float(block.get("theta", math.pi / 2)),
+            eps0=scene.eps0,
+            mu0=scene.mu0,
+            polarization=scene.polarization,
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed incident block: {exc}") from exc
-    return PlaneWave(
-        profile=profile,
-        theta=theta,
-        eps0=scene.eps0,
-        mu0=scene.mu0,
-        polarization=scene.polarization,
-    )
 
 
 def _scheme_from_config(cfg: dict) -> CqScheme:
@@ -353,6 +355,10 @@ def cmd_solve_time(args) -> int:
     meshes = mesh_scene(scene, _mesh_h(config))
     pw = _plane_wave_from_config(scene, config)
     probes = [tuple(map(float, p)) for p in config.get("probes", [])]
+    try:
+        stencils = probe_matrix(meshes, probes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     snap_every = int(config.get("snapshots", {}).get("every", 0))
     out = _out_dir(args)
 
@@ -368,9 +374,8 @@ def cmd_solve_time(args) -> int:
     manifest.metrics["max_residual"] = sol.max_residual
     manifest.metrics["worst_s"] = [sol.worst_s.real, sol.worst_s.imag]
 
-    fems = assemble_all(scene, meshes, grid)
     series = boundary_data_bundle(pw, grid, sol.times)
-    et = diagnostics.energy(sol, meshes, scene, fems=fems, series=series, grid=grid)
+    et = diagnostics.energy(sol, meshes, scene, fems=sol.fems, series=series, grid=grid)
     energy_path = out / "energy.csv"
     diagnostics.save_energy_csv(energy_path, et)
     manifest.add_output(energy_path)
@@ -379,8 +384,8 @@ def cmd_solve_time(args) -> int:
     violation = diagnostics.dissipation_violation(et, t_star)
     manifest.checks["energy-dissipation"] = bool(violation <= 1e-8)
 
-    stability = diagnostics.stability_check(et, sol, series, grid, meshes, scene, fems=fems)
-    apriori = diagnostics.apriori_check(et, sol, series, grid, meshes, scene, fems=fems)
+    stability = diagnostics.stability_check(et, sol, series, grid, meshes, scene, fems=sol.fems)
+    apriori = diagnostics.apriori_check(et, sol, series, grid, meshes, scene, fems=sol.fems)
     report_path = out / "stability_report.csv"
     write_csv(
         report_path,
@@ -397,7 +402,6 @@ def cmd_solve_time(args) -> int:
     manifest.checks["stability-ratio"] = bool(stability.passed)
 
     if probes:
-        stencils = probe_matrix(meshes, probes)
         probe_path = out / "probes.csv"
         header = ["t"] + [f"u(x={p[0]:g},y={p[1]:g})" for p in probes]
         rows = []

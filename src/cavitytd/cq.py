@@ -20,11 +20,12 @@ below its 1e-14 default (the reference configurations use 1e-20).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
+from .fem import FemMatrices
 from .fem import apply_rhs  # noqa: F401  (span seam of bench/tracer.py)
 from .freq import FrequencySolver
 from .incident import PlaneWave, boundary_data_series
@@ -112,7 +113,8 @@ class TimeSolution:
     (mirror matrix versus conjugate, and the residual of the conjugate
     solution against the mirror system); initial_ratio the t = 0 state norm
     relative to the trajectory peak; max_residual the largest relative
-    residual of the half-spectrum node solves, reached at frequency worst_s.
+    residual of the half-spectrum node solves, reached at frequency worst_s;
+    fems the per-cavity matrices the solver assembled.
     """
 
     times: np.ndarray
@@ -122,6 +124,7 @@ class TimeSolution:
     initial_ratio: float = 0.0
     max_residual: float = 0.0
     worst_s: complex = 0j
+    fems: list[FemMatrices] | None = field(default=None, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -224,6 +227,7 @@ def run_time_domain(
         imag_residue=imag_residue,
         max_residual=float(residuals[worst]),
         worst_s=complex(s_nodes[worst]),
+        fems=solver.fems,
     )
     norms = sol.step_norms()
     peak_norm = float(np.max(norms))

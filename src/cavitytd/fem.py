@@ -11,8 +11,10 @@ shared line operator: the assembled action at frequency s is
 
 with Q the uniform line quadrature and B the FFT boundary operator over
 the union of the zero-extended aperture traces.  The coupled matrix lives
-on one sparsity pattern per scene (SystemPattern), built once; a frequency
-only fills its values.
+on one sparsity pattern per scene (SystemPattern), built once together
+with its fill-reducing elimination order; a frequency only fills its
+values.  B is a circulant on the uniform grid, so one FFT kernel column
+per frequency gives the whole aperture block.
 """
 
 from __future__ import annotations
@@ -250,11 +252,17 @@ def restrict_loads(loads: list[np.ndarray], fems: list[FemMatrices]) -> np.ndarr
 
 @dataclass
 class SystemOperator:
-    """Frequency-domain coupled operator with a lazy direct factorization."""
+    """Frequency-domain coupled operator with a lazy direct factorization.
+
+    matrix is in the natural DOF order; the factorization runs on its
+    symmetric permutation into the pattern's precomputed elimination
+    order, and solve maps the load and the solution across it.
+    """
 
     s: complex
     matrix: sp.csc_matrix
     fems: list[FemMatrices]
+    pattern: SystemPattern
     _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
@@ -266,17 +274,17 @@ class SystemOperator:
 
     def factorize(self) -> spla.SuperLU:
         if self._lu is None:
-            # The one SuperLU configuration.  The matrix is complex symmetric
-            # with a symmetric pattern: minimum degree on A^T + A orders it,
-            # and symmetric mode keeps that ordering instead of post-ordering
-            # by the column elimination tree of A^T A, which roughly doubles
-            # the fill at CQ nodes.  Partial pivoting keeps its default
-            # threshold.
+            p = self.pattern
+            permuted = sp.csc_matrix(
+                (self.matrix.data[p.perm_gather], p.perm_indices, p.perm_indptr),
+                shape=p.shape,
+            )
+            # The ordering is already applied, so SuperLU must not reorder;
+            # symmetric mode prefers diagonal pivots, and partial pivoting
+            # keeps its default threshold.
             try:
                 self._lu = spla.splu(
-                    self.matrix,
-                    permc_spec="MMD_AT_PLUS_A",
-                    options={"SymmetricMode": True},
+                    permuted, permc_spec="NATURAL", options={"SymmetricMode": True}
                 )
             except RuntimeError as exc:
                 raise FactorizationFailure(
@@ -285,7 +293,11 @@ class SystemOperator:
         return self._lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.factorize().solve(b)
+        order = self.pattern.order
+        y = self.factorize().solve(b[order])
+        x = np.empty_like(y)
+        x[order] = y
+        return x
 
     def restrict_loads(self, loads: list[np.ndarray]) -> np.ndarray:
         return restrict_loads(loads, self.fems)
@@ -298,9 +310,20 @@ class SystemPattern:
     The pattern is the union of the block-diagonal free-node volume part
     and the dense aperture block.  mass / stiffness hold the volume values
     at positions vol_index of the data array (the two matrices share one
-    pattern); ra is the dense trace restriction onto the aperture columns,
-    whose coupling block lands at positions ap_index, row-major.  Building
-    the matrix at one frequency then fills a single data array.
+    pattern); the aperture coupling block lands at positions ap_index,
+    row-major.  Building the matrix at one frequency then fills a single
+    data array.
+
+    The boundary operator is a circulant on the uniform trace grid: entry
+    (p, q) is its kernel column B e_0 at lag[p, q] = (k_p - k_q) mod N.
+    The coupling block is therefore rt (dx B) rt^T, where rt is the sparse
+    transpose of the restriction onto the aperture columns, limited to the
+    trace samples k under the apertures.
+
+    The fill-reducing elimination order is computed once, because it
+    depends only on the pattern: order[j] is the DOF eliminated j-th, and
+    the permuted matrix has the CSC structure perm_indptr / perm_indices
+    with data[perm_gather] as its values.
     """
 
     shape: tuple[int, int]
@@ -310,8 +333,13 @@ class SystemPattern:
     mass: np.ndarray
     stiffness: np.ndarray
     ap_index: np.ndarray
-    ra: np.ndarray
+    rt: sp.csr_matrix
+    lag: np.ndarray
     free_offsets: np.ndarray
+    order: np.ndarray
+    perm_indptr: np.ndarray
+    perm_indices: np.ndarray
+    perm_gather: np.ndarray
 
     @classmethod
     def from_fems(cls, fems: list[FemMatrices]) -> "SystemPattern":
@@ -328,38 +356,78 @@ class SystemPattern:
             cols.append(m.col + lo)
             mass.append(m.data)
             stiffness.append(k.data)
+        mass, stiffness = np.concatenate(mass), np.concatenate(stiffness)
 
         r_stack = sp.hstack(
             [f.restriction[:, f.free_nodes] for f in fems], format="csc"
         )
         ap_cols = np.nonzero(np.diff(r_stack.indptr) > 0)[0]
-        ra = np.asarray(r_stack[:, ap_cols].todense())
+        r_ap = r_stack[:, ap_cols]
+        samples = np.unique(r_ap.indices)
 
         # CSC order is (column, row); unique keys give the union pattern.
         vol_keys = np.concatenate(cols).astype(np.int64) * n + np.concatenate(rows)
         ap_keys = np.tile(ap_cols, ap_cols.size) * n + np.repeat(ap_cols, ap_cols.size)
         keys, inverse = np.unique(np.concatenate([vol_keys, ap_keys]), return_inverse=True)
-        counts = np.bincount(keys // n, minlength=n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        indices = keys % n
+        vol_index = inverse[: vol_keys.size]
+        proxy = np.zeros(indices.size)
+        proxy[vol_index] = mass + stiffness
+        perm_c = _elimination_order(sp.csc_matrix((proxy, indices, indptr), shape=(n, n)))
+
+        # Position of every pattern entry in the permuted matrix P A P^T.
+        new_cols = perm_c[np.repeat(np.arange(n), np.diff(indptr))]
+        perm_keys = new_cols * n + perm_c[indices]
+        gather = np.argsort(perm_keys)
         return cls(
             shape=(n, n),
-            indptr=np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
-            indices=(keys % n).astype(np.int32),
-            vol_index=inverse[: vol_keys.size],
-            mass=np.concatenate(mass),
-            stiffness=np.concatenate(stiffness),
+            indptr=indptr.astype(np.int32),
+            indices=indices.astype(np.int32),
+            vol_index=vol_index,
+            mass=mass,
+            stiffness=stiffness,
             ap_index=inverse[vol_keys.size :],
-            ra=ra,
+            rt=r_ap[samples].T.tocsr(),
+            lag=(samples[:, None] - samples[None, :]) % r_stack.shape[0],
             free_offsets=offsets,
+            order=np.argsort(perm_c),
+            perm_indptr=np.concatenate(
+                [[0], np.cumsum(np.bincount(new_cols, minlength=n))]
+            ).astype(np.int32),
+            perm_indices=(perm_keys[gather] % n).astype(np.int32),
+            perm_gather=gather,
         )
+
+    def coupling(self, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
+        """Dense aperture block R^T Q B(s) R over the free aperture DOFs."""
+        impulse = np.zeros((grid.N, 1), dtype=np.complex128)
+        impulse[0] = 1.0
+        kernel = grid.dx * apply_B_columns(impulse, s, grid, sym)[:, 0]
+        return self.rt @ kernel[self.lag] @ self.rt.T
 
     def matrix(self, s: complex, grid: TraceGrid, sym: DtnSymbol, mu0: float) -> sp.csc_matrix:
         """s*M + (1/s)*K - (1/(s*mu0)) * R^T Q B(s) R on the fixed pattern."""
         data = np.zeros(self.indices.size, dtype=np.complex128)
         data[self.vol_index] = s * self.mass + (1.0 / s) * self.stiffness
-        b_cols = apply_B_columns(self.ra.astype(np.complex128), s, grid, sym)
-        coupling = self.ra.T @ (grid.dx * b_cols)
-        data[self.ap_index] += (-1.0 / (s * mu0)) * coupling.ravel()
+        data[self.ap_index] += (-1.0 / (s * mu0)) * self.coupling(s, grid, sym).ravel()
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _elimination_order(proxy: sp.csc_matrix) -> np.ndarray:
+    """SuperLU's MMD_AT_PLUS_A column order (perm_c) for the proxy's pattern.
+
+    Minimum degree on A^T + A reads only the sparsity, and symmetric mode
+    applies no elimination-tree post-order (which would roughly double
+    the fill at CQ nodes), so one factorization of a real proxy with the
+    coupled pattern (the volume values M + K, explicit zeros on the rest
+    of the aperture block) gives the order every frequency would compute.
+    """
+    try:
+        lu = spla.splu(proxy, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FactorizationFailure(f"ordering analysis failed: {exc}") from exc
+    return lu.perm_c.astype(np.int64)
 
 
 def build_system(
@@ -397,6 +465,7 @@ def build_system(
         s=s,
         matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=fems,
+        pattern=pattern,
     )
 
 
@@ -425,6 +494,7 @@ def build_system_single(
         s=s,
         matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=[fem],
+        pattern=pattern,
     )
 
 

@@ -2,12 +2,12 @@
 
 The solver is a streaming engine: everything that does not depend on the
 frequency (the per-cavity matrices, the sparsity pattern of the coupled
-system and the dense aperture restriction) is built once, and each solve
-fills the pattern's values at its s, factorizes, solves, certifies the
-relative residual and drops the factorization.  Nothing is cached across
-frequencies, so memory stays flat in the number of solves and at most one
-factorization per worker thread is alive.  The estimate report measures
-the discrete counterpart of the resolvent bound
+system, its elimination order and the aperture restriction) is built
+once, and each solve fills the pattern's values at its s, factorizes,
+solves, certifies the relative residual and drops the factorization.
+Nothing is cached across frequencies, so memory stays flat in the number
+of solves and at most one factorization per worker thread is alive.  The
+estimate report measures the discrete counterpart of the resolvent bound
 
     ||grad u|| + ||s u||  <=  C * |s| / Re(s) * ||data||_{-1/2}
 
@@ -62,10 +62,11 @@ class FrequencySolution:
 class FrequencySolver:
     """Streaming direct solver: fixed pattern, one short-lived LU per solve.
 
-    Construction assembles the cavities and the coupled sparsity pattern;
-    `operator(s)` returns a fresh, unfactorized SystemOperator, and the
-    solve methods factorize it, check the relative residual against
-    1e-10 and let the factorization go when they return.
+    Construction assembles the cavities and the coupled sparsity pattern
+    with its elimination order; `operator(s)` returns a fresh,
+    unfactorized SystemOperator, and the solve methods factorize it,
+    check the relative residual against 1e-10 and let the factorization
+    go when they return.
     """
 
     def __init__(

@@ -39,29 +39,29 @@ def write_vtk_snapshot(
     fields: Sequence[np.ndarray],
     name: str = "u",
 ) -> None:
-    """Legacy-VTK unstructured snapshot merging all cavity meshes."""
+    """Legacy-VTK unstructured snapshot merging all cavity meshes.
+
+    Every float is printed at 17 significant digits; each section is one
+    bulk %-format over all of its lines.
+    """
     n_pts = sum(m.n_vertices for m in meshes)
     n_cells = sum(m.n_triangles for m in meshes)
+    points = np.concatenate([m.vertices for m in meshes])
+    offsets = np.cumsum([0] + [m.n_vertices for m in meshes])[:-1]
+    cells = np.concatenate([m.triangles + lo for m, lo in zip(meshes, offsets)])
+    values = np.concatenate([np.asarray(v, dtype=float) for v in fields])
     with open(path, "w", encoding="utf-8") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("cavity field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {n_pts} double\n")
-        for m in meshes:
-            for x, y in m.vertices:
-                f.write(f"{x:.17g} {y:.17g} 0\n")
+        f.write("%.17g %.17g 0\n" * n_pts % tuple(points.ravel().tolist()))
         f.write(f"CELLS {n_cells} {4 * n_cells}\n")
-        offset = 0
-        for m in meshes:
-            for i, j, k in m.triangles:
-                f.write(f"3 {i + offset} {j + offset} {k + offset}\n")
-            offset += m.n_vertices
+        f.write("3 %d %d %d\n" * n_cells % tuple(cells.ravel().tolist()))
         f.write(f"CELL_TYPES {n_cells}\n")
         f.write("5\n" * n_cells)
         f.write(f"POINT_DATA {n_pts}\n")
         f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        for values in fields:
-            for v in np.asarray(values, dtype=float):
-                f.write(f"{v:.17g}\n")
+        f.write("%.17g\n" * values.size % tuple(values.tolist()))
 
 
 def probe_matrix(

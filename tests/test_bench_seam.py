@@ -1,0 +1,46 @@
+"""The benchmark tracer wraps package names by import path; a refactor that
+drops or renames one must fail here, not only when the benchmark runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import small_config, write_config
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def traced_layers(tmp_path, command):
+    config = write_config(tmp_path, small_config())
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ untouched
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    # bench/child.py installs bench/tracer.Tracer, runs the command and
+    # raises if a span the command is expected to open never fired.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "trace", command,
+         str(config), str(tmp_path / "out"), str(result)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text())["layers"]
+
+
+@pytest.mark.parametrize("command", ["solve-time", "solve-freq"])
+def test_traced_run_opens_every_expected_span(tmp_path, command):
+    layers = traced_layers(tmp_path, command)
+    assert layers["fem.assemble_calls"] == 1
+    # One kernel column per build, and one ordering analysis per solver
+    # besides the per-frequency factorizations.
+    assert layers["trace.fft_columns"] == layers["fem.builds"]
+    if command == "solve-time":
+        solves = layers["cq.nodes"]
+    else:
+        solves = len(small_config()["sweep"]["s_values"])
+    assert layers["fem.factorizations"] == solves + 1

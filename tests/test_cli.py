@@ -203,6 +203,28 @@ class TestSolveTime:
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("trace", "N", 100), ("trace", "L", 1.0), ("incident", "theta", 4.0)],
+        ids=["trace-N-not-power-of-two", "trace-L-too-small", "theta-outside-0-pi"],
+    )
+    def test_config_value_error_exit_2(self, tmp_path, capsys, section, key, value):
+        config = small_config()
+        config[section][key] = value
+        path = write_config(tmp_path, config)
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_probe_outside_cavities_exit_2(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("probe error reached the time solve")
+
+        monkeypatch.setattr(cli, "run_time_domain", no_solve)
+        path = write_config(tmp_path, small_config(probes=[[0.0, -0.5], [3.0, -0.5]]))
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "(3.0, -0.5)" in err
+
     def test_threads_flag(self, tmp_path):
         path = write_config(tmp_path, small_config())
         out1, out2 = tmp_path / "t1", tmp_path / "t2"

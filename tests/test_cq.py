@@ -109,8 +109,9 @@ class TestRunTimeDomain:
         monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         assert sol.imag_residue <= 1e-10
-        # One factorization per half-spectrum node: the mirror is checked, not solved.
-        assert len(calls) == (sol.n_steps + 1) // 2 + 1
+        # One factorization per half-spectrum node, plus the solver's one
+        # ordering analysis: the mirror is checked, not solved.
+        assert len(calls) == (sol.n_steps + 1) // 2 + 1 + 1
 
     def test_conjugation_residue_detects_defect(self, unit_scene, unit_meshes, unit_grid,
                                                 gaussian_wave):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import cavitytd as ct
 from cavitytd.errors import DimensionMismatch, DomainError, UnsupportedPolarization
@@ -247,25 +248,33 @@ class TestSystemOperator:
         assert len(lines) == op.matrix.nnz + 1
 
 
+def _aperture_restriction(fems):
+    """Free aperture columns of the stacked restriction, and its dense block."""
+    r = sp.hstack([f.restriction[:, f.free_nodes] for f in fems], format="csc")
+    ap = np.nonzero(np.diff(r.indptr) > 0)[0]
+    return ap, r[:, ap].toarray()
+
+
 class TestFixedPattern:
+    S_VALUES = (0.3 + 0.0j, 1.2 + 2.3j, 4.0 - 7.5j)
+
     def test_matches_block_assembly_bitwise(self):
         # Two cavities, one with variable epsilon: the fixed-pattern fill
-        # equals the block-diagonal volume part plus the COO aperture block.
+        # equals the block-diagonal volume part plus the COO of the
+        # pattern's own aperture coupling block, scattered bit for bit.
         _, scene, meshes, grid, _, _ = load_reference("reference_two")
         fems = assemble_all(scene, meshes, grid)
         solver = ct.FrequencySolver(scene, meshes, grid)
         sym = DtnSymbol(scene.c)
-        r = sp.hstack([f.restriction[:, f.free_nodes] for f in fems], format="csc")
-        ap = np.nonzero(np.diff(r.indptr) > 0)[0]
-        ra = r[:, ap].toarray()
-        for s in (0.3 + 0.0j, 1.2 + 2.3j, 4.0 - 7.5j):
+        ap, _ = _aperture_restriction(fems)
+        for s in self.S_VALUES:
             volume = sp.block_diag(
                 [s * f.mass[f.free_nodes][:, f.free_nodes]
                  + (1.0 / s) * f.stiffness[f.free_nodes][:, f.free_nodes]
                  for f in fems],
                 format="csr",
             )
-            coupling = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, sym))
+            coupling = solver.pattern.coupling(s, grid, sym)
             dtn = sp.coo_matrix(
                 ((-1.0 / (s * scene.mu0)) * coupling.ravel(),
                  (np.repeat(ap, ap.size), np.tile(ap, ap.size))),
@@ -274,6 +283,34 @@ class TestFixedPattern:
             expected = (volume + dtn).toarray()
             for op in (solver.operator(s), build_system(scene, meshes, grid, s)):
                 assert np.array_equal(op.matrix.toarray(), expected)  # bit for bit
+
+    def test_circulant_coupling_matches_column_fft_and_dense(self):
+        # The one-kernel-column circulant block equals the FFT of every
+        # aperture column and the dense oracle, to round-off.
+        _, scene, meshes, grid, _, _ = load_reference("reference_two")
+        solver = ct.FrequencySolver(scene, meshes, grid)
+        sym = DtnSymbol(scene.c)
+        _, ra = _aperture_restriction(solver.fems)
+        for s in self.S_VALUES:
+            got = solver.pattern.coupling(s, grid, sym)
+            by_columns = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, sym))
+            dense = ra.T @ (grid.dx * ct.dtn_dense(grid, s, sym)) @ ra
+            for ref in (by_columns, dense):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_stored_order_matches_per_node_ordering(self):
+        # The order computed once from the real proxy is the order SuperLU
+        # picks at each frequency, and the permuted natural-order LU fills
+        # exactly as much.
+        _, scene, meshes, grid, _, scheme = load_reference("reference_three")
+        solver = ct.FrequencySolver(scene, meshes, grid)
+        s_nodes = ct.cq_frequencies(scheme)
+        for s in s_nodes[[0, 1, s_nodes.size // 2]]:
+            op = solver.operator(s)
+            ref = spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A",
+                            options={"SymmetricMode": True})
+            assert np.array_equal(solver.pattern.order, np.argsort(ref.perm_c))
+            assert op.factorize().nnz == ref.nnz
 
 
 class TestSingleCavityDegeneracy:
