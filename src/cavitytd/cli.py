@@ -111,19 +111,36 @@ def _sweep_values(cfg: dict, override: str | None = None) -> list[complex]:
             raise ConfigError(f"bad --s list {override!r}: {exc}") from exc
     else:
         block = cfg.get("sweep", _DEFAULT_SWEEP)
-        if "s_values" in block:
-            values = [complex(v[0], v[1]) for v in block["s_values"]]
-        else:
-            lo, hi = block.get("s_re", _DEFAULT_SWEEP["s_re"])
-            count = int(block.get("count", _DEFAULT_SWEEP["count"]))
-            im = float(block.get("s_im", 0.0))
-            values = [
-                complex(v, im) for v in np.geomspace(float(lo), float(hi), count)
-            ]
+        try:
+            if "s_values" in block:
+                values = [complex(v[0], v[1]) for v in block["s_values"]]
+            else:
+                lo, hi = block.get("s_re", _DEFAULT_SWEEP["s_re"])
+                count = int(block.get("count", _DEFAULT_SWEEP["count"]))
+                im = float(block.get("s_im", 0.0))
+                values = [
+                    complex(v, im) for v in np.geomspace(float(lo), float(hi), count)
+                ]
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed sweep block: {exc}") from exc
     for s in values:
         if s.real <= 0.0:
             raise DomainError(f"sweep frequency {s} violates Re s > 0")
     return values
+
+
+def _block_int(cfg: dict, block: str, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(block, {}).get(key, default))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {block}.{key}: {exc}") from exc
+
+
+def _probes_from_config(cfg: dict) -> list[tuple[float, float]]:
+    try:
+        return [(float(x), float(y)) for x, y in cfg.get("probes", [])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed probes list: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -223,7 +240,9 @@ def cmd_validate(args) -> int:
     scene = build_scene(config)
     grid = _grid_from_config(scene, config)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    trials = int(config.get("validate", {}).get("trials", 1000))
+    trials = _block_int(config, "validate", "trials", 1000)
+    if trials < 1:
+        raise ConfigError(f"validate.trials must be at least 1, got {trials}")
     out = _out_dir(args)
 
     manifest = RunManifest(
@@ -277,9 +296,9 @@ def _freq_run(args, write_solutions: bool) -> int:
     config = load_config(args.config)
     scene = build_scene(config)
     grid = _grid_from_config(scene, config)
-    meshes = mesh_scene(scene, _mesh_h(config))
     pw = _plane_wave_from_config(scene, config)
     s_values = _sweep_values(config, getattr(args, "s", None))
+    meshes = mesh_scene(scene, _mesh_h(config))
     out = _out_dir(args)
 
     manifest = RunManifest(
@@ -352,14 +371,14 @@ def cmd_solve_time(args) -> int:
     scheme = _scheme_from_config(config)
     scene = build_scene(config)
     grid = _grid_from_config(scene, config)
-    meshes = mesh_scene(scene, _mesh_h(config))
     pw = _plane_wave_from_config(scene, config)
-    probes = [tuple(map(float, p)) for p in config.get("probes", [])]
+    probes = _probes_from_config(config)
+    snap_every = _block_int(config, "snapshots", "every", 0)
+    meshes = mesh_scene(scene, _mesh_h(config))
     try:
         stencils = probe_matrix(meshes, probes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    snap_every = int(config.get("snapshots", {}).get("every", 0))
     out = _out_dir(args)
 
     manifest = RunManifest(
@@ -384,8 +403,8 @@ def cmd_solve_time(args) -> int:
     violation = diagnostics.dissipation_violation(et, t_star)
     manifest.checks["energy-dissipation"] = bool(violation <= 1e-8)
 
-    stability = diagnostics.stability_check(et, sol, series, grid, meshes, scene, fems=sol.fems)
-    apriori = diagnostics.apriori_check(et, sol, series, grid, meshes, scene, fems=sol.fems)
+    stability = diagnostics.stability_check(sol, series, grid, meshes, scene, fems=sol.fems)
+    apriori = diagnostics.apriori_check(sol, series, grid, meshes, scene, fems=sol.fems)
     report_path = out / "stability_report.csv"
     write_csv(
         report_path,

@@ -165,7 +165,6 @@ class AprioriRecord:
 
 
 def stability_check(
-    et: EnergyTrace,
     sol: TimeSolution,
     series: BoundaryDataSeries,
     grid: TraceGrid,
@@ -208,7 +207,6 @@ def stability_check(
 
 
 def apriori_check(
-    et: EnergyTrace,
     sol: TimeSolution,
     series: BoundaryDataSeries,
     grid: TraceGrid,
@@ -431,7 +429,6 @@ def growth_study(
     field-level ratio must not grow as the horizon doubles.
     """
     records = []
-    fems = assemble_all(scene, meshes, grid)
     for horizon in horizons:
         profile = WaveProfile(
             kind="gaussian-pulse",
@@ -449,9 +446,8 @@ def growth_study(
         )
         sol = run_time_domain(scene, meshes, grid, pw, scheme)
         series = boundary_data_bundle(pw, grid, sol.times)
-        et = energy(sol, meshes, scene, fems=fems, series=series, grid=grid)
         records.append(
-            apriori_check(et, sol, series, grid, meshes, scene, fems=fems)
+            apriori_check(sol, series, grid, meshes, scene, fems=sol.fems)
         )
     return records
 

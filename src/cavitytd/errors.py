@@ -62,4 +62,5 @@ class QuadratureFailure(CavityError):
 
 
 class FactorizationFailure(CavityError):
-    """Sparse direct factorization failed; reported with the frequency."""
+    """A sparse direct solve failed to factorize or missed its residual
+    certificate; reported with the frequency."""

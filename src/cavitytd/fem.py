@@ -20,7 +20,6 @@ per frequency gives the whole aperture block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +45,6 @@ __all__ = [
     "apply_rhs",
     "build_system",
     "build_system_single",
-    "export_matrix",
     "restrict_loads",
 ]
 
@@ -71,7 +69,6 @@ class FemMatrices:
     stiffness: sp.csr_matrix
     mass_unit: sp.csr_matrix
     stiffness_unit: sp.csr_matrix
-    wall_nodes: np.ndarray
     free_nodes: np.ndarray
     aperture_nodes: np.ndarray
     restriction: sp.csr_matrix | None = None
@@ -142,8 +139,7 @@ def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid | None = None) -> F
     def to_csr(local: np.ndarray) -> sp.csr_matrix:
         return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
-    wall = mesh.wall_nodes()
-    free = np.setdiff1d(np.arange(n), wall)
+    free = np.setdiff1d(np.arange(n), mesh.wall_nodes())
 
     restriction = _trace_restriction(mesh, cavity, grid) if grid is not None else None
     return FemMatrices(
@@ -151,7 +147,6 @@ def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid | None = None) -> F
         stiffness=to_csr(k_local),
         mass_unit=to_csr(m1_local),
         stiffness_unit=to_csr(k1_local),
-        wall_nodes=wall,
         free_nodes=free,
         aperture_nodes=mesh.aperture_nodes,
         restriction=restriction,
@@ -210,9 +205,7 @@ def aperture_quadrature(grid: TraceGrid, j: int) -> tuple[np.ndarray, np.ndarray
     return ks, w
 
 
-def apply_rhs(
-    g_freq: TraceVector, meshes: list[Mesh], grid: TraceGrid, fems: list[FemMatrices] | None = None
-) -> list[np.ndarray]:
+def apply_rhs(g_freq: TraceVector, meshes: list[Mesh], grid: TraceGrid) -> list[np.ndarray]:
     """Load vectors <data, hat_i> over each aperture, full node set per cavity.
 
     Entry i integrates the line data against the trace of hat function i
@@ -496,13 +489,3 @@ def build_system_single(
         fems=[fem],
         pattern=pattern,
     )
-
-
-def export_matrix(path: str | Path, matrix: sp.spmatrix) -> None:
-    """Coordinate text dump (row, col, Re, Im) for offline inspection."""
-    coo = matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("row,col,re,im\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            v = complex(v)
-            f.write(f"{r},{c},{v.real:.17g},{v.imag:.17g}\n")

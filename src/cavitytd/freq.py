@@ -16,13 +16,12 @@ whose constant is pinned empirically on the reference scene.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, FactorizationFailure
 from .fem import (
     FemMatrices,
     SystemPattern,
@@ -39,7 +38,6 @@ __all__ = [
     "FrequencySolver",
     "solve_frequency",
     "estimate_report",
-    "sweep_estimate",
     "save_solution_csv",
 ]
 
@@ -53,7 +51,6 @@ class FrequencySolution:
     s: complex
     fields: list[np.ndarray]
     residual: float
-    solve_time: float
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(f, f).real for f in self.fields)))
@@ -84,7 +81,6 @@ class FrequencySolver:
         self.grid = grid
         self.fems: list[FemMatrices] = assemble_all(scene, meshes, grid)
         self.pattern = SystemPattern.from_fems(self.fems)
-        self.free_offsets = self.pattern.free_offsets
 
     def operator(self, s: complex):
         return build_system(
@@ -94,12 +90,12 @@ class FrequencySolver:
 
     def load(self, data: TraceVector) -> np.ndarray:
         """Free-DOF load vector of aperture data, stacked over the cavities."""
-        return restrict_loads(apply_rhs(data, self.meshes, self.grid, self.fems), self.fems)
+        return restrict_loads(apply_rhs(data, self.meshes, self.grid), self.fems)
 
     def expand(self, x: np.ndarray) -> list[np.ndarray]:
         """Full per-cavity node blocks of free-DOF values (last axis)."""
         out = []
-        for f, lo in zip(self.fems, self.free_offsets):
+        for f, lo in zip(self.fems, self.pattern.free_offsets):
             full = np.zeros(x.shape[:-1] + (f.n_nodes,), dtype=x.dtype)
             full[..., f.free_nodes] = x[..., lo : lo + f.n_free]
             out.append(full)
@@ -107,13 +103,11 @@ class FrequencySolver:
 
     def solve(self, s: complex, data: TraceVector) -> FrequencySolution:
         """Solve the coupled problem at s for aperture data (Re s > 0)."""
-        t0 = time.perf_counter()
         x, residual = self._solve(s, self.load(data), f"at s={s}")
         return FrequencySolution(
             s=complex(s),
             fields=self.expand(x),
             residual=residual,
-            solve_time=time.perf_counter() - t0,
         )
 
     def solve_load(
@@ -134,7 +128,7 @@ class FrequencySolver:
         x = op.solve(b)
         residual = float(np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b))
         if not residual <= _RESIDUAL_LIMIT:
-            raise DomainError(
+            raise FactorizationFailure(
                 f"direct solve residual {residual:.3e} exceeds "
                 f"{_RESIDUAL_LIMIT} {where}"
             )
@@ -179,23 +173,6 @@ def estimate_report(
         "rhs": rhs,
         "ratio": ratio,
     }
-
-
-def sweep_estimate(
-    solver: FrequencySolver,
-    s_values,
-    data_for_s,
-) -> list[dict[str, float]]:
-    """Solve a frequency sweep and collect one estimate record per s.
-
-    `data_for_s` maps each frequency to its aperture data vector.
-    """
-    records = []
-    for s in s_values:
-        data = data_for_s(s)
-        sol = solver.solve(s, data)
-        records.append(estimate_report(sol, data, solver.grid, solver.fems))
-    return records
 
 
 def save_solution_csv(path: str | Path, mesh: Mesh, field: np.ndarray) -> None:

@@ -33,7 +33,7 @@ from scipy.integrate import quad
 from scipy.special import wofz
 
 from .errors import DomainError, QuadratureFailure, UnsupportedPolarization
-from .trace import FULL_LINE, TraceGrid, TraceVector
+from .trace import TraceGrid, TraceVector
 
 __all__ = [
     "WaveProfile",
@@ -45,7 +45,6 @@ __all__ = [
     "boundary_data_freq",
     "BoundaryDataSeries",
     "boundary_data_bundle",
-    "save_boundary_data_csv",
 ]
 
 GAUSSIAN = "gaussian-pulse"
@@ -243,7 +242,7 @@ def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):
 def boundary_data_time(pw: PlaneWave, grid: TraceGrid, t: float) -> TraceVector:
     """Aperture-line data g(x, t) sampled on the trace grid."""
     pw._require_te()
-    return TraceVector(_g_closed_form(pw, grid.x, t).astype(np.complex128), FULL_LINE)
+    return TraceVector(_g_closed_form(pw, grid.x, t).astype(np.complex128))
 
 
 def boundary_data_series(
@@ -278,7 +277,7 @@ def boundary_data_freq(
             [_quad_g_laplace(pw, xk, s, quad_tol) for xk in grid.x],
             dtype=np.complex128,
         )
-    return TraceVector(vals, FULL_LINE)
+    return TraceVector(vals)
 
 
 def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
@@ -354,12 +353,3 @@ def boundary_data_bundle(pw: PlaneWave, grid: TraceGrid, times: np.ndarray) -> B
         dg=boundary_data_series(pw, grid, times, order=1),
         d2g=boundary_data_series(pw, grid, times, order=2),
     )
-
-
-def save_boundary_data_csv(path, pw: PlaneWave, grid: TraceGrid, times) -> None:
-    series = boundary_data_series(pw, grid, np.asarray(times, dtype=float))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t,x,g\n")
-        for tn, row in zip(times, series):
-            for xk, gk in zip(grid.x, row):
-                f.write(f"{tn:.17g},{xk:.17g},{gk:.17g}\n")

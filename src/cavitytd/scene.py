@@ -10,6 +10,7 @@ plain-text format documented at the bottom of this module.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import dataclass
@@ -56,8 +57,57 @@ _SAFE_FUNCS = {
     "exp": np.exp,
     "sqrt": np.sqrt,
     "abs": np.abs,
-    "pi": np.pi,
 }
+
+
+_ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_SIGNS = (ast.UAdd, ast.USub)
+_MAX_EXPONENT = 16
+
+
+def _is_number(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _check_expression(node: ast.AST, spec: str, budget: float = _MAX_EXPONENT) -> None:
+    """Admit numbers, x, y, pi, one-argument _SAFE_FUNCS calls and + - * / **.
+
+    The exponent of a power must be a (signed) numeric literal, and the
+    exponents of nested powers multiply: their product may not exceed
+    _MAX_EXPONENT in magnitude, which rules out towers such as 9**9**9 and
+    ((9**16)**16)**16 alike.  Anything else raises ConfigError before the
+    expression is ever evaluated.
+    """
+    if _is_number(node) or (isinstance(node, ast.Name) and node.id in ("x", "y", "pi")):
+        return
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+        return _check_expression(node.operand, spec, budget)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITHMETIC):
+        if not isinstance(node.op, ast.Pow):
+            _check_expression(node.left, spec, budget)
+            return _check_expression(node.right, spec, budget)
+        exp = node.right
+        if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, _SIGNS):
+            exp = exp.operand
+        if not (_is_number(exp) and abs(exp.value) <= budget):
+            raise ConfigError(
+                f"material expression {spec!r}: an exponent must be a numeric "
+                f"literal, and nested exponents may multiply to at most "
+                f"{_MAX_EXPONENT} in magnitude"
+            )
+        return _check_expression(node.left, spec, budget / max(abs(exp.value), 1.0))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _SAFE_FUNCS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        return _check_expression(node.args[0], spec, budget)
+    raise ConfigError(
+        f"material expression {spec!r}: {type(node).__name__} is not allowed; "
+        f"use numbers, x, y, pi, {', '.join(_SAFE_FUNCS)} and + - * / **"
+    )
 
 
 @dataclass(frozen=True)
@@ -69,9 +119,10 @@ class MaterialField:
     def __post_init__(self) -> None:
         if isinstance(self.spec, str):
             try:
-                compile(self.spec, "<material>", "eval")
+                tree = ast.parse(self.spec, "<material>", "eval")
             except SyntaxError as exc:
                 raise ConfigError(f"bad material expression {self.spec!r}: {exc}") from exc
+            _check_expression(tree.body, self.spec)
 
     @property
     def is_constant(self) -> bool:
@@ -82,7 +133,7 @@ class MaterialField:
         y = np.asarray(y, dtype=float)
         if self.is_constant:
             return np.full(np.broadcast(x, y).shape, float(self.spec))
-        namespace = {"x": x, "y": y, **_SAFE_FUNCS}
+        namespace = {"x": x, "y": y, "pi": np.pi, **_SAFE_FUNCS}
         out = eval(self.spec, {"__builtins__": {}}, namespace)  # noqa: S307
         return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(x, y).shape).copy()
 
@@ -320,13 +371,6 @@ class Scene:
     @property
     def apertures(self) -> tuple[tuple[float, float], ...]:
         return tuple(c.aperture for c in self.cavities)
-
-    @property
-    def horizontal_extent(self) -> tuple[float, float]:
-        return (
-            min(c.aperture[0] for c in self.cavities),
-            max(c.aperture[1] for c in self.cavities),
-        )
 
     def material_extrema(self) -> dict[str, float]:
         """Global sampled eps/mu extrema across all cavities."""

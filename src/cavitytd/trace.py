@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +36,6 @@ import numpy as np
 from .errors import DomainError, GridMismatch, SizeError
 
 __all__ = [
-    "FULL_LINE",
-    "UNION",
     "TraceGrid",
     "DtnSymbol",
     "TraceVector",
@@ -51,14 +48,7 @@ __all__ = [
     "trace_norm",
     "passivity_defect",
     "propagate_exterior",
-    "save_trace_csv",
-    "load_trace_csv",
-    "save_symbol_table",
 ]
-
-# Support flags for TraceVector; integers denote "supported on aperture j".
-FULL_LINE = "full"
-UNION = "union"
 
 MIN_SAMPLES_PER_APERTURE = 16
 DENSE_ORACLE_MAX = 1024
@@ -148,9 +138,6 @@ class TraceGrid:
     def n_apertures(self) -> int:
         return len(self.apertures)
 
-    def mask(self, j: int) -> np.ndarray:
-        return self.masks[j]
-
     @classmethod
     def for_apertures(
         cls,
@@ -215,26 +202,17 @@ def beta(xi, s: complex, c: float):
 
 @dataclass(frozen=True)
 class TraceVector:
-    """Complex samples on a TraceGrid plus a support flag.
-
-    ``support`` is FULL_LINE, UNION (zero off the aperture union) or an
-    integer j (zero off aperture j, exact zeros).
-    """
+    """Complex samples on a TraceGrid."""
 
     values: np.ndarray
-    support: str | int = FULL_LINE
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.complex128)
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def full(cls, values) -> "TraceVector":
-        return cls(np.asarray(values, dtype=np.complex128), FULL_LINE)
-
-    @classmethod
-    def zero(cls, grid: TraceGrid, support: str | int = FULL_LINE) -> "TraceVector":
-        return cls(np.zeros(grid.N, dtype=np.complex128), support)
+    def zero(cls, grid: TraceGrid) -> "TraceVector":
+        return cls(np.zeros(grid.N, dtype=np.complex128))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -256,7 +234,7 @@ def apply_B(u: TraceVector, s: complex, grid: TraceGrid, sym: DtnSymbol) -> Trac
     _check_grid(u, grid)
     b = beta(grid.xi, s, sym.c)
     out = np.fft.ifft(b * np.fft.fft(u.values))
-    return TraceVector(out, FULL_LINE)
+    return TraceVector(out)
 
 
 def apply_B_columns(cols: np.ndarray, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
@@ -288,7 +266,7 @@ def restrict(u: TraceVector, j: int, grid: TraceGrid) -> TraceVector:
     out = np.zeros(grid.N, dtype=np.complex128)
     m = grid.masks[j]
     out[m] = u.values[m]
-    return TraceVector(out, j)
+    return TraceVector(out)
 
 
 def restrict_union(u: TraceVector, grid: TraceGrid) -> TraceVector:
@@ -297,7 +275,7 @@ def restrict_union(u: TraceVector, grid: TraceGrid) -> TraceVector:
     out = np.zeros(grid.N, dtype=np.complex128)
     m = grid.union_mask
     out[m] = u.values[m]
-    return TraceVector(out, UNION)
+    return TraceVector(out)
 
 
 def coupled_B_row(
@@ -387,36 +365,4 @@ def propagate_exterior(
     _check_grid(trace, grid)
     b = beta(grid.xi, s, sym.c)
     out = np.fft.ifft(np.exp(b * y) * np.fft.fft(trace.values))
-    return TraceVector(out, FULL_LINE)
-
-
-# ---------------------------------------------------------------------------
-# CSV import/export
-# ---------------------------------------------------------------------------
-
-def save_trace_csv(path: str | Path, grid: TraceGrid, u: TraceVector) -> None:
-    _check_grid(u, grid)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("x,re_u,im_u\n")
-        for xk, vk in zip(grid.x, u.values):
-            f.write(f"{xk:.17g},{vk.real:.17g},{vk.imag:.17g}\n")
-
-
-def load_trace_csv(path: str | Path, grid: TraceGrid) -> TraceVector:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    if data.shape[0] != grid.N:
-        raise GridMismatch(
-            f"file holds {data.shape[0]} samples, grid expects {grid.N}"
-        )
-    return TraceVector(data[:, 1] + 1j * data[:, 2], FULL_LINE)
-
-
-def save_symbol_table(path: str | Path, grid: TraceGrid, s: complex, sym: DtnSymbol) -> None:
-    b = beta(grid.xi, s, sym.c)
-    order = np.argsort(grid.xi)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("xi,re_beta,im_beta\n")
-        for m in order:
-            f.write(f"{grid.xi[m]:.17g},{b[m].real:.17g},{b[m].imag:.17g}\n")
+    return TraceVector(out)

@@ -233,9 +233,8 @@ def test_criterion_09_apriori_growth(reference_runs):
         small = CqScheme(dt=scheme.dt, steps=64, contour_tol=1e-20)
         run = ct.run_time_domain(scene, meshes, grid, wave, small)
         series = boundary_data_bundle(wave, grid, run.times)
-        et = diagnostics.energy(run, meshes, scene, fems=fems, series=series, grid=grid)
-        stab = diagnostics.stability_check(et, run, series, grid, meshes, scene, fems=fems)
-        apr = diagnostics.apriori_check(et, run, series, grid, meshes, scene, fems=fems)
+        stab = diagnostics.stability_check(run, series, grid, meshes, scene, fems=fems)
+        apr = diagnostics.apriori_check(run, series, grid, meshes, scene, fems=fems)
         s = 1.5 + 0.0j
         data = boundary_data_freq(wave, grid, s)
         fsol = FrequencySolver(scene, meshes, grid).solve(s, data)

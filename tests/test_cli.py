@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import cavitytd.cli as cli
+from cavitytd import freq
 from cavitytd.cli import main
+from cavitytd.cq import CqScheme, cq_frequencies
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,6 +76,12 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("trials", ["x", 0], ids=["not-an-integer", "zero"])
+    def test_malformed_trials_exit_2(self, tmp_path, capsys, trials):
+        path = write_config(tmp_path, small_config(validate={"trials": trials}))
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
 
 class TestSolveFreq:
     def test_writes_solutions_and_report(self, tmp_path):
@@ -98,6 +106,34 @@ class TestSolveFreq:
         config = small_config(sweep={"s_values": [[-1.0, 0.0]]})
         path = write_config(tmp_path, config)
         assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "section, block",
+        [
+            ("sweep", {"s_re": [0.5, 4.0], "count": "x"}),
+            ("sweep", {"s_values": [[1.0]]}),
+            ("incident", {"profile": {"center": 3.5, "width": 0.5}, "theta": 4.0}),
+        ],
+        ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi"],
+    )
+    def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                section, block):
+        def no_work(*args, **kwargs):
+            raise AssertionError("config error reached the meshing stage")
+
+        monkeypatch.setattr(cli, "mesh_scene", no_work)
+        path = write_config(tmp_path, small_config(**{section: block}))
+        assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_solver_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        # A solve that misses its residual certificate is a run failure, not
+        # a config error, and the message names the frequency.
+        monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
+        path = write_config(tmp_path, small_config())
+        assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "run failed: FactorizationFailure" in err and "at s=(1+0j)" in err
 
     def test_zero_amplitude_zero_field_files(self, tmp_path):
         config = small_config()
@@ -205,8 +241,10 @@ class TestSolveTime:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("trace", "N", 100), ("trace", "L", 1.0), ("incident", "theta", 4.0)],
-        ids=["trace-N-not-power-of-two", "trace-L-too-small", "theta-outside-0-pi"],
+        [("trace", "N", 100), ("trace", "L", 1.0), ("incident", "theta", 4.0),
+         ("snapshots", "every", "x"), ("probes", 0, [0.0, "a"])],
+        ids=["trace-N-not-power-of-two", "trace-L-too-small", "theta-outside-0-pi",
+             "snapshots-every-not-an-integer", "probe-coordinate-not-a-number"],
     )
     def test_config_value_error_exit_2(self, tmp_path, capsys, section, key, value):
         config = small_config()
@@ -214,6 +252,16 @@ class TestSolveTime:
         path = write_config(tmp_path, config)
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_solver_failure_exit_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
+        config = small_config()
+        path = write_config(tmp_path, config)
+        s0 = cq_frequencies(CqScheme(**config["scheme"]))[0]
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "run failed: FactorizationFailure" in err
+        assert f"at CQ node 0 (s={s0})" in err
 
     def test_probe_outside_cavities_exit_2(self, tmp_path, monkeypatch, capsys):
         def no_solve(*args, **kwargs):

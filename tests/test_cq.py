@@ -6,7 +6,7 @@ import pytest
 import cavitytd as ct
 from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme, TimeSolution, cq_frequencies, time_derivative
-from cavitytd.errors import DomainError, UnsupportedPolarization
+from cavitytd.errors import FactorizationFailure, UnsupportedPolarization
 from cavitytd.trace import TraceVector
 
 
@@ -132,7 +132,7 @@ class TestRunTimeDomain:
         # Above the limit the run fails and names the node and its s.
         monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
         s0 = cq_frequencies(sol.scheme)[0]
-        with pytest.raises(DomainError, match=re.escape(f"at CQ node 0 (s={s0})")):
+        with pytest.raises(FactorizationFailure, match=re.escape(f"at CQ node 0 (s={s0})")):
             self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
 
     def test_threads_deterministic(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):

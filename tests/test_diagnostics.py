@@ -134,14 +134,14 @@ class TestStabilityChecks:
     def test_stability_record(self, unit_scene, unit_meshes, unit_grid, small_run):
         # The shipped pin belongs to the reference configuration; this run
         # supplies its own to exercise the gating.
-        sol, series, fems, et = small_run
+        sol, series, fems, _ = small_run
         rec = diagnostics.stability_check(
-            et, sol, series, unit_grid, unit_meshes, unit_scene, fems=fems, pinned=0.5
+            sol, series, unit_grid, unit_meshes, unit_scene, fems=fems, pinned=0.5
         )
         assert rec.lhs > 0.0 and rec.rhs > 0.0
         assert rec.passed
         tight = diagnostics.stability_check(
-            et, sol, series, unit_grid, unit_meshes, unit_scene, fems=fems, pinned=0.1
+            sol, series, unit_grid, unit_meshes, unit_scene, fems=fems, pinned=0.1
         )
         assert not tight.passed
 
@@ -154,12 +154,11 @@ class TestStabilityChecks:
             sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
             series = boundary_data_bundle(pw, unit_grid, sol.times)
             fems = assemble_all(unit_scene, unit_meshes, unit_grid)
-            et = diagnostics.energy(sol, unit_meshes, unit_scene, fems=fems)
             stab = diagnostics.stability_check(
-                et, sol, series, unit_grid, unit_meshes, unit_scene, fems=fems
+                sol, series, unit_grid, unit_meshes, unit_scene, fems=fems
             )
             apr = diagnostics.apriori_check(
-                et, sol, series, unit_grid, unit_meshes, unit_scene, fems=fems
+                sol, series, unit_grid, unit_meshes, unit_scene, fems=fems
             )
             ratios.append((stab.ratio, apr.linf_ratio, apr.l2_ratio))
         for a, b in zip(ratios[0], ratios[1]):
@@ -171,11 +170,10 @@ class TestStabilityChecks:
         scheme = CqScheme(dt=0.25, steps=24, contour_tol=1e-20)
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
         series = boundary_data_bundle(pw, unit_grid, sol.times)
-        et = diagnostics.energy(sol, unit_meshes, unit_scene)
-        rec = diagnostics.stability_check(et, sol, series, unit_grid, unit_meshes, unit_scene)
+        rec = diagnostics.stability_check(sol, series, unit_grid, unit_meshes, unit_scene)
         assert rec.lhs == 0.0
         assert rec.ratio == 0.0
-        apr = diagnostics.apriori_check(et, sol, series, unit_grid, unit_meshes, unit_scene)
+        apr = diagnostics.apriori_check(sol, series, unit_grid, unit_meshes, unit_scene)
         assert apr.linf_ratio == 0.0 and apr.l2_ratio == 0.0
 
     def test_two_resolution_robustness(self, reference_single):
@@ -188,17 +186,16 @@ class TestStabilityChecks:
             sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
             series = boundary_data_bundle(pw, grid, sol.times)
             fems = assemble_all(scene, meshes, grid)
-            et = diagnostics.energy(sol, meshes, scene, fems=fems, series=series, grid=grid)
             rec = diagnostics.stability_check(
-                et, sol, series, grid, meshes, scene, fems=fems
+                sol, series, grid, meshes, scene, fems=fems
             )
             ratios.append(rec.ratio)
         assert abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]
 
     def test_apriori_deterministic(self, unit_scene, unit_meshes, unit_grid, small_run):
-        sol, series, fems, et = small_run
-        a = diagnostics.apriori_check(et, sol, series, unit_grid, unit_meshes, unit_scene, fems=fems)
-        b = diagnostics.apriori_check(et, sol, series, unit_grid, unit_meshes, unit_scene, fems=fems)
+        sol, series, fems, _ = small_run
+        a = diagnostics.apriori_check(sol, series, unit_grid, unit_meshes, unit_scene, fems=fems)
+        b = diagnostics.apriori_check(sol, series, unit_grid, unit_meshes, unit_scene, fems=fems)
         assert a.linf_ratio == b.linf_ratio
         assert a.l2_ratio == b.l2_ratio
 

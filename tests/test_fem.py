@@ -11,7 +11,6 @@ from cavitytd.fem import (
     assemble_all,
     build_system,
     build_system_single,
-    export_matrix,
 )
 from cavitytd.trace import DtnSymbol, TraceVector, apply_B_columns
 from conftest import load_reference
@@ -73,9 +72,9 @@ class TestAssemble:
 
 
 class TestApplyRhs:
-    def test_zero_data(self, unit_meshes, unit_grid, unit_fem):
+    def test_zero_data(self, unit_meshes, unit_grid):
         g = TraceVector.zero(unit_grid)
-        loads = ct.apply_rhs(g, unit_meshes, unit_grid, [unit_fem])
+        loads = ct.apply_rhs(g, unit_meshes, unit_grid)
         assert np.all(loads[0] == 0.0)
 
     def test_hat_weights_for_constant_data(self, unit_meshes, unit_grid):
@@ -238,14 +237,6 @@ class TestSystemOperator:
             worst = max(worst, a_uv / (nu * nv))
         assert np.isfinite(worst)
         assert worst < 100.0
-
-    def test_export_matrix(self, unit_scene, unit_meshes, unit_grid, tmp_path):
-        op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
-        path = tmp_path / "matrix.txt"
-        export_matrix(path, op.matrix)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == op.matrix.nnz + 1
 
 
 def _aperture_restriction(fems):

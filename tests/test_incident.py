@@ -4,11 +4,7 @@ from scipy.integrate import quad
 
 import cavitytd as ct
 from cavitytd.errors import DomainError, UnsupportedPolarization
-from cavitytd.incident import (
-    boundary_data_bundle,
-    boundary_data_series,
-    save_boundary_data_csv,
-)
+from cavitytd.incident import boundary_data_bundle, boundary_data_series
 
 
 @pytest.fixture
@@ -180,14 +176,6 @@ class TestBoundaryData:
         fd2 = np.gradient(bundle.dg, dt, axis=0)
         scale2 = np.max(np.abs(bundle.d2g))
         assert np.allclose(fd2[2:-2], bundle.d2g[2:-2], rtol=0.01, atol=1e-3 * scale2)
-
-    def test_csv_export(self, gauss, unit_grid, tmp_path):
-        pw = ct.PlaneWave(profile=gauss, theta=1.0)
-        path = tmp_path / "g.csv"
-        save_boundary_data_csv(path, pw, unit_grid, [0.0, 1.0])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x,g"
-        assert len(lines) == 1 + 2 * unit_grid.N
 
 
 class TestBoundaryDataFreq:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from cavitytd.errors import (
     NonPositiveMaterial,
     OverlappingApertures,
 )
-from cavitytd.scene import APERTURE, WALL, load_mesh, save_mesh
+from cavitytd.scene import APERTURE, WALL, MaterialField, load_mesh, save_mesh
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(cavities, **scene_extra):
@@ -71,6 +75,37 @@ class TestBuildScene:
         cav = dict(RECT, mu="1 + 0.3*exp(-((y+1)/0.05)**2)")
         scene = ct.build_scene(make_config([cav]))
         assert scene.n_cavities == 1
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "().__class__.__mro__[1].__subclasses__().__len__() * 0 + 1.0",
+            "9**9**9",
+            "((9**16)**16)**16",
+            "(1 + 9**4)**8",
+            "2**x",
+            "__import__('os').getpid() * 0 + 1",
+            "x.real + 1",
+            "[1.0][0]",
+            "sin(x, y) + 2",
+            "exp(x=1.0)",
+            "1.0 if x else 2.0",
+            "x % 2 + 1",
+            "1j + 1",
+        ],
+    )
+    def test_expression_outside_whitelist_rejected(self, expr):
+        with pytest.raises(ConfigError):
+            MaterialField(expr)
+
+    def test_whitelisted_expressions_load(self):
+        for expr in ("2 + sin(pi*x)", "sin(pi*x)", "1 + 0.5*exp(-(y*y)/0.01)",
+                     "1 + 0.3*exp(-((y+1)/0.05)**2)", "1.5 + 0.25*sin(pi*x)",
+                     "-x**-2.5 + abs(+y) / sqrt(tan(cos(x)) + 3) - 1e-3",
+                     "(2 + x**2)**8 * 1e-9 + (y**4)**4 + 1"):
+            MaterialField(expr)
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            assert ct.build_scene(ct.load_config(path)).n_cavities >= 1
 
     def test_tm_accepted_at_build(self):
         scene = ct.build_scene(make_config([RECT], polarization="TM"))

@@ -3,7 +3,7 @@ import pytest
 
 import cavitytd as ct
 from cavitytd.errors import DomainError, GridMismatch, SizeError
-from cavitytd.trace import TraceVector, restrict_union, save_symbol_table, save_trace_csv, load_trace_csv
+from cavitytd.trace import TraceVector, restrict_union
 
 SYM = ct.DtnSymbol(c=1.0)
 
@@ -185,7 +185,7 @@ class TestCoupledRow:
 
     def test_pure_cross_term(self, two_grid, rng):
         u = ct.restrict(TraceVector(rng.standard_normal(two_grid.N) + 0j), 0, two_grid)
-        zero = TraceVector(np.zeros(two_grid.N, dtype=complex), 1)
+        zero = TraceVector.zero(two_grid)
         s = 1.0 + 0.5j
         row = ct.coupled_B_row([u, zero], 1, s, two_grid, SYM)
         cross = ct.restrict(ct.apply_B(u, s, two_grid, SYM), 1, two_grid)
@@ -205,7 +205,7 @@ class TestCoupledRow:
             center = -sep / 2 - 0.5
             pulse = np.exp(-((grid.x - center) ** 2) / 0.02).astype(complex)
             u = ct.restrict(TraceVector(pulse), 0, grid)
-            cross = ct.coupled_B_row([u, TraceVector.zero(grid, 1)], 1, 1.0 + 0.0j, grid, SYM)
+            cross = ct.coupled_B_row([u, TraceVector.zero(grid)], 1, 1.0 + 0.0j, grid, SYM)
             norms.append(np.linalg.norm(cross.values) / np.linalg.norm(u.values))
         assert norms[0] > norms[1] > norms[2]
 
@@ -246,7 +246,7 @@ class TestTraceNorm:
 class TestPassivity:
     def test_zero_traces(self, two_grid):
         d = ct.passivity_defect(
-            [TraceVector.zero(two_grid, 0), TraceVector.zero(two_grid, 1)],
+            [TraceVector.zero(two_grid), TraceVector.zero(two_grid)],
             1.0 + 2.0j, 1.0, two_grid, SYM,
         )
         assert d == 0.0
@@ -321,20 +321,6 @@ class TestPeriodization:
 
 
 class TestCsv:
-    def test_trace_roundtrip(self, unit_grid, rng, tmp_path):
-        u = TraceVector(rng.standard_normal(unit_grid.N) + 1j * rng.standard_normal(unit_grid.N))
-        path = tmp_path / "trace.csv"
-        save_trace_csv(path, unit_grid, u)
-        back = load_trace_csv(path, unit_grid)
-        assert np.allclose(back.values, u.values, rtol=0, atol=1e-16)
-
-    def test_symbol_table(self, unit_grid, tmp_path):
-        path = tmp_path / "beta.csv"
-        save_symbol_table(path, unit_grid, 1.0 + 1.0j, SYM)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "xi,re_beta,im_beta"
-        assert len(rows) == unit_grid.N + 1
-
     def test_union_restrict(self, two_grid, rng):
         u = TraceVector(rng.standard_normal(two_grid.N) + 0j)
         masked = restrict_union(u, two_grid)
