@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,16 @@ from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
 from .freq import FrequencySolver, estimate_report, save_solution_csv
 from .incident import PlaneWave, WaveProfile, boundary_data_bundle, boundary_data_freq
 from .io import RunManifest, probe_matrix, write_csv, write_vtk_snapshot
-from .scene import Scene, build_scene, load_config, mesh_scene, save_mesh
+from .scene import (
+    Scene,
+    build_scene,
+    check_mesh_size,
+    config_block,
+    finite_number,
+    load_config,
+    mesh_scene,
+    save_mesh,
+)
 from .trace import (
     DtnSymbol,
     TraceGrid,
@@ -41,121 +51,144 @@ from .trace import (
     trace_norm,
 )
 
-_DEFAULT_SWEEP = {"s_re": [0.25, 8.0], "count": 20, "s_im": 0.0}
-
 
 # ---------------------------------------------------------------------------
-# Config helpers
+# Config parse step
 # ---------------------------------------------------------------------------
 
-def _grid_from_config(scene: Scene, cfg: dict) -> TraceGrid:
-    block = cfg.get("trace", {})
-    try:
-        if "L" in block and "N" in block:
-            return TraceGrid(
-                L=float(block["L"]), N=int(block["N"]), apertures=scene.apertures
+@dataclass(frozen=True)
+class RunConfig:
+    """What one command reads from its config; fields it does not read keep
+    their defaults."""
+
+    scene: Scene
+    grid: TraceGrid | None = None
+    h: float = 0.0
+    wave: PlaneWave | None = None
+    scheme: CqScheme | None = None
+    s_values: tuple[complex, ...] = ()
+    probes: tuple[tuple[float, float], ...] = ()
+    snap_every: int = 0
+    trials: int = 0
+    seed: int | None = None
+
+
+def _int(value) -> int:
+    # A Python int stays exact (a seed may exceed 2**53); Infinity cannot reach int().
+    return int(value) if isinstance(value, int) else int(finite_number(value))
+
+
+def _parse_config(args) -> RunConfig:
+    """Load args.config and build what the command reads from it.
+
+    args.reads names the blocks it reads besides "scene"; the rest stay
+    unread.  Runs before any meshing: every config-determined error leaves
+    here as ConfigError, DomainError, MeshFailure or UnsupportedPolarization,
+    which main() maps to exit 2.
+    """
+    config = load_config(args.config)
+    reads = args.reads
+    scene = build_scene(config)
+    run = {}
+    if "trace" in reads:
+        with config_block("trace block"):
+            block = config.get("trace", {})
+            if "L" in block and "N" in block:
+                L, N = finite_number(block["L"]), _int(block["N"])
+                run["grid"] = TraceGrid(L, N, scene.apertures)
+            else:
+                min_samples = _int(block.get("min_samples", 32))
+                run["grid"] = TraceGrid.for_apertures(scene.apertures, min_samples)
+    if "mesh" in reads:
+        with config_block("mesh block"):
+            run["h"] = finite_number(config["mesh"]["h"])
+        for cav in scene.cavities:
+            check_mesh_size(cav, run["h"])
+    if "incident" in reads:
+        with config_block("incident block"):
+            block = config["incident"]
+            prof = block["profile"]
+            tol = prof.get("causality_tol")
+            profile = WaveProfile(
+                kind=prof.get("kind", "gaussian-pulse"),
+                center=finite_number(prof["center"]),
+                width=finite_number(prof["width"]),
+                amplitude=finite_number(prof.get("amplitude", 1.0)),
+                causality_tol=None if tol is None else finite_number(tol),
             )
-        return TraceGrid.for_apertures(
-            scene.apertures, min_samples=int(block.get("min_samples", 32))
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed trace block: {exc}") from exc
-
-
-def _mesh_h(cfg: dict) -> float:
-    try:
-        return float(cfg["mesh"]["h"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config needs a mesh block with target h: {exc}") from exc
-
-
-def _plane_wave_from_config(scene: Scene, cfg: dict) -> PlaneWave:
-    try:
-        block = cfg["incident"]
-        prof = block["profile"]
-        profile = WaveProfile(
-            kind=prof.get("kind", "gaussian-pulse"),
-            center=float(prof["center"]),
-            width=float(prof["width"]),
-            amplitude=float(prof.get("amplitude", 1.0)),
-            causality_tol=prof.get("causality_tol"),
-        )
-        return PlaneWave(
-            profile=profile,
-            theta=float(block.get("theta", math.pi / 2)),
-            eps0=scene.eps0,
-            mu0=scene.mu0,
-            polarization=scene.polarization,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed incident block: {exc}") from exc
-
-
-def _scheme_from_config(cfg: dict) -> CqScheme:
-    try:
-        block = cfg["scheme"]
-        return CqScheme(
-            dt=float(block["dt"]),
-            steps=int(block["steps"]),
-            contour_tol=float(block.get("contour_tol", 1e-14)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scheme block: {exc}") from exc
-
-
-def _sweep_values(cfg: dict, override: str | None = None) -> list[complex]:
-    if override:
-        try:
-            values = [complex(tok) for tok in override.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --s list {override!r}: {exc}") from exc
-    else:
-        block = cfg.get("sweep", _DEFAULT_SWEEP)
-        try:
-            if "s_values" in block:
+            theta = finite_number(block.get("theta", math.pi / 2))
+            run["wave"] = PlaneWave(
+                profile, theta, scene.eps0, scene.mu0, scene.polarization
+            )
+        if scene.polarization != "TE":
+            raise UnsupportedPolarization("the solve commands support TE scenes only")
+    if "scheme" in reads:
+        with config_block("scheme block"):
+            block = config["scheme"]
+            run["scheme"] = CqScheme(
+                dt=finite_number(block["dt"]),
+                steps=_int(block["steps"]),
+                contour_tol=finite_number(block.get("contour_tol", 1e-14)),
+            )
+    if "sweep" in reads:
+        s_flag = getattr(args, "s", None)
+        with config_block("--s list" if s_flag else "sweep block"):
+            block = config.get("sweep", {})
+            if s_flag:
+                values = [complex(tok) for tok in s_flag.split(",") if tok.strip()]
+            elif "s_values" in block:
                 values = [complex(v[0], v[1]) for v in block["s_values"]]
             else:
-                lo, hi = block.get("s_re", _DEFAULT_SWEEP["s_re"])
-                count = int(block.get("count", _DEFAULT_SWEEP["count"]))
-                im = float(block.get("s_im", 0.0))
-                values = [
-                    complex(v, im) for v in np.geomspace(float(lo), float(hi), count)
-                ]
-        except (AttributeError, IndexError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed sweep block: {exc}") from exc
-    for s in values:
-        if s.real <= 0.0:
-            raise DomainError(f"sweep frequency {s} violates Re s > 0")
-    return values
-
-
-def _block_int(cfg: dict, block: str, key: str, default: int) -> int:
-    try:
-        return int(cfg.get(block, {}).get(key, default))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {block}.{key}: {exc}") from exc
-
-
-def _probes_from_config(cfg: dict) -> list[tuple[float, float]]:
-    try:
-        return [(float(x), float(y)) for x, y in cfg.get("probes", [])]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed probes list: {exc}") from exc
+                lo, hi = map(finite_number, block.get("s_re", (0.25, 8.0)))
+                im = finite_number(block.get("s_im", 0.0))
+                re = np.geomspace(lo, hi, _int(block.get("count", 20)))
+                values = [complex(v, im) for v in re]
+            values = [complex(finite_number(s.real), finite_number(s.imag)) for s in values]
+        for s in values:
+            if not s.real > 0.0:
+                raise DomainError(f"sweep frequency {s} violates Re s > 0")
+        run["s_values"] = tuple(values)
+    if "probes" in reads:
+        with config_block("probes list"):
+            run["probes"] = tuple(
+                (finite_number(x), finite_number(y)) for x, y in config.get("probes", [])
+            )
+        for x, y in run["probes"]:
+            if not any(cav.contains(x, y) for cav in scene.cavities):
+                raise ConfigError(f"probe point ({x}, {y}) lies outside every cavity")
+    if "snapshots" in reads:
+        with config_block("snapshots block"):
+            run["snap_every"] = _int(config.get("snapshots", {}).get("every", 0))
+    if "validate" in reads:
+        with config_block("validate block"):
+            run["trials"] = _int(config.get("validate", {}).get("trials", 1000))
+        if run["trials"] < 1:
+            raise ConfigError(f"validate.trials must be at least 1, got {run['trials']}")
+        with config_block("seed"):
+            run["seed"] = _int(config.get("seed", 0)) if args.seed is None else args.seed
+    return RunConfig(scene=scene, **run)
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get("CAVITY_TD_OUT", args.out)
-    path = Path(out)
+    path = Path(os.environ.get("CAVITY_TD_OUT", args.out))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _mesh_stats(meshes) -> list[dict[str, int]]:
-    return [
-        {"vertices": m.n_vertices, "triangles": m.n_triangles,
-         "aperture_nodes": int(m.aperture_nodes.size)}
-        for m in meshes
-    ]
+def _manifest(args, run: RunConfig, meshes=(), **fields) -> RunManifest:
+    manifest = RunManifest(
+        command=args.command,
+        config_sha256=RunManifest.hash_config(args.config),
+        mesh_stats=[
+            {"vertices": m.n_vertices, "triangles": m.n_triangles,
+             "aperture_nodes": int(m.aperture_nodes.size)}
+            for m in meshes
+        ],
+        **fields,
+    )
+    if run.grid is not None:
+        manifest.metrics["trace"] = {"L": run.grid.L, "N": run.grid.N}
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +269,16 @@ def _trace_property_checks(grid: TraceGrid, sym: DtnSymbol, seed: int) -> list[d
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config)
-    scene = build_scene(config)
-    grid = _grid_from_config(scene, config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    trials = _block_int(config, "validate", "trials", 1000)
-    if trials < 1:
-        raise ConfigError(f"validate.trials must be at least 1, got {trials}")
+    run = _parse_config(args)
     out = _out_dir(args)
 
-    manifest = RunManifest(
-        command="validate",
-        config_sha256=RunManifest.hash_config(args.config),
-        seed=seed,
-    )
-    sym = DtnSymbol(scene.c)
+    manifest = _manifest(args, run, seed=run.seed)
+    sym = DtnSymbol(run.scene.c)
     t0 = time.perf_counter()
-    checks = _trace_property_checks(grid, sym, seed)
-    report = diagnostics.passivity_suite(grid, sym, trials=trials, seed=seed, mu0=scene.mu0)
+    checks = _trace_property_checks(run.grid, sym, run.seed)
+    report = diagnostics.passivity_suite(
+        run.grid, sym, trials=run.trials, seed=run.seed, mu0=run.scene.mu0
+    )
     manifest.wall_times["suite"] = time.perf_counter() - t0
 
     for name, worst in report.min_defects.items():
@@ -292,25 +317,18 @@ def cmd_validate(args) -> int:
 # solve-freq / sweep
 # ---------------------------------------------------------------------------
 
-def _freq_run(args, write_solutions: bool) -> int:
-    config = load_config(args.config)
-    scene = build_scene(config)
-    grid = _grid_from_config(scene, config)
-    pw = _plane_wave_from_config(scene, config)
-    s_values = _sweep_values(config, getattr(args, "s", None))
-    meshes = mesh_scene(scene, _mesh_h(config))
+def cmd_freq(args) -> int:
+    """solve-freq, or sweep: the same solves without the solution files."""
+    run = _parse_config(args)
+    meshes = mesh_scene(run.scene, run.h)
     out = _out_dir(args)
 
-    manifest = RunManifest(
-        command="solve-freq" if write_solutions else "sweep",
-        config_sha256=RunManifest.hash_config(args.config),
-        mesh_stats=_mesh_stats(meshes),
-    )
-    solver = FrequencySolver(scene, meshes, grid)
+    manifest = _manifest(args, run, meshes)
+    solver = FrequencySolver(run.scene, meshes, run.grid)
     t0 = time.perf_counter()
 
     def solve_one(s):
-        data = boundary_data_freq(pw, grid, s)
+        data = boundary_data_freq(run.wave, run.grid, s)
         return solver.solve(s, data), data
 
     threads = max(1, args.threads)
@@ -318,15 +336,15 @@ def _freq_run(args, write_solutions: bool) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, s_values))
+            solved = list(pool.map(solve_one, run.s_values))
     else:
-        solved = [solve_one(s) for s in s_values]
+        solved = [solve_one(s) for s in run.s_values]
 
     # Solves may run concurrently; writing stays serialized and ordered.
     records = []
     for idx, (sol, data) in enumerate(solved):
-        records.append(estimate_report(sol, data, grid, solver.fems))
-        if write_solutions:
+        records.append(estimate_report(sol, data, run.grid, solver.fems))
+        if args.command == "solve-freq":
             for j, mesh in enumerate(meshes):
                 path = out / f"solution_s{idx:03d}_cavity{j}.csv"
                 save_solution_csv(path, mesh, sol.fields[j])
@@ -342,24 +360,15 @@ def _freq_run(args, write_solutions: bool) -> int:
     manifest.add_output(table)
     ratios = [r["ratio"] for r in records if r["ratio"] > 0.0]
     if ratios:
-        manifest.checks["estimate-band"] = bool(
-            max(ratios) <= diagnostics.PINNED_FREQ_RATIO_MAX * diagnostics.PIN_MARGIN
-        )
+        limit = diagnostics.PINNED_FREQ_RATIO_MAX * diagnostics.PIN_MARGIN
+        manifest.record_check("estimate-band", "estimate_ratio_max", max(ratios), limit)
     manifest.write(out / "manifest.json")
     print(
-        f"{manifest.command}: {len(s_values)} frequencies, "
+        f"{manifest.command}: {len(run.s_values)} frequencies, "
         f"max ratio {max(ratios) if ratios else 0.0:.3f}"
     )
     # Exit reflects solver health only; the estimate band is report content.
     return 0
-
-
-def cmd_solve_freq(args) -> int:
-    return _freq_run(args, write_solutions=True)
-
-
-def cmd_sweep(args) -> int:
-    return _freq_run(args, write_solutions=False)
 
 
 # ---------------------------------------------------------------------------
@@ -367,26 +376,14 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_solve_time(args) -> int:
-    config = load_config(args.config)
-    scheme = _scheme_from_config(config)
-    scene = build_scene(config)
-    grid = _grid_from_config(scene, config)
-    pw = _plane_wave_from_config(scene, config)
-    probes = _probes_from_config(config)
-    snap_every = _block_int(config, "snapshots", "every", 0)
-    meshes = mesh_scene(scene, _mesh_h(config))
-    try:
-        stencils = probe_matrix(meshes, probes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    run = _parse_config(args)
+    scene, grid, pw, scheme = run.scene, run.grid, run.wave, run.scheme
+    meshes = mesh_scene(scene, run.h)
+    with config_block("probes list"):  # safety net behind the parse step's check
+        stencils = probe_matrix(meshes, run.probes)
     out = _out_dir(args)
 
-    manifest = RunManifest(
-        command="solve-time",
-        config_sha256=RunManifest.hash_config(args.config),
-        scheme=scheme.serialize(),
-        mesh_stats=_mesh_stats(meshes),
-    )
+    manifest = _manifest(args, run, meshes, scheme=scheme.serialize())
     t0 = time.perf_counter()
     sol = run_time_domain(scene, meshes, grid, pw, scheme, threads=args.threads)
     manifest.wall_times["time-solve"] = time.perf_counter() - t0
@@ -401,7 +398,7 @@ def cmd_solve_time(args) -> int:
 
     t_star = diagnostics.shutoff_time(pw, grid)
     violation = diagnostics.dissipation_violation(et, t_star)
-    manifest.checks["energy-dissipation"] = bool(violation <= 1e-8)
+    manifest.record_check("energy-dissipation", "dissipation_violation", violation, 1e-8)
 
     stability = diagnostics.stability_check(sol, series, grid, meshes, scene, fems=sol.fems)
     apriori = diagnostics.apriori_check(sol, series, grid, meshes, scene, fems=sol.fems)
@@ -418,28 +415,27 @@ def cmd_solve_time(args) -> int:
         ],
     )
     manifest.add_output(report_path)
-    manifest.checks["stability-ratio"] = bool(stability.passed)
+    limit = stability.pinned * diagnostics.PIN_MARGIN
+    manifest.record_check("stability-ratio", "stability_ratio", stability.ratio, limit)
 
-    if probes:
+    if run.probes:
         probe_path = out / "probes.csv"
-        header = ["t"] + [f"u(x={p[0]:g},y={p[1]:g})" for p in probes]
-        rows = []
-        for n, t in enumerate(sol.times):
-            row = [float(t)]
-            for ci, w in stencils:
-                row.append(float(w @ sol.fields[ci][n]))
-            rows.append(row)
+        header = ["t"] + [f"u(x={p[0]:g},y={p[1]:g})" for p in run.probes]
+        rows = [
+            [float(t)] + [float(w @ sol.fields[ci][n]) for ci, w in stencils]
+            for n, t in enumerate(sol.times)
+        ]
         write_csv(probe_path, header, rows)
         manifest.add_output(probe_path)
 
-    if snap_every > 0:
-        for n in range(0, sol.times.size, snap_every):
+    if run.snap_every > 0:
+        for n in range(0, sol.times.size, run.snap_every):
             snap = out / f"snapshot_{n:05d}.vtk"
             write_vtk_snapshot(snap, meshes, [f[n] for f in sol.fields])
             manifest.add_output(snap)
 
-    manifest.checks["causality"] = bool(sol.initial_ratio <= 1e-8)
-    manifest.checks["realness"] = bool(sol.imag_residue <= 1e-10)
+    manifest.record_check("causality", "initial_ratio", sol.initial_ratio, 1e-8)
+    manifest.record_check("realness", "imag_residue", sol.imag_residue, 1e-10)
     manifest.write(out / "manifest.json")
     print(
         f"solve-time: {scheme.steps} steps, energy peak {et.total.max():.6g}, "
@@ -455,15 +451,10 @@ def cmd_solve_time(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mesh_export(args) -> int:
-    config = load_config(args.config)
-    scene = build_scene(config)
-    meshes = mesh_scene(scene, _mesh_h(config))
+    run = _parse_config(args)
+    meshes = mesh_scene(run.scene, run.h)
     out = _out_dir(args)
-    manifest = RunManifest(
-        command="mesh-export",
-        config_sha256=RunManifest.hash_config(args.config),
-        mesh_stats=_mesh_stats(meshes),
-    )
+    manifest = _manifest(args, run, meshes)
     for j, mesh in enumerate(meshes):
         path = out / f"cavity{j}.mesh.txt"
         save_mesh(path, mesh)
@@ -483,23 +474,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Time-domain multi-cavity scattering: batch solver and validator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("validate", cmd_validate),
-        ("solve-freq", cmd_solve_freq),
-        ("solve-time", cmd_solve_time),
-        ("sweep", cmd_sweep),
-        ("mesh-export", cmd_mesh_export),
+    # Each command with the config blocks it reads besides "scene".
+    for name, fn, reads in (
+        ("validate", cmd_validate, ("trace", "validate")),
+        ("solve-freq", cmd_freq, ("trace", "mesh", "incident", "sweep")),
+        ("solve-time", cmd_solve_time,
+         ("trace", "mesh", "incident", "scheme", "probes", "snapshots")),
+        ("sweep", cmd_freq, ("trace", "mesh", "incident", "sweep")),
+        ("mesh-export", cmd_mesh_export, ("mesh",)),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--out", default="out", help="output directory "
                        "(env CAVITY_TD_OUT overrides)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
+        if name in ("solve-freq", "solve-time", "sweep"):
+            p.add_argument("--threads", type=int, default=1)
+        if name == "validate":
+            p.add_argument("--seed", type=int, default=None)
         if name == "solve-freq":
             p.add_argument("--s", default=None,
                            help="comma-separated complex frequencies, e.g. '1+0.5j,2'")
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=fn, reads=reads)
     return parser
 
 

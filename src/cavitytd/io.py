@@ -127,6 +127,11 @@ class RunManifest:
     def add_output(self, path: str | Path) -> None:
         self.outputs.append(str(path))
 
+    def record_check(self, check: str, metric: str, value: float, limit: float) -> None:
+        """Record a check's verdict and, under metrics, its value and limit."""
+        self.metrics[metric] = {"value": value, "limit": limit}
+        self.checks[check] = bool(value <= limit)
+
     def passed(self) -> bool:
         return all(self.checks.values())
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -36,6 +37,9 @@ __all__ = [
     "Mesh",
     "build_scene",
     "load_config",
+    "config_block",
+    "finite_number",
+    "check_mesh_size",
     "mesh_cavity",
     "mesh_scene",
     "save_mesh",
@@ -48,6 +52,9 @@ APERTURE = 1
 # Relative tolerance for "mu equals mu0" on the aperture collar.
 _COLLAR_RTOL = 1e-9
 _BOUNDS_SAMPLES = 96
+# Vertex cap for one structured cavity mesh, checked before any array is
+# built: about 60 times the largest mesh the benchmark runs (16.5k).
+MAX_MESH_VERTICES = 1_000_000
 
 
 _SAFE_FUNCS = {
@@ -402,6 +409,31 @@ def load_config(path: str | Path) -> dict[str, Any]:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+@contextmanager
+def config_block(name: str):
+    """Report a malformed config entry read inside the block as ConfigError."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {name}: {exc}") from exc
+
+
+def finite_number(value: Any) -> float:
+    """float(value) for a config entry; NaN and +-inf raise ValueError.
+
+    Every non-integer number read from a config passes through here, so
+    no later `x <= 0` test can be passed by NaN.
+    """
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _material(spec: Any) -> MaterialField:
+    return MaterialField(spec if isinstance(spec, str) else finite_number(spec))
+
+
 def build_scene(config: dict[str, Any]) -> Scene:
     """Validate a parsed config document and return the Scene.
 
@@ -417,14 +449,12 @@ def build_scene(config: dict[str, Any]) -> Scene:
     Apertures are re-ordered by x and must keep positive gaps.  TM scenes
     are accepted here; the solve paths reject them.
     """
-    try:
+    with config_block("scene block"):
         sc = config["scene"]
-        eps0 = float(sc.get("eps0", 1.0))
-        mu0 = float(sc.get("mu0", 1.0))
+        eps0 = finite_number(sc.get("eps0", 1.0))
+        mu0 = finite_number(sc.get("mu0", 1.0))
         polarization = str(sc.get("polarization", "TE")).upper()
         raw_cavities = sc["cavities"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scene block: {exc}") from exc
 
     if eps0 <= 0.0 or mu0 <= 0.0:
         raise NonPositiveMaterial(f"exterior constants must be positive: eps0={eps0}, mu0={mu0}")
@@ -435,22 +465,20 @@ def build_scene(config: dict[str, Any]) -> Scene:
 
     cavities = []
     for raw in raw_cavities:
-        try:
-            aperture = (float(raw["aperture"][0]), float(raw["aperture"][1]))
+        with config_block(f"cavity entry {raw!r}"):
+            ap = raw["aperture"]
             cav = CavitySpec(
                 id=0,  # reassigned after ordering
-                aperture=aperture,
-                epsilon=MaterialField(raw.get("epsilon", 1.0)),
-                mu=MaterialField(raw.get("mu", 1.0)),
-                depth=float(raw["depth"]) if "depth" in raw else None,
-                vertices=tuple(tuple(map(float, v)) for v in raw["vertices"])
+                aperture=(finite_number(ap[0]), finite_number(ap[1])),
+                epsilon=_material(raw.get("epsilon", 1.0)),
+                mu=_material(raw.get("mu", 1.0)),
+                depth=finite_number(raw["depth"]) if "depth" in raw else None,
+                vertices=tuple(tuple(map(finite_number, v)) for v in raw["vertices"])
                 if "vertices" in raw
                 else None,
-                collar=float(raw["collar"]) if "collar" in raw else None,
+                collar=finite_number(raw["collar"]) if "collar" in raw else None,
                 mesh_file=raw.get("mesh_file"),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ConfigError(f"malformed cavity entry {raw!r}: {exc}") from exc
         cavities.append(cav)
 
     cavities.sort(key=lambda c: c.aperture[0])
@@ -540,14 +568,15 @@ class Mesh:
         return float(np.max(np.linalg.norm(e, axis=2)))
 
 
-def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
-    """Triangulate one cavity with target edge length h.
+def check_mesh_size(cavity: CavitySpec, h: float) -> None:
+    """Raise MeshFailure unless h resolves the cavity within MAX_MESH_VERTICES.
 
-    Rectangles get a structured grid (max edge <= 1.5 h); polygon cavities
-    load their imported triangulation and validate it against the declared
-    geometry.  h must resolve the cavity: h <= min(width, depth) / 2.
+    h must satisfy 0 < h <= min(width, depth) / 2.  For a rectangle the
+    bound (width/h + 3)(depth/h + 3) on the structured grid's vertex count
+    (nx + 1)(ny + 1) must not exceed MAX_MESH_VERTICES; an imported polygon
+    triangulation has a size of its own that h does not set.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise MeshFailure(f"target edge length must be positive, got h={h}")
     limit = min(cavity.width, cavity.max_depth) / 2.0
     if h > limit:
@@ -555,6 +584,23 @@ def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
             f"h={h} too coarse for cavity {cavity.id}: requires h <= "
             f"min(width, depth)/2 = {limit}"
         )
+    if cavity.is_rectangle:
+        vertices = (cavity.width / h + 3.0) * (cavity.max_depth / h + 3.0)
+        if vertices > MAX_MESH_VERTICES:
+            raise MeshFailure(
+                f"h={h} would give cavity {cavity.id} about {vertices:.3g} "
+                f"vertices, above the limit of {MAX_MESH_VERTICES}"
+            )
+
+
+def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
+    """Triangulate one cavity with target edge length h.
+
+    Rectangles get a structured grid (max edge <= 1.5 h); polygon cavities
+    load their imported triangulation and validate it against the declared
+    geometry.  h is checked by check_mesh_size first.
+    """
+    check_mesh_size(cavity, h)
     if cavity.is_rectangle:
         mesh = _structured_rectangle(cavity, h)
     else:

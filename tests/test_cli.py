@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 import cavitytd.cli as cli
-from cavitytd import freq
+from cavitytd import diagnostics, freq
 from cavitytd.cli import main
 from cavitytd.cq import CqScheme, cq_frequencies
+from cavitytd.trace import TraceGrid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,6 +40,15 @@ def small_config(**overrides):
     }
     config.update(overrides)
     return config
+
+
+def set_entry(config, path, value):
+    """Set config[path[0]][path[1]]... to value; an empty path changes nothing."""
+    if path:
+        *head, last = path
+        for key in head:
+            config = config[key]
+        config[last] = value
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -93,6 +104,19 @@ class TestSolveFreq:
         report = (out / "estimate_report.csv").read_text().splitlines()
         assert report[0] == "s1,s2,lhs,rhs,ratio"
         assert len(report) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        ratio = manifest["metrics"]["estimate_ratio_max"]
+        assert ratio["value"] == max(float(row.split(",")[4]) for row in report[1:])
+        assert manifest["checks"]["estimate-band"] is (ratio["value"] <= ratio["limit"])
+        assert manifest["metrics"]["trace"] == {"L": 4.0, "N": 64}
+
+    def test_manifest_records_auto_sized_grid(self, tmp_path):
+        path = write_config(tmp_path, small_config(trace={}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        grid = TraceGrid.for_apertures([(-0.5, 0.5)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["metrics"]["trace"] == {"L": grid.L, "N": grid.N}
 
     def test_sweep_count_contract(self, tmp_path):
         config = small_config(sweep={"s_re": [0.5, 4.0], "count": 20, "s_im": 0.0})
@@ -108,23 +132,48 @@ class TestSolveFreq:
         assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "section, block",
+        "command, entry, value, flags, error",
         [
-            ("sweep", {"s_re": [0.5, 4.0], "count": "x"}),
-            ("sweep", {"s_values": [[1.0]]}),
-            ("incident", {"profile": {"center": 3.5, "width": 0.5}, "theta": 4.0}),
+            ("solve-freq", ("sweep",), {"s_re": [0.5, 4.0], "count": "x"}, [], "ConfigError"),
+            ("solve-freq", ("sweep",), {"s_values": [[1.0]]}, [], "ConfigError"),
+            ("solve-freq", ("incident",),
+             {"profile": {"center": 3.5, "width": 0.5}, "theta": 4.0}, [], "ConfigError"),
+            ("solve-freq", (), None, ["--s", "nan"], "ConfigError"),
+            ("solve-freq", (), None, ["--s", "1+nanj"], "ConfigError"),
+            ("solve-freq", ("sweep", "s_values", 1), [math.nan, 0.0], [], "ConfigError"),
+            ("solve-freq", ("sweep", "s_values", 1), [0.0, 1.0], [], "DomainError"),
+            ("solve-time", ("scene", "eps0"), math.nan, [], "ConfigError"),
+            ("solve-time", ("incident", "profile", "center"), math.nan, [], "ConfigError"),
+            ("solve-time", ("incident", "profile", "width"), math.nan, [], "ConfigError"),
+            ("solve-time", ("incident", "profile", "amplitude"), math.nan, [], "ConfigError"),
+            ("solve-time", ("scheme", "dt"), math.inf, [], "ConfigError"),
+            ("solve-time", ("scheme", "steps"), math.inf, [], "ConfigError"),
+            ("mesh-export", ("mesh", "h"), math.nan, [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "depth"), math.nan, [], "ConfigError"),
+            ("validate", ("seed",), "x", [], "ConfigError"),
+            ("mesh-export", ("mesh", "h"), 1e-9, [], "MeshFailure"),
+            ("solve-time", ("probes",), [[0.0, -0.5], [3.0, -0.5]], [], "ConfigError"),
+            ("solve-freq", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
         ],
-        ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi"],
+        ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
+             "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
+             "eps0-nan",
+             "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
+             "dt-infinity", "steps-infinity", "mesh-h-nan", "cavity-depth-nan",
+             "seed-not-a-number", "mesh-h-tiny", "probe-outside-every-cavity", "tm-scene"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
-                                                section, block):
+                                                command, entry, value, flags, error):
         def no_work(*args, **kwargs):
             raise AssertionError("config error reached the meshing stage")
 
         monkeypatch.setattr(cli, "mesh_scene", no_work)
-        path = write_config(tmp_path, small_config(**{section: block}))
-        assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "ConfigError" in capsys.readouterr().err
+        config = small_config()
+        set_entry(config, entry, value)
+        path = write_config(tmp_path, config)
+        argv = [command, "--config", str(path), "--out", str(tmp_path), *flags]
+        assert main(argv) == 2
+        assert f"config error: {error}" in capsys.readouterr().err
 
     def test_solver_failure_exit_1(self, tmp_path, monkeypatch, capsys):
         # A solve that misses its residual certificate is a run failure, not
@@ -208,6 +257,25 @@ class TestSolveTime:
         assert manifest["checks"]["realness"] is True
         assert 0.0 < manifest["metrics"]["max_residual"] <= 1e-10
         assert len(manifest["metrics"]["worst_s"]) == 2
+        # Each check's verdict sits next to the value and limit it came from.
+        metrics = manifest["metrics"]
+        assert metrics["trace"] == {"L": 4.0, "N": 64}
+        for check, metric, limit in (
+            ("causality", "initial_ratio", 1e-8),
+            ("realness", "imag_residue", 1e-10),
+            ("energy-dissipation", "dissipation_violation", 1e-8),
+            ("stability-ratio", "stability_ratio",
+             diagnostics.PINNED_STABILITY_RATIO * diagnostics.PIN_MARGIN),
+        ):
+            assert metrics[metric]["limit"] == limit
+            assert manifest["checks"][check] is (metrics[metric]["value"] <= limit)
+        stability = (out / "stability_report.csv").read_text().splitlines()[1].split(",")
+        assert metrics["stability_ratio"]["value"] == float(stability[3])
+        # A rerun into the same directory differs only in wall times.
+        assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
+        rerun = json.loads((out / "manifest.json").read_text())
+        assert rerun.pop("wall_times") and manifest.pop("wall_times")
+        assert rerun == manifest
 
     def test_deterministic_probes(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -284,6 +352,18 @@ class TestSolveTime:
 
 
 class TestMeshExport:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("mesh-export", "--seed"), ("mesh-export", "--threads"), ("validate", "--threads"),
+         ("solve-time", "--seed"), ("solve-freq", "--seed"), ("sweep", "--seed")],
+    )
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        path = write_config(tmp_path, small_config())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path), flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     def test_roundtrip(self, tmp_path):
         path = write_config(tmp_path, small_config())
         out = tmp_path / "out"

@@ -1,9 +1,12 @@
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavitytd as ct
+import cavitytd.scene as scene_module
 from cavitytd.errors import (
     ApertureCollarViolation,
     ConfigError,
@@ -206,6 +209,30 @@ class TestMeshCavity:
         scene = ct.build_scene(make_config([RECT]))
         with pytest.raises(MeshFailure):
             ct.mesh_cavity(scene.cavities[0], 1.1)
+
+    def test_tiny_h_rejected_before_allocating(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the mesh arrays were built")
+
+        # Without the cap, h = 1e-9 would ask numpy for about 7.5 GiB.
+        monkeypatch.setattr(scene_module, "_structured_rectangle", no_grid)
+        cavity = ct.build_scene(make_config([RECT])).cavities[0]
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(MeshFailure, match="vertices"):
+                ct.mesh_cavity(cavity, 1e-9)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and elapsed < 1.0
+
+    def test_vertex_cap_admits_finest_benchmark_mesh(self):
+        # bench's cq-fine-mesh meshes reference_three at h = 0.0125.
+        scene = ct.build_scene(ct.load_config(CONFIG_DIR / "reference_three.json"))
+        meshes = ct.mesh_scene(scene, 0.0125)
+        assert sum(m.n_vertices for m in meshes) > 16_000
 
     def test_area_partition(self):
         scene = ct.build_scene(make_config([dict(RECT, depth=0.7)]))
