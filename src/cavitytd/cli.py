@@ -126,9 +126,7 @@ def _parse_config(args) -> RunConfig:
         with config_block("scheme block"):
             block = config["scheme"]
             run["scheme"] = CqScheme(
-                dt=finite_number(block["dt"]),
-                steps=_int(block["steps"]),
-                contour_tol=finite_number(block.get("contour_tol", 1e-14)),
+                dt=finite_number(block["dt"]), steps=_int(block["steps"])
             )
     if "sweep" in reads:
         s_flag = getattr(args, "s", None)
@@ -385,10 +383,14 @@ def cmd_solve_time(args) -> int:
 
     manifest = _manifest(args, run, meshes, scheme=scheme.serialize())
     t0 = time.perf_counter()
-    sol = run_time_domain(scene, meshes, grid, pw, scheme, threads=args.threads)
+    sol = run_time_domain(scene, meshes, grid, pw, scheme)
     manifest.wall_times["time-solve"] = time.perf_counter() - t0
+    manifest.metrics["dofs"] = sol.n_dofs
+    manifest.metrics["lu_nnz"] = sol.lu_nnz
     manifest.metrics["max_residual"] = sol.max_residual
-    manifest.metrics["worst_s"] = [sol.worst_s.real, sol.worst_s.imag]
+    manifest.metrics["worst_step"] = {
+        "step": sol.worst_step, "t": float(sol.times[sol.worst_step])
+    }
 
     series = boundary_data_bundle(pw, grid, sol.times)
     et = diagnostics.energy(sol, meshes, scene, fems=sol.fems, series=series, grid=grid)
@@ -488,6 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory "
                        "(env CAVITY_TD_OUT overrides)")
         if name in ("solve-freq", "solve-time", "sweep"):
+            # solve-time accepts it for scripts that pass it to every solve
+            # command; the march is sequential, so there it has no effect.
             p.add_argument("--threads", type=int, default=1)
         if name == "validate":
             p.add_argument("--seed", type=int, default=None)

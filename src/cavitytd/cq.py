@@ -1,33 +1,49 @@
-"""Time-domain solution by convolution quadrature over the frequency solver.
+"""Time-domain solution by BDF2 convolution quadrature, marched step by step.
 
-The reduced problem is discretized in time with BDF2 convolution
-quadrature, realized all at once: scale the sampled aperture data by
-lambda^n, diagonalize the discrete convolution with an FFT over the
-N + 1 contour frequencies s_l = delta(lambda * zeta_l) / dt, solve one
-coupled frequency problem per node, and transform back.  BDF2 is A-stable,
-so every contour frequency stays strictly inside the admissible half-plane
-Re s > 0; conjugate-pair frequencies share one solve and their symmetry is
-enforced exactly, which keeps the reconstruction real to machine noise.
+The reduced problem A(s) u = b(g^(s)), with
 
-The contour radius trades aliasing of the time window against round-off
-amplification: lambda = contour_tol**(1/(2N+2)) leaks roughly
-contour_tol**(1/2) of the late-time field back into the early steps and
-amplifies solver noise by its inverse at the final step.  Runs that must
-hold the rest state at t = 0 to a tight floor should lower contour_tol
-below its 1e-14 default (the reference configurations use 1e-20).
+    A(s) = s*M + (1/s)*K - (1/(s*mu0)) * Rf^T (dx B(s)) Rf,
+
+is discretized in time with BDF2 convolution quadrature (Lubich,
+"Convolution quadrature and discretized operational calculus I", Numer.
+Math. 52, 1988).  The discrete operational calculus is an algebra
+homomorphism, so the system may be multiplied by s exactly: the marched
+operator is s*A(s) = s^2*M + K - (1/mu0) Rf^T (dx B(s)) Rf with load
+b(s g^), and every factor gets its own convolution weights,
+
+- s^2: the five weights d2 = (9, -24, 22, -8, 1) / (4 dt^2) of delta^2,
+- s g^: the BDF2 difference D1 g_n = (3 g_n - 4 g_{n-1} + g_{n-2}) / (2 dt)
+  of the sampled data, at rest before t = 0,
+- B(s): per Fourier mode xi, the real weights omega_k(xi) of the symbol
+  beta(xi, delta(zeta)/dt), from one contour FFT of the symbol (no solves).
+
+Step n then solves
+
+    W0 u_n = b(D1 g_n) - M sum_{j=1..4} d2_j u_{n-j}
+             + (dx/mu0) Rf^T irfft(sum_{k>=1} omega_k rfft(Rf u_{n-k}))
+
+with the real matrix W0 = s0*A(s0), s0 = 3/(2 dt), the same at every
+step: one factorization per run, one certified solve per step.  The
+history keeps rfft(Rf u_n) for every past step, so the sum costs one pass
+over N + 1 spectra of N_trace/2 + 1 bins per step.
+
+The all-at-once realization, one frequency solve per node of a contour of
+radius lambda = contour_tol**(1/(2N+2)), stays as `run_all_at_once`: the
+reference the march is compared against.  It equals the march up to
+round-off, which it amplifies by lambda^-n at step n.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
-from .fem import FemMatrices
+from .fem import FemMatrices, SystemOperator
 from .fem import apply_rhs  # noqa: F401  (span seam of bench/tracer.py)
-from .freq import FrequencySolver
+from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
 from .trace import TraceGrid, TraceVector
@@ -36,11 +52,19 @@ __all__ = [
     "CqScheme",
     "TimeSolution",
     "cq_frequencies",
+    "dtn_weights",
+    "run_all_at_once",
     "run_time_domain",
     "time_derivative",
 ]
 
 _CAUSALITY_LIMIT = 1e-8
+# rho^M of the weight contour: the aliasing level of the DtN weights.
+_WEIGHT_ALIASING = 1e-16
+# Fourier modes per block of the weight transform (a 2 MB transient at M = 2052).
+_WEIGHT_BLOCK = 64
+# BDF2 convolution weights of s^2, times dt^2.
+_D2 = np.array([9.0, -24.0, 22.0, -8.0, 1.0]) / 4.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +73,8 @@ class CqScheme:
 
     dt : step size
     steps : number of steps N (time grid t_n = n*dt, n = 0..N)
-    contour_tol : target aliasing level; the inversion contour radius is
+    contour_tol : target aliasing level of the all-at-once contour (the
+        march does not read it); the contour radius is
         lambda = contour_tol ** (1 / (2*steps + 2))
     """
 
@@ -85,7 +110,7 @@ class CqScheme:
         return (3.0 - 4.0 * zeta + zeta * zeta) / 2.0
 
     def serialize(self) -> dict:
-        return {"dt": self.dt, "steps": self.steps, "contour_tol": self.contour_tol}
+        return {"dt": self.dt, "steps": self.steps}
 
 
 def cq_frequencies(scheme: CqScheme) -> np.ndarray:
@@ -109,12 +134,13 @@ def cq_frequencies(scheme: CqScheme) -> np.ndarray:
 class TimeSolution:
     """Real nodal fields on the time grid, one (N+1, n_nodes) block per cavity.
 
-    imag_residue is the measured conjugation defect at the mirror of node 1
-    (mirror matrix versus conjugate, and the residual of the conjugate
-    solution against the mirror system); initial_ratio the t = 0 state norm
+    imag_residue is the largest imaginary part the march discarded, relative
+    to the real part it kept, over its two complex-to-real steps (the step
+    matrix W0 and the DtN weights); initial_ratio the t = 0 state norm
     relative to the trajectory peak; max_residual the largest relative
-    residual of the half-spectrum node solves, reached at frequency worst_s;
-    fems the per-cavity matrices the solver assembled.
+    residual of the step solves, reached at step worst_step; n_dofs and
+    lu_nnz the size and fill of the one factorization; fems the
+    per-cavity matrices the solver assembled.
     """
 
     times: np.ndarray
@@ -123,7 +149,9 @@ class TimeSolution:
     imag_residue: float = 0.0
     initial_ratio: float = 0.0
     max_residual: float = 0.0
-    worst_s: complex = 0j
+    worst_step: int = 0
+    n_dofs: int = 0
+    lu_nnz: int = 0
     fems: list[FemMatrices] | None = field(default=None, repr=False)
 
     @property
@@ -138,26 +166,33 @@ class TimeSolution:
         return np.sqrt(sq)
 
 
-def _conjugation_residue(
-    solver: FrequencySolver, s: complex, x: np.ndarray, mirror_data: TraceVector
-) -> float:
-    """Conjugation defect of the node solve x at s, with no factorization.
+def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray, float]:
+    """BDF2 convolution weights of the DtN symbol on the rfft modes.
 
-    The larger of two relative measures: the entrywise distance of the
-    mirror matrix A(conj s) from conj(A(s)) on the shared fixed pattern,
-    and the residual of conj(x) against the mirror system with load
-    `mirror_data` (the conjugate data).
+    Returns the real (N+1, N_trace/2+1) array omega[k, m], the k-th weight
+    of beta(xi_m, delta(zeta)/dt) = sum_k omega_k zeta^k, and the largest
+    discarded imaginary part relative to the largest weight.  The weights
+    are the Cauchy integrals over |zeta| = rho on M = 4(N+1) points with
+    rho^M = 1e-16, taken in blocks of modes.  Every contour frequency has
+    Re s > 0 (BDF2 is A-stable), so the principal root of
+    xi^2 + s^2/c^2 is the branch of trace.beta with the sign flipped.
     """
-    a = solver.operator(s).matrix
-    a_mirror = solver.operator(np.conj(s)).matrix
-    scale = float(np.max(np.abs(a.data)))
-    matrix_defect = float(np.max(np.abs(a_mirror.data - np.conj(a.data)))) / scale
-    b = solver.load(mirror_data)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return matrix_defect
-    residual = float(np.linalg.norm(a_mirror @ np.conj(x) - b)) / b_norm
-    return max(matrix_defect, residual)
+    n1 = scheme.steps + 1
+    m = 4 * n1
+    rho = _WEIGHT_ALIASING ** (1.0 / m)
+    s = CqScheme.generating_symbol(rho * np.exp(2j * np.pi * np.arange(m) / m)) / scheme.dt
+    s2 = (s / c) ** 2
+    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
+    scale = (rho ** -np.arange(n1) / m)[:, None]
+    weights = np.empty((n1, xi.size))
+    imag = 0.0
+    for lo in range(0, xi.size, _WEIGHT_BLOCK):
+        block = xi[lo : lo + _WEIGHT_BLOCK]
+        symbol = -np.sqrt(block * block + s2[:, None])
+        w = scale * np.fft.fft(symbol, axis=0)[:n1]
+        weights[:, lo : lo + block.size] = w.real
+        imag = max(imag, float(np.max(np.abs(w.imag))))
+    return weights, imag / float(np.max(np.abs(weights)))
 
 
 def run_time_domain(
@@ -166,68 +201,77 @@ def run_time_domain(
     grid: TraceGrid,
     pw: PlaneWave,
     scheme: CqScheme,
-    threads: int = 1,
 ) -> TimeSolution:
-    """All-at-once CQ solution of the reduced initial-boundary value problem.
+    """Marched CQ solution of the reduced initial-boundary value problem.
 
-    Samples the aperture data on the time grid, solves the coupled
-    frequency problem at every contour node (conjugate pairs deduplicated,
-    optionally in parallel), and reconstructs the real time history.
-    Raises CausalityViolation when the reconstructed state at t = 0 is not
-    at rest relative to the trajectory peak.
+    Factorizes the real step matrix W0 once and solves one certified step
+    per time level; a residual above the limit raises FactorizationFailure
+    naming the step.  Raises CausalityViolation when the state at t = 0 is
+    not at rest relative to the trajectory peak.
     """
     if scene.polarization != "TE":
         raise UnsupportedPolarization("time-domain solves support TE only")
-    s_nodes = cq_frequencies(scheme)
     n1 = scheme.steps + 1
-    lam = scheme.lam
+    dt = scheme.dt
     times = scheme.times()
 
-    g_series = boundary_data_series(pw, grid, times)  # (N+1, Ng) real
-    scaled = g_series * lam ** np.arange(n1)[:, None]
-    g_hat = np.fft.rfft(scaled, axis=0)  # nodes l = 0 .. n1//2
-
     solver = FrequencySolver(scene, meshes, grid)
-    n_half = n1 // 2
-    loads = [solver.load(TraceVector(g_hat[l])) for l in range(n_half + 1)]
-    u_hat = np.empty((n_half + 1, loads[0].size), dtype=np.complex128)
-    residuals = np.empty(n_half + 1)
+    fems = solver.fems
+    s0 = 1.5 / dt
+    a0 = solver.operator(s0).matrix
+    w0_data = s0 * a0.data  # real up to the round-off of the kernel FFT
+    matrix_imag = float(np.max(np.abs(w0_data.imag)) / np.max(np.abs(w0_data.real)))
+    w0 = SystemOperator(
+        s=s0,
+        matrix=sp.csc_matrix((w0_data.real.copy(), a0.indices, a0.indptr), shape=a0.shape),
+        fems=fems,
+        pattern=solver.pattern,
+    )
+    lu_nnz = w0.factorize().nnz
+    omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
-    # Each solve factorizes, certifies and frees its own LU, so at most
-    # `threads` factorizations are alive at once.
-    def solve_node(l: int) -> tuple[int, np.ndarray, float]:
-        return (l, *solver.solve_load(s_nodes[l], loads[l], node=l))
+    mass = sp.block_diag([f.mass[f.free_nodes][:, f.free_nodes] for f in fems], format="csr")
+    rf = sp.hstack([f.restriction[:, f.free_nodes] for f in fems], format="csr")
+    rf_t = (grid.dx / scene.mu0) * rf.T.tocsr()
+    d2 = _D2 / (dt * dt)
 
-    indices = range(n_half + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for l, x, res in pool.map(solve_node, indices):
-                u_hat[l], residuals[l] = x, res
-    else:
-        for l in indices:
-            _, u_hat[l], residuals[l] = solve_node(l)
+    # D1 g_n with g at rest before t = 0.
+    g = np.concatenate([np.zeros((2, grid.N)), boundary_data_series(pw, grid, times)])
+    d1g = (3.0 * g[2:] - 4.0 * g[1:-1] + g[:-2]) / (2.0 * dt)
 
-    # Half-spectrum synthesis: the mirrored nodes are conjugates by
-    # construction, so the inverse transform is real structurally.  The
-    # residue reported below measures the one place realness could leak,
-    # without factorizing the mirror of node 1 (node n1 - 1).
-    hist = np.fft.irfft(u_hat, n=n1, axis=0)
-    hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
-    imag_residue = 0.0
-    if n1 >= 3:
-        imag_residue = _conjugation_residue(
-            solver, s_nodes[1], u_hat[1], TraceVector(np.conj(g_hat[1]))
-        )
+    fields = [np.zeros((n1, f.n_nodes)) for f in fems]
+    # The mass history reaches four steps back: u_{n-1}, ..., u_{n-4}, zero
+    # before t = 0.  The DtN history reaches every past step through
+    # rfft(Rf u_n), stored latest first from the end (row N - n holds step
+    # n, so spectra[N + 1 - n:] lists steps n - 1 down to 0) and with real
+    # and imaginary parts apart so its sum runs on real arrays.
+    recent = np.zeros((4, w0.n_dofs))
+    spectra = np.zeros((n1, 2, omega.shape[1]))
+    residuals = np.zeros(n1)
+    for n in range(n1):
+        rhs = solver.load(TraceVector(d1g[n])).real
+        rhs -= mass @ (d2[1:] @ recent)
+        re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
+        rhs += rf_t @ np.fft.irfft(re + 1j * im, n=grid.N)
+        x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
+        recent[1:] = recent[:-1]
+        recent[0] = x
+        z = np.fft.rfft(rf @ x)
+        spectra[n1 - 1 - n] = z.real, z.imag
+        for block, full in zip(fields, solver.expand(x)):
+            block[n] = full
+
     worst = int(np.argmax(residuals))
-
     sol = TimeSolution(
         times=times,
-        fields=solver.expand(hist),
+        fields=fields,
         scheme=scheme,
-        imag_residue=imag_residue,
+        imag_residue=max(matrix_imag, weight_imag),
         max_residual=float(residuals[worst]),
-        worst_s=complex(s_nodes[worst]),
-        fems=solver.fems,
+        worst_step=worst,
+        n_dofs=w0.n_dofs,
+        lu_nnz=lu_nnz,
+        fems=fems,
     )
     norms = sol.step_norms()
     peak_norm = float(np.max(norms))
@@ -235,10 +279,39 @@ def run_time_domain(
     if sol.initial_ratio > _CAUSALITY_LIMIT:
         raise CausalityViolation(
             f"state at t=0 has norm {sol.initial_ratio:.3e} of the trajectory "
-            f"peak (limit {_CAUSALITY_LIMIT:.0e}); lower contour_tol or check "
-            f"the pulse delay"
+            f"peak (limit {_CAUSALITY_LIMIT:.0e}); check the pulse delay"
         )
     return sol
+
+
+def run_all_at_once(
+    scene: Scene,
+    meshes: list[Mesh],
+    grid: TraceGrid,
+    pw: PlaneWave,
+    scheme: CqScheme,
+) -> TimeSolution:
+    """All-at-once CQ solution: one certified solve per contour node.
+
+    Scales the sampled aperture data by lambda^n, transforms it over the
+    N + 1 contour frequencies, solves the half spectrum (the mirrored nodes
+    are conjugates) and synthesizes the real history.  This is the
+    reference the march is tested against; it reports fields only.
+    """
+    s_nodes = cq_frequencies(scheme)
+    n1 = scheme.steps + 1
+    lam = scheme.lam
+    times = scheme.times()
+    g_series = boundary_data_series(pw, grid, times)
+    g_hat = np.fft.rfft(g_series * lam ** np.arange(n1)[:, None], axis=0)
+    solver = FrequencySolver(scene, meshes, grid)
+    u_hat = np.stack([
+        solver.solve_load(s_nodes[l], solver.load(TraceVector(g_hat[l])), node=l)[0]
+        for l in range(n1 // 2 + 1)
+    ])
+    hist = np.fft.irfft(u_hat, n=n1, axis=0)
+    hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
+    return TimeSolution(times=times, fields=solver.expand(hist), scheme=scheme, fems=solver.fems)
 
 
 def time_derivative(sol: TimeSolution, scheme: CqScheme | None = None) -> list[np.ndarray]:

@@ -420,7 +420,6 @@ def growth_study(
     steps_per_horizon: int = 128,
     theta: float = math.pi / 2,
     amplitude: float = 1.0,
-    contour_tol: float = 1e-20,
 ) -> list[AprioriRecord]:
     """A-priori ratios for a data family sustained over growing horizons.
 
@@ -439,11 +438,7 @@ def growth_study(
         pw = PlaneWave(
             profile=profile, theta=theta, eps0=scene.eps0, mu0=scene.mu0
         )
-        scheme = CqScheme(
-            dt=horizon / steps_per_horizon,
-            steps=steps_per_horizon,
-            contour_tol=contour_tol,
-        )
+        scheme = CqScheme(dt=horizon / steps_per_horizon, steps=steps_per_horizon)
         sol = run_time_domain(scene, meshes, grid, pw, scheme)
         series = boundary_data_bundle(pw, grid, sol.times)
         records.append(

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch, FactorizationFailure
 from .fem import (
     FemMatrices,
+    SystemOperator,
     SystemPattern,
     apply_rhs,
     assemble_all,
@@ -36,6 +37,7 @@ from .trace import TraceGrid, TraceVector, restrict_union, trace_norm
 __all__ = [
     "FrequencySolution",
     "FrequencySolver",
+    "certified_solve",
     "solve_frequency",
     "estimate_report",
     "save_solution_csv",
@@ -103,7 +105,7 @@ class FrequencySolver:
 
     def solve(self, s: complex, data: TraceVector) -> FrequencySolution:
         """Solve the coupled problem at s for aperture data (Re s > 0)."""
-        x, residual = self._solve(s, self.load(data), f"at s={s}")
+        x, residual = certified_solve(self.operator(s), self.load(data), f"at s={s}")
         return FrequencySolution(
             s=complex(s),
             fields=self.expand(x),
@@ -113,26 +115,31 @@ class FrequencySolver:
     def solve_load(
         self, s: complex, b: np.ndarray, node: int | None = None
     ) -> tuple[np.ndarray, float]:
-        """Certified solve of a free-DOF load (time-domain engine).
+        """Certified solve of a free-DOF load (all-at-once CQ reference).
 
         Returns the solution and its relative residual; `node` names the
         CQ contour node in the error raised above the residual limit.
         """
         where = f"at s={s}" if node is None else f"at CQ node {node} (s={s})"
-        return self._solve(s, b, where)
+        return certified_solve(self.operator(s), b, where)
 
-    def _solve(self, s: complex, b: np.ndarray, where: str) -> tuple[np.ndarray, float]:
-        op = self.operator(s)
-        if not np.any(b):
-            return np.zeros_like(b), 0.0
-        x = op.solve(b)
-        residual = float(np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b))
-        if not residual <= _RESIDUAL_LIMIT:
-            raise FactorizationFailure(
-                f"direct solve residual {residual:.3e} exceeds "
-                f"{_RESIDUAL_LIMIT} {where}"
-            )
-        return x, residual
+
+def certified_solve(op: SystemOperator, b: np.ndarray, where: str) -> tuple[np.ndarray, float]:
+    """Solve op x = b and certify the relative residual (one matvec).
+
+    A zero load returns the zero solution without a solve; a residual
+    above 1e-10 raises FactorizationFailure with `where` naming the solve.
+    """
+    if not np.any(b):
+        return np.zeros_like(b), 0.0
+    x = op.solve(b)
+    residual = float(np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b))
+    if not residual <= _RESIDUAL_LIMIT:
+        raise FactorizationFailure(
+            f"direct solve residual {residual:.3e} exceeds "
+            f"{_RESIDUAL_LIMIT} {where}"
+        )
+    return x, residual
 
 
 def solve_frequency(

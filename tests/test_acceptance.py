@@ -307,6 +307,6 @@ def test_criterion_11_causality_and_realness(reference_runs):
     report(
         11,
         "causality and realness",
-        f"pre-arrival norm {worst_early:.2e} of peak, conjugation residue "
+        f"pre-arrival norm {worst_early:.2e} of peak, discarded imaginary part "
         f"{sol.imag_residue:.2e}",
     )

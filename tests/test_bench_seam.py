@@ -37,10 +37,14 @@ def test_traced_run_opens_every_expected_span(tmp_path, command):
     layers = traced_layers(tmp_path, command)
     assert layers["fem.assemble_calls"] == 1
     # One kernel column per build, and one ordering analysis per solver
-    # besides the per-frequency factorizations.
+    # besides the factorizations of the solves.
     assert layers["trace.fft_columns"] == layers["fem.builds"]
     if command == "solve-time":
-        solves = layers["cq.nodes"]
+        # The march builds and factorizes one step matrix and solves no
+        # contour node; per-node solves would show here first.
+        assert layers["cq.nodes"] == 0
+        assert layers["fem.builds"] == 1
+        solves = 1
     else:
         solves = len(small_config()["sweep"]["s_values"])
     assert layers["fem.factorizations"] == solves + 1

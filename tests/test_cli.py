@@ -9,7 +9,6 @@ import pytest
 import cavitytd.cli as cli
 from cavitytd import diagnostics, freq
 from cavitytd.cli import main
-from cavitytd.cq import CqScheme, cq_frequencies
 from cavitytd.trace import TraceGrid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -256,7 +255,10 @@ class TestSolveTime:
         assert manifest["checks"]["causality"] is True
         assert manifest["checks"]["realness"] is True
         assert 0.0 < manifest["metrics"]["max_residual"] <= 1e-10
-        assert len(manifest["metrics"]["worst_s"]) == 2
+        worst = manifest["metrics"]["worst_step"]
+        assert 0 <= worst["step"] <= 64 and worst["t"] == 0.125 * worst["step"]
+        assert manifest["metrics"]["dofs"] > 0 and manifest["metrics"]["lu_nnz"] > 0
+        assert manifest["scheme"] == {"dt": 0.125, "steps": 64}
         # Each check's verdict sits next to the value and limit it came from.
         metrics = manifest["metrics"]
         assert metrics["trace"] == {"L": 4.0, "N": 64}
@@ -287,9 +289,11 @@ class TestSolveTime:
         assert blobs[0] == blobs[1]
 
     def test_causality_violation_exit_1(self, tmp_path):
-        # A contour radius too close to one folds the late-time field back
-        # into t = 0; the run must fail loudly with exit 1.
-        config = small_config(scheme={"dt": 0.2, "steps": 32, "contour_tol": 1e-3})
+        # A pulse that is not at rest at t = 0 (admitted by a loose
+        # causality_tol) leaves a state at t = 0 far above the rest-state
+        # bar; the run must fail loudly with exit 1.
+        config = small_config()
+        config["incident"]["profile"].update(center=2.15, width=0.5, causality_tol=1e-3)
         path = write_config(tmp_path, config)
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 1
 
@@ -323,13 +327,11 @@ class TestSolveTime:
 
     def test_solver_failure_exit_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
-        config = small_config()
-        path = write_config(tmp_path, config)
-        s0 = cq_frequencies(CqScheme(**config["scheme"]))[0]
+        path = write_config(tmp_path, small_config())
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "run failed: FactorizationFailure" in err
-        assert f"at CQ node 0 (s={s0})" in err
+        assert "at step 0 (t=0)" in err
 
     def test_probe_outside_cavities_exit_2(self, tmp_path, monkeypatch, capsys):
         def no_solve(*args, **kwargs):

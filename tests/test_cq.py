@@ -7,7 +7,8 @@ import cavitytd as ct
 from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme, TimeSolution, cq_frequencies, time_derivative
 from cavitytd.errors import FactorizationFailure, UnsupportedPolarization
-from cavitytd.trace import TraceVector
+
+from conftest import load_reference
 
 
 class TestCqScheme:
@@ -54,9 +55,8 @@ class TestCqScheme:
 
 
 class TestRunTimeDomain:
-    def run(self, scene, meshes, grid, pw, steps=48, T=6.0, **kw):
-        scheme = CqScheme(dt=T / steps, steps=steps, contour_tol=1e-20)
-        return ct.run_time_domain(scene, meshes, grid, pw, scheme, **kw)
+    def run(self, scene, meshes, grid, pw, steps=48, T=6.0):
+        return ct.run_time_domain(scene, meshes, grid, pw, CqScheme(dt=T / steps, steps=steps))
 
     def test_zero_data_zero_solution(self, unit_scene, unit_meshes, unit_grid):
         prof = ct.WaveProfile(kind="gaussian-pulse", center=3.0, width=0.4, amplitude=0.0)
@@ -103,43 +103,59 @@ class TestRunTimeDomain:
         early = norms[sol.times < arrival]
         assert np.all(early <= 1e-6 * peak)
 
-    def test_conjugation_residue_small(self, unit_scene, unit_meshes, unit_grid,
-                                       gaussian_wave, monkeypatch):
+    def test_imag_residue_small(self, unit_scene, unit_meshes, unit_grid,
+                                gaussian_wave, monkeypatch):
         splu, calls = fem.spla.splu, []
         monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
-        assert sol.imag_residue <= 1e-10
-        # One factorization per half-spectrum node, plus the solver's one
-        # ordering analysis: the mirror is checked, not solved.
-        assert len(calls) == (sol.n_steps + 1) // 2 + 1 + 1
+        assert 0.0 < sol.imag_residue <= 1e-10
+        # One factorization of the step matrix, plus the solver's one
+        # ordering analysis, whatever the step count.
+        assert len(calls) == 2
+        assert sol.lu_nnz > 0 and sol.n_dofs > 0
 
-    def test_conjugation_residue_detects_defect(self, unit_scene, unit_meshes, unit_grid,
-                                                gaussian_wave):
-        solver = freq.FrequencySolver(unit_scene, unit_meshes, unit_grid)
-        s = 1.3 + 0.7j
-        data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
-        x, _ = solver.solve_load(s, solver.load(data))
-        mirror = TraceVector(np.conj(data.values))
-        assert cq._conjugation_residue(solver, s, x, mirror) <= 1e-10
-        assert cq._conjugation_residue(solver, s, x * (1.0 + 1e-6), mirror) > 1e-8
-        assert cq._conjugation_residue(solver, s, x, data) > 1e-8
+    def test_imag_residue_detects_injected_imag(self, unit_scene, unit_meshes, unit_grid,
+                                                gaussian_wave, monkeypatch):
+        # An imaginary part the march would drop from the step matrix shows
+        # in the residue, and so fails the realness check.
+        operator = freq.FrequencySolver.operator
+
+        def leaky_operator(solver, s):
+            op = operator(solver, s)
+            op.matrix.data += 1e-8j * np.max(np.abs(op.matrix.data))
+            return op
+
+        monkeypatch.setattr(freq.FrequencySolver, "operator", leaky_operator)
+        sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+        assert sol.imag_residue == pytest.approx(1e-8, rel=1e-3)
 
     def test_node_solves_certified(self, unit_scene, unit_meshes, unit_grid,
                                    gaussian_wave, monkeypatch):
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         assert 0.0 < sol.max_residual <= 1e-10
-        assert sol.worst_s in cq_frequencies(sol.scheme)
-        # Above the limit the run fails and names the node and its s.
+        assert 0 <= sol.worst_step <= sol.n_steps
+        # Above the limit the run fails and names the step and its time.
         monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
-        s0 = cq_frequencies(sol.scheme)[0]
-        with pytest.raises(FactorizationFailure, match=re.escape(f"at CQ node 0 (s={s0})")):
+        with pytest.raises(FactorizationFailure, match=re.escape("at step 0 (t=0)")):
             self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
 
     def test_threads_deterministic(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
-        sol1 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave, threads=1)
-        sol2 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave, threads=2)
+        sol1 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+        sol2 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         for f1, f2 in zip(sol1.fields, sol2.fields):
             assert np.array_equal(f1, f2)
+
+    @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
+    def test_march_matches_all_at_once(self, name):
+        # The CQ calculus is an algebra homomorphism: the march and the
+        # contour realization of the same scheme agree up to round-off.
+        _, scene, meshes, grid, pw, scheme = load_reference(name)
+        assert scheme.steps == 128
+        march = ct.run_time_domain(scene, meshes, grid, pw, scheme)
+        ref = cq.run_all_at_once(scene, meshes, grid, pw, scheme)
+        peak = max(np.max(np.abs(f)) for f in ref.fields)
+        diff = max(np.max(np.abs(a - b)) for a, b in zip(march.fields, ref.fields))
+        assert diff <= 1e-8 * peak
 
     def test_multi_cavity_coupling_reaches_far_cavity(self, two_scene, two_meshes, two_grid):
         # Oblique pulse arriving from the left: the right cavity's field is

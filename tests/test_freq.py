@@ -61,8 +61,8 @@ class TestSolveFrequency:
     def test_no_lu_outlives_its_solve(self, unit_scene, unit_meshes, unit_grid,
                                       gaussian_wave, monkeypatch):
         # Count operators from their first factorization until they are
-        # collected: every LU must die with its solve, so a run never holds
-        # more than one per worker thread.
+        # collected: the march holds its one LU for the run and drops it
+        # on return, and a frequency solve drops its LU with the solve.
         lock = threading.Lock()
         live, peak = [0], [0]
         factorize = SystemOperator.factorize
@@ -80,13 +80,10 @@ class TestSolveFrequency:
             return factorize(op)
 
         monkeypatch.setattr(SystemOperator, "factorize", counting_factorize)
-        scheme = CqScheme(dt=0.125, steps=48, contour_tol=1e-20)
-        for threads in (1, 2):
-            peak[0] = 0
-            ct.run_time_domain(unit_scene, unit_meshes, unit_grid, gaussian_wave,
-                               scheme, threads=threads)
-            assert live[0] == 0
-            assert 1 <= peak[0] <= threads
+        scheme = CqScheme(dt=0.125, steps=48)
+        ct.run_time_domain(unit_scene, unit_meshes, unit_grid, gaussian_wave, scheme)
+        assert live[0] == 0
+        assert peak[0] == 1
         solver = FrequencySolver(unit_scene, unit_meshes, unit_grid)
         s = 1.1 + 2.2j
         solver.solve(s, ct.boundary_data_freq(gaussian_wave, unit_grid, s))
