@@ -28,7 +28,12 @@ from .errors import (
     UnsupportedPolarization,
 )
 from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
-from .freq import FrequencySolver, estimate_report, save_solution_csv
+from .freq import (
+    FrequencySolver,
+    estimate_report,
+    save_solution_csv,
+    solution_csv_format,
+)
 from .incident import PlaneWave, WaveProfile, boundary_data_bundle, boundary_data_freq
 from .io import RunManifest, probe_matrix, write_csv, write_vtk_snapshot
 from .scene import (
@@ -339,15 +344,25 @@ def cmd_freq(args) -> int:
         solved = [solve_one(s) for s in run.s_values]
 
     # Solves may run concurrently; writing stays serialized and ordered.
+    write_fields = args.command == "solve-freq"
+    formats = [solution_csv_format(mesh) for mesh in meshes] if write_fields else []
     records = []
     for idx, (sol, data) in enumerate(solved):
         records.append(estimate_report(sol, data, run.grid, solver.fems))
-        if args.command == "solve-freq":
-            for j, mesh in enumerate(meshes):
+        if write_fields:
+            for j, (mesh, fmt) in enumerate(zip(meshes, formats)):
                 path = out / f"solution_s{idx:03d}_cavity{j}.csv"
-                save_solution_csv(path, mesh, sol.fields[j])
+                save_solution_csv(path, mesh, sol.fields[j], fmt)
                 manifest.add_output(path)
     manifest.wall_times["solves"] = time.perf_counter() - t0
+    manifest.metrics["dofs"] = solver.pattern.shape[0]
+    if solved:
+        sols = [sol for sol, _ in solved]
+        worst = max(range(len(sols)), key=lambda i: sols[i].residual)
+        manifest.metrics["lu_nnz"] = max(sol.lu_nnz for sol in sols)
+        manifest.metrics["max_residual"] = sols[worst].residual
+        s = sols[worst].s
+        manifest.metrics["worst_frequency"] = {"index": worst, "s": [s.real, s.imag]}
 
     table = out / "estimate_report.csv"
     write_csv(

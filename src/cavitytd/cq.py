@@ -134,9 +134,9 @@ def cq_frequencies(scheme: CqScheme) -> np.ndarray:
 class TimeSolution:
     """Real nodal fields on the time grid, one (N+1, n_nodes) block per cavity.
 
-    imag_residue is the largest imaginary part the march discarded, relative
-    to the real part it kept, over its two complex-to-real steps (the step
-    matrix W0 and the DtN weights); initial_ratio the t = 0 state norm
+    imag_residue is the largest imaginary part the march discarded from the
+    DtN weights, relative to the largest weight (the step matrix W0 is real
+    by construction); initial_ratio the t = 0 state norm
     relative to the trajectory peak; max_residual the largest relative
     residual of the step solves, reached at step worst_step; n_dofs and
     lu_nnz the size and fill of the one factorization; fems the
@@ -218,14 +218,9 @@ def run_time_domain(
     solver = FrequencySolver(scene, meshes, grid)
     fems = solver.fems
     s0 = 1.5 / dt
-    a0 = solver.operator(s0).matrix
-    w0_data = s0 * a0.data  # real up to the round-off of the kernel FFT
-    matrix_imag = float(np.max(np.abs(w0_data.imag)) / np.max(np.abs(w0_data.real)))
+    # A(s0) is real at the real s0, and so is W0.
     w0 = SystemOperator(
-        s=s0,
-        matrix=sp.csc_matrix((w0_data.real.copy(), a0.indices, a0.indptr), shape=a0.shape),
-        fems=fems,
-        pattern=solver.pattern,
+        s=s0, matrix=s0 * solver.operator(s0).matrix, fems=fems, pattern=solver.pattern
     )
     lu_nnz = w0.factorize().nnz
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
@@ -266,7 +261,7 @@ def run_time_domain(
         times=times,
         fields=fields,
         scheme=scheme,
-        imag_residue=max(matrix_imag, weight_imag),
+        imag_residue=weight_imag,
         max_residual=float(residuals[worst]),
         worst_step=worst,
         n_dofs=w0.n_dofs,

@@ -14,7 +14,9 @@ the union of the zero-extended aperture traces.  The coupled matrix lives
 on one sparsity pattern per scene (SystemPattern), built once together
 with its fill-reducing elimination order; a frequency only fills its
 values.  B is a circulant on the uniform grid, so one FFT kernel column
-per frequency gives the whole aperture block.
+per frequency gives the whole aperture block.  At real s the symbol is
+real, so the matrix is real symmetric and is built, factorized and solved
+in real arithmetic; otherwise it is complex symmetric.
 """
 
 from __future__ import annotations
@@ -285,9 +287,25 @@ class SystemOperator:
                 ) from exc
         return self._lu
 
+    @property
+    def lu_nnz(self) -> int:
+        """Stored entries of the factorization; 0 while there is none."""
+        return 0 if self._lu is None else self._lu.nnz
+
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve in the pattern's order; a complex load on a real matrix is
+        solved as its real and imaginary parts, skipping an all-zero one."""
         order = self.pattern.order
-        y = self.factorize().solve(b[order])
+        lu = self.factorize()
+        b = b[order]
+        if np.iscomplexobj(b) and not np.iscomplexobj(self.matrix.data):
+            y = np.zeros(b.shape, dtype=np.complex128)
+            if np.any(b.real):
+                y.real = lu.solve(np.ascontiguousarray(b.real))
+            if np.any(b.imag):
+                y.imag = lu.solve(np.ascontiguousarray(b.imag))
+        else:
+            y = lu.solve(b)
         x = np.empty_like(y)
         x[order] = y
         return x
@@ -393,18 +411,32 @@ class SystemPattern:
         )
 
     def coupling(self, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
-        """Dense aperture block R^T Q B(s) R over the free aperture DOFs."""
-        impulse = np.zeros((grid.N, 1), dtype=np.complex128)
+        """Dense aperture block R^T Q B(s) R over the free aperture DOFs.
+
+        Real at real s, where the symbol is real; complex otherwise.
+        """
+        impulse = np.zeros((grid.N, 1), dtype=type(_real_if_real(s)))
         impulse[0] = 1.0
         kernel = grid.dx * apply_B_columns(impulse, s, grid, sym)[:, 0]
         return self.rt @ kernel[self.lag] @ self.rt.T
 
     def matrix(self, s: complex, grid: TraceGrid, sym: DtnSymbol, mu0: float) -> sp.csc_matrix:
-        """s*M + (1/s)*K - (1/(s*mu0)) * R^T Q B(s) R on the fixed pattern."""
-        data = np.zeros(self.indices.size, dtype=np.complex128)
+        """s*M + (1/s)*K - (1/(s*mu0)) * R^T Q B(s) R on the fixed pattern.
+
+        The data are float64 at real s (the matrix is real symmetric) and
+        complex128 otherwise (complex symmetric).
+        """
+        s = _real_if_real(s)
+        data = np.zeros(self.indices.size, dtype=type(s))
         data[self.vol_index] = s * self.mass + (1.0 / s) * self.stiffness
         data[self.ap_index] += (-1.0 / (s * mu0)) * self.coupling(s, grid, sym).ravel()
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _real_if_real(s: complex) -> float | complex:
+    """s as a float when its imaginary part is zero, else as a complex."""
+    s = complex(s)
+    return s.real if s.imag == 0.0 else s
 
 
 def _elimination_order(proxy: sp.csc_matrix) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "solve_frequency",
     "estimate_report",
     "save_solution_csv",
+    "solution_csv_format",
 ]
 
 _RESIDUAL_LIMIT = 1e-10
@@ -48,11 +49,17 @@ _RESIDUAL_LIMIT = 1e-10
 
 @dataclass
 class FrequencySolution:
-    """Complex nodal fields at one frequency, full node set per cavity."""
+    """Complex nodal fields at one frequency, full node set per cavity.
+
+    residual is the relative residual of the solve and lu_nnz the fill of
+    its factorization (0 for a zero load, which needs none).  At real s
+    with real data the fields have exactly zero imaginary parts.
+    """
 
     s: complex
     fields: list[np.ndarray]
     residual: float
+    lu_nnz: int = 0
 
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(f, f).real for f in self.fields)))
@@ -105,11 +112,13 @@ class FrequencySolver:
 
     def solve(self, s: complex, data: TraceVector) -> FrequencySolution:
         """Solve the coupled problem at s for aperture data (Re s > 0)."""
-        x, residual = certified_solve(self.operator(s), self.load(data), f"at s={s}")
+        op = self.operator(s)
+        x, residual = certified_solve(op, self.load(data), f"at s={s}")
         return FrequencySolution(
             s=complex(s),
             fields=self.expand(x),
             residual=residual,
+            lu_nnz=op.lu_nnz,
         )
 
     def solve_load(
@@ -182,10 +191,25 @@ def estimate_report(
     }
 
 
-def save_solution_csv(path: str | Path, mesh: Mesh, field: np.ndarray) -> None:
-    """One row `x,y,re_u,im_u` per vertex, every value at 17 significant digits."""
-    field = np.asarray(field, dtype=np.complex128)
-    rows = np.column_stack([mesh.vertices, field.real, field.imag])
+def solution_csv_format(mesh: Mesh) -> str:
+    """The solution file of a mesh as one %-format over (re_u, im_u) pairs.
+
+    The coordinates are formatted here, once per mesh; formatted floats
+    hold no '%', so the text is safe inside the format.
+    """
+    rows = "%.17g,%.17g,%%.17g,%%.17g\n" * mesh.n_vertices
+    return "x,y,re_u,im_u\n" + rows % tuple(mesh.vertices.ravel().tolist())
+
+
+def save_solution_csv(
+    path: str | Path, mesh: Mesh, field: np.ndarray, fmt: str | None = None
+) -> None:
+    """One row `x,y,re_u,im_u` per vertex, every value at 17 significant digits.
+
+    `fmt` is `solution_csv_format(mesh)`; pass it to reuse it across fields.
+    """
+    if fmt is None:
+        fmt = solution_csv_format(mesh)
+    values = np.ascontiguousarray(field, dtype=np.complex128).view(np.float64)
     with open(path, "w", encoding="utf-8") as f:
-        f.write("x,y,re_u,im_u\n")
-        f.write("%.17g,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
+        f.write(fmt % tuple(values.tolist()))

@@ -573,8 +573,10 @@ def check_mesh_size(cavity: CavitySpec, h: float) -> None:
 
     h must satisfy 0 < h <= min(width, depth) / 2.  For a rectangle the
     bound (width/h + 3)(depth/h + 3) on the structured grid's vertex count
-    (nx + 1)(ny + 1) must not exceed MAX_MESH_VERTICES; an imported polygon
-    triangulation has a size of its own that h does not set.
+    (nx + 1)(ny + 1) must not exceed MAX_MESH_VERTICES, and the grid's first
+    layer depth/ny must fit in the mu collar (ApertureCollarViolation); an
+    imported polygon triangulation has a size and layers of its own that h
+    does not set, and is checked once loaded.
     """
     if not h > 0.0:
         raise MeshFailure(f"target edge length must be positive, got h={h}")
@@ -591,6 +593,7 @@ def check_mesh_size(cavity: CavitySpec, h: float) -> None:
                 f"h={h} would give cavity {cavity.id} about {vertices:.3g} "
                 f"vertices, above the limit of {MAX_MESH_VERTICES}"
             )
+        _check_collar_resolved(cavity, cavity.max_depth / _rows(cavity, h))
 
 
 def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
@@ -611,8 +614,16 @@ def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
             )
         mesh = load_mesh(cavity.mesh_file)
         _check_imported_mesh(mesh, cavity)
-    _check_collar_resolved(mesh, cavity)
+        below = mesh.vertices[mesh.vertices[:, 1] < -1e-14, 1]
+        if below.size == 0:
+            raise MeshFailure(f"cavity {cavity.id}: mesh has no interior below y=0")
+        _check_collar_resolved(cavity, float(-np.max(below)))
     return mesh
+
+
+def _rows(cavity: CavitySpec, h: float) -> int:
+    """Element rows of a rectangle's structured grid."""
+    return max(2, math.ceil(cavity.max_depth / h))
 
 
 def _structured_rectangle(cavity: CavitySpec, h: float) -> Mesh:
@@ -620,7 +631,7 @@ def _structured_rectangle(cavity: CavitySpec, h: float) -> Mesh:
     d = float(cavity.depth)
     nx = max(2, math.ceil(cavity.width / h))
     nx += nx % 2  # even column count so the split mirrors cleanly
-    ny = max(2, math.ceil(d / h))
+    ny = _rows(cavity, h)
     xs = np.linspace(a, b, nx + 1)
     ys = np.linspace(-d, 0.0, ny + 1)
     X, Y = np.meshgrid(xs, ys)
@@ -686,12 +697,8 @@ def _check_imported_mesh(mesh: Mesh, cavity: CavitySpec) -> None:
         raise MeshFailure(f"cavity {cavity.id}: imported mesh has vertices above y=0")
 
 
-def _check_collar_resolved(mesh: Mesh, cavity: CavitySpec) -> None:
+def _check_collar_resolved(cavity: CavitySpec, first_layer: float) -> None:
     """The first element layer below the aperture must fit in the collar."""
-    below = mesh.vertices[mesh.vertices[:, 1] < -1e-14, 1]
-    if below.size == 0:
-        raise MeshFailure(f"cavity {cavity.id}: mesh has no interior below y=0")
-    first_layer = float(-np.max(below))
     if first_layer > cavity.collar_depth + 1e-12:
         raise ApertureCollarViolation(
             f"cavity {cavity.id}: first mesh layer ({first_layer}) exceeds the "

@@ -238,9 +238,18 @@ def apply_B(u: TraceVector, s: complex, grid: TraceGrid, sym: DtnSymbol) -> Trac
 
 
 def apply_B_columns(cols: np.ndarray, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
-    """apply_B over the columns of an (N, k) array in one vectorized pass."""
+    """apply_B over the columns of an (N, k) array in one vectorized pass.
+
+    At real s the symbol is real, so real columns map to real columns: they
+    go through rfft / irfft and come back as an exactly real array.
+    """
     if cols.shape[0] != grid.N:
         raise GridMismatch(f"column length {cols.shape[0]} does not match grid N={grid.N}")
+    if complex(s).imag == 0.0 and not np.iscomplexobj(cols):
+        # The rfft modes are xi[: N/2 + 1]; the symbol is even, so the sign
+        # numpy gives the last one (Nyquist) does not matter.
+        b = beta(grid.xi[: grid.N // 2 + 1], s, sym.c).real
+        return np.fft.irfft(b[:, None] * np.fft.rfft(cols, axis=0), n=grid.N, axis=0)
     b = beta(grid.xi, s, sym.c)
     return np.fft.ifft(b[:, None] * np.fft.fft(cols, axis=0), axis=0)
 

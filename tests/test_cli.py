@@ -108,6 +108,11 @@ class TestSolveFreq:
         assert ratio["value"] == max(float(row.split(",")[4]) for row in report[1:])
         assert manifest["checks"]["estimate-band"] is (ratio["value"] <= ratio["limit"])
         assert manifest["metrics"]["trace"] == {"L": 4.0, "N": 64}
+        metrics = manifest["metrics"]
+        assert metrics["dofs"] > 0 and metrics["lu_nnz"] > 0
+        assert 0.0 < metrics["max_residual"] <= 1e-10
+        worst = metrics["worst_frequency"]
+        assert worst["s"] == small_config()["sweep"]["s_values"][worst["index"]]
 
     def test_manifest_records_auto_sized_grid(self, tmp_path):
         path = write_config(tmp_path, small_config(trace={}))
@@ -151,6 +156,10 @@ class TestSolveFreq:
             ("mesh-export", ("scene", "cavities", 0, "depth"), math.nan, [], "ConfigError"),
             ("validate", ("seed",), "x", [], "ConfigError"),
             ("mesh-export", ("mesh", "h"), 1e-9, [], "MeshFailure"),
+            ("mesh-export", ("scene", "cavities", 0),
+             {"aperture": [-0.5, 0.5], "depth": 1.0, "epsilon": 1.0,
+              "mu": "1 + 0.3*exp(-((y+0.8)/0.05)**2)", "collar": 0.05},
+             [], "ApertureCollarViolation"),
             ("solve-time", ("probes",), [[0.0, -0.5], [3.0, -0.5]], [], "ConfigError"),
             ("solve-freq", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
         ],
@@ -159,7 +168,8 @@ class TestSolveFreq:
              "eps0-nan",
              "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
              "dt-infinity", "steps-infinity", "mesh-h-nan", "cavity-depth-nan",
-             "seed-not-a-number", "mesh-h-tiny", "probe-outside-every-cavity", "tm-scene"],
+             "seed-not-a-number", "mesh-h-tiny", "collar-thinner-than-first-layer",
+             "probe-outside-every-cavity", "tm-scene"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -210,15 +220,23 @@ class TestSolveFreq:
         assert outs[0] == outs[1]
 
     def test_threads_byte_identical(self, tmp_path):
-        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 6, "s_im": 0.5})
-        path = write_config(tmp_path, config)
-        blobs = []
-        for run, threads in (("a", "1"), ("b", "3")):
-            out = tmp_path / run
-            assert main(["solve-freq", "--config", str(path), "--out", str(out),
-                         "--threads", threads]) == 0
-            blobs.append((out / "estimate_report.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+        # Complex and real frequencies: the outputs and the manifest's solve
+        # record do not depend on the thread count.
+        for s_im in (0.5, 0.0):
+            config = small_config(sweep={"s_re": [0.5, 4.0], "count": 6, "s_im": s_im})
+            path = write_config(tmp_path, config)
+            blobs = []
+            for threads in ("1", "3"):
+                out = tmp_path / f"{s_im}-{threads}"
+                assert main(["solve-freq", "--config", str(path), "--out", str(out),
+                             "--threads", threads]) == 0
+                metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+                record = [metrics[k] for k in
+                          ("dofs", "lu_nnz", "max_residual", "worst_frequency")]
+                files = sorted(out.glob("*.csv"))
+                blobs.append((record, [p.name for p in files],
+                              [p.read_bytes() for p in files]))
+            assert blobs[0] == blobs[1]
 
     def test_tm_scene_exit_2(self, tmp_path):
         config = small_config()

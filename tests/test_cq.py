@@ -116,18 +116,20 @@ class TestRunTimeDomain:
 
     def test_imag_residue_detects_injected_imag(self, unit_scene, unit_meshes, unit_grid,
                                                 gaussian_wave, monkeypatch):
-        # An imaginary part the march would drop from the step matrix shows
-        # in the residue, and so fails the realness check.
-        operator = freq.FrequencySolver.operator
-
-        def leaky_operator(solver, s):
-            op = operator(solver, s)
-            op.matrix.data += 1e-8j * np.max(np.abs(op.matrix.data))
-            return op
-
-        monkeypatch.setattr(freq.FrequencySolver, "operator", leaky_operator)
-        sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
-        assert sol.imag_residue == pytest.approx(1e-8, rel=1e-3)
+        # W0 is real by construction, so the DtN weights are the one place
+        # the march drops an imaginary part.  Turning the weight contour's
+        # frequencies by a small angle eps breaks their conjugate symmetry:
+        # the weights gain imaginary parts proportional to eps, which show
+        # in the residue and fail the 1e-10 realness check.
+        delta = CqScheme.generating_symbol
+        residues = []
+        for eps in (1e-6, 2e-6):
+            turned = staticmethod(lambda zeta, e=eps: delta(zeta) * (1.0 + 1j * e))
+            monkeypatch.setattr(CqScheme, "generating_symbol", turned)
+            sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+            residues.append(sol.imag_residue)
+        assert residues[0] > 1e-10
+        assert residues[1] == pytest.approx(2.0 * residues[0], rel=1e-3)
 
     def test_node_solves_certified(self, unit_scene, unit_meshes, unit_grid,
                                    gaussian_wave, monkeypatch):

@@ -128,6 +128,27 @@ class TestSystemOperator:
         with pytest.raises(UnsupportedPolarization):
             build_system(tm, unit_meshes, unit_grid, self.S)
 
+    def test_dtype_follows_s(self, unit_scene, unit_meshes, unit_grid):
+        # Real symmetric at real s, complex symmetric otherwise.
+        for s, dtype in ((1.3, np.float64), (1.3 + 0.0j, np.float64),
+                         (1.0 + 0.5j, np.complex128)):
+            op = build_system(unit_scene, unit_meshes, unit_grid, s)
+            assert op.matrix.dtype == dtype
+            assert abs(op.matrix - op.matrix.T).max() <= 1e-14 * abs(op.matrix).max()
+
+    def test_complex_load_on_real_operator(self, unit_scene, unit_meshes, unit_grid, rng):
+        # The real LU solves the real and imaginary parts of a complex load
+        # apart; the result matches a complex LU of the same matrix.
+        op = build_system(unit_scene, unit_meshes, unit_grid, 1.3)
+        b = rng.standard_normal(op.n_dofs) + 1j * rng.standard_normal(op.n_dofs)
+        x = op.solve(b)
+        ref = spla.splu(op.matrix.astype(np.complex128).tocsc()).solve(b)
+        assert x.dtype == np.complex128
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # An all-zero part stays exactly zero.
+        assert np.all(op.solve(1j * b.imag).real == 0.0)
+        assert np.all(op.solve(b.real + 0j).imag == 0.0)
+
     def test_quadratic_form_two_paths(self, unit_scene, unit_meshes, unit_grid, rng):
         # Assemble-then-dot against dot-then-assemble from the primitives.
         op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
@@ -284,9 +305,12 @@ class TestFixedPattern:
         _, ra = _aperture_restriction(solver.fems)
         for s in self.S_VALUES:
             got = solver.pattern.coupling(s, grid, sym)
+            # At real s the block and the real-column path are exactly real.
+            assert got.dtype == (np.float64 if s.imag == 0.0 else np.complex128)
             by_columns = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, sym))
+            real_columns = ra.T @ (grid.dx * apply_B_columns(ra, s, grid, sym))
             dense = ra.T @ (grid.dx * ct.dtn_dense(grid, s, sym)) @ ra
-            for ref in (by_columns, dense):
+            for ref in (by_columns, real_columns, dense):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_stored_order_matches_per_node_ordering(self):
@@ -306,12 +330,13 @@ class TestFixedPattern:
 
 class TestSingleCavityDegeneracy:
     def test_bitwise_matrix_match(self, unit_scene, unit_meshes, unit_grid):
-        s = 0.9 + 1.7j
-        general = build_system(unit_scene, unit_meshes, unit_grid, s)
-        single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
-        a = general.matrix.toarray()
-        b = single.matrix.toarray()
-        assert np.array_equal(a, b)  # bit for bit
+        for s in (0.9 + 1.7j, 0.9 + 0.0j):
+            general = build_system(unit_scene, unit_meshes, unit_grid, s)
+            single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
+            a = general.matrix.toarray()
+            b = single.matrix.toarray()
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)  # bit for bit
 
     def test_solutions_match(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
         s = 1.4 + 0.8j

@@ -37,6 +37,16 @@ class TestSolveFrequency:
         assert sol.residual <= 1e-10
         assert sol.norm() > 0.0
 
+    def test_real_s_gives_exactly_real_fields(self, unit_solver, unit_grid, gaussian_wave):
+        # At real s the gaussian data and the matrix are real, so the
+        # complex fields carry exact zeros as imaginary parts.
+        s = 1.7
+        sol = unit_solver.solve(s, ct.boundary_data_freq(gaussian_wave, unit_grid, s))
+        assert sol.lu_nnz > 0 and sol.residual <= 1e-10
+        for f in sol.fields:
+            assert f.dtype == np.complex128
+            assert np.any(f.real != 0.0) and np.all(f.imag == 0.0)
+
     def test_linearity_in_data(self, unit_solver, unit_grid, gaussian_wave):
         s = 2.0 + 0.4j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
