@@ -27,10 +27,12 @@ from .errors import (
     MeshFailure,
     UnsupportedPolarization,
 )
+from .fem import ORDERING
 from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
 from .freq import (
     FrequencySolver,
     estimate_report,
+    frequency_groups,
     save_solution_csv,
     solution_csv_format,
 )
@@ -135,7 +137,8 @@ def _parse_config(args) -> RunConfig:
             )
     if "sweep" in reads:
         s_flag = getattr(args, "s", None)
-        with config_block("--s list" if s_flag else "sweep block"):
+        source = "--s list" if s_flag else "sweep block"
+        with config_block(source):
             block = config.get("sweep", {})
             if s_flag:
                 values = [complex(tok) for tok in s_flag.split(",") if tok.strip()]
@@ -147,6 +150,8 @@ def _parse_config(args) -> RunConfig:
                 re = np.geomspace(lo, hi, _int(block.get("count", 20)))
                 values = [complex(v, im) for v in re]
             values = [complex(finite_number(s.real), finite_number(s.imag)) for s in values]
+        if not values:
+            raise ConfigError(f"{source} lists no frequency")
         for s in values:
             if not s.real > 0.0:
                 raise DomainError(f"sweep frequency {s} violates Re s > 0")
@@ -330,39 +335,47 @@ def cmd_freq(args) -> int:
     solver = FrequencySolver(run.scene, meshes, run.grid)
     t0 = time.perf_counter()
 
-    def solve_one(s):
-        data = boundary_data_freq(run.wave, run.grid, s)
-        return solver.solve(s, data), data
+    def solve_group(group):
+        data = [boundary_data_freq(run.wave, run.grid, s) for s in group]
+        return list(zip(solver.solve_group(group, data), data))
 
+    # Solves may run concurrently; writing stays serialized and ordered.
+    # Each group is written as it completes, so no sweep holds all fields.
+    write_fields = args.command == "solve-freq"
+    formats = [solution_csv_format(mesh) for mesh in meshes] if write_fields else []
+    records, solves = [], []  # solves: (residual, lu_nnz, s) per frequency
+
+    def write(solved_groups):
+        for sol, data in (pair for pairs in solved_groups for pair in pairs):
+            idx = len(records)
+            records.append(estimate_report(sol, data, run.grid, solver.fems))
+            solves.append((sol.residual, sol.lu_nnz, sol.s))
+            if write_fields:
+                for j, (mesh, fmt) in enumerate(zip(meshes, formats)):
+                    path = out / f"solution_s{idx:03d}_cavity{j}.csv"
+                    save_solution_csv(path, mesh, sol.fields[j], fmt)
+                    manifest.add_output(path)
+
+    # The groups depend on the frequencies alone, never on the thread count.
+    groups = frequency_groups(run.s_values)
     threads = max(1, args.threads)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_one, run.s_values))
+            write(pool.map(solve_group, groups))
     else:
-        solved = [solve_one(s) for s in run.s_values]
-
-    # Solves may run concurrently; writing stays serialized and ordered.
-    write_fields = args.command == "solve-freq"
-    formats = [solution_csv_format(mesh) for mesh in meshes] if write_fields else []
-    records = []
-    for idx, (sol, data) in enumerate(solved):
-        records.append(estimate_report(sol, data, run.grid, solver.fems))
-        if write_fields:
-            for j, (mesh, fmt) in enumerate(zip(meshes, formats)):
-                path = out / f"solution_s{idx:03d}_cavity{j}.csv"
-                save_solution_csv(path, mesh, sol.fields[j], fmt)
-                manifest.add_output(path)
+        write(map(solve_group, groups))
     manifest.wall_times["solves"] = time.perf_counter() - t0
     manifest.metrics["dofs"] = solver.pattern.shape[0]
-    if solved:
-        sols = [sol for sol, _ in solved]
-        worst = max(range(len(sols)), key=lambda i: sols[i].residual)
-        manifest.metrics["lu_nnz"] = max(sol.lu_nnz for sol in sols)
-        manifest.metrics["max_residual"] = sols[worst].residual
-        s = sols[worst].s
-        manifest.metrics["worst_frequency"] = {"index": worst, "s": [s.real, s.imag]}
+    # Only a solve that factorized its own operator reports LU fill.
+    manifest.metrics["factorizations"] = sum(nnz > 0 for _, nnz, _ in solves)
+    manifest.metrics["ordering"] = ORDERING
+    manifest.metrics["lu_nnz"] = max(nnz for _, nnz, _ in solves)
+    worst = max(range(len(solves)), key=lambda i: solves[i][0])
+    residual, _, s = solves[worst]
+    manifest.metrics["max_residual"] = residual
+    manifest.metrics["worst_frequency"] = {"index": worst, "s": [s.real, s.imag]}
 
     table = out / "estimate_report.csv"
     write_csv(
@@ -401,6 +414,8 @@ def cmd_solve_time(args) -> int:
     sol = run_time_domain(scene, meshes, grid, pw, scheme)
     manifest.wall_times["time-solve"] = time.perf_counter() - t0
     manifest.metrics["dofs"] = sol.n_dofs
+    manifest.metrics["factorizations"] = 1  # the march's one step matrix
+    manifest.metrics["ordering"] = ORDERING
     manifest.metrics["lu_nnz"] = sol.lu_nnz
     manifest.metrics["max_residual"] = sol.max_residual
     manifest.metrics["worst_step"] = {

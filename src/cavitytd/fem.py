@@ -38,6 +38,7 @@ from .scene import CavitySpec, Mesh, Scene
 from .trace import DtnSymbol, TraceGrid, TraceVector, apply_B_columns
 
 __all__ = [
+    "ORDERING",
     "FemMatrices",
     "SystemOperator",
     "SystemPattern",
@@ -439,6 +440,10 @@ def _real_if_real(s: complex) -> float | complex:
     return s.real if s.imag == 0.0 else s
 
 
+# SuperLU's fill-reducing column ordering, the only one the package uses.
+ORDERING = "MMD_AT_PLUS_A"
+
+
 def _elimination_order(proxy: sp.csc_matrix) -> np.ndarray:
     """SuperLU's MMD_AT_PLUS_A column order (perm_c) for the proxy's pattern.
 
@@ -449,7 +454,7 @@ def _elimination_order(proxy: sp.csc_matrix) -> np.ndarray:
     of the aperture block) gives the order every frequency would compute.
     """
     try:
-        lu = spla.splu(proxy, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = spla.splu(proxy, permc_spec=ORDERING, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationFailure(f"ordering analysis failed: {exc}") from exc
     return lu.perm_c.astype(np.int64)

@@ -5,9 +5,15 @@ frequency (the per-cavity matrices, the sparsity pattern of the coupled
 system, its elimination order and the aperture restriction) is built
 once, and each solve fills the pattern's values at its s, factorizes,
 solves, certifies the relative residual and drops the factorization.
-Nothing is cached across frequencies, so memory stays flat in the number
-of solves and at most one factorization per worker thread is alive.  The
-estimate report measures the discrete counterpart of the resolvent bound
+
+A sweep is solved in groups of nearby frequencies (`frequency_groups`).
+The first frequency of a group, its anchor, is solved directly; the
+others are solved by conjugate gradients on their own operator,
+preconditioned by the anchor's factorization, and carry the same
+residual certificate.  The anchor's factorization is dropped when its
+group ends, so memory stays flat in the number of solves and at most one
+factorization per worker thread is alive.  The estimate report measures
+the discrete counterpart of the resolvent bound
 
     ||grad u|| + ||s u||  <=  C * |s| / Re(s) * ||data||_{-1/2}
 
@@ -38,6 +44,7 @@ __all__ = [
     "FrequencySolution",
     "FrequencySolver",
     "certified_solve",
+    "frequency_groups",
     "solve_frequency",
     "estimate_report",
     "save_solution_csv",
@@ -46,13 +53,22 @@ __all__ = [
 
 _RESIDUAL_LIMIT = 1e-10
 
+# A sweep frequency joins its group while |s - s_anchor| <= _GROUP_RADIUS
+# * |s_anchor|.  A group member's CG stops at a relative residual of
+# _CG_TOL, 1000x under the certificate; one that has not converged after
+# _CG_MAX_ITER iterations is factorized and becomes the group's anchor.
+_GROUP_RADIUS = 0.25
+_CG_TOL = 1e-13
+_CG_MAX_ITER = 20
+
 
 @dataclass
 class FrequencySolution:
     """Complex nodal fields at one frequency, full node set per cavity.
 
     residual is the relative residual of the solve and lu_nnz the fill of
-    its factorization (0 for a zero load, which needs none).  At real s
+    its factorization: 0 for a zero load, which needs none, and for a
+    sweep member solved on its group anchor's factorization.  At real s
     with real data the fields have exactly zero imaginary parts.
     """
 
@@ -66,13 +82,14 @@ class FrequencySolution:
 
 
 class FrequencySolver:
-    """Streaming direct solver: fixed pattern, one short-lived LU per solve.
+    """Streaming solver: fixed pattern, short-lived LUs.
 
     Construction assembles the cavities and the coupled sparsity pattern
     with its elimination order; `operator(s)` returns a fresh,
-    unfactorized SystemOperator, and the solve methods factorize it,
-    check the relative residual against 1e-10 and let the factorization
-    go when they return.
+    unfactorized SystemOperator.  The solve methods check every relative
+    residual against 1e-10 and let each factorization go when they
+    return: `solve` holds one LU for one frequency, `solve_group` one LU
+    at a time for a group of nearby frequencies.
     """
 
     def __init__(
@@ -110,15 +127,49 @@ class FrequencySolver:
             out.append(full)
         return out
 
-    def solve(self, s: complex, data: TraceVector) -> FrequencySolution:
-        """Solve the coupled problem at s for aperture data (Re s > 0)."""
-        op = self.operator(s)
+    def solve(
+        self, s: complex, data: TraceVector, op: SystemOperator | None = None
+    ) -> FrequencySolution:
+        """Direct solve of the coupled problem at s for aperture data (Re s > 0).
+
+        `op` is `self.operator(s)` when the caller built it; the caller
+        then keeps the factorization for as long as it keeps `op`.
+        """
+        if op is None:
+            op = self.operator(s)
         x, residual = certified_solve(op, self.load(data), f"at s={s}")
+        return self._solution(s, x, residual, op.lu_nnz)
+
+    def solve_group(
+        self, s_values: list[complex], data: list[TraceVector]
+    ) -> list[FrequencySolution]:
+        """Solve one group of `frequency_groups` on its anchor's factorization.
+
+        The first frequency, the anchor, is a direct solve.  Each other one
+        runs preconditioned CG on its own operator (`_anchored_cg`) and is
+        certified like a direct solve; one whose CG does not converge is
+        solved directly and becomes the anchor for the rest of the group.
+        """
+        out = []
+        anchor = None
+        for s, d in zip(s_values, data):
+            op = self.operator(s)
+            if anchor is not None:
+                b = self.load(d)
+                x = _anchored_cg(op, anchor, b)
+                if x is not None:
+                    residual = _certify(op, x, b, f"at s={s}")
+                    out.append(self._solution(s, x, residual, 0))
+                    continue
+            anchor = None  # drop the old LU before factorizing the new one
+            out.append(self.solve(s, d, op))
+            # A zero load leaves op unfactorized; it cannot precondition.
+            anchor = op if op.lu_nnz else None
+        return out
+
+    def _solution(self, s, x, residual, lu_nnz) -> FrequencySolution:
         return FrequencySolution(
-            s=complex(s),
-            fields=self.expand(x),
-            residual=residual,
-            lu_nnz=op.lu_nnz,
+            s=complex(s), fields=self.expand(x), residual=residual, lu_nnz=lu_nnz
         )
 
     def solve_load(
@@ -142,13 +193,85 @@ def certified_solve(op: SystemOperator, b: np.ndarray, where: str) -> tuple[np.n
     if not np.any(b):
         return np.zeros_like(b), 0.0
     x = op.solve(b)
+    return x, _certify(op, x, b, where)
+
+
+def _certify(op: SystemOperator, x: np.ndarray, b: np.ndarray, where: str) -> float:
+    """Relative residual of x for op x = b (one matvec), at most 1e-10.
+
+    A larger residual raises FactorizationFailure with `where` naming the
+    solve; a zero load has residual 0.
+    """
+    if not np.any(b):
+        return 0.0
     residual = float(np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b))
     if not residual <= _RESIDUAL_LIMIT:
         raise FactorizationFailure(
-            f"direct solve residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_LIMIT} {where}"
+            f"solve residual {residual:.3e} exceeds {_RESIDUAL_LIMIT} {where}"
         )
-    return x, residual
+    return residual
+
+
+def frequency_groups(s_values) -> list[list[complex]]:
+    """Split s_values, in order, into groups of nearby frequencies.
+
+    A frequency joins the current group while it lies within
+    _GROUP_RADIUS * |s_anchor| of the group's first frequency s_anchor,
+    and starts a new group otherwise.
+    """
+    groups: list[list[complex]] = []
+    for s in map(complex, s_values):
+        if groups and abs(s - groups[-1][0]) <= _GROUP_RADIUS * abs(groups[-1][0]):
+            groups[-1].append(s)
+        else:
+            groups.append([s])
+    return groups
+
+
+def _anchored_cg(
+    op: SystemOperator, anchor: SystemOperator, b: np.ndarray
+) -> np.ndarray | None:
+    """Solve op x = b by CG preconditioned with anchor's factorization.
+
+    Returns None when CG has not reached a relative residual of _CG_TOL
+    within _CG_MAX_ITER iterations.  A complex load on a real operator is
+    solved as its real and imaginary parts, each kept real, so at real s
+    the solution of real data has imaginary parts exactly 0.
+    """
+    if not np.any(b):
+        return np.zeros_like(b)
+    if np.iscomplexobj(op.matrix.data) or not np.iscomplexobj(b):
+        return _cocg(op, anchor, b)
+    x = np.zeros(b.shape, dtype=np.complex128)
+    for part, target in ((b.real, x.real), (b.imag, x.imag)):
+        if np.any(part):
+            y = _cocg(op, anchor, np.ascontiguousarray(part))
+            if y is None:
+                return None
+            # The exact solution is real; a complex anchor adds only round-off.
+            target[...] = y.real
+    return x
+
+
+def _cocg(op: SystemOperator, anchor: SystemOperator, b: np.ndarray) -> np.ndarray | None:
+    # Conjugate orthogonal CG: the recurrence of CG in the unconjugated form
+    # x^T y.  It is plain CG on the real symmetric operators of real s and
+    # serves the complex symmetric ones as well; x0 = anchor^-1 b.
+    tol = _CG_TOL * np.linalg.norm(b)
+    x = anchor.solve(b)
+    r = b - op.matvec(x)
+    p, rz = None, 1.0
+    for _ in range(_CG_MAX_ITER):
+        if np.linalg.norm(r) <= tol:
+            return x
+        z = anchor.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z if p is None else z + (rz / rz_old) * p
+        q = op.matvec(p)
+        alpha = rz / (p @ q)
+        x = x + alpha * p
+        r = r - alpha * q
+    return x if np.linalg.norm(r) <= tol else None
 
 
 def solve_frequency(

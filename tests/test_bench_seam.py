@@ -7,15 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cavitytd.freq import frequency_groups
 from test_cli import small_config, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def traced_layers(tmp_path, command):
-    config = write_config(tmp_path, small_config())
+def traced_layers(tmp_path, command, config=None):
+    config = write_config(tmp_path, small_config() if config is None else config)
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ untouched
     env["PYTHONPATH"] = os.pathsep.join(
@@ -48,3 +50,15 @@ def test_traced_run_opens_every_expected_span(tmp_path, command):
     else:
         solves = len(small_config()["sweep"]["s_values"])
     assert layers["fem.factorizations"] == solves + 1
+
+
+def test_traced_dense_sweep_shares_factorizations(tmp_path):
+    # 24 frequencies over [0.5, 4] fall in a few groups: one factorization
+    # per group plus the ordering analysis, one build per frequency.
+    sweep = {"s_re": [0.5, 4.0], "count": 24, "s_im": 0.0}
+    layers = traced_layers(tmp_path, "solve-freq", small_config(sweep=sweep))
+    s_values = np.geomspace(0.5, 4.0, 24)
+    groups = len(frequency_groups(s_values))
+    assert layers["fem.builds"] == s_values.size
+    assert layers["fem.factorizations"] == groups + 1 < s_values.size + 1
+    assert layers["freq.lu_held"] == 1

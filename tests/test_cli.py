@@ -110,6 +110,9 @@ class TestSolveFreq:
         assert manifest["metrics"]["trace"] == {"L": 4.0, "N": 64}
         metrics = manifest["metrics"]
         assert metrics["dofs"] > 0 and metrics["lu_nnz"] > 0
+        # 1 and 2+1j lie too far apart to share a factorization.
+        assert metrics["factorizations"] == 2
+        assert metrics["ordering"] == "MMD_AT_PLUS_A"
         assert 0.0 < metrics["max_residual"] <= 1e-10
         worst = metrics["worst_frequency"]
         assert worst["s"] == small_config()["sweep"]["s_values"][worst["index"]]
@@ -146,6 +149,9 @@ class TestSolveFreq:
             ("solve-freq", (), None, ["--s", "1+nanj"], "ConfigError"),
             ("solve-freq", ("sweep", "s_values", 1), [math.nan, 0.0], [], "ConfigError"),
             ("solve-freq", ("sweep", "s_values", 1), [0.0, 1.0], [], "DomainError"),
+            ("solve-freq", ("sweep",), {"s_values": []}, [], "ConfigError"),
+            ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": 0}, [], "ConfigError"),
+            ("solve-freq", (), None, ["--s", ","], "ConfigError"),
             ("solve-time", ("scene", "eps0"), math.nan, [], "ConfigError"),
             ("solve-time", ("incident", "profile", "center"), math.nan, [], "ConfigError"),
             ("solve-time", ("incident", "profile", "width"), math.nan, [], "ConfigError"),
@@ -165,6 +171,7 @@ class TestSolveFreq:
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
+             "sweep-s-values-empty", "sweep-count-zero", "s-flag-empty",
              "eps0-nan",
              "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
              "dt-infinity", "steps-infinity", "mesh-h-nan", "cavity-depth-nan",
@@ -221,22 +228,26 @@ class TestSolveFreq:
 
     def test_threads_byte_identical(self, tmp_path):
         # Complex and real frequencies: the outputs and the manifest's solve
-        # record do not depend on the thread count.
-        for s_im in (0.5, 0.0):
-            config = small_config(sweep={"s_re": [0.5, 4.0], "count": 6, "s_im": s_im})
+        # record do not depend on the thread count.  Over [0.5, 4] six
+        # frequencies are six groups of one; 24 put several frequencies in
+        # each group, so the concurrent groups solve anchored members.
+        for s_im, count in ((0.5, 6), (0.0, 6), (0.0, 24), (0.5, 24)):
+            config = small_config(sweep={"s_re": [0.5, 4.0], "count": count, "s_im": s_im})
             path = write_config(tmp_path, config)
             blobs = []
             for threads in ("1", "3"):
-                out = tmp_path / f"{s_im}-{threads}"
+                out = tmp_path / f"{s_im}-{count}-{threads}"
                 assert main(["solve-freq", "--config", str(path), "--out", str(out),
                              "--threads", threads]) == 0
                 metrics = json.loads((out / "manifest.json").read_text())["metrics"]
-                record = [metrics[k] for k in
-                          ("dofs", "lu_nnz", "max_residual", "worst_frequency")]
+                record = [metrics[k] for k in ("dofs", "factorizations", "lu_nnz",
+                                               "max_residual", "worst_frequency")]
                 files = sorted(out.glob("*.csv"))
                 blobs.append((record, [p.name for p in files],
                               [p.read_bytes() for p in files]))
             assert blobs[0] == blobs[1]
+            factorizations = blobs[0][0][1]
+            assert factorizations == count if count == 6 else factorizations < count
 
     def test_tm_scene_exit_2(self, tmp_path):
         config = small_config()
@@ -276,6 +287,8 @@ class TestSolveTime:
         worst = manifest["metrics"]["worst_step"]
         assert 0 <= worst["step"] <= 64 and worst["t"] == 0.125 * worst["step"]
         assert manifest["metrics"]["dofs"] > 0 and manifest["metrics"]["lu_nnz"] > 0
+        assert manifest["metrics"]["factorizations"] == 1
+        assert manifest["metrics"]["ordering"] == "MMD_AT_PLUS_A"
         assert manifest["scheme"] == {"dt": 0.125, "steps": 64}
         # Each check's verdict sits next to the value and limit it came from.
         metrics = manifest["metrics"]

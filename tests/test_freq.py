@@ -1,3 +1,4 @@
+import re
 import threading
 import weakref
 
@@ -6,10 +7,16 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import cavitytd as ct
+from cavitytd import freq
 from cavitytd.cq import CqScheme, cq_frequencies
-from cavitytd.errors import DomainError
+from cavitytd.errors import DomainError, FactorizationFailure
 from cavitytd.fem import SystemOperator
-from cavitytd.freq import FrequencySolver, estimate_report, save_solution_csv
+from cavitytd.freq import (
+    FrequencySolver,
+    estimate_report,
+    frequency_groups,
+    save_solution_csv,
+)
 from cavitytd.trace import TraceVector
 
 from conftest import load_reference
@@ -98,6 +105,15 @@ class TestSolveFrequency:
         s = 1.1 + 2.2j
         solver.solve(s, ct.boundary_data_freq(gaussian_wave, unit_grid, s))
         assert live[0] == 0
+        # A sweep group holds its anchor's LU until the group ends, and
+        # drops it before a CG miss factorizes the next anchor.
+        group = [1.0, 1.1, 1.2 + 0.1j, 1.24]
+        data = [ct.boundary_data_freq(gaussian_wave, unit_grid, s) for s in group]
+        for cap in (freq._CG_MAX_ITER, 0):
+            monkeypatch.setattr(freq, "_CG_MAX_ITER", cap)
+            solver.solve_group(group, data)
+            assert live[0] == 0
+        assert peak[0] == 1
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +242,92 @@ class TestMultiCavity:
                 )
             diffs.append(worst)
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+# A dense real sweep and a complex sweep s = 0.5 + i*omega on reference_two.
+SWEEPS = {
+    "real": [complex(v) for v in np.geomspace(0.25, 8.0, 48)],
+    "complex": [complex(0.5, w) for w in np.linspace(0.5, 6.0, 32)],
+}
+
+
+@pytest.fixture(scope="module")
+def two_sweeps():
+    """reference_two's solver and wave, and per sweep its data and direct
+    solutions."""
+    _, scene, meshes, grid, pw, _ = load_reference("reference_two")
+    solver = FrequencySolver(scene, meshes, grid)
+    out = {}
+    for kind, s_values in SWEEPS.items():
+        data = [ct.boundary_data_freq(pw, grid, s) for s in s_values]
+        out[kind] = data, [solver.solve(s, d) for s, d in zip(s_values, data)]
+    return solver, pw, out
+
+
+def anchored_sweep(solver, s_values, data):
+    sols = []
+    for group in frequency_groups(s_values):
+        sols += solver.solve_group(group, data[len(sols) : len(sols) + len(group)])
+    return sols
+
+
+def relative_difference(sol, ref):
+    diff = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(sol.fields, ref.fields)))
+    return diff / ref.norm()
+
+
+class TestAnchoredSweep:
+    def test_groups_by_distance_to_first_member(self):
+        s_values = [1.0, 1.2, 1.25, 1.26, 1.26 + 0.3j, 4.0, 5.0, 5.01, 1.0]
+        assert frequency_groups(s_values) == [
+            [1.0, 1.2, 1.25], [1.26, 1.26 + 0.3j], [4.0, 5.0], [5.01], [1.0]
+        ]
+        assert frequency_groups([]) == []
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_matches_direct_solves(self, two_sweeps, kind):
+        solver, _, sweeps = two_sweeps
+        data, direct = sweeps[kind]
+        sols = anchored_sweep(solver, SWEEPS[kind], data)
+        factorizations = sum(sol.lu_nnz > 0 for sol in sols)
+        assert factorizations == len(frequency_groups(SWEEPS[kind]))
+        assert factorizations < len(sols)
+        for s, sol, ref in zip(SWEEPS[kind], sols, direct):
+            assert sol.s == s and 0.0 < sol.residual <= 1e-10
+            assert relative_difference(sol, ref) <= 1e-12
+            if s.imag == 0.0:
+                assert all(np.all(f.imag == 0.0) for f in sol.fields)
+
+    def test_real_member_of_complex_anchor_stays_real(self, two_sweeps):
+        # The real s joins the group of a complex anchor: its CG iterates
+        # are complex, and the solution keeps their exactly real part.
+        solver, pw, _ = two_sweeps
+        s_values = [1.0 + 0.2j, 1.1]
+        data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
+        anchor, member = solver.solve_group(s_values, data)
+        ref = solver.solve(s_values[1], data[1])
+        assert anchor.lu_nnz > 0 and member.lu_nnz == 0
+        assert all(np.all(f.imag == 0.0) for f in member.fields)
+        assert relative_difference(member, ref) <= 1e-12
+
+    def test_member_certificate_miss_names_its_frequency(self, two_sweeps, monkeypatch):
+        # CG stopped far above the certificate: the member's fresh residual
+        # fails the 1e-10 check, and the error names the member.
+        monkeypatch.setattr(freq, "_CG_TOL", 1e-6)
+        solver, _, sweeps = two_sweeps
+        s_values, data = SWEEPS["real"][:2], sweeps["real"][0][:2]
+        assert len(frequency_groups(s_values)) == 1
+        with pytest.raises(FactorizationFailure, match=re.escape(f"at s={s_values[1]}")):
+            solver.solve_group(s_values, data)
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_cg_cap_zero_makes_every_frequency_an_anchor(self, two_sweeps, kind,
+                                                         monkeypatch):
+        monkeypatch.setattr(freq, "_CG_MAX_ITER", 0)
+        solver, _, sweeps = two_sweeps
+        data, direct = sweeps[kind]
+        sols = anchored_sweep(solver, SWEEPS[kind], data)
+        for sol, ref in zip(sols, direct):
+            assert sol.lu_nnz == ref.lu_nnz > 0
+            assert sol.residual == ref.residual
+            assert all(np.array_equal(a, b) for a, b in zip(sol.fields, ref.fields))
