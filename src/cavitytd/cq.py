@@ -219,9 +219,7 @@ def run_time_domain(
     fems = solver.fems
     s0 = 1.5 / dt
     # A(s0) is real at the real s0, and so is W0.
-    w0 = SystemOperator(
-        s=s0, matrix=s0 * solver.operator(s0).matrix, fems=fems, pattern=solver.pattern
-    )
+    w0 = SystemOperator(s=s0, matrix=s0 * solver.operator(s0).matrix, fems=fems)
     lu_nnz = w0.factorize().nnz
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 

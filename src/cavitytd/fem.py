@@ -11,10 +11,10 @@ shared line operator: the assembled action at frequency s is
 
 with Q the uniform line quadrature and B the FFT boundary operator over
 the union of the zero-extended aperture traces.  The coupled matrix lives
-on one sparsity pattern per scene (SystemPattern), built once together
-with its fill-reducing elimination order; a frequency only fills its
-values.  B is a circulant on the uniform grid, so one FFT kernel column
-per frequency gives the whole aperture block.  At real s the symbol is
+on one sparsity pattern per scene (SystemPattern), built once; a
+frequency only fills its values, and SuperLU orders each factorization.
+B is a circulant on the uniform grid, so one FFT kernel column per
+frequency gives the whole aperture block.  At real s the symbol is
 real, so the matrix is real symmetric and is built, factorized and solved
 in real arithmetic; otherwise it is complex symmetric.
 """
@@ -250,15 +250,13 @@ def restrict_loads(loads: list[np.ndarray], fems: list[FemMatrices]) -> np.ndarr
 class SystemOperator:
     """Frequency-domain coupled operator with a lazy direct factorization.
 
-    matrix is in the natural DOF order; the factorization runs on its
-    symmetric permutation into the pattern's precomputed elimination
-    order, and solve maps the load and the solution across it.
+    SuperLU orders each factorization itself, by minimum degree on
+    A^T + A in symmetric mode (ORDERING).
     """
 
     s: complex
     matrix: sp.csc_matrix
     fems: list[FemMatrices]
-    pattern: SystemPattern
     _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
@@ -270,17 +268,12 @@ class SystemOperator:
 
     def factorize(self) -> spla.SuperLU:
         if self._lu is None:
-            p = self.pattern
-            permuted = sp.csc_matrix(
-                (self.matrix.data[p.perm_gather], p.perm_indices, p.perm_indptr),
-                shape=p.shape,
-            )
-            # The ordering is already applied, so SuperLU must not reorder;
-            # symmetric mode prefers diagonal pivots, and partial pivoting
+            # Symmetric mode keeps the minimum-degree order (no elimination-
+            # tree post-order) and prefers diagonal pivots; partial pivoting
             # keeps its default threshold.
             try:
                 self._lu = spla.splu(
-                    permuted, permc_spec="NATURAL", options={"SymmetricMode": True}
+                    self.matrix, permc_spec=ORDERING, options={"SymmetricMode": True}
                 )
             except RuntimeError as exc:
                 raise FactorizationFailure(
@@ -294,22 +287,17 @@ class SystemOperator:
         return 0 if self._lu is None else self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve in the pattern's order; a complex load on a real matrix is
+        """Solve with the factorization; a complex load on a real matrix is
         solved as its real and imaginary parts, skipping an all-zero one."""
-        order = self.pattern.order
         lu = self.factorize()
-        b = b[order]
         if np.iscomplexobj(b) and not np.iscomplexobj(self.matrix.data):
-            y = np.zeros(b.shape, dtype=np.complex128)
+            x = np.zeros(b.shape, dtype=np.complex128)
             if np.any(b.real):
-                y.real = lu.solve(np.ascontiguousarray(b.real))
+                x.real = lu.solve(np.ascontiguousarray(b.real))
             if np.any(b.imag):
-                y.imag = lu.solve(np.ascontiguousarray(b.imag))
-        else:
-            y = lu.solve(b)
-        x = np.empty_like(y)
-        x[order] = y
-        return x
+                x.imag = lu.solve(np.ascontiguousarray(b.imag))
+            return x
+        return lu.solve(b)
 
     def restrict_loads(self, loads: list[np.ndarray]) -> np.ndarray:
         return restrict_loads(loads, self.fems)
@@ -331,11 +319,6 @@ class SystemPattern:
     The coupling block is therefore rt (dx B) rt^T, where rt is the sparse
     transpose of the restriction onto the aperture columns, limited to the
     trace samples k under the apertures.
-
-    The fill-reducing elimination order is computed once, because it
-    depends only on the pattern: order[j] is the DOF eliminated j-th, and
-    the permuted matrix has the CSC structure perm_indptr / perm_indices
-    with data[perm_gather] as its values.
     """
 
     shape: tuple[int, int]
@@ -348,10 +331,6 @@ class SystemPattern:
     rt: sp.csr_matrix
     lag: np.ndarray
     free_offsets: np.ndarray
-    order: np.ndarray
-    perm_indptr: np.ndarray
-    perm_indices: np.ndarray
-    perm_gather: np.ndarray
 
     @classmethod
     def from_fems(cls, fems: list[FemMatrices]) -> "SystemPattern":
@@ -383,32 +362,17 @@ class SystemPattern:
         keys, inverse = np.unique(np.concatenate([vol_keys, ap_keys]), return_inverse=True)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
         indices = keys % n
-        vol_index = inverse[: vol_keys.size]
-        proxy = np.zeros(indices.size)
-        proxy[vol_index] = mass + stiffness
-        perm_c = _elimination_order(sp.csc_matrix((proxy, indices, indptr), shape=(n, n)))
-
-        # Position of every pattern entry in the permuted matrix P A P^T.
-        new_cols = perm_c[np.repeat(np.arange(n), np.diff(indptr))]
-        perm_keys = new_cols * n + perm_c[indices]
-        gather = np.argsort(perm_keys)
         return cls(
             shape=(n, n),
             indptr=indptr.astype(np.int32),
             indices=indices.astype(np.int32),
-            vol_index=vol_index,
+            vol_index=inverse[: vol_keys.size],
             mass=mass,
             stiffness=stiffness,
             ap_index=inverse[vol_keys.size :],
             rt=r_ap[samples].T.tocsr(),
             lag=(samples[:, None] - samples[None, :]) % r_stack.shape[0],
             free_offsets=offsets,
-            order=np.argsort(perm_c),
-            perm_indptr=np.concatenate(
-                [[0], np.cumsum(np.bincount(new_cols, minlength=n))]
-            ).astype(np.int32),
-            perm_indices=(perm_keys[gather] % n).astype(np.int32),
-            perm_gather=gather,
         )
 
     def coupling(self, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
@@ -444,22 +408,6 @@ def _real_if_real(s: complex) -> float | complex:
 ORDERING = "MMD_AT_PLUS_A"
 
 
-def _elimination_order(proxy: sp.csc_matrix) -> np.ndarray:
-    """SuperLU's MMD_AT_PLUS_A column order (perm_c) for the proxy's pattern.
-
-    Minimum degree on A^T + A reads only the sparsity, and symmetric mode
-    applies no elimination-tree post-order (which would roughly double
-    the fill at CQ nodes), so one factorization of a real proxy with the
-    coupled pattern (the volume values M + K, explicit zeros on the rest
-    of the aperture block) gives the order every frequency would compute.
-    """
-    try:
-        lu = spla.splu(proxy, permc_spec=ORDERING, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise FactorizationFailure(f"ordering analysis failed: {exc}") from exc
-    return lu.perm_c.astype(np.int64)
-
-
 def build_system(
     scene: Scene,
     meshes: list[Mesh],
@@ -475,7 +423,7 @@ def build_system(
     diagonal per cavity.  Pass the pattern of `fems` to skip rebuilding it.
     """
     s = complex(s)
-    if s.real <= 0.0:
+    if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     if scene.polarization != "TE":
         raise UnsupportedPolarization(
@@ -495,7 +443,6 @@ def build_system(
         s=s,
         matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=fems,
-        pattern=pattern,
     )
 
 
@@ -513,7 +460,7 @@ def build_system_single(
     kernel; the general path with one cavity must reproduce it bit for bit.
     """
     s = complex(s)
-    if s.real <= 0.0:
+    if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     if scene.n_cavities != 1:
         raise DimensionMismatch("single-cavity path requires exactly one cavity")
@@ -524,5 +471,4 @@ def build_system_single(
         s=s,
         matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
         fems=[fem],
-        pattern=pattern,
     )

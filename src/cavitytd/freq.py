@@ -2,9 +2,9 @@
 
 The solver is a streaming engine: everything that does not depend on the
 frequency (the per-cavity matrices, the sparsity pattern of the coupled
-system, its elimination order and the aperture restriction) is built
-once, and each solve fills the pattern's values at its s, factorizes,
-solves, certifies the relative residual and drops the factorization.
+system and the aperture restriction) is built once, and each solve fills
+the pattern's values at its s, factorizes, solves, certifies the relative
+residual and drops the factorization.
 
 A sweep is solved in groups of nearby frequencies (`frequency_groups`).
 The first frequency of a group, its anchor, is solved directly; the
@@ -84,12 +84,12 @@ class FrequencySolution:
 class FrequencySolver:
     """Streaming solver: fixed pattern, short-lived LUs.
 
-    Construction assembles the cavities and the coupled sparsity pattern
-    with its elimination order; `operator(s)` returns a fresh,
-    unfactorized SystemOperator.  The solve methods check every relative
-    residual against 1e-10 and let each factorization go when they
-    return: `solve` holds one LU for one frequency, `solve_group` one LU
-    at a time for a group of nearby frequencies.
+    Construction assembles the cavities and the coupled sparsity pattern;
+    `operator(s)` returns a fresh, unfactorized SystemOperator, which
+    SuperLU orders when it factorizes.  The solve methods check every
+    relative residual against 1e-10 and let each factorization go when
+    they return: `solve` holds one LU for one frequency, `solve_group`
+    one LU at a time for a group of nearby frequencies.
     """
 
     def __init__(

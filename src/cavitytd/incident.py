@@ -268,7 +268,7 @@ def boundary_data_freq(
     """
     pw._require_te()
     s = complex(s)
-    if s.real <= 0.0:
+    if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     if pw.profile.kind == GAUSSIAN:
         vals = _gaussian_g_laplace(pw, grid.x, s)

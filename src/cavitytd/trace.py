@@ -184,7 +184,7 @@ def beta(xi, s: complex, c: float):
     Re s > 0; an explicit failure beats a silent branch flip).
     """
     s = complex(s)
-    if s.real <= 0.0:
+    if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     if c <= 0.0:
         raise DomainError(f"light speed must be positive, got {c}")
@@ -350,7 +350,7 @@ def passivity_defect(
     D >= 0 exact up to roundoff.
     """
     s = complex(s)
-    if s.real <= 0.0:
+    if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     total = np.zeros(grid.N, dtype=np.complex128)
     for t in traces:

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def traced_layers(tmp_path, command, config=None):
+    """The traced run's per-layer record and its manifest's metrics."""
     config = write_config(tmp_path, small_config() if config is None else config)
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ untouched
@@ -31,15 +32,15 @@ def traced_layers(tmp_path, command, config=None):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(result.read_text())["layers"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    return json.loads(result.read_text())["layers"], manifest["metrics"]
 
 
 @pytest.mark.parametrize("command", ["solve-time", "solve-freq"])
 def test_traced_run_opens_every_expected_span(tmp_path, command):
-    layers = traced_layers(tmp_path, command)
+    layers, metrics = traced_layers(tmp_path, command)
     assert layers["fem.assemble_calls"] == 1
-    # One kernel column per build, and one ordering analysis per solver
-    # besides the factorizations of the solves.
+    # One kernel column per build.
     assert layers["trace.fft_columns"] == layers["fem.builds"]
     if command == "solve-time":
         # The march builds and factorizes one step matrix and solves no
@@ -49,16 +50,18 @@ def test_traced_run_opens_every_expected_span(tmp_path, command):
         solves = 1
     else:
         solves = len(small_config()["sweep"]["s_values"])
-    assert layers["fem.factorizations"] == solves + 1
+    # Every LU the tracer sees is one the manifest counts.
+    assert layers["fem.factorizations"] == metrics["factorizations"] == solves
 
 
 def test_traced_dense_sweep_shares_factorizations(tmp_path):
     # 24 frequencies over [0.5, 4] fall in a few groups: one factorization
-    # per group plus the ordering analysis, one build per frequency.
+    # per group, one build per frequency.
     sweep = {"s_re": [0.5, 4.0], "count": 24, "s_im": 0.0}
-    layers = traced_layers(tmp_path, "solve-freq", small_config(sweep=sweep))
+    layers, metrics = traced_layers(tmp_path, "solve-freq", small_config(sweep=sweep))
     s_values = np.geomspace(0.5, 4.0, 24)
     groups = len(frequency_groups(s_values))
     assert layers["fem.builds"] == s_values.size
-    assert layers["fem.factorizations"] == groups + 1 < s_values.size + 1
+    assert layers["fem.factorizations"] == groups < s_values.size
+    assert metrics["factorizations"] == groups
     assert layers["freq.lu_held"] == 1

@@ -109,9 +109,8 @@ class TestRunTimeDomain:
         monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         assert 0.0 < sol.imag_residue <= 1e-10
-        # One factorization of the step matrix, plus the solver's one
-        # ordering analysis, whatever the step count.
-        assert len(calls) == 2
+        # One factorization of the step matrix, whatever the step count.
+        assert len(calls) == 1
         assert sol.lu_nnz > 0 and sol.n_dofs > 0
 
     def test_imag_residue_detects_injected_imag(self, unit_scene, unit_meshes, unit_grid,

@@ -34,8 +34,9 @@ class TestSolveFrequency:
         assert sol.residual == 0.0
 
     def test_rejects_bad_frequency(self, unit_solver, unit_grid):
-        with pytest.raises(DomainError):
-            unit_solver.solve(-1.0 + 0.0j, TraceVector.zero(unit_grid))
+        for s in (-1.0 + 0.0j, complex("nan")):
+            with pytest.raises(DomainError):
+                unit_solver.solve(s, TraceVector.zero(unit_grid))
 
     def test_residual_small(self, unit_solver, unit_grid, gaussian_wave):
         s = 1.3 + 0.9j
@@ -144,6 +145,7 @@ class TestFactorization:
         op = solver.operator(s_nodes[1])
         lu = op.factorize()
         assert op.n_dofs == 229
+        assert lu.nnz == 4056
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert lu.nnz < spla.splu(op.matrix, permc_spec="MMD_AT_PLUS_A").nnz
 

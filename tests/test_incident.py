@@ -187,8 +187,9 @@ class TestBoundaryDataFreq:
 
     def test_rejects_bad_frequency(self, gauss, unit_grid):
         pw = ct.PlaneWave(profile=gauss, theta=1.0)
-        with pytest.raises(DomainError):
-            ct.boundary_data_freq(pw, unit_grid, -1.0 + 0.0j)
+        for s in (-1.0 + 0.0j, complex("nan")):
+            with pytest.raises(DomainError):
+                ct.boundary_data_freq(pw, unit_grid, s)
 
     def test_closed_form_against_quadrature(self, gauss, unit_grid, rng):
         # Independent oracle: direct numerical Laplace transform of g(x, .)

@@ -26,6 +26,8 @@ class TestBeta:
             ct.beta(1.0, -0.5 + 1.0j, 1.0)
         with pytest.raises(DomainError):
             ct.beta(1.0, 0.0 + 1.0j, 1.0)
+        with pytest.raises(DomainError):
+            ct.beta(0.5, complex("nan"), 1.0)
 
     def test_rejects_bad_speed(self):
         with pytest.raises(DomainError):
@@ -276,8 +278,9 @@ class TestPassivity:
             assert ct.passivity_defect(traces[:1], s, 1.0, two_grid, SYM) >= -1e-12 * scale
 
     def test_rejects_bad_frequency(self, unit_grid):
-        with pytest.raises(DomainError):
-            ct.passivity_defect([TraceVector.zero(unit_grid)], -1.0, 1.0, unit_grid, SYM)
+        for s in (-1.0, complex("nan")):
+            with pytest.raises(DomainError):
+                ct.passivity_defect([TraceVector.zero(unit_grid)], s, 1.0, unit_grid, SYM)
 
 
 class TestPropagate:
