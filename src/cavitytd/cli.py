@@ -423,7 +423,7 @@ def cmd_solve_time(args) -> int:
     }
 
     series = boundary_data_bundle(pw, grid, sol.times)
-    et = diagnostics.energy(sol, meshes, scene, fems=sol.fems, series=series, grid=grid)
+    et = diagnostics.energy(sol, series, grid)
     energy_path = out / "energy.csv"
     diagnostics.save_energy_csv(energy_path, et)
     manifest.add_output(energy_path)
@@ -432,8 +432,8 @@ def cmd_solve_time(args) -> int:
     violation = diagnostics.dissipation_violation(et, t_star)
     manifest.record_check("energy-dissipation", "dissipation_violation", violation, 1e-8)
 
-    stability = diagnostics.stability_check(sol, series, grid, meshes, scene, fems=sol.fems)
-    apriori = diagnostics.apriori_check(sol, series, grid, meshes, scene, fems=sol.fems)
+    stability = diagnostics.stability_check(et)
+    apriori = diagnostics.apriori_check(et)
     report_path = out / "stability_report.csv"
     write_csv(
         report_path,

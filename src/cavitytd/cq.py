@@ -134,25 +134,25 @@ def cq_frequencies(scheme: CqScheme) -> np.ndarray:
 class TimeSolution:
     """Real nodal fields on the time grid, one (N+1, n_nodes) block per cavity.
 
-    imag_residue is the largest imaginary part the march discarded from the
-    DtN weights, relative to the largest weight (the step matrix W0 is real
-    by construction); initial_ratio the t = 0 state norm
-    relative to the trajectory peak; max_residual the largest relative
-    residual of the step solves, reached at step worst_step; n_dofs and
-    lu_nnz the size and fill of the one factorization; fems the
-    per-cavity matrices the solver assembled.
+    fems are the per-cavity matrices the solver assembled; imag_residue is
+    the largest imaginary part the march discarded from the DtN weights,
+    relative to the largest weight (the step matrix W0 is real by
+    construction); initial_ratio the t = 0 state norm relative to the
+    trajectory peak; max_residual the largest relative residual of the step
+    solves, reached at step worst_step; n_dofs and lu_nnz the size and fill
+    of the one factorization.
     """
 
     times: np.ndarray
     fields: list[np.ndarray]
     scheme: CqScheme
+    fems: list[FemMatrices] = field(repr=False)
     imag_residue: float = 0.0
     initial_ratio: float = 0.0
     max_residual: float = 0.0
     worst_step: int = 0
     n_dofs: int = 0
     lu_nnz: int = 0
-    fems: list[FemMatrices] | None = field(default=None, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -307,22 +307,22 @@ def run_all_at_once(
     return TimeSolution(times=times, fields=solver.expand(hist), scheme=scheme, fems=solver.fems)
 
 
-def time_derivative(sol: TimeSolution, scheme: CqScheme | None = None) -> list[np.ndarray]:
-    """Backward-difference time derivatives of the nodal history.
+def time_derivative(block: np.ndarray, dt: float) -> np.ndarray:
+    """Backward-difference time derivative of one (N+1, n_nodes) history.
 
     Step 0 is the rest state (derivative zero), step 1 uses the first-order
     difference, and steps n >= 2 the second-order three-term formula, which
     is exact on linear histories from step 1 and quadratic ones from step 2.
     """
-    if scheme is None:
-        scheme = sol.scheme
-    if sol.n_steps < 2:
+    if block.shape[0] < 3:
         raise ValueError("need at least 2 steps for BDF2 differences")
-    dt = scheme.dt
-    out = []
-    for block in sol.fields:
-        d = np.zeros_like(block)
-        d[1] = (block[1] - block[0]) / dt
-        d[2:] = (3.0 * block[2:] - 4.0 * block[1:-1] + block[:-2]) / (2.0 * dt)
-        out.append(d)
-    return out
+    d = np.zeros_like(block)
+    d[1] = (block[1] - block[0]) / dt
+    # (3 u_n - 4 u_{n-1} + u_{n-2}) / (2 dt) term by term in place: one
+    # history-sized temporary instead of three.
+    rest = d[2:]
+    np.multiply(block[2:], 3.0, out=rest)
+    rest -= 4.0 * block[1:-1]
+    rest += block[:-2]
+    rest /= 2.0 * dt
+    return d

@@ -12,6 +12,11 @@ random configurations in the frequency domain, plus the time-domain
 quadratic form evaluated through the contour-weighted transform, whose
 discrete positivity is exact (the weight lambda^(2n) plays the role of
 the vanishing exponential factor in the continuous argument).
+
+The time-domain checks share one walk of the history: `energy` builds each
+cavity's du/dt once, accumulates every per-step quadratic form, transforms
+the boundary data once and keeps it all in an EnergyTrace; the stability,
+a-priori and dissipation checks are arithmetic on that record.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from .cq import CqScheme, TimeSolution, cq_frequencies, run_time_domain, time_derivative
 from .errors import DimensionMismatch
-from .fem import FemMatrices, assemble_all
 from .incident import BoundaryDataSeries, PlaneWave, WaveProfile, boundary_data_bundle
 from .scene import Mesh, Scene
 from .trace import (
@@ -65,6 +69,9 @@ PINNED_STABILITY_RATIO = 0.2974
 PINNED_APRIORI_LINF = 0.229
 
 _DEFECT_TOL = 1e-12
+# Steps per block of the sparse products in the quadratic forms: the
+# transposed copy of the history that each product needs stays one block.
+_STEP_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -73,69 +80,95 @@ _DEFECT_TOL = 1e-12
 
 @dataclass
 class EnergyTrace:
-    """Sampled energy e(t_n) with its kinetic/potential split.
+    """Per-step record of a time solution, built by one walk of its history.
 
-    kinetic = |eps^(1/2) du/dt|^2, potential = |mu^(-1/2) grad u|^2, both
-    by finite-element quadrature.  When the boundary data series is
-    supplied the cumulative data norms feeding the stability right-hand
-    sides are attached: running L1-in-time of the -1/2 trace norm of g and
-    of its second derivative, and the running max for the first.
+    kinetic = |eps^(1/2) du/dt|^2 and potential = |mu^(-1/2) grad u|^2, both
+    by finite-element quadrature.  du_l2, du_h1, u_l2 and u_h1 are the
+    squared unit-weight L2 norms and H1 seminorms of du/dt and u, which the
+    stability and a-priori checks read.  g_norm, dg_norm and d2g_norm are
+    the zero-extended -1/2 trace norms of the boundary data and its first
+    two time derivatives; the cumulative data norms behind the stability
+    right-hand sides derive from them: running L1-in-time of g and of its
+    second derivative, and the running max for the first.
     """
 
     times: np.ndarray
     kinetic: np.ndarray
     potential: np.ndarray
-    g_l1: np.ndarray | None = None
-    dg_max: np.ndarray | None = None
-    d2g_l1: np.ndarray | None = None
+    du_l2: np.ndarray
+    du_h1: np.ndarray
+    u_l2: np.ndarray
+    u_h1: np.ndarray
+    g_norm: np.ndarray
+    dg_norm: np.ndarray
+    d2g_norm: np.ndarray
 
     @property
     def total(self) -> np.ndarray:
         return self.kinetic + self.potential
 
+    @property
+    def g_l1(self) -> np.ndarray:
+        return _cumulative_trapezoid(self.g_norm, self.times)
 
-def energy(
-    sol: TimeSolution,
-    meshes: list[Mesh],
-    scene: Scene,
-    fems: list[FemMatrices] | None = None,
-    series: BoundaryDataSeries | None = None,
-    grid: TraceGrid | None = None,
-) -> EnergyTrace:
-    """Energy functional of a time solution, step by step."""
-    if fems is None:
-        fems = assemble_all(scene, meshes)
-    if len(fems) != len(sol.fields):
+    @property
+    def dg_max(self) -> np.ndarray:
+        return np.maximum.accumulate(self.dg_norm)
+
+    @property
+    def d2g_l1(self) -> np.ndarray:
+        return _cumulative_trapezoid(self.d2g_norm, self.times)
+
+
+def energy(sol: TimeSolution, series: BoundaryDataSeries, grid: TraceGrid) -> EnergyTrace:
+    """Walk a time solution's history once and record every per-step form.
+
+    Cavity by cavity, du/dt is built once and the six quadratic forms of
+    u and du/dt are accumulated; the data norms come from the series, which
+    must be sampled on the solution's time grid.
+    """
+    if len(sol.fems) != len(sol.fields):
         raise DimensionMismatch(
-            f"{len(fems)} cavities vs {len(sol.fields)} solution blocks"
+            f"{len(sol.fems)} cavities vs {len(sol.fields)} solution blocks"
         )
-    derivs = time_derivative(sol)
-    n1 = sol.times.size
-    kin = np.zeros(n1)
-    pot = np.zeros(n1)
-    for f, u, du in zip(fems, sol.fields, derivs):
-        kin += np.einsum("ni,ni->n", du, (f.mass @ du.T).T)
-        pot += np.einsum("ni,ni->n", u, (f.stiffness @ u.T).T)
-    et = EnergyTrace(times=sol.times.copy(), kinetic=kin, potential=pot)
-    if series is not None and grid is not None:
-        _attach_data_norms(et, series, grid)
-    return et
+    if not np.array_equal(series.times, sol.times):
+        raise DimensionMismatch("boundary data series is not sampled on the solution times")
+    kin, pot, du_l2, du_h1, u_l2, u_h1 = np.zeros((6, sol.times.size))
+    for f, u in zip(sol.fems, sol.fields):
+        du = time_derivative(u, sol.scheme.dt)
+        kin += _quadratic_form(du, f.mass)
+        du_l2 += _quadratic_form(du, f.mass_unit)
+        du_h1 += _quadratic_form(du, f.stiffness_unit)
+        pot += _quadratic_form(u, f.stiffness)
+        u_l2 += _quadratic_form(u, f.mass_unit)
+        u_h1 += _quadratic_form(u, f.stiffness_unit)
+        del du  # freed before the next cavity's derivative is built
+    return EnergyTrace(
+        times=sol.times.copy(),
+        kinetic=kin,
+        potential=pot,
+        du_l2=du_l2,
+        du_h1=du_h1,
+        u_l2=u_l2,
+        u_h1=u_h1,
+        g_norm=_trace_norm_rows(series.g, grid),
+        dg_norm=_trace_norm_rows(series.dg, grid),
+        d2g_norm=_trace_norm_rows(series.d2g, grid),
+    )
 
 
-def _trace_norm_rows(rows: np.ndarray, grid: TraceGrid, order: float) -> np.ndarray:
-    """Trace norm of each row, zero-extended across the ground plane."""
+def _quadratic_form(block: np.ndarray, matrix) -> np.ndarray:
+    """u_n^T matrix u_n for every step n of an (N+1, n_nodes) history."""
+    product = np.empty((matrix.shape[0], block.shape[0]))
+    for lo in range(0, block.shape[0], _STEP_BLOCK):
+        product[:, lo : lo + _STEP_BLOCK] = matrix @ block[lo : lo + _STEP_BLOCK].T
+    return np.einsum("ni,ni->n", block, product.T)
+
+
+def _trace_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
+    """-1/2 trace norm of each row, zero-extended across the ground plane."""
     masked = np.where(grid.union_mask[None, :], rows, 0.0).astype(np.complex128)
-    return multiplier_norm_rows(masked, order, grid)
-
-
-def _attach_data_norms(et: EnergyTrace, series: BoundaryDataSeries, grid: TraceGrid) -> None:
-    t = series.times
-    g_n = _trace_norm_rows(series.g, grid, -0.5)
-    dg_n = _trace_norm_rows(series.dg, grid, -0.5)
-    d2g_n = _trace_norm_rows(series.d2g, grid, -0.5)
-    et.g_l1 = _cumulative_trapezoid(g_n, t)
-    et.d2g_l1 = _cumulative_trapezoid(d2g_n, t)
-    et.dg_max = np.maximum.accumulate(dg_n)
+    return multiplier_norm_rows(masked, -0.5, grid)
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -164,15 +197,7 @@ class AprioriRecord:
     horizon: float
 
 
-def stability_check(
-    sol: TimeSolution,
-    series: BoundaryDataSeries,
-    grid: TraceGrid,
-    meshes: list[Mesh],
-    scene: Scene,
-    fems: list[FemMatrices] | None = None,
-    pinned: float = PINNED_STABILITY_RATIO,
-) -> StabilityRecord:
+def stability_check(et: EnergyTrace, pinned: float = PINNED_STABILITY_RATIO) -> StabilityRecord:
     """Discrete form of the main stability estimate.
 
     lhs = max_n (|du/dt|_L2 + |grad du/dt|_L2); rhs combines the L1-in-time
@@ -180,22 +205,9 @@ def stability_check(
     norm, all in the zero-extended -1/2 trace norm.  Both sides are
     1-homogeneous in the data, so the ratio is amplitude invariant.
     """
-    if fems is None:
-        fems = assemble_all(scene, meshes)
-    derivs = time_derivative(sol)
-    n1 = sol.times.size
-    du_l2 = np.zeros(n1)
-    du_h1 = np.zeros(n1)
-    for f, du in zip(fems, derivs):
-        du_l2 += np.einsum("ni,ni->n", du, (f.mass_unit @ du.T).T)
-        du_h1 += np.einsum("ni,ni->n", du, (f.stiffness_unit @ du.T).T)
-    lhs = float(np.max(np.sqrt(du_l2) + np.sqrt(du_h1)))
-
-    t = series.times
-    g_n = _trace_norm_rows(series.g, grid, -0.5)
-    dg_n = _trace_norm_rows(series.dg, grid, -0.5)
-    d2g_n = _trace_norm_rows(series.d2g, grid, -0.5)
-    rhs = float(np.trapezoid(g_n, t) + np.max(dg_n) + np.trapezoid(d2g_n, t))
+    lhs = float(np.max(np.sqrt(et.du_l2) + np.sqrt(et.du_h1)))
+    t = et.times
+    rhs = float(np.trapezoid(et.g_norm, t) + np.max(et.dg_norm) + np.trapezoid(et.d2g_norm, t))
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return StabilityRecord(
         lhs=lhs,
@@ -206,41 +218,24 @@ def stability_check(
     )
 
 
-def apriori_check(
-    sol: TimeSolution,
-    series: BoundaryDataSeries,
-    grid: TraceGrid,
-    meshes: list[Mesh],
-    scene: Scene,
-    horizon: float | None = None,
-    fems: list[FemMatrices] | None = None,
-) -> AprioriRecord:
+def apriori_check(et: EnergyTrace) -> AprioriRecord:
     """Field-level bounds with explicit horizon weights.
 
     linf_ratio divides the max-in-time L2 norms by the T-weighted data
     norm; l2_ratio uses the time-integrated norms against T^(3/2), T^(1/2)
-    weights.  The growth study reruns this at doubled horizons with a
-    sustained data family and expects no growth of linf_ratio.
+    weights, with T the last time of the record.  The growth study reruns
+    this at doubled horizons with a sustained data family and expects no
+    growth of linf_ratio.
     """
-    if fems is None:
-        fems = assemble_all(scene, meshes)
-    if horizon is None:
-        horizon = float(sol.times[-1])
-    n1 = sol.times.size
-    u_l2 = np.zeros(n1)
-    u_h1 = np.zeros(n1)
-    for f, u in zip(fems, sol.fields):
-        u_l2 += np.einsum("ni,ni->n", u, (f.mass_unit @ u.T).T)
-        u_h1 += np.einsum("ni,ni->n", u, (f.stiffness_unit @ u.T).T)
+    t = et.times
+    horizon = float(t[-1])
+    g_l1 = float(np.trapezoid(et.g_norm, t))
+    dg_l1 = float(np.trapezoid(et.dg_norm, t))
 
-    t = series.times
-    g_l1 = float(np.trapezoid(_trace_norm_rows(series.g, grid, -0.5), t))
-    dg_l1 = float(np.trapezoid(_trace_norm_rows(series.dg, grid, -0.5), t))
-
-    linf_lhs = float(np.max(np.sqrt(u_l2)) + np.max(np.sqrt(u_h1)))
+    linf_lhs = float(np.max(np.sqrt(et.u_l2)) + np.max(np.sqrt(et.u_h1)))
     linf_rhs = horizon * g_l1 + dg_l1
     l2_lhs = float(
-        np.sqrt(np.trapezoid(u_l2, t)) + np.sqrt(np.trapezoid(u_h1, t))
+        np.sqrt(np.trapezoid(et.u_l2, t)) + np.sqrt(np.trapezoid(et.u_h1, t))
     )
     l2_rhs = horizon**1.5 * g_l1 + horizon**0.5 * dg_l1
     return AprioriRecord(
@@ -267,13 +262,9 @@ def dissipation_violation(et: EnergyTrace, t_star: float) -> float:
     peak = float(np.max(e))
     if peak == 0.0:
         return 0.0
-    idx = np.nonzero(et.times >= t_star)[0]
-    worst = 0.0
-    for n in idx[:-1]:
-        if e[n] <= 1e-13 * peak:
-            continue
-        worst = max(worst, (e[n + 1] - e[n]) / e[n])
-    return worst
+    n = np.nonzero(et.times >= t_star)[0][:-1]
+    n = n[~(e[n] <= 1e-13 * peak)]
+    return float(np.max((e[n + 1] - e[n]) / e[n], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +432,17 @@ def growth_study(
         scheme = CqScheme(dt=horizon / steps_per_horizon, steps=steps_per_horizon)
         sol = run_time_domain(scene, meshes, grid, pw, scheme)
         series = boundary_data_bundle(pw, grid, sol.times)
-        records.append(
-            apriori_check(sol, series, grid, meshes, scene, fems=sol.fems)
-        )
+        records.append(apriori_check(energy(sol, series, grid)))
     return records
 
 
 def save_energy_csv(path: str | Path, et: EnergyTrace) -> None:
-    has_data = et.g_l1 is not None
+    total, g_l1, dg_max, d2g_l1 = et.total, et.g_l1, et.dg_max, et.d2g_l1
     with open(path, "w", encoding="utf-8") as f:
-        header = "t,total,kinetic,potential"
-        if has_data:
-            header += ",g_l1,dg_max,d2g_l1"
-        f.write(header + "\n")
+        f.write("t,total,kinetic,potential,g_l1,dg_max,d2g_l1\n")
         for n, t in enumerate(et.times):
-            row = (
-                f"{t:.17g},{et.total[n]:.17g},{et.kinetic[n]:.17g},"
-                f"{et.potential[n]:.17g}"
+            f.write(
+                f"{t:.17g},{total[n]:.17g},{et.kinetic[n]:.17g},"
+                f"{et.potential[n]:.17g},{g_l1[n]:.17g},{dg_max[n]:.17g},"
+                f"{d2g_l1[n]:.17g}\n"
             )
-            if has_data:
-                row += f",{et.g_l1[n]:.17g},{et.dg_max[n]:.17g},{et.d2g_l1[n]:.17g}"
-            f.write(row + "\n")

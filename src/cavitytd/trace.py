@@ -169,7 +169,7 @@ class DtnSymbol:
     c: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0:
+        if not self.c > 0.0:  # also rejects NaN
             raise ValueError(f"light speed must be positive, got {self.c}")
 
     def __call__(self, xi, s: complex):
@@ -186,7 +186,7 @@ def beta(xi, s: complex, c: float):
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
-    if c <= 0.0:
+    if not c > 0.0:  # also rejects NaN
         raise DomainError(f"light speed must be positive, got {c}")
     if np.isscalar(xi):
         root = cmath.sqrt(xi * xi + (s / c) ** 2)

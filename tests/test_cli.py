@@ -380,8 +380,36 @@ class TestSolveTime:
         assert main(["solve-time", "--config", str(path), "--out", str(out1)]) == 0
         assert main(["solve-time", "--config", str(path), "--out", str(out2),
                      "--threads", "2"]) == 0
-        for name in ("probes.csv", "energy.csv"):
+        for name in ("probes.csv", "energy.csv", "stability_report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_diagnostics_walk_the_history_once(self, tmp_path, monkeypatch):
+        # energy transforms g, dg and d2g once each and builds each cavity's
+        # du/dt once; the stability and a-priori checks only read its record.
+        norm_rows = diagnostics.multiplier_norm_rows
+        derivative = diagnostics.time_derivative
+        run = cli.run_time_domain
+        norm_calls, derivative_blocks, sols = [], [], []
+
+        def count_norms(*args):
+            norm_calls.append(args)
+            return norm_rows(*args)
+
+        def record_derivative(*args):
+            derivative_blocks.append(args[0])
+            return derivative(*args)
+
+        def keep_solution(*args):
+            sols.append(run(*args))
+            return sols[-1]
+
+        monkeypatch.setattr(diagnostics, "multiplier_norm_rows", count_norms)
+        monkeypatch.setattr(diagnostics, "time_derivative", record_derivative)
+        monkeypatch.setattr(cli, "run_time_domain", keep_solution)
+        path = write_config(tmp_path, small_config())
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert len(norm_calls) == 3
+        assert [id(b) for b in derivative_blocks] == [id(u) for u in sols[0].fields]
 
 
 class TestMeshExport:

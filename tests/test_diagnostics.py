@@ -4,6 +4,7 @@ import pytest
 import cavitytd as ct
 from cavitytd import diagnostics
 from cavitytd.cq import CqScheme, TimeSolution
+from cavitytd.errors import DimensionMismatch
 from cavitytd.fem import assemble_all
 from cavitytd.incident import boundary_data_bundle
 from cavitytd.trace import DtnSymbol
@@ -37,41 +38,69 @@ def small_run(unit_scene, unit_meshes, unit_grid, gaussian_wave):
     scheme = CqScheme(dt=10.0 / 80, steps=80, contour_tol=1e-20)
     sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, gaussian_wave, scheme)
     series = boundary_data_bundle(gaussian_wave, unit_grid, sol.times)
-    fems = assemble_all(unit_scene, unit_meshes, unit_grid)
-    et = diagnostics.energy(sol, unit_meshes, unit_scene, fems=fems, series=series, grid=unit_grid)
-    return sol, series, fems, et
+    et = diagnostics.energy(sol, series, unit_grid)
+    return sol, et
+
+
+def rest_series(grid, times):
+    """Zero boundary data on the given time grid."""
+    prof = ct.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5, amplitude=0.0)
+    return boundary_data_bundle(ct.PlaneWave(profile=prof, theta=np.pi / 2), grid, times)
+
+
+def energy_trace(kinetic):
+    """A record with the given kinetic energy on t = 0, 1, ...; all else zero."""
+    zero = np.zeros(kinetic.size)
+    return diagnostics.EnergyTrace(np.arange(float(kinetic.size)), kinetic, *[zero] * 8)
 
 
 class TestEnergy:
-    def test_zero_solution(self, unit_scene, unit_meshes):
+    def test_zero_solution(self, unit_scene, unit_meshes, unit_grid):
+        times = 0.1 * np.arange(6)
         sol = TimeSolution(
-            times=0.1 * np.arange(6),
+            times=times,
             fields=[np.zeros((6, unit_meshes[0].n_vertices))],
             scheme=CqScheme(dt=0.1, steps=5),
+            fems=assemble_all(unit_scene, unit_meshes),
         )
-        et = diagnostics.energy(sol, unit_meshes, unit_scene)
+        et = diagnostics.energy(sol, rest_series(unit_grid, times), unit_grid)
         assert np.all(et.total == 0.0)
 
-    def test_linear_history_constant_kinetic(self, unit_scene, unit_meshes, rng):
+    def test_mismatched_inputs_rejected(self, unit_scene, unit_meshes, unit_grid):
+        times = 0.1 * np.arange(6)
+        fems = assemble_all(unit_scene, unit_meshes)
+        sol = TimeSolution(
+            times=times,
+            fields=[np.zeros((6, unit_meshes[0].n_vertices))],
+            scheme=CqScheme(dt=0.1, steps=5),
+            fems=fems,
+        )
+        with pytest.raises(DimensionMismatch):
+            diagnostics.energy(sol, rest_series(unit_grid, 2.0 * times), unit_grid)
+        sol.fems = fems * 2
+        with pytest.raises(DimensionMismatch):
+            diagnostics.energy(sol, rest_series(unit_grid, times), unit_grid)
+
+    def test_linear_history_constant_kinetic(self, unit_scene, unit_meshes, unit_grid, rng):
         # u(., t) = t*w: the second-order difference quotient returns w
         # exactly from step 1, so the kinetic term is constant and the
         # potential grows like t^2.
         w = rng.standard_normal(unit_meshes[0].n_vertices)
         dt = 0.1
         t = dt * np.arange(8)
-        sol = TimeSolution(
-            times=t, fields=[np.outer(t, w)], scheme=CqScheme(dt=dt, steps=7)
-        )
         fems = assemble_all(unit_scene, unit_meshes)
-        et = diagnostics.energy(sol, unit_meshes, unit_scene, fems=fems)
+        sol = TimeSolution(
+            times=t, fields=[np.outer(t, w)], scheme=CqScheme(dt=dt, steps=7), fems=fems
+        )
+        et = diagnostics.energy(sol, rest_series(unit_grid, t), unit_grid)
         expected = float(w @ (fems[0].mass @ w))
         assert np.allclose(et.kinetic[1:], expected, rtol=1e-12)
         pot1 = float(w @ (fems[0].stiffness @ w))
         assert np.allclose(et.potential, pot1 * t**2, rtol=1e-12, atol=1e-13)
 
     def test_matrix_path_equals_element_loop(self, unit_scene, unit_meshes, small_run):
-        sol, _, fems, et = small_run
-        du = ct.time_derivative(sol)[0]
+        sol, et = small_run
+        du = ct.time_derivative(sol.fields[0], sol.scheme.dt)
         n = 40
         kin, pot = element_loop_energy(
             unit_meshes[0], unit_scene.cavities[0], sol.fields[0][n], du[n]
@@ -80,11 +109,11 @@ class TestEnergy:
         assert et.total[n] == pytest.approx(total, rel=1e-12)
 
     def test_initial_energy_negligible(self, small_run):
-        _, _, _, et = small_run
+        _, et = small_run
         assert et.total[0] <= 1e-10 * et.total.max()
 
     def test_data_norm_columns(self, small_run, tmp_path):
-        _, _, _, et = small_run
+        _, et = small_run
         assert et.g_l1 is not None and et.dg_max is not None
         assert np.all(np.diff(et.g_l1) >= 0.0)
         assert np.all(np.diff(et.dg_max) >= 0.0)
@@ -96,26 +125,22 @@ class TestEnergy:
 
 class TestDissipation:
     def test_monotone_series_passes(self):
-        et = diagnostics.EnergyTrace(
-            times=np.arange(5.0),
-            kinetic=np.array([4.0, 3.0, 2.0, 1.0, 0.5]),
-            potential=np.zeros(5),
-        )
+        et = energy_trace(np.array([4.0, 3.0, 2.0, 1.0, 0.5]))
         assert diagnostics.dissipation_violation(et, 0.0) == 0.0
 
     def test_increase_detected(self):
-        et = diagnostics.EnergyTrace(
-            times=np.arange(5.0),
-            kinetic=np.array([4.0, 3.0, 3.3, 1.0, 0.5]),
-            potential=np.zeros(5),
-        )
+        et = energy_trace(np.array([4.0, 3.0, 3.3, 1.0, 0.5]))
         v = diagnostics.dissipation_violation(et, 0.0)
         assert v == pytest.approx(0.1, rel=1e-12)
+
+    def test_nan_energy_is_not_dissipation(self):
+        et = energy_trace(np.array([4.0, 3.0, np.nan, 1.0, 0.5]))
+        assert np.isnan(diagnostics.dissipation_violation(et, 0.0))
 
     def test_reference_run_dissipates(self, reference_single):
         _, scene, meshes, grid, pw, scheme = reference_single
         sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-        et = diagnostics.energy(sol, meshes, scene)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
         t_star = diagnostics.shutoff_time(pw, grid)
         assert diagnostics.dissipation_violation(et, t_star) <= 1e-8
 
@@ -124,25 +149,21 @@ class TestDissipation:
         # at shutoff again.
         _, scene, meshes, grid, pw, scheme = reference_single
         sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-        et = diagnostics.energy(sol, meshes, scene)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
         t_star = diagnostics.shutoff_time(pw, grid)
         idx = np.nonzero(et.times >= t_star)[0]
         assert np.max(et.total[idx]) <= et.total[idx[0]] * (1 + 1e-12)
 
 
 class TestStabilityChecks:
-    def test_stability_record(self, unit_scene, unit_meshes, unit_grid, small_run):
+    def test_stability_record(self, small_run):
         # The shipped pin belongs to the reference configuration; this run
         # supplies its own to exercise the gating.
-        sol, series, fems, _ = small_run
-        rec = diagnostics.stability_check(
-            sol, series, unit_grid, unit_meshes, unit_scene, fems=fems, pinned=0.5
-        )
+        _, et = small_run
+        rec = diagnostics.stability_check(et, pinned=0.5)
         assert rec.lhs > 0.0 and rec.rhs > 0.0
         assert rec.passed
-        tight = diagnostics.stability_check(
-            sol, series, unit_grid, unit_meshes, unit_scene, fems=fems, pinned=0.1
-        )
+        tight = diagnostics.stability_check(et, pinned=0.1)
         assert not tight.passed
 
     def test_homogeneity_under_amplitude(self, unit_scene, unit_meshes, unit_grid):
@@ -152,14 +173,9 @@ class TestStabilityChecks:
             pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
             scheme = CqScheme(dt=0.125, steps=48, contour_tol=1e-20)
             sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
-            series = boundary_data_bundle(pw, unit_grid, sol.times)
-            fems = assemble_all(unit_scene, unit_meshes, unit_grid)
-            stab = diagnostics.stability_check(
-                sol, series, unit_grid, unit_meshes, unit_scene, fems=fems
-            )
-            apr = diagnostics.apriori_check(
-                sol, series, unit_grid, unit_meshes, unit_scene, fems=fems
-            )
+            et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times), unit_grid)
+            stab = diagnostics.stability_check(et)
+            apr = diagnostics.apriori_check(et)
             ratios.append((stab.ratio, apr.linf_ratio, apr.l2_ratio))
         for a, b in zip(ratios[0], ratios[1]):
             assert b == pytest.approx(a, rel=1e-12)
@@ -169,11 +185,11 @@ class TestStabilityChecks:
         pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
         scheme = CqScheme(dt=0.25, steps=24, contour_tol=1e-20)
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
-        series = boundary_data_bundle(pw, unit_grid, sol.times)
-        rec = diagnostics.stability_check(sol, series, unit_grid, unit_meshes, unit_scene)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times), unit_grid)
+        rec = diagnostics.stability_check(et)
         assert rec.lhs == 0.0
         assert rec.ratio == 0.0
-        apr = diagnostics.apriori_check(sol, series, unit_grid, unit_meshes, unit_scene)
+        apr = diagnostics.apriori_check(et)
         assert apr.linf_ratio == 0.0 and apr.l2_ratio == 0.0
 
     def test_two_resolution_robustness(self, reference_single):
@@ -184,18 +200,15 @@ class TestStabilityChecks:
             meshes = ct.mesh_scene(scene, h)
             scheme = CqScheme(dt=16.0 / steps, steps=steps, contour_tol=1e-20)
             sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-            series = boundary_data_bundle(pw, grid, sol.times)
-            fems = assemble_all(scene, meshes, grid)
-            rec = diagnostics.stability_check(
-                sol, series, grid, meshes, scene, fems=fems
-            )
+            et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
+            rec = diagnostics.stability_check(et)
             ratios.append(rec.ratio)
         assert abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]
 
-    def test_apriori_deterministic(self, unit_scene, unit_meshes, unit_grid, small_run):
-        sol, series, fems, _ = small_run
-        a = diagnostics.apriori_check(sol, series, unit_grid, unit_meshes, unit_scene, fems=fems)
-        b = diagnostics.apriori_check(sol, series, unit_grid, unit_meshes, unit_scene, fems=fems)
+    def test_apriori_deterministic(self, small_run):
+        _, et = small_run
+        a = diagnostics.apriori_check(et)
+        b = diagnostics.apriori_check(et)
         assert a.linf_ratio == b.linf_ratio
         assert a.l2_ratio == b.l2_ratio
 

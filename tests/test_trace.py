@@ -32,6 +32,11 @@ class TestBeta:
     def test_rejects_bad_speed(self):
         with pytest.raises(DomainError):
             ct.beta(1.0, 1.0 + 0.0j, -1.0)
+        with pytest.raises(DomainError):
+            ct.beta(1.0, 1.0 + 0.0j, float("nan"))
+        for c in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                ct.DtnSymbol(c)
 
     def test_branch_and_square_identity(self, rng):
         for _ in range(2000):
