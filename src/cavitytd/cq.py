@@ -19,11 +19,14 @@ b(s g^), and every factor gets its own convolution weights,
 
 Step n then solves
 
-    W0 u_n = b(D1 g_n) - M sum_{j=1..4} d2_j u_{n-j}
+    W0 u_n = Rf^T W D1 g_n - M sum_{j=1..4} d2_j u_{n-j}
              + (dx/mu0) Rf^T irfft(sum_{k>=1} omega_k rfft(Rf u_{n-k}))
 
-with the real matrix W0 = s0*A(s0), s0 = 3/(2 dt), the same at every
-step: one factorization per run, one certified solve per step.  The
+with W the aperture trapezoid weights and the real matrix
+W0 = s0*A(s0), s0 = 3/(2 dt), the same at every step: one factorization
+per run, one certified solve per step.  Rf, the stacked free-DOF trace
+restriction, is the solver's own (SystemPattern.restriction), so the load
+and both ends of the DtN history are sparse products with one matrix.  The
 history keeps rfft(Rf u_n) for every past step, so the sum costs one pass
 over N + 1 spectra of N_trace/2 + 1 bins per step.
 
@@ -41,8 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
-from .fem import FemMatrices, SystemOperator
-from .fem import apply_rhs  # noqa: F401  (span seam of bench/tracer.py)
+from .fem import FemMatrices, SystemOperator, apply_rhs
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
@@ -224,8 +226,8 @@ def run_time_domain(
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
     mass = sp.block_diag([f.mass[f.free_nodes][:, f.free_nodes] for f in fems], format="csr")
-    rf = sp.hstack([f.restriction[:, f.free_nodes] for f in fems], format="csr")
-    rf_t = (grid.dx / scene.mu0) * rf.T.tocsr()
+    rf = solver.pattern.restriction
+    dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
 
     # D1 g_n with g at rest before t = 0.
@@ -242,10 +244,10 @@ def run_time_domain(
     spectra = np.zeros((n1, 2, omega.shape[1]))
     residuals = np.zeros(n1)
     for n in range(n1):
-        rhs = solver.load(TraceVector(d1g[n])).real
+        rhs = apply_rhs(d1g[n], rf, grid)
         rhs -= mass @ (d2[1:] @ recent)
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
-        rhs += rf_t @ np.fft.irfft(re + 1j * im, n=grid.N)
+        rhs += rf.T @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
         recent[1:] = recent[:-1]
         recent[0] = x

@@ -3,9 +3,12 @@
 Each cavity is discretized independently: an epsilon-weighted mass matrix,
 a (1/mu)-weighted stiffness matrix (3-point triangle quadrature for the
 variable coefficients), homogeneous Dirichlet walls eliminated exactly,
-and a sparse interpolation matrix carrying the finite-element aperture
-trace onto the uniform line grid.  The cavities couple only through the
-shared line operator: the assembled action at frequency s is
+and a sparse interpolation matrix R carrying the finite-element aperture
+trace onto the uniform line grid.  R is the one map between nodal values
+and trace samples: the load of aperture data g is R^T W g, with W the
+aperture trapezoid weights (TraceGrid.aperture_weights).  The cavities
+couple only through the shared line operator: the assembled action at
+frequency s is
 
     u  ->  s*M u + (1/s)*K u - (1/(s*mu0)) * R^T Q B R u
 
@@ -35,7 +38,7 @@ from .errors import (
     UnsupportedPolarization,
 )
 from .scene import CavitySpec, Mesh, Scene
-from .trace import DtnSymbol, TraceGrid, TraceVector, apply_B_columns
+from .trace import DtnSymbol, TraceGrid, apply_B_columns
 
 __all__ = [
     "ORDERING",
@@ -44,11 +47,9 @@ __all__ = [
     "SystemPattern",
     "assemble",
     "assemble_all",
-    "aperture_quadrature",
     "apply_rhs",
     "build_system",
     "build_system_single",
-    "restrict_loads",
 ]
 
 # Barycentric coordinates of the three edge midpoints (degree-2 exact rule).
@@ -165,23 +166,20 @@ def assemble_all(scene: Scene, meshes: list[Mesh], grid: TraceGrid | None = None
 
 
 def _trace_restriction(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> sp.csr_matrix:
-    """Linear interpolation from aperture nodal values to trace samples."""
-    j = _aperture_index(cavity, grid)
-    mask = grid.masks[j]
+    """Linear interpolation from aperture nodal values to trace samples.
+
+    Sample k under the aperture gets the pair (1 - t, t) on the aperture
+    nodes left and right of it; rows off the aperture are empty.
+    """
+    ks = np.nonzero(grid.masks[_aperture_index(cavity, grid)])[0]
     ap = mesh.aperture_nodes
     xa = mesh.vertices[ap, 0]
-    rows, cols, vals = [], [], []
-    ks = np.nonzero(mask)[0]
     seg = np.clip(np.searchsorted(xa, grid.x[ks], side="right"), 1, len(xa) - 1)
-    left, right = ap[seg - 1], ap[seg]
     t = (grid.x[ks] - xa[seg - 1]) / (xa[seg] - xa[seg - 1])
-    for k, l, r, tk in zip(ks, left, right, t):
-        rows.extend((k, k))
-        cols.extend((l, r))
-        vals.extend((1.0 - tk, tk))
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(grid.N, mesh.n_vertices)
-    )
+    rows = np.repeat(ks, 2)
+    cols = np.stack([ap[seg - 1], ap[seg]], axis=1).ravel()
+    vals = np.stack([1.0 - t, t], axis=1).ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.N, mesh.n_vertices))
 
 
 def _aperture_index(cavity: CavitySpec, grid: TraceGrid) -> int:
@@ -193,57 +191,22 @@ def _aperture_index(cavity: CavitySpec, grid: TraceGrid) -> int:
     )
 
 
-def aperture_quadrature(grid: TraceGrid, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample indices and trapezoid weights for integrals over aperture j.
+def apply_rhs(g: np.ndarray, restriction: sp.spmatrix, grid: TraceGrid) -> np.ndarray:
+    """Load vector R^T W g of line data g: entry i is <g, hat_i> over the apertures.
 
-    Composite trapezoid over the samples inside the interval: half weight
-    on the first and last sample.  Used for load vectors, where the
-    integrand need not vanish at the aperture ends; the nonlocal pairings
-    keep the uniform periodic weights instead.
+    `restriction` is a trace restriction R: one cavity's
+    (FemMatrices.restriction, full node set) or the stacked free-DOF one
+    (SystemPattern.restriction).  W is the aperture trapezoid rule, which
+    reproduces the exact hat integrals (h inside, h/2 at the corner nodes)
+    when grid samples align with the aperture nodes.  Real data gives a
+    real load.
     """
-    ks = np.nonzero(grid.masks[j])[0]
-    w = np.full(ks.size, grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return ks, w
-
-
-def apply_rhs(g_freq: TraceVector, meshes: list[Mesh], grid: TraceGrid) -> list[np.ndarray]:
-    """Load vectors <data, hat_i> over each aperture, full node set per cavity.
-
-    Entry i integrates the line data against the trace of hat function i
-    using the aperture trapezoid rule, which reproduces the exact hat
-    integrals (h inside, h/2 at the corner nodes) when grid samples align
-    with the aperture nodes.
-    """
-    if g_freq.values.shape != (grid.N,):
+    if g.shape != (grid.N,) or restriction.shape[0] != grid.N:
         raise DimensionMismatch(
-            f"data of length {g_freq.values.shape} does not match grid N={grid.N}"
+            f"data of length {g.shape} and a restriction of {restriction.shape[0]} "
+            f"rows do not match grid N={grid.N}"
         )
-    if len(meshes) != grid.n_apertures:
-        raise DimensionMismatch(
-            f"{len(meshes)} meshes for a grid with {grid.n_apertures} apertures"
-        )
-    loads = []
-    for j, mesh in enumerate(meshes):
-        ks, w = aperture_quadrature(grid, j)
-        ap = mesh.aperture_nodes
-        xa = mesh.vertices[ap, 0]
-        b = np.zeros(mesh.n_vertices, dtype=np.complex128)
-        seg = np.clip(np.searchsorted(xa, grid.x[ks], side="right"), 1, len(xa) - 1)
-        t = (grid.x[ks] - xa[seg - 1]) / (xa[seg] - xa[seg - 1])
-        contrib = w * g_freq.values[ks]
-        np.add.at(b, ap[seg - 1], (1.0 - t) * contrib)
-        np.add.at(b, ap[seg], t * contrib)
-        loads.append(b)
-    return loads
-
-
-def restrict_loads(loads: list[np.ndarray], fems: list[FemMatrices]) -> np.ndarray:
-    """Stack the free-node entries of per-cavity load vectors."""
-    if len(loads) != len(fems):
-        raise DimensionMismatch(f"{len(loads)} load blocks for {len(fems)} cavities")
-    return np.concatenate([b[f.free_nodes] for b, f in zip(loads, fems)])
+    return restriction.T @ (grid.aperture_weights * g)
 
 
 @dataclass
@@ -299,9 +262,6 @@ class SystemOperator:
             return x
         return lu.solve(b)
 
-    def restrict_loads(self, loads: list[np.ndarray]) -> np.ndarray:
-        return restrict_loads(loads, self.fems)
-
 
 @dataclass(frozen=True)
 class SystemPattern:
@@ -314,11 +274,13 @@ class SystemPattern:
     row-major.  Building the matrix at one frequency then fills a single
     data array.
 
-    The boundary operator is a circulant on the uniform trace grid: entry
-    (p, q) is its kernel column B e_0 at lag[p, q] = (k_p - k_q) mod N.
-    The coupling block is therefore rt (dx B) rt^T, where rt is the sparse
-    transpose of the restriction onto the aperture columns, limited to the
-    trace samples k under the apertures.
+    restriction is Rf, the trace restriction of the free DOFs stacked over
+    the cavities (CSC, N x n_free): loads and the time-domain DtN history
+    read it.  The boundary operator is a circulant on the uniform trace
+    grid: entry (p, q) is its kernel column B e_0 at lag[p, q] =
+    (k_p - k_q) mod N.  The coupling block is therefore rt (dx B) rt^T,
+    where rt is the sparse transpose of Rf on the aperture columns, limited
+    to the trace samples k under the apertures.
     """
 
     shape: tuple[int, int]
@@ -328,6 +290,7 @@ class SystemPattern:
     mass: np.ndarray
     stiffness: np.ndarray
     ap_index: np.ndarray
+    restriction: sp.csc_matrix
     rt: sp.csr_matrix
     lag: np.ndarray
     free_offsets: np.ndarray
@@ -370,6 +333,7 @@ class SystemPattern:
             mass=mass,
             stiffness=stiffness,
             ap_index=inverse[vol_keys.size :],
+            restriction=r_stack,
             rt=r_ap[samples].T.tocsr(),
             lag=(samples[:, None] - samples[None, :]) % r_stack.shape[0],
             free_offsets=offsets,

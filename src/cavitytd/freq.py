@@ -35,7 +35,6 @@ from .fem import (
     apply_rhs,
     assemble_all,
     build_system,
-    restrict_loads,
 )
 from .scene import Mesh, Scene
 from .trace import TraceGrid, TraceVector, restrict_union, trace_norm
@@ -116,7 +115,7 @@ class FrequencySolver:
 
     def load(self, data: TraceVector) -> np.ndarray:
         """Free-DOF load vector of aperture data, stacked over the cavities."""
-        return restrict_loads(apply_rhs(data, self.meshes, self.grid), self.fems)
+        return apply_rhs(data.values, self.pattern.restriction, self.grid)
 
     def expand(self, x: np.ndarray) -> list[np.ndarray]:
         """Full per-cavity node blocks of free-DOF values (last axis)."""

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import wofz
 
 from .errors import DomainError, QuadratureFailure, UnsupportedPolarization
@@ -76,9 +75,9 @@ class WaveProfile:
     def __post_init__(self) -> None:
         if self.kind not in (GAUSSIAN, BUMP):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.center <= 0.0:
+        if not self.center > 0.0:  # also rejects NaN
             raise ValueError(f"profile center must be positive, got {self.center}")
-        if self.width <= 0.0:
+        if not self.width > 0.0:
             raise ValueError(f"profile width must be positive, got {self.width}")
         tol = self.causality_tol
         if tol is None:
@@ -189,7 +188,7 @@ class PlaneWave:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta < math.pi:
             raise ValueError(f"incidence angle must lie in (0, pi), got {self.theta}")
-        if self.eps0 <= 0.0 or self.mu0 <= 0.0:
+        if not (self.eps0 > 0.0 and self.mu0 > 0.0):  # also rejects NaN
             raise ValueError("exterior constants must be positive")
         if self.polarization not in ("TE", "TM"):
             raise ValueError(f"polarization must be TE or TM, got {self.polarization!r}")
@@ -311,6 +310,10 @@ def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
 
 
 def _quad_g_laplace(pw: PlaneWave, x: float, s: complex, tol: float) -> complex:
+    # Imported here: only the bump profile needs it, and scipy.integrate
+    # (with the scipy.optimize it pulls in) is a large share of start-up.
+    from scipy.integrate import quad
+
     lo, hi = pw.profile.support
     t0 = max(0.0, lo - pw.c1 * x)
     t1 = hi - pw.c1 * x

@@ -81,7 +81,7 @@ class TraceGrid:
     apertures: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.L <= 0.0:
+        if not self.L > 0.0:  # also rejects NaN
             raise ValueError(f"period must be positive, got L={self.L}")
         if not _is_power_of_two(self.N):
             raise ValueError(f"sample count must be a power of two, got N={self.N}")
@@ -126,6 +126,22 @@ class TraceGrid:
         for a, b in self.apertures:
             out.append((self.x >= a) & (self.x <= b))
         return tuple(out)
+
+    @cached_property
+    def aperture_weights(self) -> np.ndarray:
+        """Trapezoid weights of the aperture integrals, one per sample.
+
+        dx on the samples inside each aperture, half of it on the first and
+        last of them, and zero on the ground plane.  Used for load vectors,
+        where the integrand need not vanish at the aperture ends; the
+        nonlocal pairings keep the uniform periodic weights instead.
+        """
+        w = np.zeros(self.N)
+        for mask in self.masks:
+            ks = np.nonzero(mask)[0]
+            w[ks] = self.dx
+            w[ks[[0, -1]]] *= 0.5
+        return w
 
     @cached_property
     def union_mask(self) -> np.ndarray:

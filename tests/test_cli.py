@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -442,3 +444,19 @@ class TestMeshExport:
                      "--out", str(tmp_path / "ignored")]) == 0
         assert (env_out / "cavity0.mesh.txt").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def test_import_leaves_out_scipy_integrate():
+    # Only the bump profile's Laplace quadrature uses scipy.integrate; the
+    # CLI must not pay for it at start-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    code = "import sys, cavitytd.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import cavitytd as ct
 from cavitytd.errors import DimensionMismatch, DomainError, UnsupportedPolarization
 from cavitytd.fem import (
-    aperture_quadrature,
+    SystemPattern,
     assemble,
     assemble_all,
     build_system,
@@ -72,37 +72,74 @@ class TestAssemble:
 
 
 class TestApplyRhs:
-    def test_zero_data(self, unit_meshes, unit_grid):
-        g = TraceVector.zero(unit_grid)
-        loads = ct.apply_rhs(g, unit_meshes, unit_grid)
-        assert np.all(loads[0] == 0.0)
+    def test_zero_data(self, unit_fem, unit_grid):
+        g = TraceVector.zero(unit_grid).values
+        load = ct.apply_rhs(g, unit_fem.restriction, unit_grid)
+        assert np.all(load == 0.0)
 
-    def test_hat_weights_for_constant_data(self, unit_meshes, unit_grid):
+    def test_hat_weights_for_constant_data(self, unit_fem, unit_meshes, unit_grid):
         # Aligned sample/node layout: interior hats integrate to h, the two
         # corner hats to h/2.
-        g = TraceVector(np.ones(unit_grid.N, dtype=complex))
-        loads = ct.apply_rhs(g, unit_meshes, unit_grid)
+        g = np.ones(unit_grid.N, dtype=complex)
         mesh = unit_meshes[0]
         h = 0.125
         ap = mesh.aperture_nodes
-        b = loads[0].real
+        b = ct.apply_rhs(g, unit_fem.restriction, unit_grid).real
         assert np.allclose(b[ap[1:-1]], h, rtol=1e-12)
         assert b[ap[0]] == pytest.approx(h / 2, rel=1e-12)
         assert b[ap[-1]] == pytest.approx(h / 2, rel=1e-12)
         off = np.setdiff1d(np.arange(mesh.n_vertices), ap)
         assert np.all(b[off] == 0.0)
 
-    def test_linearity(self, unit_meshes, unit_grid, rng):
-        g1 = TraceVector(rng.standard_normal(unit_grid.N) + 0j)
-        g2 = TraceVector(rng.standard_normal(unit_grid.N) + 0j)
-        b1 = ct.apply_rhs(g1, unit_meshes, unit_grid)[0]
-        b2 = ct.apply_rhs(g2, unit_meshes, unit_grid)[0]
-        b12 = ct.apply_rhs(TraceVector(g1.values + g2.values), unit_meshes, unit_grid)[0]
+    def test_linearity(self, unit_fem, unit_grid, rng):
+        r = unit_fem.restriction
+        g1 = rng.standard_normal(unit_grid.N) + 0j
+        g2 = rng.standard_normal(unit_grid.N) + 0j
+        b1 = ct.apply_rhs(g1, r, unit_grid)
+        b2 = ct.apply_rhs(g2, r, unit_grid)
+        b12 = ct.apply_rhs(g1 + g2, r, unit_grid)
         assert np.allclose(b12, b1 + b2, rtol=1e-13, atol=1e-15)
 
-    def test_dimension_mismatch(self, unit_meshes, unit_grid):
+    def test_dimension_mismatch(self, unit_fem, unit_grid):
         with pytest.raises(DimensionMismatch):
-            ct.apply_rhs(TraceVector(np.zeros(32)), unit_meshes, unit_grid)
+            ct.apply_rhs(np.zeros(32), unit_fem.restriction, unit_grid)
+        with pytest.raises(DimensionMismatch):
+            ct.apply_rhs(np.zeros(unit_grid.N), unit_fem.restriction.T, unit_grid)
+
+    def test_real_data_gives_real_load(self, unit_fem, unit_grid, rng):
+        # The real part of the complex-data load, bit for bit.
+        re, im = rng.standard_normal((2, unit_grid.N))
+        real_load = ct.apply_rhs(re, unit_fem.restriction, unit_grid)
+        complex_load = ct.apply_rhs(re + 1j * im, unit_fem.restriction, unit_grid)
+        assert real_load.dtype == np.float64
+        assert complex_load.dtype == np.complex128
+        assert np.array_equal(real_load, complex_load.real)
+
+    def test_non_aligned_layout_matches_hat_quadrature(self, rng):
+        # h = 0.025 against dx = 6/512: samples fall between aperture nodes.
+        # Each load entry is sum_k w_k g_k hat_i(x_k) with the hats
+        # evaluated independently, and the stacked free-DOF map gives the
+        # same entries as the per-cavity maps.
+        _, scene, _, _, _, _ = load_reference("reference_two")
+        meshes = ct.mesh_scene(scene, 0.025)
+        grid = ct.TraceGrid(L=6.0, N=512, apertures=scene.apertures)
+        fems = assemble_all(scene, meshes, grid)
+        g = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+        free_loads = []
+        for mesh, f, mask in zip(meshes, fems, grid.masks):
+            ap = mesh.aperture_nodes
+            xa = mesh.vertices[ap, 0]
+            ks = np.nonzero(mask)[0]
+            w = np.full(ks.size, grid.dx)
+            w[[0, -1]] = grid.dx / 2
+            hats = np.stack([np.interp(grid.x[ks], xa, e) for e in np.eye(ap.size)])
+            expected = np.zeros(mesh.n_vertices, dtype=complex)
+            expected[ap] = hats @ (w * g[ks])
+            got = ct.apply_rhs(g, f.restriction, grid)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+            free_loads.append(got[f.free_nodes])
+        stacked = ct.apply_rhs(g, SystemPattern.from_fems(fems).restriction, grid)
+        assert np.array_equal(stacked, np.concatenate(free_loads))
 
 
 class TestSystemOperator:
@@ -331,16 +368,24 @@ class TestSingleCavityDegeneracy:
     def test_solutions_match(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
         s = 1.4 + 0.8j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
-        loads = ct.apply_rhs(data, unit_meshes, unit_grid)
         general = build_system(unit_scene, unit_meshes, unit_grid, s)
         single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
-        xg = general.solve(general.restrict_loads(loads))
-        xs = single.solve(single.restrict_loads(loads))
+        fem = general.fems[0]
+        load = ct.apply_rhs(data.values, fem.restriction, unit_grid)[fem.free_nodes]
+        xg = general.solve(load)
+        xs = single.solve(load)
         assert np.linalg.norm(xg - xs) <= 1e-12 * np.linalg.norm(xs)
 
 
 class TestApertureQuadrature:
-    def test_weights_sum_to_span(self, unit_grid):
-        ks, w = aperture_quadrature(unit_grid, 0)
-        span = unit_grid.x[ks[-1]] - unit_grid.x[ks[0]]
-        assert w.sum() == pytest.approx(span, rel=1e-12)
+    def test_weights_sum_to_span(self, unit_grid, two_grid):
+        # Trapezoid weights: each aperture's sum is the span of its samples,
+        # and the ground plane between the apertures carries none.
+        for grid in (unit_grid, two_grid):
+            w = grid.aperture_weights
+            assert w.shape == (grid.N,)
+            for mask in grid.masks:
+                ks = np.nonzero(mask)[0]
+                span = grid.x[ks[-1]] - grid.x[ks[0]]
+                assert w[mask].sum() == pytest.approx(span, rel=1e-12)
+            assert np.all(w[~grid.union_mask] == 0.0)

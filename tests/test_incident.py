@@ -25,6 +25,10 @@ class TestWaveProfile:
             ct.WaveProfile(kind="gaussian-pulse", center=-1.0, width=0.5)
         with pytest.raises(ValueError):
             ct.WaveProfile(kind="gaussian-pulse", center=1.0, width=0.0)
+        # NaN compares false both ways, so it must not pass `x <= 0`.
+        for center, width in ((np.nan, 0.5), (3.5, np.nan)):
+            with pytest.raises(ValueError):
+                ct.WaveProfile(kind="gaussian-pulse", center=center, width=width)
 
     def test_causal_tail_enforced(self):
         # center only 2 widths from the origin: tail e^-2 >> tolerance
@@ -60,6 +64,9 @@ class TestPlaneWave:
             ct.PlaneWave(profile=gauss, theta=0.0)
         with pytest.raises(ValueError):
             ct.PlaneWave(profile=gauss, theta=np.pi)
+        for eps0, mu0 in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError):
+                ct.PlaneWave(profile=gauss, theta=np.pi / 2, eps0=eps0, mu0=mu0)
 
     def test_speed_components(self, gauss):
         pw = ct.PlaneWave(profile=gauss, theta=np.pi / 3, eps0=2.0, mu0=0.5)

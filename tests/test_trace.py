@@ -70,6 +70,11 @@ class TestTraceGrid:
         with pytest.raises(ValueError):
             ct.TraceGrid(L=4.0, N=100, apertures=((-0.5, 0.5),))
 
+    def test_period_must_be_positive(self):
+        for L in (0.0, -4.0, float("nan")):
+            with pytest.raises(ValueError):
+                ct.TraceGrid(L, 64, ())
+
     def test_margin_enforced(self):
         with pytest.raises(ValueError):
             ct.TraceGrid(L=4.0, N=128, apertures=((0.5, 1.5),))
