@@ -30,6 +30,14 @@ and both ends of the DtN history are sparse products with one matrix.  The
 history keeps rfft(Rf u_n) for every past step, so the sum costs one pass
 over N + 1 spectra of N_trace/2 + 1 bins per step.
 
+The march keeps no field history: besides the four latest states, what
+it holds grows with N only through the sampled data g ((N+1) N_trace
+numbers), the DtN weights and spectra (3 (N+1)(N_trace/2+1)) and the
+per-step record (7 (N+1)); the fields would add (N+1) n_nodes.  Each step
+adds its column to the record, the six quadratic forms of FORMS that the
+energy checks read and the state norm behind the causality check, and
+hands its fields to the caller's observer, if any.
+
 The all-at-once realization, one frequency solve per node of a contour of
 radius lambda = contour_tol**(1/(2N+2)), stays as `run_all_at_once`: the
 reference the march is compared against.  It equals the march up to
@@ -38,13 +46,14 @@ round-off, which it amplifies by lambda^-n at step n.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
-from .fem import FemMatrices, SystemOperator, apply_rhs
+from .fem import SystemOperator, apply_rhs
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
@@ -52,6 +61,7 @@ from .trace import TraceGrid, TraceVector
 
 __all__ = [
     "CqScheme",
+    "FORMS",
     "TimeSolution",
     "cq_frequencies",
     "dtn_weights",
@@ -132,23 +142,34 @@ def cq_frequencies(scheme: CqScheme) -> np.ndarray:
     return s
 
 
+# Rows of TimeSolution.forms: the per-step quadratic forms the energy,
+# stability and a-priori checks read (see diagnostics.EnergyTrace).
+FORMS = ("kinetic", "potential", "du_l2", "du_h1", "u_l2", "u_h1")
+
+
 @dataclass
 class TimeSolution:
-    """Real nodal fields on the time grid, one (N+1, n_nodes) block per cavity.
+    """The march's per-step record on the time grid; it holds no field.
 
-    fems are the per-cavity matrices the solver assembled; imag_residue is
-    the largest imaginary part the march discarded from the DtN weights,
-    relative to the largest weight (the step matrix W0 is real by
+    forms is the (6, N+1) array of the quadratic forms named by FORMS, by
+    finite-element quadrature: kinetic = du^T M du and potential = u^T K u
+    with the material weights, du_l2, du_h1, u_l2 and u_h1 with the unit
+    weights, du the backward difference of `time_derivative`.  state_norm
+    is the Euclidean norm of the stacked nodal vector at each step and g
+    the (N+1, N_trace) aperture data that drove the march.  imag_residue
+    is the largest imaginary part the march discarded from the DtN
+    weights, relative to the largest weight (the step matrix W0 is real by
     construction); initial_ratio the t = 0 state norm relative to the
-    trajectory peak; max_residual the largest relative residual of the step
-    solves, reached at step worst_step; n_dofs and lu_nnz the size and fill
-    of the one factorization.
+    trajectory peak; max_residual the largest relative residual of the
+    step solves, reached at step worst_step; n_dofs and lu_nnz the size
+    and fill of the one factorization.
     """
 
     times: np.ndarray
-    fields: list[np.ndarray]
     scheme: CqScheme
-    fems: list[FemMatrices] = field(repr=False)
+    forms: np.ndarray
+    state_norm: np.ndarray
+    g: np.ndarray = field(repr=False)
     imag_residue: float = 0.0
     initial_ratio: float = 0.0
     max_residual: float = 0.0
@@ -159,13 +180,6 @@ class TimeSolution:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    def step_norms(self) -> np.ndarray:
-        """Euclidean norm of the stacked nodal vector at each step."""
-        sq = np.zeros(self.times.size)
-        for block in self.fields:
-            sq += np.sum(block * block, axis=1)
-        return np.sqrt(sq)
 
 
 def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray, float]:
@@ -203,13 +217,18 @@ def run_time_domain(
     grid: TraceGrid,
     pw: PlaneWave,
     scheme: CqScheme,
+    observer: Callable[[int, list[np.ndarray]], None] | None = None,
 ) -> TimeSolution:
     """Marched CQ solution of the reduced initial-boundary value problem.
 
     Factorizes the real step matrix W0 once and solves one certified step
     per time level; a residual above the limit raises FactorizationFailure
-    naming the step.  Raises CausalityViolation when the state at t = 0 is
-    not at rest relative to the trajectory peak.
+    naming the step.  Each step adds its column of the record (the forms
+    and the state norm); `observer(n, fields)`, when given, receives step
+    n's full per-cavity node values as it passes, fresh arrays it may
+    keep.  The observer is the only way fields leave the march.  Raises
+    CausalityViolation when the state at t = 0 is not at rest relative to
+    the trajectory peak.
     """
     if scene.polarization != "TE":
         raise UnsupportedPolarization("time-domain solves support TE only")
@@ -225,16 +244,20 @@ def run_time_domain(
     lu_nnz = w0.factorize().nnz
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
-    mass = sp.block_diag([f.mass[f.free_nodes][:, f.free_nodes] for f in fems], format="csr")
+    def free_block(name):
+        return sp.block_diag(
+            [getattr(f, name)[f.free_nodes][:, f.free_nodes] for f in fems], format="csr"
+        )
+
+    mass, stiffness, mass_unit, stiffness_unit = map(
+        free_block, ("mass", "stiffness", "mass_unit", "stiffness_unit")
+    )
     rf = solver.pattern.restriction
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
+    g = boundary_data_series(pw, grid, times)
+    rest = np.zeros(grid.N)
 
-    # D1 g_n with g at rest before t = 0.
-    g = np.concatenate([np.zeros((2, grid.N)), boundary_data_series(pw, grid, times)])
-    d1g = (3.0 * g[2:] - 4.0 * g[1:-1] + g[:-2]) / (2.0 * dt)
-
-    fields = [np.zeros((n1, f.n_nodes)) for f in fems]
     # The mass history reaches four steps back: u_{n-1}, ..., u_{n-4}, zero
     # before t = 0.  The DtN history reaches every past step through
     # rfft(Rf u_n), stored latest first from the end (row N - n holds step
@@ -243,40 +266,63 @@ def run_time_domain(
     recent = np.zeros((4, w0.n_dofs))
     spectra = np.zeros((n1, 2, omega.shape[1]))
     residuals = np.zeros(n1)
+    forms = np.zeros((len(FORMS), n1))
+    state_norm = np.zeros(n1)
+    du = np.zeros(w0.n_dofs)
     for n in range(n1):
-        rhs = apply_rhs(d1g[n], rf, grid)
+        # D1 g_n with g at rest before t = 0.
+        g1, g2 = (g[n - k] if n >= k else rest for k in (1, 2))
+        rhs = apply_rhs((3.0 * g[n] - 4.0 * g1 + g2) / (2.0 * dt), rf, grid)
         rhs -= mass @ (d2[1:] @ recent)
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
         rhs += rf.T @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
+        # du/dt as `time_derivative` forms it: zero at rest, first order at
+        # step 1, then the three-term BDF2 difference.
+        if n == 1:
+            du = (x - recent[0]) / dt
+        elif n >= 2:
+            np.multiply(x, 3.0, out=du)
+            du -= 4.0 * recent[0]
+            du += recent[1]
+            du /= 2.0 * dt
+        forms[:, n] = (
+            du @ (mass @ du),
+            x @ (stiffness @ x),
+            du @ (mass_unit @ du),
+            du @ (stiffness_unit @ du),
+            x @ (mass_unit @ x),
+            x @ (stiffness_unit @ x),
+        )
+        state_norm[n] = np.sqrt(x @ x)
         recent[1:] = recent[:-1]
         recent[0] = x
         z = np.fft.rfft(rf @ x)
         spectra[n1 - 1 - n] = z.real, z.imag
-        for block, full in zip(fields, solver.expand(x)):
-            block[n] = full
+        if observer is not None:
+            observer(n, solver.expand(x))
 
     worst = int(np.argmax(residuals))
-    sol = TimeSolution(
+    peak_norm = float(np.max(state_norm))
+    initial_ratio = float(state_norm[0] / peak_norm) if peak_norm > 0.0 else 0.0
+    if initial_ratio > _CAUSALITY_LIMIT:
+        raise CausalityViolation(
+            f"state at t=0 has norm {initial_ratio:.3e} of the trajectory "
+            f"peak (limit {_CAUSALITY_LIMIT:.0e}); check the pulse delay"
+        )
+    return TimeSolution(
         times=times,
-        fields=fields,
         scheme=scheme,
+        forms=forms,
+        state_norm=state_norm,
+        g=g,
         imag_residue=weight_imag,
+        initial_ratio=initial_ratio,
         max_residual=float(residuals[worst]),
         worst_step=worst,
         n_dofs=w0.n_dofs,
         lu_nnz=lu_nnz,
-        fems=fems,
     )
-    norms = sol.step_norms()
-    peak_norm = float(np.max(norms))
-    sol.initial_ratio = float(norms[0] / peak_norm) if peak_norm > 0.0 else 0.0
-    if sol.initial_ratio > _CAUSALITY_LIMIT:
-        raise CausalityViolation(
-            f"state at t=0 has norm {sol.initial_ratio:.3e} of the trajectory "
-            f"peak (limit {_CAUSALITY_LIMIT:.0e}); check the pulse delay"
-        )
-    return sol
 
 
 def run_all_at_once(
@@ -285,13 +331,14 @@ def run_all_at_once(
     grid: TraceGrid,
     pw: PlaneWave,
     scheme: CqScheme,
-) -> TimeSolution:
+) -> list[np.ndarray]:
     """All-at-once CQ solution: one certified solve per contour node.
 
     Scales the sampled aperture data by lambda^n, transforms it over the
     N + 1 contour frequencies, solves the half spectrum (the mirrored nodes
     are conjugates) and synthesizes the real history.  This is the
-    reference the march is tested against; it reports fields only.
+    reference the march is tested against.  Returns the real nodal
+    history of each cavity, one (N+1, n_nodes) block per cavity.
     """
     s_nodes = cq_frequencies(scheme)
     n1 = scheme.steps + 1
@@ -306,7 +353,7 @@ def run_all_at_once(
     ])
     hist = np.fft.irfft(u_hat, n=n1, axis=0)
     hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
-    return TimeSolution(times=times, fields=solver.expand(hist), scheme=scheme, fems=solver.fems)
+    return solver.expand(hist)
 
 
 def time_derivative(block: np.ndarray, dt: float) -> np.ndarray:
@@ -315,6 +362,8 @@ def time_derivative(block: np.ndarray, dt: float) -> np.ndarray:
     Step 0 is the rest state (derivative zero), step 1 uses the first-order
     difference, and steps n >= 2 the second-order three-term formula, which
     is exact on linear histories from step 1 and quadratic ones from step 2.
+    The march forms the same differences step by step; this block form is
+    the reference its record is tested against.
     """
     if block.shape[0] < 3:
         raise ValueError("need at least 2 steps for BDF2 differences")

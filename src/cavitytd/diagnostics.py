@@ -13,10 +13,11 @@ quadratic form evaluated through the contour-weighted transform, whose
 discrete positivity is exact (the weight lambda^(2n) plays the role of
 the vanishing exponential factor in the continuous argument).
 
-The time-domain checks share one walk of the history: `energy` builds each
-cavity's du/dt once, accumulates every per-step quadratic form, transforms
-the boundary data once and keeps it all in an EnergyTrace; the stability,
-a-priori and dissipation checks are arithmetic on that record.
+The time-domain checks read one per-step record: the march
+(cq.run_time_domain) accumulates every quadratic form of u and du/dt as it
+runs, `energy` adds the three data-norm rows of the boundary data and
+keeps it all in an EnergyTrace, and the stability, a-priori and
+dissipation checks are arithmetic on that record.  No check needs a field.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cq import CqScheme, TimeSolution, cq_frequencies, run_time_domain, time_derivative
+from .cq import FORMS, CqScheme, TimeSolution, cq_frequencies, run_time_domain
 from .errors import DimensionMismatch
 from .incident import BoundaryDataSeries, PlaneWave, WaveProfile, boundary_data_bundle
 from .scene import Mesh, Scene
@@ -69,9 +70,8 @@ PINNED_STABILITY_RATIO = 0.2974
 PINNED_APRIORI_LINF = 0.229
 
 _DEFECT_TOL = 1e-12
-# Steps per block of the sparse products in the quadratic forms: the
-# transposed copy of the history that each product needs stays one block.
-_STEP_BLOCK = 64
+# Time steps per block of the data-norm transforms.
+_ROW_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ _STEP_BLOCK = 64
 
 @dataclass
 class EnergyTrace:
-    """Per-step record of a time solution, built by one walk of its history.
+    """Per-step record of a time solution: the march's forms and the data norms.
 
     kinetic = |eps^(1/2) du/dt|^2 and potential = |mu^(-1/2) grad u|^2, both
     by finite-element quadrature.  du_l2, du_h1, u_l2 and u_h1 are the
@@ -121,54 +121,34 @@ class EnergyTrace:
 
 
 def energy(sol: TimeSolution, series: BoundaryDataSeries, grid: TraceGrid) -> EnergyTrace:
-    """Walk a time solution's history once and record every per-step form.
+    """The march's per-step forms plus the three data-norm rows of `series`.
 
-    Cavity by cavity, du/dt is built once and the six quadratic forms of
-    u and du/dt are accumulated; the data norms come from the series, which
-    must be sampled on the solution's time grid.
+    The series must be sampled on the solution's time grid.
     """
-    if len(sol.fems) != len(sol.fields):
-        raise DimensionMismatch(
-            f"{len(sol.fems)} cavities vs {len(sol.fields)} solution blocks"
-        )
     if not np.array_equal(series.times, sol.times):
         raise DimensionMismatch("boundary data series is not sampled on the solution times")
-    kin, pot, du_l2, du_h1, u_l2, u_h1 = np.zeros((6, sol.times.size))
-    for f, u in zip(sol.fems, sol.fields):
-        du = time_derivative(u, sol.scheme.dt)
-        kin += _quadratic_form(du, f.mass)
-        du_l2 += _quadratic_form(du, f.mass_unit)
-        du_h1 += _quadratic_form(du, f.stiffness_unit)
-        pot += _quadratic_form(u, f.stiffness)
-        u_l2 += _quadratic_form(u, f.mass_unit)
-        u_h1 += _quadratic_form(u, f.stiffness_unit)
-        del du  # freed before the next cavity's derivative is built
     return EnergyTrace(
         times=sol.times.copy(),
-        kinetic=kin,
-        potential=pot,
-        du_l2=du_l2,
-        du_h1=du_h1,
-        u_l2=u_l2,
-        u_h1=u_h1,
+        **dict(zip(FORMS, sol.forms)),
         g_norm=_trace_norm_rows(series.g, grid),
         dg_norm=_trace_norm_rows(series.dg, grid),
         d2g_norm=_trace_norm_rows(series.d2g, grid),
     )
 
 
-def _quadratic_form(block: np.ndarray, matrix) -> np.ndarray:
-    """u_n^T matrix u_n for every step n of an (N+1, n_nodes) history."""
-    product = np.empty((matrix.shape[0], block.shape[0]))
-    for lo in range(0, block.shape[0], _STEP_BLOCK):
-        product[:, lo : lo + _STEP_BLOCK] = matrix @ block[lo : lo + _STEP_BLOCK].T
-    return np.einsum("ni,ni->n", block, product.T)
-
-
 def _trace_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
-    """-1/2 trace norm of each row, zero-extended across the ground plane."""
-    masked = np.where(grid.union_mask[None, :], rows, 0.0).astype(np.complex128)
-    return multiplier_norm_rows(masked, -0.5, grid)
+    """-1/2 trace norm of each row, zero-extended across the ground plane.
+
+    Taken in blocks of rows, so that the transform's temporaries stay one
+    block in size instead of growing with the step count.
+    """
+    mask = grid.union_mask[None, :]
+    return np.concatenate([
+        multiplier_norm_rows(
+            np.where(mask, rows[lo : lo + _ROW_BLOCK], 0.0).astype(np.complex128), -0.5, grid
+        )
+        for lo in range(0, rows.shape[0], _ROW_BLOCK)
+    ])
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -431,7 +411,7 @@ def growth_study(
         )
         scheme = CqScheme(dt=horizon / steps_per_horizon, steps=steps_per_horizon)
         sol = run_time_domain(scene, meshes, grid, pw, scheme)
-        series = boundary_data_bundle(pw, grid, sol.times)
+        series = boundary_data_bundle(pw, grid, sol.times, sol.g)
         records.append(apriori_check(energy(sol, series, grid)))
     return records
 

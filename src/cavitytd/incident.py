@@ -48,6 +48,8 @@ __all__ = [
 
 GAUSSIAN = "gaussian-pulse"
 BUMP = "smooth-bump"
+# Times per block of a sampled series.
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -249,11 +251,17 @@ def boundary_data_series(
 ) -> np.ndarray:
     """g (or its order-th time derivative) on the grid for every time.
 
-    Returns a real (n_times, N) array; rows follow `times`.
+    Returns a real (n_times, N) array; rows follow `times`.  It is filled
+    in blocks of rows, so the closed form's temporaries stay one block in
+    size however many times there are.
     """
     pw._require_te()
     times = np.asarray(times, dtype=float)
-    return _g_closed_form(pw, grid.x[None, :], times[:, None], order=order)
+    out = np.empty((times.size, grid.N))
+    for lo in range(0, times.size, _ROW_BLOCK):
+        block = times[lo : lo + _ROW_BLOCK, None]
+        out[lo : lo + _ROW_BLOCK] = _g_closed_form(pw, grid.x[None, :], block, order=order)
+    return out
 
 
 def boundary_data_freq(
@@ -347,12 +355,19 @@ class BoundaryDataSeries:
     d2g: np.ndarray
 
 
-def boundary_data_bundle(pw: PlaneWave, grid: TraceGrid, times: np.ndarray) -> BoundaryDataSeries:
-    """Sampled data plus analytic time derivatives for the estimate checks."""
+def boundary_data_bundle(
+    pw: PlaneWave, grid: TraceGrid, times: np.ndarray, g: np.ndarray | None = None
+) -> BoundaryDataSeries:
+    """Sampled data plus analytic time derivatives for the estimate checks.
+
+    `g` is the order-0 series when the caller sampled it on `times`
+    already, as the march does (TimeSolution.g); it is then not sampled
+    again.
+    """
     times = np.asarray(times, dtype=float)
     return BoundaryDataSeries(
         times=times,
-        g=boundary_data_series(pw, grid, times, order=0),
+        g=boundary_data_series(pw, grid, times, order=0) if g is None else g,
         dg=boundary_data_series(pw, grid, times, order=1),
         d2g=boundary_data_series(pw, grid, times, order=2),
     )

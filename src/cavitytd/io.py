@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -107,7 +108,11 @@ def _locate(mesh: Mesh, px: float, py: float) -> np.ndarray | None:
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
+    """Reproducibility record written next to every command's outputs.
+
+    `write` adds the process's peak RSS at that moment (peak_rss_mb); it and
+    wall_times are the only fields that differ between reruns.
+    """
 
     command: str
     config_sha256: str
@@ -143,6 +148,8 @@ class RunManifest:
             "scheme": self.scheme,
             "mesh_stats": self.mesh_stats,
             "wall_times": self.wall_times,
+            # Peak resident set of the process so far, in MiB (Linux reports KiB).
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "metrics": self.metrics,
             "outputs": self.outputs,
             "checks": self.checks,

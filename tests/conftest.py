@@ -9,6 +9,31 @@ import cavitytd as ct
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+class FieldRecorder:
+    """run_time_domain observer that keeps every step's fields.
+
+    `fields` stacks them into one (N+1, n_nodes) history per cavity.
+    """
+
+    def __init__(self):
+        self.steps = []
+
+    def __call__(self, n, fields):
+        assert n == len(self.steps)
+        self.steps.append(fields)
+
+    @property
+    def fields(self):
+        return [np.stack(blocks) for blocks in zip(*self.steps)]
+
+
+def run_recorded(scene, meshes, grid, pw, scheme):
+    """A marched run and the field history its observer recorded."""
+    recorder = FieldRecorder()
+    sol = ct.run_time_domain(scene, meshes, grid, pw, scheme, recorder)
+    return sol, recorder.fields
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

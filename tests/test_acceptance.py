@@ -19,7 +19,7 @@ from cavitytd.freq import FrequencySolver, estimate_report
 from cavitytd.incident import boundary_data_bundle, boundary_data_freq
 from cavitytd.trace import DtnSymbol, TraceVector, apply_B, dtn_dense, restrict, trace_norm
 
-from conftest import load_reference
+from conftest import load_reference, run_recorded
 
 
 def report(num, label, detail):
@@ -190,8 +190,8 @@ def test_criterion_07_cq_temporal_convergence():
     final = {}
     for steps in (64, 128, 256, 512):
         scheme = CqScheme(dt=horizon / steps, steps=steps, contour_tol=1e-20)
-        sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-        final[steps] = sol.fields[0][-1]
+        _, fields = run_recorded(scene, meshes, grid, pw, scheme)
+        final[steps] = fields[0][-1]
     errors = [l2(final[steps] - final[512]) for steps in (64, 128, 256)]
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     elapsed = time.perf_counter() - t0
@@ -300,7 +300,7 @@ def test_criterion_10_cross_cavity_decoupling():
 
 def test_criterion_11_causality_and_realness(reference_runs):
     scene, meshes, grid, pw, scheme, sol = reference_runs["reference_single"]
-    norms = sol.step_norms()
+    norms = sol.state_norm
     peak = norms.max()
     arrival = pw.profile.center - 6.0 * pw.profile.width
     early = norms[sol.times < arrival]

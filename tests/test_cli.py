@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavitytd.cli as cli
-from cavitytd import diagnostics, freq
+from cavitytd import cq, diagnostics, freq, incident
 from cavitytd.cli import main
+from cavitytd.scene import build_scene, mesh_scene
 from cavitytd.trace import TraceGrid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -309,7 +311,8 @@ class TestSolveTime:
         # A rerun into the same directory differs only in wall times.
         assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
         rerun = json.loads((out / "manifest.json").read_text())
-        assert rerun.pop("wall_times") and manifest.pop("wall_times")
+        for key in ("wall_times", "peak_rss_mb"):
+            assert rerun.pop(key) and manifest.pop(key)
         assert rerun == manifest
 
     def test_deterministic_probes(self, tmp_path):
@@ -347,9 +350,10 @@ class TestSolveTime:
     @pytest.mark.parametrize(
         "section, key, value",
         [("trace", "N", 100), ("trace", "L", 1.0), ("incident", "theta", 4.0),
-         ("snapshots", "every", "x"), ("probes", 0, [0.0, "a"])],
+         ("snapshots", "every", "x"), ("snapshots", "every", -4), ("probes", 0, [0.0, "a"])],
         ids=["trace-N-not-power-of-two", "trace-L-too-small", "theta-outside-0-pi",
-             "snapshots-every-not-an-integer", "probe-coordinate-not-a-number"],
+             "snapshots-every-not-an-integer", "snapshots-every-negative",
+             "probe-coordinate-not-a-number"],
     )
     def test_config_value_error_exit_2(self, tmp_path, capsys, section, key, value):
         config = small_config()
@@ -385,33 +389,42 @@ class TestSolveTime:
         for name in ("probes.csv", "energy.csv", "stability_report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_diagnostics_walk_the_history_once(self, tmp_path, monkeypatch):
-        # energy transforms g, dg and d2g once each and builds each cavity's
-        # du/dt once; the stability and a-priori checks only read its record.
-        norm_rows = diagnostics.multiplier_norm_rows
-        derivative = diagnostics.time_derivative
-        run = cli.run_time_domain
-        norm_calls, derivative_blocks, sols = [], [], []
+    def test_boundary_data_sampled_once_per_order(self, tmp_path, monkeypatch):
+        # The march samples g and the energy record reuses it: g, dg/dt and
+        # d2g/dt2 are each sampled once per run.
+        series = incident.boundary_data_series
+        orders = []
 
-        def count_norms(*args):
-            norm_calls.append(args)
-            return norm_rows(*args)
+        def count_orders(*args, order=0):
+            orders.append(order)
+            return series(*args, order=order)
 
-        def record_derivative(*args):
-            derivative_blocks.append(args[0])
-            return derivative(*args)
-
-        def keep_solution(*args):
-            sols.append(run(*args))
-            return sols[-1]
-
-        monkeypatch.setattr(diagnostics, "multiplier_norm_rows", count_norms)
-        monkeypatch.setattr(diagnostics, "time_derivative", record_derivative)
-        monkeypatch.setattr(cli, "run_time_domain", keep_solution)
+        monkeypatch.setattr(cq, "boundary_data_series", count_orders)
+        monkeypatch.setattr(incident, "boundary_data_series", count_orders)
         path = write_config(tmp_path, small_config())
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 0
-        assert len(norm_calls) == 3
-        assert [id(b) for b in derivative_blocks] == [id(u) for u in sols[0].fields]
+        assert sorted(orders) == [0, 1, 2]
+
+    def test_memory_flat_in_the_step_count(self, tmp_path):
+        # No field history: quadrupling the step count grows only the DtN
+        # weights and spectra, the sampled data and the scalar records,
+        # which stay far below the 3S steps of fields it would add.
+        h, steps = 0.04, 32
+        config = small_config(mesh={"h": h}, snapshots={"every": 0})
+        n_nodes = sum(m.n_vertices for m in mesh_scene(build_scene(config), h))
+        peaks = []
+        for n in (steps, 4 * steps):
+            config["scheme"] = {"dt": 0.2, "steps": n}
+            path = write_config(tmp_path, config, f"config{n}.json")
+            tracemalloc.start()
+            try:
+                code = main(["solve-time", "--config", str(path), "--out", str(tmp_path / str(n))])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        field_history = 3 * steps * n_nodes * 8
+        assert peaks[1] - peaks[0] <= 0.25 * field_history
 
 
 class TestMeshExport:

@@ -8,7 +8,7 @@ from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme, cq_frequencies, time_derivative
 from cavitytd.errors import FactorizationFailure, UnsupportedPolarization
 
-from conftest import load_reference
+from conftest import load_reference, run_recorded
 
 
 class TestCqScheme:
@@ -58,11 +58,15 @@ class TestRunTimeDomain:
     def run(self, scene, meshes, grid, pw, steps=48, T=6.0):
         return ct.run_time_domain(scene, meshes, grid, pw, CqScheme(dt=T / steps, steps=steps))
 
+    def run_recorded(self, scene, meshes, grid, pw, steps=48, T=6.0):
+        return run_recorded(scene, meshes, grid, pw, CqScheme(dt=T / steps, steps=steps))
+
     def test_zero_data_zero_solution(self, unit_scene, unit_meshes, unit_grid):
         prof = ct.WaveProfile(kind="gaussian-pulse", center=3.0, width=0.4, amplitude=0.0)
         pw = ct.PlaneWave(profile=prof, theta=1.0)
-        sol = self.run(unit_scene, unit_meshes, unit_grid, pw)
-        assert all(np.all(f == 0.0) for f in sol.fields)
+        sol, fields = self.run_recorded(unit_scene, unit_meshes, unit_grid, pw)
+        assert all(np.all(f == 0.0) for f in fields)
+        assert np.all(sol.forms == 0.0) and np.all(sol.state_norm == 0.0)
         assert sol.initial_ratio == 0.0
 
     def test_rejects_tm(self, unit_meshes, unit_grid, gaussian_wave):
@@ -79,25 +83,25 @@ class TestRunTimeDomain:
         for amp in (1.0, 2.0):
             prof = ct.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5, amplitude=amp)
             pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
-            sols.append(self.run(unit_scene, unit_meshes, unit_grid, pw))
-        scale = np.max(np.abs(sols[1].fields[0]))
-        assert np.max(np.abs(sols[1].fields[0] - 2.0 * sols[0].fields[0])) <= 1e-10 * scale
+            sols.append(self.run_recorded(unit_scene, unit_meshes, unit_grid, pw)[1])
+        scale = np.max(np.abs(sols[1][0]))
+        assert np.max(np.abs(sols[1][0] - 2.0 * sols[0][0])) <= 1e-10 * scale
 
     def test_initial_rest_state(self, unit_scene, unit_meshes, unit_grid):
         # 8-width delay: the data tail at t = 0 sits below the rest-state bar
         prof = ct.WaveProfile(kind="gaussian-pulse", center=4.0, width=0.5)
         pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
-        sol = self.run(unit_scene, unit_meshes, unit_grid, pw, T=7.0)
-        norms = sol.step_norms()
+        sol, fields = self.run_recorded(unit_scene, unit_meshes, unit_grid, pw, T=7.0)
+        norms = sol.state_norm
         assert norms[0] <= 1e-10 * norms.max()
-        deriv = [time_derivative(u, sol.scheme.dt) for u in sol.fields]
+        deriv = [time_derivative(u, sol.scheme.dt) for u in fields]
         d0 = np.sqrt(sum(np.sum(d[0] ** 2) for d in deriv))
         dmax = max(np.max(np.abs(d)) for d in deriv)
         assert d0 <= 1e-10 * max(dmax, 1.0)
 
     def test_causality_before_arrival(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave, steps=96, T=7.0)
-        norms = sol.step_norms()
+        norms = sol.state_norm
         peak = norms.max()
         arrival = gaussian_wave.profile.center - 6.0 * gaussian_wave.profile.width
         early = norms[sol.times < arrival]
@@ -141,10 +145,11 @@ class TestRunTimeDomain:
             self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
 
     def test_threads_deterministic(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
-        sol1 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
-        sol2 = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
-        for f1, f2 in zip(sol1.fields, sol2.fields):
+        sol1, fields1 = self.run_recorded(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+        sol2, fields2 = self.run_recorded(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+        for f1, f2 in zip(fields1, fields2):
             assert np.array_equal(f1, f2)
+        assert np.array_equal(sol1.forms, sol2.forms)
 
     @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
     def test_march_matches_all_at_once(self, name):
@@ -152,11 +157,38 @@ class TestRunTimeDomain:
         # contour realization of the same scheme agree up to round-off.
         _, scene, meshes, grid, pw, scheme = load_reference(name)
         assert scheme.steps == 128
-        march = ct.run_time_domain(scene, meshes, grid, pw, scheme)
+        _, march = run_recorded(scene, meshes, grid, pw, scheme)
         ref = cq.run_all_at_once(scene, meshes, grid, pw, scheme)
-        peak = max(np.max(np.abs(f)) for f in ref.fields)
-        diff = max(np.max(np.abs(a - b)) for a, b in zip(march.fields, ref.fields))
+        peak = max(np.max(np.abs(f)) for f in ref)
+        diff = max(np.max(np.abs(a - b)) for a, b in zip(march, ref))
         assert diff <= 1e-8 * peak
+
+    @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
+    def test_streamed_forms_match_the_history_walk(self, name):
+        # The march accumulates its six forms step by step; walking the
+        # recorded history afterwards, with time_derivative building du/dt,
+        # gives the same record up to the order of summation.
+        _, scene, meshes, grid, pw, scheme = load_reference(name)
+        sol, fields = run_recorded(scene, meshes, grid, pw, scheme)
+        fems = fem.assemble_all(scene, meshes)
+
+        def form(block, matrix):
+            return np.einsum("ni,ni->n", block, (matrix @ block.T).T)
+
+        walked = dict.fromkeys(cq.FORMS, 0.0)
+        for f, u in zip(fems, fields):
+            du = time_derivative(u, scheme.dt)
+            for key, block, matrix in (
+                ("kinetic", du, f.mass), ("potential", u, f.stiffness),
+                ("du_l2", du, f.mass_unit), ("du_h1", du, f.stiffness_unit),
+                ("u_l2", u, f.mass_unit), ("u_h1", u, f.stiffness_unit),
+            ):
+                walked[key] = walked[key] + form(block, matrix)
+        for key, got in zip(cq.FORMS, sol.forms):
+            ref = walked[key]
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), key
+        norms = np.sqrt(sum(np.sum(u * u, axis=1) for u in fields))
+        assert np.allclose(sol.state_norm, norms, rtol=1e-12, atol=0.0)
 
     def test_multi_cavity_coupling_reaches_far_cavity(self, two_scene, two_meshes, two_grid):
         # Oblique pulse arriving from the left: the right cavity's field is
@@ -164,9 +196,9 @@ class TestRunTimeDomain:
         # run reports energy in both cavities.
         prof = ct.WaveProfile(kind="gaussian-pulse", center=4.0, width=0.5)
         pw = ct.PlaneWave(profile=prof, theta=2.0)
-        sol = self.run(two_scene, two_meshes, two_grid, pw, steps=64, T=8.0)
-        assert np.max(np.abs(sol.fields[0])) > 0.0
-        assert np.max(np.abs(sol.fields[1])) > 0.0
+        _, fields = self.run_recorded(two_scene, two_meshes, two_grid, pw, steps=64, T=8.0)
+        assert np.max(np.abs(fields[0])) > 0.0
+        assert np.max(np.abs(fields[1])) > 0.0
 
 
 class TestTimeDerivative:
