@@ -81,8 +81,12 @@ class RunConfig:
 
 
 def _int(value) -> int:
-    # A Python int stays exact (a seed may exceed 2**53); Infinity cannot reach int().
-    return int(value) if isinstance(value, int) else int(finite_number(value))
+    # A Python int stays exact (a seed may exceed 2**53); Infinity cannot reach
+    # int(), and a fractional number is refused rather than truncated.
+    x = value if isinstance(value, int) else finite_number(value)
+    if x != int(x):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(x)
 
 
 def _parse_config(args) -> RunConfig:
@@ -176,6 +180,8 @@ def _parse_config(args) -> RunConfig:
             raise ConfigError(f"validate.trials must be at least 1, got {run['trials']}")
         with config_block("seed"):
             run["seed"] = _int(config.get("seed", 0)) if args.seed is None else args.seed
+        if run["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {run['seed']}")
     return RunConfig(scene=scene, **run)
 
 
@@ -292,7 +298,7 @@ def cmd_validate(args) -> int:
     manifest.wall_times["suite"] = time.perf_counter() - t0
 
     for name, worst in report.min_defects.items():
-        limit = -1e-12 if name != "time-domain" else -1e-10
+        limit = -(diagnostics.TIME_DEFECT_TOL if name == "time-domain" else diagnostics.DEFECT_TOL)
         checks.append(
             {"name": f"passivity-{name}", "value": worst, "limit": limit,
              "passed": report.failures[name] == 0}

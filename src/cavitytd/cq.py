@@ -24,11 +24,12 @@ Step n then solves
 
 with W the aperture trapezoid weights and the real matrix
 W0 = s0*A(s0), s0 = 3/(2 dt), the same at every step: one factorization
-per run, one certified solve per step.  Rf, the stacked free-DOF trace
-restriction, is the solver's own (SystemPattern.restriction), so the load
-and both ends of the DtN history are sparse products with one matrix.  The
-history keeps rfft(Rf u_n) for every past step, so the sum costs one pass
-over N + 1 spectra of N_trace/2 + 1 bins per step.
+per run, one certified solve per step.  M, K and Rf, the stacked free-DOF
+mass, stiffness and trace restriction, are the solver's own
+(SystemPattern): the load and both ends of the DtN history are sparse
+products with one matrix.  The history keeps rfft(Rf u_n) for every past
+step, so the sum costs one pass over N + 1 spectra of N_trace/2 + 1 bins
+per step.
 
 The march keeps no field history: besides the four latest states, what
 it holds grows with N only through the sampled data g ((N+1) N_trace
@@ -50,10 +51,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
-from .fem import SystemOperator, apply_rhs
+from .fem import SystemOperator, apply_rhs, stack_free
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
@@ -107,10 +107,6 @@ class CqScheme:
     @property
     def lam(self) -> float:
         return self.contour_tol ** (1.0 / (2 * self.steps + 2))
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.steps
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.steps + 1)
@@ -244,15 +240,9 @@ def run_time_domain(
     lu_nnz = w0.factorize().nnz
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
-    def free_block(name):
-        return sp.block_diag(
-            [getattr(f, name)[f.free_nodes][:, f.free_nodes] for f in fems], format="csr"
-        )
-
-    mass, stiffness, mass_unit, stiffness_unit = map(
-        free_block, ("mass", "stiffness", "mass_unit", "stiffness_unit")
-    )
-    rf = solver.pattern.restriction
+    pattern = solver.pattern
+    mass, stiffness, rf = pattern.mass, pattern.stiffness, pattern.restriction
+    mass_unit, stiffness_unit = stack_free(fems, "mass_unit"), stack_free(fems, "stiffness_unit")
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
     g = boundary_data_series(pw, grid, times)

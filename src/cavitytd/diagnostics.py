@@ -31,6 +31,7 @@ import numpy as np
 from .cq import FORMS, CqScheme, TimeSolution, cq_frequencies, run_time_domain
 from .errors import DimensionMismatch
 from .incident import BoundaryDataSeries, PlaneWave, WaveProfile, boundary_data_bundle
+from .io import write_csv
 from .scene import Mesh, Scene
 from .trace import (
     DtnSymbol,
@@ -69,7 +70,9 @@ PINNED_STABILITY_RATIO = 0.2974
 # Sustained-data growth study on reference_single at the base horizon T=6.
 PINNED_APRIORI_LINF = 0.229
 
-_DEFECT_TOL = 1e-12
+# Passivity-suite failure limits on the normalized defect (a trial fails
+# below minus the limit): frequency-domain configurations, time-domain form.
+DEFECT_TOL, TIME_DEFECT_TOL = 1e-12, 1e-10
 # Time steps per block of the data-norm transforms.
 _ROW_BLOCK = 64
 
@@ -174,7 +177,6 @@ class StabilityRecord:
 class AprioriRecord:
     linf_ratio: float
     l2_ratio: float
-    horizon: float
 
 
 def stability_check(et: EnergyTrace, pinned: float = PINNED_STABILITY_RATIO) -> StabilityRecord:
@@ -221,7 +223,6 @@ def apriori_check(et: EnergyTrace) -> AprioriRecord:
     return AprioriRecord(
         linf_ratio=linf_lhs / linf_rhs if linf_rhs > 0.0 else 0.0,
         l2_ratio=l2_lhs / l2_rhs if l2_rhs > 0.0 else 0.0,
-        horizon=horizon,
     )
 
 
@@ -293,8 +294,8 @@ def passivity_suite(
     Frequency-domain configurations run with one trace, two traces and all
     apertures of the grid (whichever exist); the time-domain configuration
     drives random causal trace histories through the contour-weighted
-    transform.  Failures (defect < -1e-12 * scale) are report content, not
-    exceptions.
+    transform.  Failures (normalized defect below -DEFECT_TOL, or
+    -TIME_DEFECT_TOL in the time domain) are report content, not exceptions.
     """
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -318,7 +319,7 @@ def passivity_suite(
             )
             d = passivity_defect(traces, s, mu0, grid, sym) / scale
             worst = min(worst, d)
-            if d < -_DEFECT_TOL:
+            if d < -DEFECT_TOL:
                 fails += 1
         report.min_defects[name] = worst
         report.failures[name] = fails
@@ -329,7 +330,7 @@ def passivity_suite(
     for _ in range(td_trials):
         d = _time_domain_defect(rng, grid, sym, mu0)
         worst = min(worst, d)
-        if d < -1e-10:
+        if d < -TIME_DEFECT_TOL:
             fails += 1
     report.min_defects["time-domain"] = worst
     report.failures["time-domain"] = fails
@@ -417,12 +418,8 @@ def growth_study(
 
 
 def save_energy_csv(path: str | Path, et: EnergyTrace) -> None:
-    total, g_l1, dg_max, d2g_l1 = et.total, et.g_l1, et.dg_max, et.d2g_l1
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t,total,kinetic,potential,g_l1,dg_max,d2g_l1\n")
-        for n, t in enumerate(et.times):
-            f.write(
-                f"{t:.17g},{total[n]:.17g},{et.kinetic[n]:.17g},"
-                f"{et.potential[n]:.17g},{g_l1[n]:.17g},{dg_max[n]:.17g},"
-                f"{d2g_l1[n]:.17g}\n"
-            )
+    write_csv(
+        path,
+        ["t", "total", "kinetic", "potential", "g_l1", "dg_max", "d2g_l1"],
+        zip(et.times, et.total, et.kinetic, et.potential, et.g_l1, et.dg_max, et.d2g_l1),
+    )

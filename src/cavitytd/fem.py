@@ -14,8 +14,9 @@ frequency s is
 
 with Q the uniform line quadrature and B the FFT boundary operator over
 the union of the zero-extended aperture traces.  The coupled matrix lives
-on one sparsity pattern per scene (SystemPattern), built once; a
-frequency only fills its values, and SuperLU orders each factorization.
+on one sparsity pattern per scene (SystemPattern), built once from the
+free-DOF blocks of stack_free; a frequency only fills its values, and
+SuperLU orders each factorization.
 B is a circulant on the uniform grid, so one FFT kernel column per
 frequency gives the whole aperture block.  At real s the symbol is
 real, so the matrix is real symmetric and is built, factorized and solved
@@ -50,6 +51,7 @@ __all__ = [
     "apply_rhs",
     "build_system",
     "build_system_single",
+    "stack_free",
 ]
 
 # Barycentric coordinates of the three edge midpoints (degree-2 exact rule).
@@ -165,6 +167,14 @@ def assemble_all(scene: Scene, meshes: list[Mesh], grid: TraceGrid | None = None
     return [assemble(m, c, grid) for m, c in zip(meshes, scene.cavities)]
 
 
+def stack_free(fems: list[FemMatrices], name: str) -> sp.csr_matrix:
+    """Block-diagonal CSR of each cavity's matrix `name` on its free nodes,
+    the one place where the free DOFs of the cavities are stacked."""
+    return sp.block_diag(
+        [getattr(f, name)[f.free_nodes][:, f.free_nodes] for f in fems], format="csr"
+    )
+
+
 def _trace_restriction(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> sp.csr_matrix:
     """Linear interpolation from aperture nodal values to trace samples.
 
@@ -268,11 +278,11 @@ class SystemPattern:
     """Fixed CSC sparsity of the coupled matrix, shared by every frequency.
 
     The pattern is the union of the block-diagonal free-node volume part
-    and the dense aperture block.  mass / stiffness hold the volume values
-    at positions vol_index of the data array (the two matrices share one
-    pattern); the aperture coupling block lands at positions ap_index,
-    row-major.  Building the matrix at one frequency then fills a single
-    data array.
+    and the dense aperture block.  mass / stiffness are the stacked
+    free-DOF matrices (stack_free, one shared pattern; the march reads them
+    too), whose data land at positions vol_index of the data array; the
+    aperture coupling block lands at positions ap_index, row-major.
+    Building the matrix at one frequency then fills a single data array.
 
     restriction is Rf, the trace restriction of the free DOFs stacked over
     the cavities (CSC, N x n_free): loads and the time-domain DtN history
@@ -287,8 +297,8 @@ class SystemPattern:
     indptr: np.ndarray
     indices: np.ndarray
     vol_index: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix
     ap_index: np.ndarray
     restriction: sp.csc_matrix
     rt: sp.csr_matrix
@@ -297,20 +307,11 @@ class SystemPattern:
 
     @classmethod
     def from_fems(cls, fems: list[FemMatrices]) -> "SystemPattern":
-        n_free = [f.n_free for f in fems]
-        offsets = np.concatenate([[0], np.cumsum(n_free)[:-1]]).astype(np.int64)
-        n = int(sum(n_free))
-        rows, cols, mass, stiffness = [], [], [], []
-        for f, lo in zip(fems, offsets):
-            m = f.mass[f.free_nodes][:, f.free_nodes].tocoo()
-            k = f.stiffness[f.free_nodes][:, f.free_nodes].tocoo()
-            if not (np.array_equal(m.row, k.row) and np.array_equal(m.col, k.col)):
-                raise DimensionMismatch("mass and stiffness patterns differ")
-            rows.append(m.row + lo)
-            cols.append(m.col + lo)
-            mass.append(m.data)
-            stiffness.append(k.data)
-        mass, stiffness = np.concatenate(mass), np.concatenate(stiffness)
+        mass, stiffness = stack_free(fems, "mass"), stack_free(fems, "stiffness")
+        if not (np.array_equal(mass.indptr, stiffness.indptr)
+                and np.array_equal(mass.indices, stiffness.indices)):
+            raise DimensionMismatch("mass and stiffness patterns differ")
+        n = mass.shape[0]
 
         r_stack = sp.hstack(
             [f.restriction[:, f.free_nodes] for f in fems], format="csc"
@@ -320,7 +321,8 @@ class SystemPattern:
         samples = np.unique(r_ap.indices)
 
         # CSC order is (column, row); unique keys give the union pattern.
-        vol_keys = np.concatenate(cols).astype(np.int64) * n + np.concatenate(rows)
+        vol = mass.tocoo()
+        vol_keys = vol.col.astype(np.int64) * n + vol.row
         ap_keys = np.tile(ap_cols, ap_cols.size) * n + np.repeat(ap_cols, ap_cols.size)
         keys, inverse = np.unique(np.concatenate([vol_keys, ap_keys]), return_inverse=True)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
@@ -336,7 +338,7 @@ class SystemPattern:
             restriction=r_stack,
             rt=r_ap[samples].T.tocsr(),
             lag=(samples[:, None] - samples[None, :]) % r_stack.shape[0],
-            free_offsets=offsets,
+            free_offsets=np.concatenate([[0], np.cumsum([f.n_free for f in fems])[:-1]]),
         )
 
     def coupling(self, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
@@ -357,7 +359,7 @@ class SystemPattern:
         """
         s = _real_if_real(s)
         data = np.zeros(self.indices.size, dtype=type(s))
-        data[self.vol_index] = s * self.mass + (1.0 / s) * self.stiffness
+        data[self.vol_index] = s * self.mass.data + (1.0 / s) * self.stiffness.data
         data[self.ap_index] += (-1.0 / (s * mu0)) * self.coupling(s, grid, sym).ravel()
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 

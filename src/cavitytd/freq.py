@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, FactorizationFailure
+from .errors import FactorizationFailure
 from .fem import (
     FemMatrices,
     SystemOperator,
@@ -97,10 +97,6 @@ class FrequencySolver:
         meshes: list[Mesh],
         grid: TraceGrid,
     ) -> None:
-        if len(meshes) != scene.n_cavities:
-            raise DimensionMismatch(
-                f"{len(meshes)} meshes for {scene.n_cavities} cavities"
-            )
         self.scene = scene
         self.meshes = meshes
         self.grid = grid

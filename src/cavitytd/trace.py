@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 MIN_SAMPLES_PER_APERTURE = 16
+# Largest trace sample count a grid may have (8 MiB per real sample vector).
+MAX_TRACE_SAMPLES = 2**20
 DENSE_ORACLE_MAX = 1024
 
 
@@ -67,7 +69,7 @@ class TraceGrid:
     L : float
         Period of the truncated line; samples live on [-L/2, L/2).
     N : int
-        Number of samples, a power of two.
+        Number of samples, a power of two, at most MAX_TRACE_SAMPLES.
     apertures : tuple of (float, float)
         Aperture intervals on y = 0, ordered and pairwise disjoint.
 
@@ -83,8 +85,10 @@ class TraceGrid:
     def __post_init__(self) -> None:
         if not self.L > 0.0:  # also rejects NaN
             raise ValueError(f"period must be positive, got L={self.L}")
-        if not _is_power_of_two(self.N):
-            raise ValueError(f"sample count must be a power of two, got N={self.N}")
+        if not (_is_power_of_two(self.N) and self.N <= MAX_TRACE_SAMPLES):
+            raise ValueError(
+                f"sample count must be a power of two up to {MAX_TRACE_SAMPLES}, got N={self.N}"
+            )
         aps = tuple((float(a), float(b)) for a, b in self.apertures)
         object.__setattr__(self, "apertures", aps)
         quarter = self.L / 4.0 + 1e-12 * self.L
@@ -165,7 +169,8 @@ class TraceGrid:
 
         L is the smallest value with every aperture inside [-L/4, L/4]
         (at least four times the widest half-extent), N the smallest power
-        of two giving `min_samples` samples in the narrowest aperture.
+        of two giving `min_samples` samples in the narrowest aperture; a
+        ValueError if that takes more than MAX_TRACE_SAMPLES.
         """
         if not apertures:
             raise ValueError("at least one aperture required")
@@ -173,8 +178,10 @@ class TraceGrid:
         width = min(b - a for a, b in apertures)
         L = 4.0 * max(reach, width)
         n = min_size
-        while n * width / L < min_samples and n < 1 << 20:
+        while n * width / L < min_samples and n < MAX_TRACE_SAMPLES:
             n *= 2
+        if n * width / L < min_samples:
+            raise ValueError(f"min_samples={min_samples} needs N > {MAX_TRACE_SAMPLES}")
         return cls(L=L, N=n, apertures=tuple(apertures))
 
 

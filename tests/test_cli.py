@@ -172,6 +172,12 @@ class TestSolveFreq:
              [], "ApertureCollarViolation"),
             ("solve-time", ("probes",), [[0.0, -0.5], [3.0, -0.5]], [], "ConfigError"),
             ("solve-freq", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
+            ("validate", ("seed",), -3, [], "ConfigError"),
+            ("validate", (), None, ["--seed", "-1"], "ConfigError"),
+            ("solve-time", ("scheme", "steps"), 40.7, [], "ConfigError"),
+            ("solve-time", ("snapshots", "every"), 10.5, [], "ConfigError"),
+            ("solve-time", ("trace",), {"L": 4.0, "N": 2**40}, [], "ConfigError"),
+            ("solve-time", ("trace",), {"min_samples": 10**9}, [], "ConfigError"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -180,7 +186,9 @@ class TestSolveFreq:
              "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
              "dt-infinity", "steps-infinity", "mesh-h-nan", "cavity-depth-nan",
              "seed-not-a-number", "mesh-h-tiny", "collar-thinner-than-first-layer",
-             "probe-outside-every-cavity", "tm-scene"],
+             "probe-outside-every-cavity", "tm-scene", "seed-negative", "seed-flag-negative",
+             "steps-fractional", "snapshots-every-fractional", "trace-n-over-cap",
+             "trace-min-samples-over-cap"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -473,3 +481,10 @@ def test_import_leaves_out_scipy_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_integer_keys_take_integral_numbers():
+    # 100.0 is the integer 100 and a large int stays exact; fractional
+    # values are the config-error cases above.
+    assert cli._int(100.0) == 100 and isinstance(cli._int(100.0), int)
+    assert cli._int(2**60 + 1) == 2**60 + 1

@@ -337,6 +337,22 @@ class TestFixedPattern:
             for op in (solver.operator(s), build_system(scene, meshes, grid, s)):
                 assert np.array_equal(op.matrix.toarray(), expected)  # bit for bit
 
+    def test_stacks_each_cavity_free_block(self, two_scene, two_meshes, two_grid):
+        # mass and stiffness are block-diagonal CSR stacks (the march reads
+        # them too): block j is cavity j's free-node block, entry for entry,
+        # and nothing lies off the diagonal blocks.
+        fems = assemble_all(two_scene, two_meshes, two_grid)
+        pattern = SystemPattern.from_fems(fems)
+        for name in ("mass", "stiffness"):
+            stacked = getattr(pattern, name)
+            assert sp.issparse(stacked) and stacked.format == "csr"
+            assert stacked.shape == pattern.shape
+            blocks = [getattr(f, name)[f.free_nodes][:, f.free_nodes] for f in fems]
+            for f, lo, block in zip(fems, pattern.free_offsets, blocks):
+                diag = stacked[lo : lo + f.n_free, lo : lo + f.n_free]
+                assert np.array_equal(diag.toarray(), block.toarray())
+            assert stacked.nnz == sum(b.nnz for b in blocks)
+
     def test_circulant_coupling_matches_column_fft_and_dense(self):
         # The one-kernel-column circulant block equals the FFT of every
         # aperture column and the dense oracle, to round-off.
