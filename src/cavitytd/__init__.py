@@ -49,9 +49,7 @@ from .incident import (
 )
 from .scene import CavitySpec, MaterialField, Mesh, Scene, build_scene, load_config, mesh_cavity, mesh_scene
 from .trace import (
-    DtnSymbol,
     TraceGrid,
-    TraceVector,
     apply_B,
     beta,
     coupled_B_row,

@@ -48,15 +48,7 @@ from .scene import (
     mesh_scene,
     save_mesh,
 )
-from .trace import (
-    DtnSymbol,
-    TraceGrid,
-    TraceVector,
-    apply_B,
-    beta,
-    dtn_dense,
-    trace_norm,
-)
+from .trace import DENSE_ORACLE_MAX, TraceGrid, apply_B, beta, dtn_dense, trace_norm
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ def _manifest(args, run: RunConfig, meshes=(), **fields) -> RunManifest:
 # validate
 # ---------------------------------------------------------------------------
 
-def _trace_property_checks(grid: TraceGrid, sym: DtnSymbol, seed: int) -> list[dict]:
+def _trace_property_checks(grid: TraceGrid, c: float, seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -221,9 +213,9 @@ def _trace_property_checks(grid: TraceGrid, sym: DtnSymbol, seed: int) -> list[d
     worst_re, worst_eq = -math.inf, 0.0
     for chunk in range(0, xi.size, 2000):
         xs, ss = xi[chunk : chunk + 2000], s[chunk : chunk + 2000]
-        roots = np.array([beta(x, sv, sym.c) for x, sv in zip(xs, ss)])
+        roots = np.array([beta(x, sv, c) for x, sv in zip(xs, ss)])
         worst_re = max(worst_re, float(np.max(roots.real)))
-        target = xs**2 + (ss / sym.c) ** 2
+        target = xs**2 + (ss / c) ** 2
         worst_eq = max(
             worst_eq, float(np.max(np.abs(roots**2 - target) / np.abs(target)))
         )
@@ -240,17 +232,17 @@ def _trace_property_checks(grid: TraceGrid, sym: DtnSymbol, seed: int) -> list[d
     worst_bound, worst_cont = -math.inf, -math.inf
     for _ in range(20):
         sv = complex(10.0 * (1.0 - rng.random()), rng.uniform(-10.0, 10.0))
-        a = (sv.real**2 - sv.imag**2) / sym.c**2
-        b = 2.0 * sv.real * sv.imag / sym.c**2
+        a = (sv.real**2 - sv.imag**2) / c**2
+        b = 2.0 * sv.real * sv.imag / c**2
         const = max((a * a + b * b) ** 0.25, 1.0)
-        bvals = beta(grid.xi, sv, sym.c)
+        bvals = beta(grid.xi, sv, c)
         worst_bound = max(
             worst_bound,
             float(np.max(np.abs(bvals) / np.sqrt(1.0 + grid.xi**2)) - const),
         )
         for _ in range(5):
-            u = TraceVector(rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N))
-            lhs = trace_norm(apply_B(u, sv, grid, sym), -0.5, grid)
+            u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+            lhs = trace_norm(apply_B(u, sv, grid, c), -0.5, grid)
             rhs = const * trace_norm(u, 0.5, grid)
             worst_cont = max(worst_cont, lhs - rhs)
     checks.append(
@@ -262,18 +254,17 @@ def _trace_property_checks(grid: TraceGrid, sym: DtnSymbol, seed: int) -> list[d
          "passed": worst_cont <= 1e-9}
     )
 
-    # FFT path against the dense oracle (capped at the oracle's size limit).
-    oracle_grid = grid if grid.N <= 1024 else TraceGrid(
-        L=grid.L, N=1024, apertures=grid.apertures
+    # FFT path against the dense oracle, on a grid of the same period capped
+    # at the oracle's size limit (the line operators do not read apertures).
+    oracle_grid = grid if grid.N <= DENSE_ORACLE_MAX else TraceGrid(
+        L=grid.L, N=DENSE_ORACLE_MAX
     )
-    dense = dtn_dense(oracle_grid, 1.0 + 2.0j, sym)
+    dense = dtn_dense(oracle_grid, 1.0 + 2.0j, c)
     worst_oracle = 0.0
     for _ in range(20):
-        u = TraceVector(
-            rng.standard_normal(oracle_grid.N) + 1j * rng.standard_normal(oracle_grid.N)
-        )
-        ref = dense @ u.values
-        got = apply_B(u, 1.0 + 2.0j, oracle_grid, sym).values
+        u = rng.standard_normal(oracle_grid.N) + 1j * rng.standard_normal(oracle_grid.N)
+        ref = dense @ u
+        got = apply_B(u, 1.0 + 2.0j, oracle_grid, c)
         worst_oracle = max(
             worst_oracle, float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
         )
@@ -289,11 +280,10 @@ def cmd_validate(args) -> int:
     out = _out_dir(args)
 
     manifest = _manifest(args, run, seed=run.seed)
-    sym = DtnSymbol(run.scene.c)
     t0 = time.perf_counter()
-    checks = _trace_property_checks(run.grid, sym, run.seed)
+    checks = _trace_property_checks(run.grid, run.scene.c, run.seed)
     report = diagnostics.passivity_suite(
-        run.grid, sym, trials=run.trials, seed=run.seed, mu0=run.scene.mu0
+        run.grid, run.scene.c, trials=run.trials, seed=run.seed, mu0=run.scene.mu0
     )
     manifest.wall_times["suite"] = time.perf_counter() - t0
 

@@ -57,7 +57,7 @@ from .fem import SystemOperator, apply_rhs, stack_free
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
-from .trace import TraceGrid, TraceVector
+from .trace import TraceGrid
 
 __all__ = [
     "CqScheme",
@@ -338,7 +338,7 @@ def run_all_at_once(
     g_hat = np.fft.rfft(g_series * lam ** np.arange(n1)[:, None], axis=0)
     solver = FrequencySolver(scene, meshes, grid)
     u_hat = np.stack([
-        solver.solve_load(s_nodes[l], solver.load(TraceVector(g_hat[l])), node=l)[0]
+        solver.solve_load(s_nodes[l], solver.load(g_hat[l]), node=l)[0]
         for l in range(n1 // 2 + 1)
     ])
     hist = np.fft.irfft(u_hat, n=n1, axis=0)

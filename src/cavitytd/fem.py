@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedPolarization,
 )
 from .scene import CavitySpec, Mesh, Scene
-from .trace import DtnSymbol, TraceGrid, apply_B_columns
+from .trace import TraceGrid, apply_B_columns
 
 __all__ = [
     "ORDERING",
@@ -341,17 +341,17 @@ class SystemPattern:
             free_offsets=np.concatenate([[0], np.cumsum([f.n_free for f in fems])[:-1]]),
         )
 
-    def coupling(self, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
+    def coupling(self, s: complex, grid: TraceGrid, c: float) -> np.ndarray:
         """Dense aperture block R^T Q B(s) R over the free aperture DOFs.
 
         Real at real s, where the symbol is real; complex otherwise.
         """
         impulse = np.zeros((grid.N, 1), dtype=type(_real_if_real(s)))
         impulse[0] = 1.0
-        kernel = grid.dx * apply_B_columns(impulse, s, grid, sym)[:, 0]
+        kernel = grid.dx * apply_B_columns(impulse, s, grid, c)[:, 0]
         return self.rt @ kernel[self.lag] @ self.rt.T
 
-    def matrix(self, s: complex, grid: TraceGrid, sym: DtnSymbol, mu0: float) -> sp.csc_matrix:
+    def matrix(self, s: complex, grid: TraceGrid, c: float, mu0: float) -> sp.csc_matrix:
         """s*M + (1/s)*K - (1/(s*mu0)) * R^T Q B(s) R on the fixed pattern.
 
         The data are float64 at real s (the matrix is real symmetric) and
@@ -360,7 +360,7 @@ class SystemPattern:
         s = _real_if_real(s)
         data = np.zeros(self.indices.size, dtype=type(s))
         data[self.vol_index] = s * self.mass.data + (1.0 / s) * self.stiffness.data
-        data[self.ap_index] += (-1.0 / (s * mu0)) * self.coupling(s, grid, sym).ravel()
+        data[self.ap_index] += (-1.0 / (s * mu0)) * self.coupling(s, grid, c).ravel()
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -407,7 +407,7 @@ def build_system(
         pattern = SystemPattern.from_fems(fems)
     return SystemOperator(
         s=s,
-        matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
+        matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
         fems=fems,
     )
 
@@ -435,6 +435,6 @@ def build_system_single(
     pattern = SystemPattern.from_fems([fem])
     return SystemOperator(
         s=s,
-        matrix=pattern.matrix(s, grid, DtnSymbol(scene.c), scene.mu0),
+        matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
         fems=[fem],
     )

@@ -37,7 +37,7 @@ from .fem import (
     build_system,
 )
 from .scene import Mesh, Scene
-from .trace import TraceGrid, TraceVector, restrict_union, trace_norm
+from .trace import TraceGrid, restrict_union, trace_norm
 
 __all__ = [
     "FrequencySolution",
@@ -109,9 +109,9 @@ class FrequencySolver:
             fems=self.fems, pattern=self.pattern,
         )
 
-    def load(self, data: TraceVector) -> np.ndarray:
+    def load(self, data: np.ndarray) -> np.ndarray:
         """Free-DOF load vector of aperture data, stacked over the cavities."""
-        return apply_rhs(data.values, self.pattern.restriction, self.grid)
+        return apply_rhs(data, self.pattern.restriction, self.grid)
 
     def expand(self, x: np.ndarray) -> list[np.ndarray]:
         """Full per-cavity node blocks of free-DOF values (last axis)."""
@@ -123,7 +123,7 @@ class FrequencySolver:
         return out
 
     def solve(
-        self, s: complex, data: TraceVector, op: SystemOperator | None = None
+        self, s: complex, data: np.ndarray, op: SystemOperator | None = None
     ) -> FrequencySolution:
         """Direct solve of the coupled problem at s for aperture data (Re s > 0).
 
@@ -136,7 +136,7 @@ class FrequencySolver:
         return self._solution(s, x, residual, op.lu_nnz)
 
     def solve_group(
-        self, s_values: list[complex], data: list[TraceVector]
+        self, s_values: list[complex], data: list[np.ndarray]
     ) -> list[FrequencySolution]:
         """Solve one group of `frequency_groups` on its anchor's factorization.
 
@@ -274,7 +274,7 @@ def solve_frequency(
     meshes: list[Mesh],
     grid: TraceGrid,
     s: complex,
-    data: TraceVector,
+    data: np.ndarray,
 ) -> FrequencySolution:
     """One-shot coupled solve at a single frequency."""
     return FrequencySolver(scene, meshes, grid).solve(s, data)
@@ -282,7 +282,7 @@ def solve_frequency(
 
 def estimate_report(
     sol: FrequencySolution,
-    data: TraceVector,
+    data: np.ndarray,
     grid: TraceGrid,
     fems: list[FemMatrices],
 ) -> dict[str, float]:

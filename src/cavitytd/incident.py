@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import wofz
 
 from .errors import DomainError, QuadratureFailure, UnsupportedPolarization
-from .trace import TraceGrid, TraceVector
+from .trace import TraceGrid
 
 __all__ = [
     "WaveProfile",
@@ -50,6 +50,8 @@ GAUSSIAN = "gaussian-pulse"
 BUMP = "smooth-bump"
 # Times per block of a sampled series.
 _ROW_BLOCK = 64
+# Absolute and relative tolerance of the bump profile's Laplace quadrature.
+_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,10 @@ def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):
     )
 
 
-def boundary_data_time(pw: PlaneWave, grid: TraceGrid, t: float) -> TraceVector:
-    """Aperture-line data g(x, t) sampled on the trace grid."""
+def boundary_data_time(pw: PlaneWave, grid: TraceGrid, t: float) -> np.ndarray:
+    """Aperture-line data g(x, t) sampled on the trace grid (real)."""
     pw._require_te()
-    return TraceVector(_g_closed_form(pw, grid.x, t).astype(np.complex128))
+    return _g_closed_form(pw, grid.x, t)
 
 
 def boundary_data_series(
@@ -264,27 +266,20 @@ def boundary_data_series(
     return out
 
 
-def boundary_data_freq(
-    pw: PlaneWave, grid: TraceGrid, s: complex, quad_tol: float = 1e-10
-) -> TraceVector:
-    """Laplace transform of the aperture data at frequency s.
+def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray:
+    """Laplace transform of the aperture data at frequency s (complex).
 
     Gaussian profiles use the closed form through the scaled complementary
     error function; the bump profile integrates its compact support with
-    adaptive quadrature to `quad_tol`.
+    adaptive quadrature to _QUAD_TOL.
     """
     pw._require_te()
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     if pw.profile.kind == GAUSSIAN:
-        vals = _gaussian_g_laplace(pw, grid.x, s)
-    else:
-        vals = np.array(
-            [_quad_g_laplace(pw, xk, s, quad_tol) for xk in grid.x],
-            dtype=np.complex128,
-        )
-    return TraceVector(vals)
+        return _gaussian_g_laplace(pw, grid.x, s)
+    return np.array([_quad_g_laplace(pw, xk, s) for xk in grid.x], dtype=np.complex128)
 
 
 def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
@@ -317,7 +312,7 @@ def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
     return 2.0 * pw.c2 * amp * (s * sigma * math.sqrt(math.pi / 2.0) * E - gauss)
 
 
-def _quad_g_laplace(pw: PlaneWave, x: float, s: complex, tol: float) -> complex:
+def _quad_g_laplace(pw: PlaneWave, x: float, s: complex) -> complex:
     # Imported here: only the bump profile needs it, and scipy.integrate
     # (with the scipy.optimize it pulls in) is a large share of start-up.
     from scipy.integrate import quad
@@ -334,10 +329,10 @@ def _quad_g_laplace(pw: PlaneWave, x: float, s: complex, tol: float) -> complex:
     def integrand_im(t):
         return float(np.imag(np.exp(-s * t) * _g_closed_form(pw, x, t)))
 
-    re, re_err = quad(integrand_re, t0, t1, epsabs=tol, epsrel=tol, limit=200)
-    im, im_err = quad(integrand_im, t0, t1, epsabs=tol, epsrel=tol, limit=200)
+    re, re_err = quad(integrand_re, t0, t1, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    im, im_err = quad(integrand_im, t0, t1, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
     scale = max(abs(re) + abs(im), abs(pw.profile.amplitude))
-    if max(re_err, im_err) > 100.0 * tol * scale + 10.0 * tol:
+    if max(re_err, im_err) > 100.0 * _QUAD_TOL * scale + 10.0 * _QUAD_TOL:
         raise QuadratureFailure(
             f"Laplace quadrature error {max(re_err, im_err):.2e} above tolerance at "
             f"x={x}, s={s}"

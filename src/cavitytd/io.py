@@ -38,9 +38,10 @@ def write_vtk_snapshot(
     path: str | Path,
     meshes: Sequence[Mesh],
     fields: Sequence[np.ndarray],
-    name: str = "u",
 ) -> None:
     """Legacy-VTK unstructured snapshot merging all cavity meshes.
+
+    The fields are written as one point-data scalar named u.
 
     Every float is printed at 17 significant digits; each section is one
     bulk %-format over all of its lines.
@@ -61,7 +62,7 @@ def write_vtk_snapshot(
         f.write(f"CELL_TYPES {n_cells}\n")
         f.write("5\n" * n_cells)
         f.write(f"POINT_DATA {n_pts}\n")
-        f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        f.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
         f.write("%.17g\n" * values.size % tuple(values.tolist()))
 
 

@@ -257,13 +257,6 @@ class CavitySpec:
             return (x >= a) & (x <= b) & (y >= -self.depth) & (y <= 0.0)
         return _point_in_polygon(x, y, np.asarray(self.vertices, dtype=float))
 
-    def area(self) -> float:
-        if self.is_rectangle:
-            return self.width * float(self.depth)
-        v = np.asarray(self.vertices, dtype=float)
-        x, y = v[:, 0], v[:, 1]
-        return float(abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) / 2.0)
-
     def material_bounds(self) -> tuple[tuple[float, float], tuple[float, float]]:
         inside = None if self.is_rectangle else self.contains
         eb = _sampled_bounds(self.epsilon, self.bounding_box, inside)

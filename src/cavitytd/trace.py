@@ -7,6 +7,11 @@ root chosen so that ``Re beta < 0`` for every admissible frequency
 line, with apertures marked by boolean masks and the conducting ground plane
 realized as exact zeros between them.
 
+Trace data are plain length-N numpy arrays, and every operator that needs
+the symbol takes its one parameter, the exterior light speed ``c``
+(`beta` rejects ``c <= 0`` and NaN).  The dtype follows the data: the
+restrictions keep a real trace real, and the FFT operators return complex.
+
 Transform convention, fixed here and used everywhere in the package:
 
     coefficients   c_m = (1/N) * sum_k u(x_k) exp(-i xi_m x_k)
@@ -37,8 +42,6 @@ from .errors import DomainError, GridMismatch, SizeError
 
 __all__ = [
     "TraceGrid",
-    "DtnSymbol",
-    "TraceVector",
     "beta",
     "apply_B",
     "dtn_dense",
@@ -51,6 +54,8 @@ __all__ = [
 ]
 
 MIN_SAMPLES_PER_APERTURE = 16
+# Smallest sample count `TraceGrid.for_apertures` chooses.
+MIN_TRACE_SAMPLES = 64
 # Largest trace sample count a grid may have (8 MiB per real sample vector).
 MAX_TRACE_SAMPLES = 2**20
 DENSE_ORACLE_MAX = 1024
@@ -163,40 +168,26 @@ class TraceGrid:
         cls,
         apertures: Sequence[tuple[float, float]],
         min_samples: int = 32,
-        min_size: int = 64,
     ) -> "TraceGrid":
         """Choose L and N automatically for the given apertures.
 
         L is the smallest value with every aperture inside [-L/4, L/4]
         (at least four times the widest half-extent), N the smallest power
-        of two giving `min_samples` samples in the narrowest aperture; a
-        ValueError if that takes more than MAX_TRACE_SAMPLES.
+        of two, at least MIN_TRACE_SAMPLES, giving `min_samples` samples in
+        the narrowest aperture; a ValueError if that takes more than
+        MAX_TRACE_SAMPLES.
         """
         if not apertures:
             raise ValueError("at least one aperture required")
         reach = max(max(abs(a), abs(b)) for a, b in apertures)
         width = min(b - a for a, b in apertures)
         L = 4.0 * max(reach, width)
-        n = min_size
+        n = MIN_TRACE_SAMPLES
         while n * width / L < min_samples and n < MAX_TRACE_SAMPLES:
             n *= 2
         if n * width / L < min_samples:
             raise ValueError(f"min_samples={min_samples} needs N > {MAX_TRACE_SAMPLES}")
         return cls(L=L, N=n, apertures=tuple(apertures))
-
-
-@dataclass(frozen=True)
-class DtnSymbol:
-    """Evaluator for the half-space DtN symbol at exterior light speed c."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:  # also rejects NaN
-            raise ValueError(f"light speed must be positive, got {self.c}")
-
-    def __call__(self, xi, s: complex):
-        return beta(xi, s, self.c)
 
 
 def beta(xi, s: complex, c: float):
@@ -223,44 +214,31 @@ def beta(xi, s: complex, c: float):
     return -root
 
 
-@dataclass(frozen=True)
-class TraceVector:
-    """Complex samples on a TraceGrid."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zero(cls, grid: TraceGrid) -> "TraceVector":
-        return cls(np.zeros(grid.N, dtype=np.complex128))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def _check_grid(u: TraceVector, grid: TraceGrid) -> None:
-    if u.values.shape != (grid.N,):
+def _check_grid(u: np.ndarray, grid: TraceGrid) -> None:
+    if u.shape != (grid.N,):
         raise GridMismatch(
-            f"trace vector of length {u.values.shape} does not match grid N={grid.N}"
+            f"trace vector of length {u.shape} does not match grid N={grid.N}"
         )
 
 
-def apply_B(u: TraceVector, s: complex, grid: TraceGrid, sym: DtnSymbol) -> TraceVector:
+def _summed(traces: Sequence[np.ndarray], grid: TraceGrid) -> np.ndarray:
+    """Sum of zero-extended traces, each checked against the grid."""
+    for t in traces:
+        _check_grid(t, grid)
+    return sum(traces, np.zeros(grid.N))
+
+
+def apply_B(u: np.ndarray, s: complex, grid: TraceGrid, c: float) -> np.ndarray:
     """Apply the DtN boundary operator: multiply mode m by beta(xi_m, s).
 
     Linear in u; O(N log N).  The dense counterpart `dtn_dense` reproduces
     this exactly (same modes, same normalization).
     """
     _check_grid(u, grid)
-    b = beta(grid.xi, s, sym.c)
-    out = np.fft.ifft(b * np.fft.fft(u.values))
-    return TraceVector(out)
+    return np.fft.ifft(beta(grid.xi, s, c) * np.fft.fft(u))
 
 
-def apply_B_columns(cols: np.ndarray, s: complex, grid: TraceGrid, sym: DtnSymbol) -> np.ndarray:
+def apply_B_columns(cols: np.ndarray, s: complex, grid: TraceGrid, c: float) -> np.ndarray:
     """apply_B over the columns of an (N, k) array in one vectorized pass.
 
     At real s the symbol is real, so real columns map to real columns: they
@@ -271,52 +249,46 @@ def apply_B_columns(cols: np.ndarray, s: complex, grid: TraceGrid, sym: DtnSymbo
     if complex(s).imag == 0.0 and not np.iscomplexobj(cols):
         # The rfft modes are xi[: N/2 + 1]; the symbol is even, so the sign
         # numpy gives the last one (Nyquist) does not matter.
-        b = beta(grid.xi[: grid.N // 2 + 1], s, sym.c).real
+        b = beta(grid.xi[: grid.N // 2 + 1], s, c).real
         return np.fft.irfft(b[:, None] * np.fft.rfft(cols, axis=0), n=grid.N, axis=0)
-    b = beta(grid.xi, s, sym.c)
+    b = beta(grid.xi, s, c)
     return np.fft.ifft(b[:, None] * np.fft.fft(cols, axis=0), axis=0)
 
 
-def dtn_dense(grid: TraceGrid, s: complex, sym: DtnSymbol) -> np.ndarray:
+def dtn_dense(grid: TraceGrid, s: complex, c: float) -> np.ndarray:
     """Dense N x N realization of the boundary operator (independent oracle).
 
     Entry (p, q) = (1/N) * sum_m beta(xi_m, s) e^{-i xi_m x_p} e^{+i xi_m x_q}.
-    O(N^2) memory by construction; capped at N <= 1024.
+    O(N^2) memory by construction; capped at N <= DENSE_ORACLE_MAX.
     """
     if grid.N > DENSE_ORACLE_MAX:
         raise SizeError(f"dense oracle capped at N={DENSE_ORACLE_MAX}, got N={grid.N}")
-    b = beta(grid.xi, s, sym.c)
+    b = beta(grid.xi, s, c)
     phase = np.exp(-1j * np.outer(grid.x, grid.xi))
     return (phase * b) @ phase.conj().T / grid.N
 
 
-def restrict(u: TraceVector, j: int, grid: TraceGrid) -> TraceVector:
+def restrict(u: np.ndarray, j: int, grid: TraceGrid) -> np.ndarray:
     """Copy values on aperture j's samples, exact zeros elsewhere."""
     _check_grid(u, grid)
     if not 0 <= j < grid.n_apertures:
         raise IndexError(f"aperture index {j} out of range [0, {grid.n_apertures})")
-    out = np.zeros(grid.N, dtype=np.complex128)
-    m = grid.masks[j]
-    out[m] = u.values[m]
-    return TraceVector(out)
+    return np.where(grid.masks[j], u, 0)
 
 
-def restrict_union(u: TraceVector, grid: TraceGrid) -> TraceVector:
+def restrict_union(u: np.ndarray, grid: TraceGrid) -> np.ndarray:
     """Zero-extend u across the ground plane: keep aperture samples only."""
     _check_grid(u, grid)
-    out = np.zeros(grid.N, dtype=np.complex128)
-    m = grid.union_mask
-    out[m] = u.values[m]
-    return TraceVector(out)
+    return np.where(grid.union_mask, u, 0)
 
 
 def coupled_B_row(
-    traces: Sequence[TraceVector],
+    traces: Sequence[np.ndarray],
     j: int,
     s: complex,
     grid: TraceGrid,
-    sym: DtnSymbol,
-) -> TraceVector:
+    c: float,
+) -> np.ndarray:
     """Row j of the coupled aperture boundary condition.
 
     Sums the zero-extended traces of all cavities, applies the boundary
@@ -327,11 +299,7 @@ def coupled_B_row(
         raise GridMismatch(
             f"{len(traces)} traces for a grid with {grid.n_apertures} apertures"
         )
-    total = np.zeros(grid.N, dtype=np.complex128)
-    for t in traces:
-        _check_grid(t, grid)
-        total += t.values
-    return restrict(apply_B(TraceVector(total), s, grid, sym), j, grid)
+    return restrict(apply_B(_summed(traces, grid), s, grid, c), j, grid)
 
 
 def multiplier_norm_rows(rows: np.ndarray, order: float, grid: TraceGrid) -> np.ndarray:
@@ -346,7 +314,7 @@ def multiplier_norm_rows(rows: np.ndarray, order: float, grid: TraceGrid) -> np.
     return np.sqrt(grid.L * np.sum(weight * np.abs(coeff) ** 2, axis=-1))
 
 
-def trace_norm(u: TraceVector, order: float, grid: TraceGrid) -> float:
+def trace_norm(u: np.ndarray, order: float, grid: TraceGrid) -> float:
     """Fourier-multiplier Sobolev norm with weight (1 + xi^2)**order.
 
     Normalized so that order = 0 reproduces the discrete L2 norm
@@ -354,15 +322,15 @@ def trace_norm(u: TraceVector, order: float, grid: TraceGrid) -> float:
     boundary-operator continuity estimate.  Homogeneous of degree one.
     """
     _check_grid(u, grid)
-    return float(multiplier_norm_rows(u.values[None, :], order, grid)[0])
+    return float(multiplier_norm_rows(u[None, :], order, grid)[0])
 
 
 def passivity_defect(
-    traces: Sequence[TraceVector],
+    traces: Sequence[np.ndarray],
     s: complex,
     mu0: float,
     grid: TraceGrid,
-    sym: DtnSymbol,
+    c: float,
 ) -> float:
     """Negated real part of the coupled boundary quadratic form.
 
@@ -375,18 +343,15 @@ def passivity_defect(
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
-    total = np.zeros(grid.N, dtype=np.complex128)
-    for t in traces:
-        _check_grid(t, grid)
-        total += t.values
-    bw = apply_B(TraceVector(total), s, grid, sym).values
+    total = _summed(traces, grid)
+    bw = apply_B(total, s, grid, c)
     pairing = grid.dx * np.sum(bw * np.conj(total))
     return float(-np.real(pairing / (s * mu0)))
 
 
 def propagate_exterior(
-    trace: TraceVector, s: complex, y: float, grid: TraceGrid, sym: DtnSymbol
-) -> TraceVector:
+    trace: np.ndarray, s: complex, y: float, grid: TraceGrid, c: float
+) -> np.ndarray:
     """Lift an aperture-line trace to height y in the exterior half-space.
 
     Multiplies mode m by exp(beta(xi_m, s) * y); since Re beta < 0 every
@@ -395,6 +360,5 @@ def propagate_exterior(
     if y < 0.0:
         raise DomainError(f"exterior height must satisfy y >= 0, got {y}")
     _check_grid(trace, grid)
-    b = beta(grid.xi, s, sym.c)
-    out = np.fft.ifft(np.exp(b * y) * np.fft.fft(trace.values))
-    return TraceVector(out)
+    b = beta(grid.xi, s, c)
+    return np.fft.ifft(np.exp(b * y) * np.fft.fft(trace))

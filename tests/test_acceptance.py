@@ -17,7 +17,7 @@ from cavitytd.cq import CqScheme
 from cavitytd.fem import assemble_all, build_system, build_system_single
 from cavitytd.freq import FrequencySolver, estimate_report
 from cavitytd.incident import boundary_data_bundle, boundary_data_freq
-from cavitytd.trace import DtnSymbol, TraceVector, apply_B, dtn_dense, restrict, trace_norm
+from cavitytd.trace import apply_B, dtn_dense, restrict, trace_norm
 
 from conftest import load_reference, run_recorded
 
@@ -57,7 +57,7 @@ def test_criterion_01_symbol_branch():
 def test_criterion_02_operator_continuity():
     rng = np.random.default_rng(202)
     grid = ct.TraceGrid(L=4.0, N=128, apertures=((-0.5, 0.5),))
-    sym = DtnSymbol(1.0)
+    c = 1.0
     t0 = time.perf_counter()
     worst = -np.inf
     for _ in range(20):
@@ -66,8 +66,8 @@ def test_criterion_02_operator_continuity():
         b = 2.0 * s.real * s.imag
         const = max((a * a + b * b) ** 0.25, 1.0)
         for _ in range(100):
-            u = TraceVector(rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N))
-            lhs = trace_norm(apply_B(u, s, grid, sym), -0.5, grid)
+            u = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
+            lhs = trace_norm(apply_B(u, s, grid, c), -0.5, grid)
             rhs = const * trace_norm(u, 0.5, grid)
             worst = max(worst, lhs - rhs)
             assert lhs <= rhs + 1e-9
@@ -81,7 +81,7 @@ def test_criterion_03_passivity():
         (c - 0.3, c + 0.3) for c in (-1.6, -0.8, 0.0, 0.8, 1.6)
     )
     grid = ct.TraceGrid(L=8.0, N=256, apertures=apertures)
-    sym = DtnSymbol(1.0)
+    c = 1.0
     rng = np.random.default_rng(303)
     t0 = time.perf_counter()
     mins = {}
@@ -91,14 +91,14 @@ def test_criterion_03_passivity():
             s = complex(10.0 * (1.0 - rng.random()), rng.uniform(-10.0, 10.0))
             traces = [
                 restrict(
-                    TraceVector(rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)),
+                    rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N),
                     j,
                     grid,
                 )
                 for j in range(count)
             ]
-            scale = sum(np.linalg.norm(t.values) ** 2 for t in traces)
-            d = ct.passivity_defect(traces, s, 1.0, grid, sym) / scale
+            scale = sum(np.linalg.norm(t) ** 2 for t in traces)
+            d = ct.passivity_defect(traces, s, 1.0, grid, c) / scale
             worst = min(worst, d)
         mins[label] = worst
         assert worst >= -1e-12
@@ -115,17 +115,17 @@ def test_criterion_03_passivity():
 
 def test_criterion_04_oracle_equivalence():
     rng = np.random.default_rng(404)
-    sym = DtnSymbol(1.0)
+    c = 1.0
     t0 = time.perf_counter()
     worst = 0.0
     for n in (64, 128, 256):
         grid = ct.TraceGrid(L=4.0, N=n, apertures=((-0.5, 0.5),))
         s = complex(rng.uniform(0.5, 5.0), rng.uniform(-5.0, 5.0))
-        dense = dtn_dense(grid, s, sym)
+        dense = dtn_dense(grid, s, c)
         for _ in range(20):
-            u = TraceVector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            ref = dense @ u.values
-            got = apply_B(u, s, grid, sym).values
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ref = dense @ u
+            got = apply_B(u, s, grid, c)
             rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
             worst = max(worst, rel)
             assert rel < 1e-10
@@ -167,7 +167,7 @@ def test_criterion_06_single_cavity_degeneracy():
         assert np.array_equal(general.matrix.toarray(), single.matrix.toarray())
         data = boundary_data_freq(pw, grid, s)
         fem = general.fems[0]
-        load = ct.apply_rhs(data.values, fem.restriction, grid)[fem.free_nodes]
+        load = ct.apply_rhs(data, fem.restriction, grid)[fem.free_nodes]
         xg = general.solve(load)
         xs = single.solve(load)
         worst = max(worst, np.linalg.norm(xg - xs) / np.linalg.norm(xs))

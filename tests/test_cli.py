@@ -90,6 +90,17 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_fine_grid_narrow_aperture(self, tmp_path):
+        # 26 samples in the aperture at N = 2048; a grid of the same period
+        # at the dense oracle's cap N = 1024 would hold only 13 of them.
+        config = small_config(trace={"L": 8.0, "N": 2048}, validate={"trials": 2})
+        config["scene"]["cavities"][0]["aperture"] = [-0.05, 0.05]
+        path = write_config(tmp_path, config)
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["passed"] is True
+        assert manifest["metrics"]["trace"] == {"L": 8.0, "N": 2048}
+
     @pytest.mark.parametrize("trials", ["x", 0], ids=["not-an-integer", "zero"])
     def test_malformed_trials_exit_2(self, tmp_path, capsys, trials):
         path = write_config(tmp_path, small_config(validate={"trials": trials}))

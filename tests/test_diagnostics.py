@@ -7,7 +7,6 @@ from cavitytd.cq import CqScheme
 from cavitytd.errors import DimensionMismatch
 from cavitytd.fem import assemble_all
 from cavitytd.incident import boundary_data_bundle
-from cavitytd.trace import DtnSymbol
 
 from conftest import run_recorded
 
@@ -212,10 +211,10 @@ class TestStabilityChecks:
 class TestPassivitySuite:
     def test_trials_validation(self, unit_grid):
         with pytest.raises(ValueError):
-            diagnostics.passivity_suite(unit_grid, DtnSymbol(1.0), trials=0)
+            diagnostics.passivity_suite(unit_grid, 1.0, trials=0)
 
     def test_report_clean(self, two_grid):
-        report = diagnostics.passivity_suite(two_grid, DtnSymbol(1.0), trials=100, seed=7)
+        report = diagnostics.passivity_suite(two_grid, 1.0, trials=100, seed=7)
         assert set(report.min_defects) == {"single", "two-trace", "time-domain"}
         assert report.total_failures == 0
         assert report.min_defects["single"] >= -1e-12
@@ -223,11 +222,11 @@ class TestPassivitySuite:
         assert report.min_defects["time-domain"] >= -1e-10
 
     def test_reproducible(self, two_grid):
-        r1 = diagnostics.passivity_suite(two_grid, DtnSymbol(1.0), trials=50, seed=3)
-        r2 = diagnostics.passivity_suite(two_grid, DtnSymbol(1.0), trials=50, seed=3)
+        r1 = diagnostics.passivity_suite(two_grid, 1.0, trials=50, seed=3)
+        r2 = diagnostics.passivity_suite(two_grid, 1.0, trials=50, seed=3)
         assert r1.min_defects == r2.min_defects
 
     def test_summary_format(self, two_grid):
-        report = diagnostics.passivity_suite(two_grid, DtnSymbol(1.0), trials=10, seed=1)
+        report = diagnostics.passivity_suite(two_grid, 1.0, trials=10, seed=1)
         text = report.summary()
         assert "single" in text and "failures" in text

@@ -12,7 +12,7 @@ from cavitytd.fem import (
     build_system,
     build_system_single,
 )
-from cavitytd.trace import DtnSymbol, TraceVector, apply_B_columns
+from cavitytd.trace import apply_B_columns
 from conftest import load_reference
 
 
@@ -73,7 +73,7 @@ class TestAssemble:
 
 class TestApplyRhs:
     def test_zero_data(self, unit_fem, unit_grid):
-        g = TraceVector.zero(unit_grid).values
+        g = np.zeros(unit_grid.N, complex)
         load = ct.apply_rhs(g, unit_fem.restriction, unit_grid)
         assert np.all(load == 0.0)
 
@@ -195,14 +195,14 @@ class TestSystemOperator:
         op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
         fem = op.fems[0]
         free = fem.free_nodes
-        sym = DtnSymbol(unit_scene.c)
+        c = unit_scene.c
         for _ in range(5):
             u = rng.standard_normal(op.n_dofs) + 1j * rng.standard_normal(op.n_dofs)
             via_matrix = np.vdot(u, op.matvec(u))
             m = fem.mass[free][:, free]
             k = fem.stiffness[free][:, free]
             ru = (fem.restriction[:, free] @ u).astype(np.complex128)
-            bru = apply_B_columns(ru[:, None], self.S, unit_grid, sym)[:, 0]
+            bru = apply_B_columns(ru[:, None], self.S, unit_grid, c)[:, 0]
             boundary = unit_grid.dx * np.sum(bru * np.conj(ru))
             via_parts = (
                 self.S * np.vdot(u, m @ u)
@@ -216,7 +216,7 @@ class TestSystemOperator:
         op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
         fem = op.fems[0]
         free = fem.free_nodes
-        dense_b = ct.dtn_dense(unit_grid, self.S, DtnSymbol(unit_scene.c))
+        dense_b = ct.dtn_dense(unit_grid, self.S, unit_scene.c)
         r = fem.restriction[:, free].toarray()
         m = fem.mass[free][:, free]
         k = fem.stiffness[free][:, free]
@@ -318,7 +318,7 @@ class TestFixedPattern:
         _, scene, meshes, grid, _, _ = load_reference("reference_two")
         fems = assemble_all(scene, meshes, grid)
         solver = ct.FrequencySolver(scene, meshes, grid)
-        sym = DtnSymbol(scene.c)
+        c = scene.c
         ap, _ = _aperture_restriction(fems)
         for s in self.S_VALUES:
             volume = sp.block_diag(
@@ -327,7 +327,7 @@ class TestFixedPattern:
                  for f in fems],
                 format="csr",
             )
-            coupling = solver.pattern.coupling(s, grid, sym)
+            coupling = solver.pattern.coupling(s, grid, c)
             dtn = sp.coo_matrix(
                 ((-1.0 / (s * scene.mu0)) * coupling.ravel(),
                  (np.repeat(ap, ap.size), np.tile(ap, ap.size))),
@@ -358,15 +358,15 @@ class TestFixedPattern:
         # aperture column and the dense oracle, to round-off.
         _, scene, meshes, grid, _, _ = load_reference("reference_two")
         solver = ct.FrequencySolver(scene, meshes, grid)
-        sym = DtnSymbol(scene.c)
+        c = scene.c
         _, ra = _aperture_restriction(solver.fems)
         for s in self.S_VALUES:
-            got = solver.pattern.coupling(s, grid, sym)
+            got = solver.pattern.coupling(s, grid, c)
             # At real s the block and the real-column path are exactly real.
             assert got.dtype == (np.float64 if s.imag == 0.0 else np.complex128)
-            by_columns = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, sym))
-            real_columns = ra.T @ (grid.dx * apply_B_columns(ra, s, grid, sym))
-            dense = ra.T @ (grid.dx * ct.dtn_dense(grid, s, sym)) @ ra
+            by_columns = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, c))
+            real_columns = ra.T @ (grid.dx * apply_B_columns(ra, s, grid, c))
+            dense = ra.T @ (grid.dx * ct.dtn_dense(grid, s, c)) @ ra
             for ref in (by_columns, real_columns, dense):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -387,7 +387,7 @@ class TestSingleCavityDegeneracy:
         general = build_system(unit_scene, unit_meshes, unit_grid, s)
         single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
         fem = general.fems[0]
-        load = ct.apply_rhs(data.values, fem.restriction, unit_grid)[fem.free_nodes]
+        load = ct.apply_rhs(data, fem.restriction, unit_grid)[fem.free_nodes]
         xg = general.solve(load)
         xs = single.solve(load)
         assert np.linalg.norm(xg - xs) <= 1e-12 * np.linalg.norm(xs)

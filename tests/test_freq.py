@@ -17,7 +17,6 @@ from cavitytd.freq import (
     frequency_groups,
     save_solution_csv,
 )
-from cavitytd.trace import TraceVector
 
 from conftest import load_reference
 
@@ -29,14 +28,14 @@ def unit_solver(unit_scene, unit_meshes, unit_grid):
 
 class TestSolveFrequency:
     def test_zero_data_zero_solution(self, unit_solver, unit_grid):
-        sol = unit_solver.solve(1.0 + 1.0j, TraceVector.zero(unit_grid))
+        sol = unit_solver.solve(1.0 + 1.0j, np.zeros(unit_grid.N, complex))
         assert sol.norm() == 0.0
         assert sol.residual == 0.0
 
     def test_rejects_bad_frequency(self, unit_solver, unit_grid):
         for s in (-1.0 + 0.0j, complex("nan")):
             with pytest.raises(DomainError):
-                unit_solver.solve(s, TraceVector.zero(unit_grid))
+                unit_solver.solve(s, np.zeros(unit_grid.N, complex))
 
     def test_residual_small(self, unit_solver, unit_grid, gaussian_wave):
         s = 1.3 + 0.9j
@@ -59,7 +58,7 @@ class TestSolveFrequency:
         s = 2.0 + 0.4j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
         sol1 = unit_solver.solve(s, data)
-        sol2 = unit_solver.solve(s, TraceVector(2.0 * data.values))
+        sol2 = unit_solver.solve(s, 2.0 * data)
         for f1, f2 in zip(sol1.fields, sol2.fields):
             assert np.allclose(f2, 2.0 * f1, rtol=1e-12, atol=1e-15)
 
@@ -152,8 +151,8 @@ class TestFactorization:
 
 class TestEstimateReport:
     def test_zero_data_reports_zero_ratio(self, unit_solver, unit_grid):
-        sol = unit_solver.solve(1.0 + 0.0j, TraceVector.zero(unit_grid))
-        rec = estimate_report(sol, TraceVector.zero(unit_grid), unit_grid, unit_solver.fems)
+        sol = unit_solver.solve(1.0 + 0.0j, np.zeros(unit_grid.N, complex))
+        rec = estimate_report(sol, np.zeros(unit_grid.N, complex), unit_grid, unit_solver.fems)
         assert rec["ratio"] == 0.0
         assert rec["lhs"] == 0.0
 
@@ -161,7 +160,7 @@ class TestEstimateReport:
         s = 1.2 + 0.6j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
         r1 = estimate_report(unit_solver.solve(s, data), data, unit_grid, unit_solver.fems)
-        doubled = TraceVector(2.0 * data.values)
+        doubled = 2.0 * data
         r2 = estimate_report(unit_solver.solve(s, doubled), doubled, unit_grid, unit_solver.fems)
         assert r2["ratio"] == pytest.approx(r1["ratio"], rel=1e-12)
 
