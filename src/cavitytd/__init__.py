@@ -8,7 +8,7 @@ layer that certifies passivity, coercivity and the stability estimates at
 the discrete level.
 """
 
-from .cq import CqScheme, TimeSolution, cq_frequencies, run_time_domain, time_derivative
+from .cq import CqScheme, TimeSolution, run_time_domain, time_derivative
 from .diagnostics import (
     EnergyTrace,
     apriori_check,
@@ -24,7 +24,6 @@ from .errors import (
     CausalityViolation,
     CavityError,
     ConfigError,
-    ContractViolation,
     DimensionMismatch,
     DomainError,
     FactorizationFailure,

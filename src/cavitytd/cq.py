@@ -39,10 +39,8 @@ adds its column to the record, the six quadratic forms of FORMS that the
 energy checks read and the state norm behind the causality check, and
 hands its fields to the caller's observer, if any.
 
-The all-at-once realization, one frequency solve per node of a contour of
-radius lambda = contour_tol**(1/(2N+2)), stays as `run_all_at_once`: the
-reference the march is compared against.  It equals the march up to
-round-off, which it amplifies by lambda^-n at step n.
+`validate` certifies the time-domain passivity of these same DtN weights
+(diagnostics.passivity_suite).
 """
 
 from __future__ import annotations
@@ -51,8 +49,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import CausalityViolation, ContractViolation, UnsupportedPolarization
+from .errors import CausalityViolation, UnsupportedPolarization
 from .fem import SystemOperator, apply_rhs, stack_free
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
@@ -63,9 +62,7 @@ __all__ = [
     "CqScheme",
     "FORMS",
     "TimeSolution",
-    "cq_frequencies",
     "dtn_weights",
-    "run_all_at_once",
     "run_time_domain",
     "time_derivative",
 ]
@@ -85,28 +82,16 @@ class CqScheme:
 
     dt : step size
     steps : number of steps N (time grid t_n = n*dt, n = 0..N)
-    contour_tol : target aliasing level of the all-at-once contour (the
-        march does not read it); the contour radius is
-        lambda = contour_tol ** (1 / (2*steps + 2))
     """
 
     dt: float
     steps: int
-    contour_tol: float = 1e-14
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:  # also rejects NaN
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.steps}")
-        if not 0.0 < self.contour_tol < 1.0:
-            raise ValueError(
-                f"contour tolerance must lie in (0, 1), got {self.contour_tol}"
-            )
-
-    @property
-    def lam(self) -> float:
-        return self.contour_tol ** (1.0 / (2 * self.steps + 2))
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.steps + 1)
@@ -119,23 +104,6 @@ class CqScheme:
 
     def serialize(self) -> dict:
         return {"dt": self.dt, "steps": self.steps}
-
-
-def cq_frequencies(scheme: CqScheme) -> np.ndarray:
-    """Contour frequencies s_l = delta(lambda e^{-2 pi i l/(N+1)}) / dt.
-
-    All N + 1 nodes must satisfy Re s > 0; a violation signals an
-    inadmissible lambda / dt pairing and raises ContractViolation.
-    """
-    n1 = scheme.steps + 1
-    zeta = scheme.lam * np.exp(-2j * np.pi * np.arange(n1) / n1)
-    s = CqScheme.generating_symbol(zeta) / scheme.dt
-    if np.any(s.real <= 0.0):
-        bad = int(np.argmin(s.real))
-        raise ContractViolation(
-            f"contour frequency s_{bad}={s[bad]} left the half-plane Re s > 0"
-        )
-    return s
 
 
 # Rows of TimeSolution.forms: the per-step quadratic forms the energy,
@@ -242,7 +210,10 @@ def run_time_domain(
 
     pattern = solver.pattern
     mass, stiffness, rf = pattern.mass, pattern.stiffness, pattern.restriction
-    mass_unit, stiffness_unit = stack_free(fems, "mass_unit"), stack_free(fems, "stiffness_unit")
+    # With unit materials a weighted matrix equals its unit twin entry for
+    # entry; the forms then share its products, bit for bit.
+    mass_unit = _same_or(mass, stack_free(fems, "mass_unit"))
+    stiffness_unit = _same_or(stiffness, stack_free(fems, "stiffness_unit"))
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
     g = boundary_data_series(pw, grid, times)
@@ -276,13 +247,14 @@ def run_time_domain(
             du -= 4.0 * recent[0]
             du += recent[1]
             du /= 2.0 * dt
+        m_du, k_x = mass @ du, stiffness @ x
         forms[:, n] = (
-            du @ (mass @ du),
-            x @ (stiffness @ x),
-            du @ (mass_unit @ du),
+            du @ m_du,
+            x @ k_x,
+            du @ (m_du if mass_unit is mass else mass_unit @ du),
             du @ (stiffness_unit @ du),
             x @ (mass_unit @ x),
-            x @ (stiffness_unit @ x),
+            x @ (k_x if stiffness_unit is stiffness else stiffness_unit @ x),
         )
         state_norm[n] = np.sqrt(x @ x)
         recent[1:] = recent[:-1]
@@ -315,35 +287,10 @@ def run_time_domain(
     )
 
 
-def run_all_at_once(
-    scene: Scene,
-    meshes: list[Mesh],
-    grid: TraceGrid,
-    pw: PlaneWave,
-    scheme: CqScheme,
-) -> list[np.ndarray]:
-    """All-at-once CQ solution: one certified solve per contour node.
-
-    Scales the sampled aperture data by lambda^n, transforms it over the
-    N + 1 contour frequencies, solves the half spectrum (the mirrored nodes
-    are conjugates) and synthesizes the real history.  This is the
-    reference the march is tested against.  Returns the real nodal
-    history of each cavity, one (N+1, n_nodes) block per cavity.
-    """
-    s_nodes = cq_frequencies(scheme)
-    n1 = scheme.steps + 1
-    lam = scheme.lam
-    times = scheme.times()
-    g_series = boundary_data_series(pw, grid, times)
-    g_hat = np.fft.rfft(g_series * lam ** np.arange(n1)[:, None], axis=0)
-    solver = FrequencySolver(scene, meshes, grid)
-    u_hat = np.stack([
-        solver.solve_load(s_nodes[l], solver.load(g_hat[l]), node=l)[0]
-        for l in range(n1 // 2 + 1)
-    ])
-    hist = np.fft.irfft(u_hat, n=n1, axis=0)
-    hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
-    return solver.expand(hist)
+def _same_or(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """a when b stores the same CSR arrays (indptr, indices, data), else b."""
+    same = all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+    return a if same else b
 
 
 def time_derivative(block: np.ndarray, dt: float) -> np.ndarray:

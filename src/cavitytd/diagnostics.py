@@ -9,9 +9,11 @@ than PIN_MARGIN.
 The passivity suite exercises the sign-definiteness of the boundary
 quadratic form three ways: single trace, coupled two-trace, and n-trace
 random configurations in the frequency domain, plus the time-domain
-quadratic form evaluated through the contour-weighted transform, whose
-discrete positivity is exact (the weight lambda^(2n) plays the role of
-the vanishing exponential factor in the continuous argument).
+pairing of the march's own BDF2 DtN weights (cq.dtn_weights) with the
+BDF2 difference.  BDF2 is A-stable, so by Parseval on |zeta| = 1 that
+pairing is nonnegative mode by mode for every causal history that
+returns to rest (Lubich, Numer. Math. 67, 1994; Banjai, Lubich & Sayas,
+Numer. Math. 129, 2015).
 
 The time-domain checks read one per-step record: the march
 (cq.run_time_domain) accumulates every quadratic form of u and du/dt as it
@@ -28,18 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cq import FORMS, CqScheme, TimeSolution, cq_frequencies, run_time_domain
+from .cq import FORMS, CqScheme, TimeSolution, dtn_weights, run_time_domain
 from .errors import DimensionMismatch
 from .incident import BoundaryDataSeries, PlaneWave, WaveProfile, boundary_data_bundle
 from .io import write_csv
 from .scene import Mesh, Scene
-from .trace import (
-    TraceGrid,
-    apply_B_columns,
-    multiplier_norm_rows,
-    passivity_defect,
-    restrict,
-)
+from .trace import TraceGrid, multiplier_norm_rows, passivity_defect, restrict
 
 __all__ = [
     "EnergyTrace",
@@ -71,6 +67,10 @@ PINNED_APRIORI_LINF = 0.229
 # Passivity-suite failure limits on the normalized defect (a trial fails
 # below minus the limit): frequency-domain configurations, time-domain form.
 DEFECT_TOL, TIME_DEFECT_TOL = 1e-12, 1e-10
+# Time-domain passivity histories: random signals under a sin^2 envelope
+# that returns to rest at step _TD_REST, then _TD_STEPS - _TD_REST rest
+# steps, so that the pairing covers every step where D1 u is nonzero.
+_TD_DT, _TD_REST, _TD_STEPS = 0.1, 32, 34
 # Time steps per block of the data-norm transforms.
 _ROW_BLOCK = 64
 # Time steps of each growth-study march, whatever its horizon.
@@ -291,8 +291,8 @@ def passivity_suite(
 
     Frequency-domain configurations run with one trace, two traces and all
     apertures of the grid (whichever exist); the time-domain configuration
-    drives random causal trace histories through the contour-weighted
-    transform.  Failures (normalized defect below -DEFECT_TOL, or
+    pairs random causal trace histories with the march's DtN weights,
+    built once here.  Failures (normalized defect below -DEFECT_TOL, or
     -TIME_DEFECT_TOL in the time domain) are report content, not exceptions.
     """
     if trials < 1:
@@ -325,8 +325,9 @@ def passivity_suite(
     worst = math.inf
     fails = 0
     td_trials = max(1, trials // 10)  # each trial is a full space-time history
+    omega, _ = dtn_weights(grid, c, CqScheme(dt=_TD_DT, steps=_TD_STEPS))
     for _ in range(td_trials):
-        d = _time_domain_defect(rng, grid, c, mu0)
+        d = _time_domain_defect(rng, grid, omega, mu0)
         worst = min(worst, d)
         if d < -TIME_DEFECT_TOL:
             fails += 1
@@ -336,46 +337,46 @@ def passivity_suite(
 
 
 def _time_domain_defect(
-    rng: np.random.Generator, grid: TraceGrid, c: float, mu0: float
+    rng: np.random.Generator, grid: TraceGrid, omega: np.ndarray, mu0: float
 ) -> float:
-    """Contour-weighted discrete form of the time-domain passivity pairing.
+    """Normalized time-domain passivity pairing of the march's DtN weights.
 
-    For a causal history u_n the weighted sum
-        -Re sum_n lambda^(2n) <T u (t_n), du/dt (t_n)>
-    diagonalizes over the contour frequencies into mode-wise nonnegative
-    terms; this evaluates it in that diagonal form, normalized by the
-    history size.
+    For a random real causal history u_n on the apertures, at rest from
+    step _TD_REST on, evaluates
+        D = -(dx/mu0) sum_n <(omega * u)_n, (D1 u)_n>
+    on the rfft modes, with omega the (N+1, N_trace/2+1) weights of
+    cq.dtn_weights, * their causal convolution in time and D1 the BDF2
+    difference, and returns D over the sum of the magnitudes of its
+    (step, mode) terms, a number in [-1, 1].  D1 u vanishes after step
+    _TD_REST + 1, so the finite sum is the |zeta| = 1 integral exactly.
     """
-    steps = 32
-    scheme = CqScheme(dt=0.1, steps=steps, contour_tol=1e-10)
-    s_nodes = cq_frequencies(scheme)
-    n1 = steps + 1
-
-    # Smooth causal random history on the apertures: random spatial traces
-    # modulated by a ramped random trig signal, zero at t = 0.
-    t = scheme.times()
-    envelope = np.sin(np.pi * np.minimum(t / t[-1], 1.0)) ** 2
-    hist = np.zeros((n1, grid.N), dtype=np.complex128)
+    n1 = omega.shape[0]
+    t = _TD_DT * np.arange(n1)
+    envelope = np.sin(np.pi * np.minimum(t / t[_TD_REST], 1.0)) ** 2
+    hist = np.zeros((n1, grid.N))
     for j in range(grid.n_apertures):
-        base = _random_trace(rng, grid, j)
+        base = restrict(rng.standard_normal(grid.N), j, grid)
         signal = np.zeros(n1)
         for _ in range(3):
             om = rng.uniform(0.5, 4.0)
             signal += rng.standard_normal() * np.sin(om * t + rng.uniform(0, 2 * np.pi))
         hist += (envelope * signal)[:, None] * base[None, :]
 
-    lam = scheme.lam
-    u_hat = np.fft.fft(hist * lam ** np.arange(n1)[:, None], axis=0)
-    total = 0.0
-    scale = 0.0
-    for l, s in enumerate(s_nodes):
-        bu = apply_B_columns(u_hat[l][:, None], s, grid, c)[:, 0]
-        pair = grid.dx * np.sum(bu * np.conj(s * u_hat[l]))
-        total += -pair.real
-        scale += abs(s) * grid.dx * float(np.linalg.norm(u_hat[l])) ** 2
-    if scale == 0.0:
-        return 0.0
-    return float(total / scale)
+    u_hat = np.fft.rfft(hist, axis=1)
+    conv = np.zeros_like(u_hat)
+    for k in range(n1):
+        conv[k:] += omega[k] * u_hat[: n1 - k]
+    d1 = 3.0 * u_hat
+    d1[1:] -= 4.0 * u_hat[:-1]
+    d1[2:] += u_hat[:-2]
+    d1 /= 2.0 * _TD_DT
+    # rfft multiplicities: the full spectrum holds each inner mode twice and
+    # (N is even) the zero and Nyquist modes once.
+    mult = np.full(u_hat.shape[1], 2.0)
+    mult[[0, -1]] = 1.0
+    terms = -(grid.dx / (mu0 * grid.N)) * mult * (conv * np.conj(d1)).real
+    scale = float(np.sum(np.abs(terms)))
+    return float(np.sum(terms)) / scale if scale > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------

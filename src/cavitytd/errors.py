@@ -49,10 +49,6 @@ class DimensionMismatch(CavityError, ValueError):
     """Scene, meshes and trace grid disagree on shapes or counts."""
 
 
-class ContractViolation(CavityError):
-    """An internal guarantee failed (e.g. a quadrature node left Re s > 0)."""
-
-
 class CausalityViolation(CavityError):
     """The reconstructed field is non-negligible before the data arrives."""
 

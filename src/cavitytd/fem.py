@@ -50,7 +50,6 @@ __all__ = [
     "assemble_all",
     "apply_rhs",
     "build_system",
-    "build_system_single",
     "stack_free",
 ]
 
@@ -409,32 +408,4 @@ def build_system(
         s=s,
         matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
         fems=fems,
-    )
-
-
-def build_system_single(
-    scene: Scene,
-    mesh: Mesh,
-    grid: TraceGrid,
-    s: complex,
-    fem: FemMatrices | None = None,
-) -> SystemOperator:
-    """Single-cavity assembly (degeneracy reference path).
-
-    Builds the one-block pattern of a lone cavity directly, without the
-    scene checks of the general path, and fills it with the same value
-    kernel; the general path with one cavity must reproduce it bit for bit.
-    """
-    s = complex(s)
-    if not s.real > 0.0:
-        raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
-    if scene.n_cavities != 1:
-        raise DimensionMismatch("single-cavity path requires exactly one cavity")
-    if fem is None:
-        fem = assemble(mesh, scene.cavities[0], grid)
-    pattern = SystemPattern.from_fems([fem])
-    return SystemOperator(
-        s=s,
-        matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
-        fems=[fem],
     )

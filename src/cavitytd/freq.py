@@ -170,10 +170,12 @@ class FrequencySolver:
     def solve_load(
         self, s: complex, b: np.ndarray, node: int | None = None
     ) -> tuple[np.ndarray, float]:
-        """Certified solve of a free-DOF load (all-at-once CQ reference).
+        """Certified solve of a free-DOF load.
 
-        Returns the solution and its relative residual; `node` names the
-        CQ contour node in the error raised above the residual limit.
+        Serves the tests' all-at-once CQ reference and the benchmark's
+        per-node counter; no command calls it.  Returns the solution and
+        its relative residual; `node` names the CQ contour node in the
+        error raised above the residual limit.
         """
         where = f"at s={s}" if node is None else f"at CQ node {node} (s={s})"
         return certified_solve(self.operator(s), b, where)

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 import cavitytd as ct
+from cavitytd import diagnostics
+from cavitytd.cq import CqScheme, dtn_weights
+from cavitytd.errors import DimensionMismatch, DomainError
+from cavitytd.fem import SystemOperator, SystemPattern, assemble
+from cavitytd.freq import FrequencySolver
+from cavitytd.incident import boundary_data_series
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -118,14 +124,95 @@ def load_reference(name):
         eps0=scene.eps0,
         mu0=scene.mu0,
     )
-    scheme = ct.CqScheme(
-        dt=config["scheme"]["dt"],
-        steps=config["scheme"]["steps"],
-        contour_tol=config["scheme"]["contour_tol"],
-    )
+    scheme = ct.CqScheme(dt=config["scheme"]["dt"], steps=config["scheme"]["steps"])
     return config, scene, meshes, grid, pw, scheme
 
 
 @pytest.fixture(scope="session")
 def reference_single():
     return load_reference("reference_single")
+
+
+# ---------------------------------------------------------------------------
+# Test references: the all-at-once CQ realization and the single-cavity
+# assembly.  The package runs neither; the tests compare it against them.
+# ---------------------------------------------------------------------------
+
+# Aliasing level of the all-at-once contour in the reference comparisons.
+REFERENCE_CONTOUR_TOL = 1e-20
+
+
+def contour_radius(scheme, contour_tol):
+    """lambda = contour_tol ** (1 / (2N + 2)), for a tolerance in (0, 1)."""
+    if not 0.0 < contour_tol < 1.0:
+        raise ValueError(f"contour tolerance must lie in (0, 1), got {contour_tol}")
+    return contour_tol ** (1.0 / (2 * scheme.steps + 2))
+
+
+def cq_frequencies(scheme, contour_tol):
+    """Contour frequencies s_l = delta(lambda e^{-2 pi i l/(N+1)}) / dt.
+
+    All N + 1 nodes lie in Re s > 0 for every admissible lambda and dt.
+    """
+    n1 = scheme.steps + 1
+    zeta = contour_radius(scheme, contour_tol) * np.exp(-2j * np.pi * np.arange(n1) / n1)
+    s = CqScheme.generating_symbol(zeta) / scheme.dt
+    assert np.all(s.real > 0.0), f"a contour frequency left Re s > 0: {s[np.argmin(s.real)]}"
+    return s
+
+
+def run_all_at_once(scene, meshes, grid, pw, scheme, contour_tol):
+    """All-at-once CQ solution: one certified solve per contour node.
+
+    Scales the sampled aperture data by lambda^n, transforms it over the
+    N + 1 contour frequencies, solves the half spectrum (the mirrored nodes
+    are conjugates) and synthesizes the real history, which equals the
+    march's up to round-off amplified by lambda^-n at step n.  Returns the
+    real nodal history of each cavity, one (N+1, n_nodes) block per cavity.
+    """
+    s_nodes = cq_frequencies(scheme, contour_tol)
+    n1 = scheme.steps + 1
+    lam = contour_radius(scheme, contour_tol)
+    g_series = boundary_data_series(pw, grid, scheme.times())
+    g_hat = np.fft.rfft(g_series * lam ** np.arange(n1)[:, None], axis=0)
+    solver = FrequencySolver(scene, meshes, grid)
+    u_hat = np.stack([
+        solver.solve_load(s_nodes[l], solver.load(g_hat[l]), node=l)[0]
+        for l in range(n1 // 2 + 1)
+    ])
+    hist = np.fft.irfft(u_hat, n=n1, axis=0)
+    hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
+    return solver.expand(hist)
+
+
+def build_system_single(scene, mesh, grid, s, fem=None):
+    """Single-cavity assembly (degeneracy reference path).
+
+    Builds the one-block pattern of a lone cavity directly, without the
+    scene checks of the general path, and fills it with the same value
+    kernel; the general path with one cavity must reproduce it bit for bit.
+    """
+    s = complex(s)
+    if not s.real > 0.0:
+        raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
+    if scene.n_cavities != 1:
+        raise DimensionMismatch("single-cavity path requires exactly one cavity")
+    if fem is None:
+        fem = assemble(mesh, scene.cavities[0], grid)
+    pattern = SystemPattern.from_fems([fem])
+    return SystemOperator(
+        s=s,
+        matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
+        fems=[fem],
+    )
+
+
+@pytest.fixture
+def flipped_dtn_weight(monkeypatch):
+    """diagnostics reads DtN weights whose row omega_1 is negated."""
+    def flipped(*args):
+        omega, imag = dtn_weights(*args)
+        omega[1] *= -1.0
+        return omega, imag
+
+    monkeypatch.setattr(diagnostics, "dtn_weights", flipped)

@@ -14,12 +14,12 @@ import pytest
 import cavitytd as ct
 from cavitytd import diagnostics
 from cavitytd.cq import CqScheme
-from cavitytd.fem import assemble_all, build_system, build_system_single
+from cavitytd.fem import assemble_all, build_system
 from cavitytd.freq import FrequencySolver, estimate_report
 from cavitytd.incident import boundary_data_bundle, boundary_data_freq
 from cavitytd.trace import apply_B, dtn_dense, restrict, trace_norm
 
-from conftest import load_reference, run_recorded
+from conftest import build_system_single, load_reference, run_recorded
 
 
 def report(num, label, detail):
@@ -189,7 +189,7 @@ def test_criterion_07_cq_temporal_convergence():
     t0 = time.perf_counter()
     final = {}
     for steps in (64, 128, 256, 512):
-        scheme = CqScheme(dt=horizon / steps, steps=steps, contour_tol=1e-20)
+        scheme = CqScheme(dt=horizon / steps, steps=steps)
         _, fields = run_recorded(scene, meshes, grid, pw, scheme)
         final[steps] = fields[0][-1]
     errors = [l2(final[steps] - final[512]) for steps in (64, 128, 256)]
@@ -234,7 +234,7 @@ def test_criterion_09_apriori_growth(reference_runs):
             amplitude=amp,
         )
         wave = ct.PlaneWave(profile=profile, theta=pw.theta)
-        small = CqScheme(dt=scheme.dt, steps=64, contour_tol=1e-20)
+        small = CqScheme(dt=scheme.dt, steps=64)
         run = ct.run_time_domain(scene, meshes, grid, wave, small)
         et = diagnostics.energy(run, boundary_data_bundle(wave, grid, run.times), grid)
         stab = diagnostics.stability_check(et)

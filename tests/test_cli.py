@@ -34,7 +34,7 @@ def small_config(**overrides):
             "profile": {"kind": "gaussian-pulse", "center": 3.5, "width": 0.5},
             "theta": 1.5707963267948966,
         },
-        "scheme": {"dt": 0.2, "steps": 32, "contour_tol": 1e-20},
+        "scheme": {"dt": 0.2, "steps": 32},
         "sweep": {"s_values": [[1.0, 0.0], [2.0, 1.0]]},
         "probes": [[0.0, -0.5]],
         "snapshots": {"every": 16},
@@ -71,6 +71,13 @@ class TestValidate:
         assert "FAIL" not in summary
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["passed"] is True
+
+    def test_flipped_dtn_weight_exit_1(self, tmp_path, flipped_dtn_weight):
+        path = write_config(tmp_path, small_config())
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        summary = (tmp_path / "validate_summary.txt").read_text()
+        assert "FAIL passivity-time-domain" in summary
+        assert summary.count("FAIL") == 1
 
     def test_overlapping_apertures_exit_2(self, tmp_path):
         config = small_config()
@@ -292,8 +299,7 @@ class TestSolveTime:
         assert np.all(energy[:, 1] == 0.0)
 
     def test_reference_outputs(self, tmp_path):
-        path = write_config(tmp_path, small_config(scheme={"dt": 0.125, "steps": 64,
-                                                           "contour_tol": 1e-20}))
+        path = write_config(tmp_path, small_config(scheme={"dt": 0.125, "steps": 64}))
         out = tmp_path / "out"
         assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "energy.csv").exists()
@@ -499,3 +505,60 @@ def test_integer_keys_take_integral_numbers():
     # values are the config-error cases above.
     assert cli._int(100.0) == 100 and isinstance(cli._int(100.0), int)
     assert cli._int(2**60 + 1) == 2**60 + 1
+
+
+class ReadRecorder(dict):
+    """A config mapping that records the path of every key read from it,
+    through nested mappings and lists."""
+
+    def __init__(self, data, seen, path=()):
+        super().__init__({k: _recording(v, seen, path + (k,)) for k, v in data.items()})
+        self.seen, self.path = seen, path
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + (key,))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
+def _recording(value, seen, path):
+    if isinstance(value, dict):
+        return ReadRecorder(value, seen, path)
+    if isinstance(value, list):
+        return [_recording(v, seen, path + (i,)) for i, v in enumerate(value)]
+    return value
+
+
+def key_paths(value, path=()):
+    """The path of every key in a parsed JSON document, through lists by index."""
+    if isinstance(value, dict):
+        return {p for k, v in value.items() for p in {path + (k,)} | key_paths(v, path + (k,))}
+    if isinstance(value, list):
+        return {p for i, v in enumerate(value) for p in key_paths(v, path + (i,))}
+    return set()
+
+
+@pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
+def test_every_shipped_config_key_is_read(name, monkeypatch):
+    # A key that no command reads is a knob that changes nothing.
+    path = CONFIG_DIR / f"{name}.json"
+    document = json.loads(path.read_text())
+    seen = set()
+    monkeypatch.setattr(cli, "load_config", lambda _: ReadRecorder(document, seen))
+    parser = cli._build_parser()
+    for command in ("validate", "solve-freq", "solve-time", "sweep", "mesh-export"):
+        cli._parse_config(parser.parse_args([command, "--config", str(path)]))
+    assert sorted(map(str, key_paths(document) - seen)) == []
+
+
+def test_unread_scheme_key_is_ignored(tmp_path):
+    # The benchmark's generated configs still carry scheme.contour_tol,
+    # which no command reads.
+    parser = cli._build_parser()
+    runs = []
+    for scheme in ({"dt": 0.2, "steps": 32}, {"dt": 0.2, "steps": 32, "contour_tol": 1e-20}):
+        path = write_config(tmp_path, small_config(scheme=scheme))
+        runs.append(cli._parse_config(parser.parse_args(["solve-time", "--config", str(path)])))
+    assert runs[0] == runs[1]

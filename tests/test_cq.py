@@ -5,10 +5,20 @@ import pytest
 
 import cavitytd as ct
 from cavitytd import cq, fem, freq
-from cavitytd.cq import CqScheme, cq_frequencies, time_derivative
+from cavitytd.cq import CqScheme, time_derivative
 from cavitytd.errors import FactorizationFailure, UnsupportedPolarization
 
-from conftest import load_reference, run_recorded
+from conftest import (
+    REFERENCE_CONTOUR_TOL,
+    contour_radius,
+    cq_frequencies,
+    load_reference,
+    run_all_at_once,
+    run_recorded,
+)
+
+# Aliasing target of the contour tests.
+CONTOUR_TOL = 1e-14
 
 
 class TestCqScheme:
@@ -20,7 +30,7 @@ class TestCqScheme:
         with pytest.raises(ValueError):
             CqScheme(dt=0.1, steps=1)
         with pytest.raises(ValueError):
-            CqScheme(dt=0.1, steps=16, contour_tol=1.5)
+            cq_frequencies(CqScheme(dt=0.1, steps=16), 1.5)
 
     def test_generating_symbol(self):
         assert CqScheme.generating_symbol(1.0) == 0.0
@@ -28,27 +38,27 @@ class TestCqScheme:
 
     def test_first_node_real_positive(self):
         scheme = CqScheme(dt=0.05, steps=32)
-        s = cq_frequencies(scheme)
-        lam = scheme.lam
+        s = cq_frequencies(scheme, CONTOUR_TOL)
+        lam = contour_radius(scheme, CONTOUR_TOL)
         expected = (3.0 - 4.0 * lam + lam * lam) / (2.0 * 0.05)
         assert s[0].imag == 0.0
         assert s[0].real == pytest.approx(expected, rel=1e-14)
 
     def test_radius_near_one_stays_admissible(self):
         # contour radius -> 1: the first node approaches 0 from the right
-        scheme = CqScheme(dt=0.1, steps=32, contour_tol=0.999)
-        s = cq_frequencies(scheme)
+        scheme = CqScheme(dt=0.1, steps=32)
+        s = cq_frequencies(scheme, 0.999)
         assert s[0].real > 0.0
         assert s[0].real < 0.2
 
     def test_all_nodes_admissible(self):
         for steps in (16, 31, 64):
-            s = cq_frequencies(CqScheme(dt=0.02, steps=steps))
+            s = cq_frequencies(CqScheme(dt=0.02, steps=steps), CONTOUR_TOL)
             assert np.all(s.real > 0.0)
 
     def test_conjugate_symmetry(self):
         scheme = CqScheme(dt=0.05, steps=33)
-        s = cq_frequencies(scheme)
+        s = cq_frequencies(scheme, CONTOUR_TOL)
         n1 = scheme.steps + 1
         for l in range(1, n1):
             assert s[n1 - l] == pytest.approx(np.conj(s[l]), rel=1e-14)
@@ -158,7 +168,7 @@ class TestRunTimeDomain:
         _, scene, meshes, grid, pw, scheme = load_reference(name)
         assert scheme.steps == 128
         _, march = run_recorded(scene, meshes, grid, pw, scheme)
-        ref = cq.run_all_at_once(scene, meshes, grid, pw, scheme)
+        ref = run_all_at_once(scene, meshes, grid, pw, scheme, REFERENCE_CONTOUR_TOL)
         peak = max(np.max(np.abs(f)) for f in ref)
         diff = max(np.max(np.abs(a - b)) for a, b in zip(march, ref))
         assert diff <= 1e-8 * peak

@@ -36,7 +36,7 @@ def element_loop_energy(mesh, cavity, u, du):
 
 @pytest.fixture(scope="module")
 def small_run(unit_scene, unit_meshes, unit_grid, gaussian_wave):
-    scheme = CqScheme(dt=10.0 / 80, steps=80, contour_tol=1e-20)
+    scheme = CqScheme(dt=10.0 / 80, steps=80)
     sol, fields = run_recorded(unit_scene, unit_meshes, unit_grid, gaussian_wave, scheme)
     series = boundary_data_bundle(gaussian_wave, unit_grid, sol.times)
     et = diagnostics.energy(sol, series, unit_grid)
@@ -166,7 +166,7 @@ class TestStabilityChecks:
         for amp in (1.0, 2.0):
             prof = ct.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5, amplitude=amp)
             pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
-            scheme = CqScheme(dt=0.125, steps=48, contour_tol=1e-20)
+            scheme = CqScheme(dt=0.125, steps=48)
             sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
             et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times), unit_grid)
             stab = diagnostics.stability_check(et)
@@ -178,7 +178,7 @@ class TestStabilityChecks:
     def test_zero_data_zero_ratios(self, unit_scene, unit_meshes, unit_grid):
         prof = ct.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5, amplitude=0.0)
         pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
-        scheme = CqScheme(dt=0.25, steps=24, contour_tol=1e-20)
+        scheme = CqScheme(dt=0.25, steps=24)
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
         et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times), unit_grid)
         rec = diagnostics.stability_check(et)
@@ -193,7 +193,7 @@ class TestStabilityChecks:
         ratios = []
         for h, steps in ((0.1, 128), (0.05, 256)):
             meshes = ct.mesh_scene(scene, h)
-            scheme = CqScheme(dt=16.0 / steps, steps=steps, contour_tol=1e-20)
+            scheme = CqScheme(dt=16.0 / steps, steps=steps)
             sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
             et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
             rec = diagnostics.stability_check(et)
@@ -220,6 +220,15 @@ class TestPassivitySuite:
         assert report.min_defects["single"] >= -1e-12
         assert report.min_defects["two-trace"] >= -1e-12
         assert report.min_defects["time-domain"] >= -1e-10
+
+    def test_time_domain_pairs_the_march_weights(self, two_grid, flipped_dtn_weight):
+        # The time-domain check pairs the weights cq.dtn_weights gives the
+        # march: negating their row omega_1 makes that pairing indefinite,
+        # and every history then fails.
+        report = diagnostics.passivity_suite(two_grid, 1.0, trials=100, seed=7)
+        assert report.failures["time-domain"] == 10
+        assert report.min_defects["time-domain"] < -diagnostics.TIME_DEFECT_TOL
+        assert report.failures["single"] == report.failures["two-trace"] == 0
 
     def test_reproducible(self, two_grid):
         r1 = diagnostics.passivity_suite(two_grid, 1.0, trials=50, seed=3)

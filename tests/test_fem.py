@@ -5,15 +5,9 @@ import scipy.sparse.linalg as spla
 
 import cavitytd as ct
 from cavitytd.errors import DimensionMismatch, DomainError, UnsupportedPolarization
-from cavitytd.fem import (
-    SystemPattern,
-    assemble,
-    assemble_all,
-    build_system,
-    build_system_single,
-)
+from cavitytd.fem import SystemPattern, assemble, assemble_all, build_system
 from cavitytd.trace import apply_B_columns
-from conftest import load_reference
+from conftest import build_system_single, load_reference
 
 
 @pytest.fixture(scope="module")

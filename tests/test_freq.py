@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import cavitytd as ct
 from cavitytd import freq
-from cavitytd.cq import CqScheme, cq_frequencies
+from cavitytd.cq import CqScheme
 from cavitytd.errors import DomainError, FactorizationFailure
 from cavitytd.fem import SystemOperator
 from cavitytd.freq import (
@@ -18,7 +18,7 @@ from cavitytd.freq import (
     save_solution_csv,
 )
 
-from conftest import load_reference
+from conftest import REFERENCE_CONTOUR_TOL, cq_frequencies, load_reference
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +120,7 @@ class TestSolveFrequency:
 def three_solver():
     """reference_three's solver (229 free DOFs) and its CQ contour nodes."""
     _, scene, meshes, grid, pw, scheme = load_reference("reference_three")
-    return FrequencySolver(scene, meshes, grid), pw, cq_frequencies(scheme)
+    return FrequencySolver(scene, meshes, grid), pw, cq_frequencies(scheme, REFERENCE_CONTOUR_TOL)
 
 
 class TestFactorization:
