@@ -51,12 +51,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CausalityViolation, UnsupportedPolarization
+from .errors import CausalityViolation, DimensionMismatch
 from .fem import SystemOperator, apply_rhs, stack_free
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
-from .trace import TraceGrid
+from .trace import TraceGrid, beta
 
 __all__ = [
     "CqScheme",
@@ -154,21 +154,19 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
     discarded imaginary part relative to the largest weight.  The weights
     are the Cauchy integrals over |zeta| = rho on M = 4(N+1) points with
     rho^M = 1e-16, taken in blocks of modes.  Every contour frequency has
-    Re s > 0 (BDF2 is A-stable), so the principal root of
-    xi^2 + s^2/c^2 is the branch of trace.beta with the sign flipped.
+    Re s > 0 (BDF2 is A-stable), so trace.beta samples the symbol there.
     """
     n1 = scheme.steps + 1
     m = 4 * n1
     rho = _WEIGHT_ALIASING ** (1.0 / m)
     s = CqScheme.generating_symbol(rho * np.exp(2j * np.pi * np.arange(m) / m)) / scheme.dt
-    s2 = (s / c) ** 2
     xi = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
     scale = (rho ** -np.arange(n1) / m)[:, None]
     weights = np.empty((n1, xi.size))
     imag = 0.0
     for lo in range(0, xi.size, _WEIGHT_BLOCK):
         block = xi[lo : lo + _WEIGHT_BLOCK]
-        symbol = -np.sqrt(block * block + s2[:, None])
+        symbol = beta(block[None, :], s[:, None], c)
         w = scale * np.fft.fft(symbol, axis=0)[:n1]
         weights[:, lo : lo + block.size] = w.real
         imag = max(imag, float(np.max(np.abs(w.imag))))
@@ -192,10 +190,15 @@ def run_time_domain(
     n's full per-cavity node values as it passes, fresh arrays it may
     keep.  The observer is the only way fields leave the march.  Raises
     CausalityViolation when the state at t = 0 is not at rest relative to
-    the trajectory peak.
+    the trajectory peak.  Raises DimensionMismatch when the wave assumes
+    other exterior constants than the scene: the DtN weights take the
+    scene's, the data the wave's.
     """
-    if scene.polarization != "TE":
-        raise UnsupportedPolarization("time-domain solves support TE only")
+    if (pw.eps0, pw.mu0) != (scene.eps0, scene.mu0):
+        raise DimensionMismatch(
+            f"the wave's exterior (eps0={pw.eps0}, mu0={pw.mu0}) is not the "
+            f"scene's (eps0={scene.eps0}, mu0={scene.mu0})"
+        )
     n1 = scheme.steps + 1
     dt = scheme.dt
     times = scheme.times()
@@ -204,7 +207,7 @@ def run_time_domain(
     fems = solver.fems
     s0 = 1.5 / dt
     # A(s0) is real at the real s0, and so is W0.
-    w0 = SystemOperator(s=s0, matrix=s0 * solver.operator(s0).matrix, fems=fems)
+    w0 = SystemOperator(s=s0, matrix=s0 * solver.operator(s0).matrix)
     lu_nnz = w0.factorize().nnz
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 

@@ -21,8 +21,11 @@ class ApertureCollarViolation(ConfigError):
     """mu differs from the exterior mu0 in the collar beneath an aperture."""
 
 
-class UnsupportedPolarization(CavityError):
-    """TM polarization is representable but no solve path exists for it."""
+class UnsupportedPolarization(ConfigError):
+    """A scene asks for a polarization other than TE, the only one discretized.
+
+    TM exchanges the material roles and needs Neumann walls; the package
+    has neither, so the scene parser refuses it."""
 
 
 class MeshFailure(CavityError):
@@ -46,7 +49,8 @@ class SizeError(CavityError, ValueError):
 
 
 class DimensionMismatch(CavityError, ValueError):
-    """Scene, meshes and trace grid disagree on shapes or counts."""
+    """Scene, meshes and trace grid disagree on shapes or counts, or an
+    incident wave assumes other exterior constants than its scene."""
 
 
 class CausalityViolation(CavityError):

@@ -36,7 +36,6 @@ from .errors import (
     DomainError,
     FactorizationFailure,
     SingularElement,
-    UnsupportedPolarization,
 )
 from .scene import CavitySpec, Mesh, Scene
 from .trace import TraceGrid, apply_B_columns
@@ -67,7 +66,7 @@ class FemMatrices:
     variants back the L2 / H1-seminorm evaluations of the estimate checks.
     restriction interpolates nodal aperture values onto the trace grid
     (one linear-interpolation pair per sample under the aperture, zero
-    rows elsewhere); it is None when no grid was supplied.
+    rows elsewhere).
     """
 
     mass: sp.csr_matrix
@@ -76,7 +75,7 @@ class FemMatrices:
     stiffness_unit: sp.csr_matrix
     free_nodes: np.ndarray
     aperture_nodes: np.ndarray
-    restriction: sp.csr_matrix | None = None
+    restriction: sp.csr_matrix
 
     @property
     def n_nodes(self) -> int:
@@ -93,7 +92,7 @@ class FemMatrices:
         return float(np.sqrt(abs(np.vdot(u, self.stiffness_unit @ u).real)))
 
 
-def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid | None = None) -> FemMatrices:
+def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> FemMatrices:
     """Assemble the P1 matrices of one cavity (and its trace restriction)."""
     areas = mesh.areas()
     if np.any(areas <= 0.0):
@@ -146,7 +145,6 @@ def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid | None = None) -> F
 
     free = np.setdiff1d(np.arange(n), mesh.wall_nodes())
 
-    restriction = _trace_restriction(mesh, cavity, grid) if grid is not None else None
     return FemMatrices(
         mass=to_csr(m_local),
         stiffness=to_csr(k_local),
@@ -154,11 +152,11 @@ def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid | None = None) -> F
         stiffness_unit=to_csr(k1_local),
         free_nodes=free,
         aperture_nodes=mesh.aperture_nodes,
-        restriction=restriction,
+        restriction=_trace_restriction(mesh, cavity, grid),
     )
 
 
-def assemble_all(scene: Scene, meshes: list[Mesh], grid: TraceGrid | None = None) -> list[FemMatrices]:
+def assemble_all(scene: Scene, meshes: list[Mesh], grid: TraceGrid) -> list[FemMatrices]:
     if len(meshes) != scene.n_cavities:
         raise DimensionMismatch(
             f"{len(meshes)} meshes for {scene.n_cavities} cavities"
@@ -228,7 +226,6 @@ class SystemOperator:
 
     s: complex
     matrix: sp.csc_matrix
-    fems: list[FemMatrices]
     _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
@@ -390,11 +387,6 @@ def build_system(
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
-    if scene.polarization != "TE":
-        raise UnsupportedPolarization(
-            "only the TE reduction has a solve path; TM exchanges the "
-            "material roles and needs Neumann walls"
-        )
     if len(meshes) != scene.n_cavities or grid.n_apertures != scene.n_cavities:
         raise DimensionMismatch(
             f"scene has {scene.n_cavities} cavities, got {len(meshes)} meshes "
@@ -404,8 +396,4 @@ def build_system(
         fems = assemble_all(scene, meshes, grid)
     if pattern is None:
         pattern = SystemPattern.from_fems(fems)
-    return SystemOperator(
-        s=s,
-        matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
-        fems=fems,
-    )
+    return SystemOperator(s=s, matrix=pattern.matrix(s, grid, scene.c, scene.mu0))

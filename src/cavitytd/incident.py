@@ -6,13 +6,15 @@ zero for t <= 0.  The traveling field shifts that waveform along the
 downward characteristic,
 
     u_inc(x, y, t) = w(t + c1*x + c2*y),
-    u_ref(x, y, t) = -w(t + c1*x - c2*y)        (TE),
+    u_ref(x, y, t) = -w(t + c1*x - c2*y),
 
 with c1 = cos(theta)/sqrt(eps0*mu0), c2 = sin(theta)/sqrt(eps0*mu0) and
 0 < theta < pi, so the wavefront arrives at the apertures around
-t = center and the incident-plus-reflected trace vanishes identically on
-the ground line.  Because of that cancellation the aperture data reduces
-to the closed form
+t = center.  The field is the TE electric field, the only polarization
+the package discretizes: the conducting ground plane reflects it with
+the sign flipped, so the incident-plus-reflected trace vanishes
+identically on the ground line.  Because of that cancellation the
+aperture data reduces to the closed form
 
     g(x, t) = d/dy (u_inc + u_ref) |_{y=0} = 2*c2*w'(t + c1*x),
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import wofz
 
-from .errors import DomainError, QuadratureFailure, UnsupportedPolarization
+from .errors import DomainError, QuadratureFailure
 from .trace import TraceGrid
 
 __all__ = [
@@ -181,21 +183,22 @@ class WaveProfile:
 
 @dataclass(frozen=True)
 class PlaneWave:
-    """Incident plane wave: pulse profile plus incidence geometry."""
+    """Incident TE plane wave: pulse profile plus incidence geometry.
+
+    eps0 and mu0 are the exterior constants the wave travels in; a solve
+    requires them to match its scene's.
+    """
 
     profile: WaveProfile
     theta: float
     eps0: float = 1.0
     mu0: float = 1.0
-    polarization: str = "TE"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta < math.pi:
             raise ValueError(f"incidence angle must lie in (0, pi), got {self.theta}")
         if not (self.eps0 > 0.0 and self.mu0 > 0.0):  # also rejects NaN
             raise ValueError("exterior constants must be positive")
-        if self.polarization not in ("TE", "TM"):
-            raise ValueError(f"polarization must be TE or TM, got {self.polarization!r}")
 
     @property
     def c1(self) -> float:
@@ -204,17 +207,6 @@ class PlaneWave:
     @property
     def c2(self) -> float:
         return math.sin(self.theta) / math.sqrt(self.eps0 * self.mu0)
-
-    @property
-    def reflection_sign(self) -> float:
-        return -1.0 if self.polarization == "TE" else 1.0
-
-    def _require_te(self) -> None:
-        if self.polarization != "TE":
-            raise UnsupportedPolarization(
-                "TM data is representable but no TM solve path exists "
-                "(Neumann walls change the discrete space)"
-            )
 
 
 def evaluate_incident(pw: PlaneWave, x, y, t):
@@ -226,12 +218,11 @@ def evaluate_incident(pw: PlaneWave, x, y, t):
 
 
 def evaluate_reflected(pw: PlaneWave, x, y, t):
-    """Ground-plane reflection; cancels the incident trace on y = 0 (TE)."""
-    pw._require_te()
+    """Ground-plane reflection; cancels the incident trace on y = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
-    return pw.reflection_sign * pw.profile.value(t + pw.c1 * x - pw.c2 * y)
+    return -pw.profile.value(t + pw.c1 * x - pw.c2 * y)
 
 
 def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):
@@ -244,7 +235,6 @@ def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):
 
 def boundary_data_time(pw: PlaneWave, grid: TraceGrid, t: float) -> np.ndarray:
     """Aperture-line data g(x, t) sampled on the trace grid (real)."""
-    pw._require_te()
     return _g_closed_form(pw, grid.x, t)
 
 
@@ -257,7 +247,6 @@ def boundary_data_series(
     in blocks of rows, so the closed form's temporaries stay one block in
     size however many times there are.
     """
-    pw._require_te()
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size, grid.N))
     for lo in range(0, times.size, _ROW_BLOCK):
@@ -273,7 +262,6 @@ def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray
     error function; the bump profile integrates its compact support with
     adaptive quadrature to _QUAD_TOL.
     """
-    pw._require_te()
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")

@@ -26,6 +26,7 @@ from .errors import (
     MeshFailure,
     NonPositiveMaterial,
     OverlappingApertures,
+    UnsupportedPolarization,
 )
 
 __all__ = [
@@ -358,7 +359,6 @@ class Scene:
     cavities: tuple[CavitySpec, ...]
     eps0: float
     mu0: float
-    polarization: str = "TE"
 
     @property
     def c(self) -> float:
@@ -386,7 +386,6 @@ class Scene:
             "scene": {
                 "eps0": self.eps0,
                 "mu0": self.mu0,
-                "polarization": self.polarization,
                 "cavities": [c.serialize() for c in self.cavities],
             }
         }
@@ -439,8 +438,9 @@ def build_scene(config: dict[str, Any]) -> Scene:
                                  "mu": 1.0 | "expr(x, y)",
                                  "collar": ..., "mesh_file": ...}, ...]}}
 
-    Apertures are re-ordered by x and must keep positive gaps.  TM scenes
-    are accepted here; the solve paths reject them.
+    Apertures are re-ordered by x and must keep positive gaps.  TE is the
+    only polarization the package discretizes, and this is the one place
+    that decides it: any other "polarization" raises UnsupportedPolarization.
     """
     with config_block("scene block"):
         sc = config["scene"]
@@ -451,8 +451,10 @@ def build_scene(config: dict[str, Any]) -> Scene:
 
     if eps0 <= 0.0 or mu0 <= 0.0:
         raise NonPositiveMaterial(f"exterior constants must be positive: eps0={eps0}, mu0={mu0}")
-    if polarization not in ("TE", "TM"):
-        raise ConfigError(f"polarization must be TE or TM, got {polarization!r}")
+    if polarization != "TE":
+        raise UnsupportedPolarization(
+            f"polarization must be TE (the only one discretized), got {polarization!r}"
+        )
     if not raw_cavities:
         raise ConfigError("scene must declare at least one cavity")
 
@@ -498,9 +500,7 @@ def build_scene(config: dict[str, Any]) -> Scene:
     for cav in cavities:
         _validate_cavity(cav, mu0)
 
-    return Scene(
-        cavities=tuple(cavities), eps0=eps0, mu0=mu0, polarization=polarization
-    )
+    return Scene(cavities=tuple(cavities), eps0=eps0, mu0=mu0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ identity exact.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -190,27 +189,25 @@ class TraceGrid:
         return cls(L=L, N=n, apertures=tuple(apertures))
 
 
-def beta(xi, s: complex, c: float):
+def beta(xi, s, c: float):
     """Root of xi**2 + s**2/c**2 with strictly negative real part.
 
-    Accepts scalar or array ``xi``.  Raises DomainError if Re s <= 0, or if
-    the principal root lands on the imaginary axis (unreachable for
-    Re s > 0; an explicit failure beats a silent branch flip).
+    ``xi`` (real) and ``s`` (complex) are scalars or arrays that broadcast
+    against each other.  Raises DomainError if any Re s <= 0, or if a
+    principal root lands on the imaginary axis (unreachable for Re s > 0;
+    an explicit failure beats a silent branch flip).
     """
-    s = complex(s)
-    if not s.real > 0.0:
-        raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
+    s = np.asarray(s, dtype=np.complex128)
+    outside = ~(s.real > 0.0)  # also catches NaN
+    if np.any(outside):
+        raise DomainError(f"frequency must satisfy Re s > 0, got s={complex(s[outside][0])}")
     if not c > 0.0:  # also rejects NaN
         raise DomainError(f"light speed must be positive, got {c}")
-    if np.isscalar(xi):
-        root = cmath.sqrt(xi * xi + (s / c) ** 2)
-        if root.real <= 0.0:
-            raise DomainError(f"principal root degenerated at xi={xi}, s={s}")
-        return -root
     xi = np.asarray(xi, dtype=float)
-    root = np.sqrt(xi * xi + np.complex128((s / c) ** 2))
-    if np.any(root.real <= 0.0):
-        raise DomainError(f"principal root degenerated on the grid at s={s}")
+    root = np.sqrt(xi * xi + (s / c) ** 2)
+    degenerate = root.real <= 0.0
+    if np.any(degenerate):
+        raise DomainError(f"principal root degenerated at {int(np.sum(degenerate))} (xi, s) pairs")
     return -root
 
 

@@ -200,11 +200,7 @@ def build_system_single(scene, mesh, grid, s, fem=None):
     if fem is None:
         fem = assemble(mesh, scene.cavities[0], grid)
     pattern = SystemPattern.from_fems([fem])
-    return SystemOperator(
-        s=s,
-        matrix=pattern.matrix(s, grid, scene.c, scene.mu0),
-        fems=[fem],
-    )
+    return SystemOperator(s=s, matrix=pattern.matrix(s, grid, scene.c, scene.mu0))
 
 
 @pytest.fixture

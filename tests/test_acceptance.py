@@ -159,6 +159,7 @@ def test_criterion_05_frequency_estimate_band():
 def test_criterion_06_single_cavity_degeneracy():
     # A complex s (complex symmetric matrix) and a real s (real symmetric).
     _, scene, meshes, grid, pw, _ = load_reference("reference_single")
+    fem = assemble_all(scene, meshes, grid)[0]
     worst = 0.0
     for s in (1.1 + 1.9j, 1.3 + 0.0j):
         general = build_system(scene, meshes, grid, s)
@@ -166,7 +167,6 @@ def test_criterion_06_single_cavity_degeneracy():
         assert general.matrix.dtype == single.matrix.dtype
         assert np.array_equal(general.matrix.toarray(), single.matrix.toarray())
         data = boundary_data_freq(pw, grid, s)
-        fem = general.fems[0]
         load = ct.apply_rhs(data, fem.restriction, grid)[fem.free_nodes]
         xg = general.solve(load)
         xs = single.solve(load)

@@ -190,6 +190,10 @@ class TestSolveFreq:
              [], "ApertureCollarViolation"),
             ("solve-time", ("probes",), [[0.0, -0.5], [3.0, -0.5]], [], "ConfigError"),
             ("solve-freq", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
+            ("validate", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
+            ("solve-time", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
+            ("sweep", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
+            ("mesh-export", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
             ("validate", ("seed",), -3, [], "ConfigError"),
             ("validate", (), None, ["--seed", "-1"], "ConfigError"),
             ("solve-time", ("scheme", "steps"), 40.7, [], "ConfigError"),
@@ -204,7 +208,9 @@ class TestSolveFreq:
              "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
              "dt-infinity", "steps-infinity", "mesh-h-nan", "cavity-depth-nan",
              "seed-not-a-number", "mesh-h-tiny", "collar-thinner-than-first-layer",
-             "probe-outside-every-cavity", "tm-scene", "seed-negative", "seed-flag-negative",
+             "probe-outside-every-cavity", "tm-scene", "tm-scene-validate",
+             "tm-scene-solve-time", "tm-scene-sweep", "tm-scene-mesh-export",
+             "seed-negative", "seed-flag-negative",
              "steps-fractional", "snapshots-every-fractional", "trace-n-over-cap",
              "trace-min-samples-over-cap"],
     )

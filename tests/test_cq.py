@@ -6,7 +6,7 @@ import pytest
 import cavitytd as ct
 from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme, time_derivative
-from cavitytd.errors import FactorizationFailure, UnsupportedPolarization
+from cavitytd.errors import DimensionMismatch, FactorizationFailure
 
 from conftest import (
     REFERENCE_CONTOUR_TOL,
@@ -79,14 +79,16 @@ class TestRunTimeDomain:
         assert np.all(sol.forms == 0.0) and np.all(sol.state_norm == 0.0)
         assert sol.initial_ratio == 0.0
 
-    def test_rejects_tm(self, unit_meshes, unit_grid, gaussian_wave):
-        tm = ct.build_scene(
-            {"scene": {"eps0": 1.0, "mu0": 1.0, "polarization": "TM",
+    def test_rejects_wave_of_another_exterior(self, unit_meshes, unit_grid, gaussian_wave):
+        # The DtN weights take the scene's exterior and the data the wave's;
+        # a wave built for eps0 = 1 does not drive a scene with eps0 = 4.
+        dense = ct.build_scene(
+            {"scene": {"eps0": 4.0, "mu0": 1.0,
                        "cavities": [{"aperture": [-0.5, 0.5], "depth": 1.0,
-                                     "epsilon": 1.0, "mu": 1.0}]}}
+                                     "epsilon": 4.0, "mu": 1.0}]}}
         )
-        with pytest.raises(UnsupportedPolarization):
-            self.run(tm, unit_meshes, unit_grid, gaussian_wave)
+        with pytest.raises(DimensionMismatch):
+            self.run(dense, unit_meshes, unit_grid, gaussian_wave)
 
     def test_amplitude_linearity(self, unit_scene, unit_meshes, unit_grid):
         sols = []
@@ -180,7 +182,7 @@ class TestRunTimeDomain:
         # gives the same record up to the order of summation.
         _, scene, meshes, grid, pw, scheme = load_reference(name)
         sol, fields = run_recorded(scene, meshes, grid, pw, scheme)
-        fems = fem.assemble_all(scene, meshes)
+        fems = fem.assemble_all(scene, meshes, grid)
 
         def form(block, matrix):
             return np.einsum("ni,ni->n", block, (matrix @ block.T).T)

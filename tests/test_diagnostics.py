@@ -78,7 +78,7 @@ class TestEnergy:
         # u(., t) = t*w in place of the step solves: the march's
         # second-order difference quotient returns w exactly from step 1,
         # so the kinetic term is constant and the potential grows like t^2.
-        fems = assemble_all(unit_scene, unit_meshes)
+        fems = assemble_all(unit_scene, unit_meshes, unit_grid)
         free = fems[0].free_nodes
         w = np.zeros(fems[0].n_nodes)
         w[free] = rng.standard_normal(free.size)

@@ -1,9 +1,12 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import cavitytd
+from cavitytd import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(cavitytd.__path__))
 
@@ -16,3 +19,29 @@ def test_star_import_resolves_all(name):
     namespace: dict = {}
     exec(f"from cavitytd.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def _raised_names() -> set[str]:
+    """Names of the exceptions that a `raise` statement in the package raises."""
+    names = set()
+    for path in Path(cavitytd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised():
+    # CavityError is the base callers catch; every other error type must
+    # have a raiser, or it is dead API.
+    declared = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.CavityError)
+        and obj.__module__ == errors.__name__ and obj is not errors.CavityError
+    }
+    assert declared
+    assert sorted(declared - _raised_names()) == []

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cavitytd as ct
-from cavitytd.errors import DimensionMismatch, DomainError, UnsupportedPolarization
+from cavitytd.errors import DimensionMismatch, DomainError
 from cavitytd.fem import SystemPattern, assemble, assemble_all, build_system
 from cavitytd.trace import apply_B_columns
 from conftest import build_system_single, load_reference
@@ -147,22 +147,6 @@ class TestSystemOperator:
             with pytest.raises(DomainError):
                 build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
 
-    def test_rejects_tm(self, unit_meshes, unit_grid):
-        tm = ct.build_scene(
-            {
-                "scene": {
-                    "eps0": 1.0,
-                    "mu0": 1.0,
-                    "polarization": "TM",
-                    "cavities": [
-                        {"aperture": [-0.5, 0.5], "depth": 1.0, "epsilon": 1.0, "mu": 1.0}
-                    ],
-                }
-            }
-        )
-        with pytest.raises(UnsupportedPolarization):
-            build_system(tm, unit_meshes, unit_grid, self.S)
-
     def test_dtype_follows_s(self, unit_scene, unit_meshes, unit_grid):
         # Real symmetric at real s, complex symmetric otherwise.
         for s, dtype in ((1.3, np.float64), (1.3 + 0.0j, np.float64),
@@ -184,10 +168,10 @@ class TestSystemOperator:
         assert np.all(op.solve(1j * b.imag).real == 0.0)
         assert np.all(op.solve(b.real + 0j).imag == 0.0)
 
-    def test_quadratic_form_two_paths(self, unit_scene, unit_meshes, unit_grid, rng):
+    def test_quadratic_form_two_paths(self, unit_scene, unit_meshes, unit_grid, unit_fem, rng):
         # Assemble-then-dot against dot-then-assemble from the primitives.
         op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
-        fem = op.fems[0]
+        fem = unit_fem
         free = fem.free_nodes
         c = unit_scene.c
         for _ in range(5):
@@ -205,10 +189,10 @@ class TestSystemOperator:
             )
             assert abs(via_matrix - via_parts) <= 1e-12 * abs(via_matrix)
 
-    def test_dense_dtn_consistency(self, unit_scene, unit_meshes, unit_grid, rng):
+    def test_dense_dtn_consistency(self, unit_scene, unit_meshes, unit_grid, unit_fem, rng):
         # Replace the FFT coupling with the dense oracle; matvecs agree.
         op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
-        fem = op.fems[0]
+        fem = unit_fem
         free = fem.free_nodes
         dense_b = ct.dtn_dense(unit_grid, self.S, unit_scene.c)
         r = fem.restriction[:, free].toarray()
@@ -232,7 +216,7 @@ class TestSystemOperator:
 
     def test_cross_blocks_only_through_boundary(self, two_scene, two_meshes, two_grid):
         op = build_system(two_scene, two_meshes, two_grid, self.S)
-        fems = op.fems
+        fems = assemble_all(two_scene, two_meshes, two_grid)
         volume = sp.block_diag(
             [
                 (self.S * f.mass[f.free_nodes][:, f.free_nodes]
@@ -375,12 +359,12 @@ class TestSingleCavityDegeneracy:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)  # bit for bit
 
-    def test_solutions_match(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
+    def test_solutions_match(self, unit_scene, unit_meshes, unit_grid, unit_fem, gaussian_wave):
         s = 1.4 + 0.8j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
         general = build_system(unit_scene, unit_meshes, unit_grid, s)
         single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
-        fem = general.fems[0]
+        fem = unit_fem
         load = ct.apply_rhs(data, fem.restriction, unit_grid)[fem.free_nodes]
         xg = general.solve(load)
         xs = single.solve(load)

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import cavitytd as ct
-from cavitytd.errors import DomainError, UnsupportedPolarization
+from cavitytd.errors import DomainError
 from cavitytd.incident import boundary_data_bundle, boundary_data_series
 
 
@@ -106,12 +106,6 @@ class TestPlaneWave:
         pw = ct.PlaneWave(profile=gauss, theta=1.3)
         total = ct.evaluate_incident(pw, 0.0, 0.7, 2.2) + ct.evaluate_reflected(pw, 0.0, 0.7, 2.2)
         assert abs(total) > 1e-6
-
-    def test_tm_reflection_sign_representable(self, gauss):
-        pw = ct.PlaneWave(profile=gauss, theta=1.3, polarization="TM")
-        assert pw.reflection_sign == 1.0
-        with pytest.raises(UnsupportedPolarization):
-            ct.evaluate_reflected(pw, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("field", ["incident", "reflected"])
     def test_free_space_wave_equation_residual(self, gauss, field):
