@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .cq import CqScheme, run_time_domain
+from .cq import CAUSALITY_LIMIT, REALNESS_LIMIT, CqScheme, run_time_domain
 from .errors import CavityError, ConfigError, DomainError, MeshFailure
 from .fem import ORDERING
 from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
@@ -90,7 +90,13 @@ def _parse_config(args) -> RunConfig:
     if "trace" in reads:
         with config_block("trace block"):
             block = config.get("trace", {})
-            if "L" in block and "N" in block:
+            explicit = [key for key in ("L", "N") if key in block]
+            if explicit and (len(explicit) == 1 or "min_samples" in block):
+                raise ConfigError(
+                    "trace block: give both L and N, or neither (min_samples then "
+                    f"sizes the grid); got {sorted(block)}"
+                )
+            if explicit:
                 L, N = finite_number(block["L"]), _int(block["N"])
                 run["grid"] = TraceGrid(L, N, scene.apertures)
             else:
@@ -426,7 +432,8 @@ def cmd_solve_time(args) -> int:
 
     t_star = diagnostics.shutoff_time(pw, grid)
     violation = diagnostics.dissipation_violation(et, t_star)
-    manifest.record_check("energy-dissipation", "dissipation_violation", violation, 1e-8)
+    limit = diagnostics.DISSIPATION_LIMIT
+    manifest.record_check("energy-dissipation", "dissipation_violation", violation, limit)
 
     stability = diagnostics.stability_check(et)
     apriori = diagnostics.apriori_check(et)
@@ -439,7 +446,7 @@ def cmd_solve_time(args) -> int:
              str(stability.passed)),
             ("apriori-linf", 0.0, 0.0, apriori.linf_ratio, "True"),
             ("apriori-l2", 0.0, 0.0, apriori.l2_ratio, "True"),
-            ("dissipation-violation", violation, 1e-8, 0.0, str(violation <= 1e-8)),
+            ("dissipation-violation", violation, limit, 0.0, str(violation <= limit)),
         ],
     )
     manifest.add_output(report_path)
@@ -452,8 +459,8 @@ def cmd_solve_time(args) -> int:
         write_csv(probe_path, header, probe_rows)
         manifest.add_output(probe_path)
 
-    manifest.record_check("causality", "initial_ratio", sol.initial_ratio, 1e-8)
-    manifest.record_check("realness", "imag_residue", sol.imag_residue, 1e-10)
+    manifest.record_check("causality", "initial_ratio", sol.initial_ratio, CAUSALITY_LIMIT)
+    manifest.record_check("realness", "imag_residue", sol.imag_residue, REALNESS_LIMIT)
     manifest.write(out / "manifest.json")
     print(
         f"solve-time: {scheme.steps} steps, energy peak {et.total.max():.6g}, "

@@ -67,7 +67,12 @@ __all__ = [
     "time_derivative",
 ]
 
-_CAUSALITY_LIMIT = 1e-8
+# Largest t = 0 state norm, relative to the trajectory peak, that the march
+# accepts as the rest state (above it, CausalityViolation).
+CAUSALITY_LIMIT = 1e-8
+# Largest imaginary part of the DtN weights, relative to the largest weight,
+# that the real march may discard (TimeSolution.imag_residue).
+REALNESS_LIMIT = 1e-10
 # rho^M of the weight contour: the aliasing level of the DtN weights.
 _WEIGHT_ALIASING = 1e-16
 # Fourier modes per block of the weight transform (a 2 MB transient at M = 2052).
@@ -270,10 +275,10 @@ def run_time_domain(
     worst = int(np.argmax(residuals))
     peak_norm = float(np.max(state_norm))
     initial_ratio = float(state_norm[0] / peak_norm) if peak_norm > 0.0 else 0.0
-    if initial_ratio > _CAUSALITY_LIMIT:
+    if initial_ratio > CAUSALITY_LIMIT:
         raise CausalityViolation(
             f"state at t=0 has norm {initial_ratio:.3e} of the trajectory "
-            f"peak (limit {_CAUSALITY_LIMIT:.0e}); check the pulse delay"
+            f"peak (limit {CAUSALITY_LIMIT:.0e}); check the pulse delay"
         )
     return TimeSolution(
         times=times,

@@ -230,6 +230,11 @@ def shutoff_time(pw: PlaneWave, grid: TraceGrid) -> float:
     return float(pw.profile.tail_time + np.max(-pw.c1 * xs))
 
 
+# Largest relative per-step energy increase after the data shutoff that the
+# energy-dissipation check accepts.
+DISSIPATION_LIMIT = 1e-8
+
+
 def dissipation_violation(et: EnergyTrace, t_star: float) -> float:
     """Worst relative per-step energy increase after the data shutoff.
 

@@ -171,15 +171,6 @@ class WaveProfile:
         out[inside] = body * (h3 + 3.0 * h1 * h2 + h1**3) / self.width**3
         return out
 
-    def serialize(self) -> dict:
-        return {
-            "kind": self.kind,
-            "center": self.center,
-            "width": self.width,
-            "amplitude": self.amplitude,
-            "causality_tol": self.causality_tol,
-        }
-
 
 @dataclass(frozen=True)
 class PlaneWave:

@@ -14,7 +14,7 @@ import ast
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -145,9 +145,6 @@ class MaterialField:
         out = eval(self.spec, {"__builtins__": {}}, namespace)  # noqa: S307
         return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(x, y).shape).copy()
 
-    def serialize(self) -> float | str:
-        return self.spec
-
 
 def _sampled_bounds(
     fld: MaterialField,
@@ -264,22 +261,6 @@ class CavitySpec:
         mb = _sampled_bounds(self.mu, self.bounding_box, inside)
         return eb, mb
 
-    def serialize(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "aperture": list(self.aperture),
-            "epsilon": self.epsilon.serialize(),
-            "mu": self.mu.serialize(),
-        }
-        if self.is_rectangle:
-            out["depth"] = self.depth
-        else:
-            out["vertices"] = [list(v) for v in self.vertices]
-        if self.collar is not None:
-            out["collar"] = self.collar
-        if self.mesh_file is not None:
-            out["mesh_file"] = self.mesh_file
-        return out
-
 
 def _validate_cavity(cav: CavitySpec, mu0: float) -> None:
     a, b = cav.aperture
@@ -372,24 +353,6 @@ class Scene:
     def apertures(self) -> tuple[tuple[float, float], ...]:
         return tuple(c.aperture for c in self.cavities)
 
-    def material_extrema(self) -> dict[str, float]:
-        """Global sampled eps/mu extrema across all cavities."""
-        eps_lo, eps_hi, mu_lo, mu_hi = math.inf, -math.inf, math.inf, -math.inf
-        for cav in self.cavities:
-            (el, eh), (ml, mh) = cav.material_bounds()
-            eps_lo, eps_hi = min(eps_lo, el), max(eps_hi, eh)
-            mu_lo, mu_hi = min(mu_lo, ml), max(mu_hi, mh)
-        return {"eps_min": eps_lo, "eps_max": eps_hi, "mu_min": mu_lo, "mu_max": mu_hi}
-
-    def serialize(self) -> dict[str, Any]:
-        return {
-            "scene": {
-                "eps0": self.eps0,
-                "mu0": self.mu0,
-                "cavities": [c.serialize() for c in self.cavities],
-            }
-        }
-
 
 def load_config(path: str | Path) -> dict[str, Any]:
     try:
@@ -438,9 +401,12 @@ def build_scene(config: dict[str, Any]) -> Scene:
                                  "mu": 1.0 | "expr(x, y)",
                                  "collar": ..., "mesh_file": ...}, ...]}}
 
-    Apertures are re-ordered by x and must keep positive gaps.  TE is the
-    only polarization the package discretizes, and this is the one place
-    that decides it: any other "polarization" raises UnsupportedPolarization.
+    Each entry becomes one CavitySpec; the cavities are sorted by aperture,
+    numbered 0, 1, ... in that order, and must keep positive gaps.  A
+    mesh_file, when given, must be a path string (ConfigError otherwise).
+    TE is the only polarization the package discretizes, and this is the
+    one place that decides it: any other "polarization" raises
+    UnsupportedPolarization.
     """
     with config_block("scene block"):
         sc = config["scene"]
@@ -462,8 +428,11 @@ def build_scene(config: dict[str, Any]) -> Scene:
     for raw in raw_cavities:
         with config_block(f"cavity entry {raw!r}"):
             ap = raw["aperture"]
+            mesh_file = raw.get("mesh_file")
+            if not isinstance(mesh_file, (str, type(None))):
+                raise TypeError(f"mesh_file must be a path string, got {mesh_file!r}")
             cav = CavitySpec(
-                id=0,  # reassigned after ordering
+                id=0,  # numbered after ordering
                 aperture=(finite_number(ap[0]), finite_number(ap[1])),
                 epsilon=_material(raw.get("epsilon", 1.0)),
                 mu=_material(raw.get("mu", 1.0)),
@@ -472,24 +441,12 @@ def build_scene(config: dict[str, Any]) -> Scene:
                 if "vertices" in raw
                 else None,
                 collar=finite_number(raw["collar"]) if "collar" in raw else None,
-                mesh_file=raw.get("mesh_file"),
+                mesh_file=mesh_file,
             )
         cavities.append(cav)
 
     cavities.sort(key=lambda c: c.aperture[0])
-    cavities = [
-        CavitySpec(
-            id=j,
-            aperture=c.aperture,
-            epsilon=c.epsilon,
-            mu=c.mu,
-            depth=c.depth,
-            vertices=c.vertices,
-            collar=c.collar,
-            mesh_file=c.mesh_file,
-        )
-        for j, c in enumerate(cavities)
-    ]
+    cavities = [replace(c, id=j) for j, c in enumerate(cavities)]
 
     for prev, nxt in zip(cavities, cavities[1:]):
         if nxt.aperture[0] <= prev.aperture[1]:
@@ -565,11 +522,11 @@ def check_mesh_size(cavity: CavitySpec, h: float) -> None:
     """Raise MeshFailure unless h resolves the cavity within MAX_MESH_VERTICES.
 
     h must satisfy 0 < h <= min(width, depth) / 2.  For a rectangle the
-    bound (width/h + 3)(depth/h + 3) on the structured grid's vertex count
-    (nx + 1)(ny + 1) must not exceed MAX_MESH_VERTICES, and the grid's first
-    layer depth/ny must fit in the mu collar (ApertureCollarViolation); an
-    imported polygon triangulation has a size and layers of its own that h
-    does not set, and is checked once loaded.
+    structured grid's exact vertex count (nx + 1)(ny + 1) must not exceed
+    MAX_MESH_VERTICES, and the grid's first layer depth/ny must fit in the
+    mu collar (ApertureCollarViolation); both are known from h before any
+    array is built.  An imported polygon triangulation has a size and
+    layers of its own that h does not set, and is checked once loaded.
     """
     if not h > 0.0:
         raise MeshFailure(f"target edge length must be positive, got h={h}")
@@ -580,13 +537,16 @@ def check_mesh_size(cavity: CavitySpec, h: float) -> None:
             f"min(width, depth)/2 = {limit}"
         )
     if cavity.is_rectangle:
-        vertices = (cavity.width / h + 3.0) * (cavity.max_depth / h + 3.0)
+        if math.isinf(max(cavity.width, cavity.max_depth) / h):  # subnormal h
+            raise MeshFailure(f"h={h} is too small to grid cavity {cavity.id}")
+        nx, ny = _grid_shape(cavity, h)
+        vertices = (nx + 1) * (ny + 1)
         if vertices > MAX_MESH_VERTICES:
             raise MeshFailure(
-                f"h={h} would give cavity {cavity.id} about {vertices:.3g} "
-                f"vertices, above the limit of {MAX_MESH_VERTICES}"
+                f"h={h} would give cavity {cavity.id} {vertices} vertices, "
+                f"above the limit of {MAX_MESH_VERTICES}"
             )
-        _check_collar_resolved(cavity, cavity.max_depth / _rows(cavity, h))
+        _check_collar_resolved(cavity, cavity.max_depth / ny)
 
 
 def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
@@ -614,62 +574,51 @@ def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
     return mesh
 
 
-def _rows(cavity: CavitySpec, h: float) -> int:
-    """Element rows of a rectangle's structured grid."""
-    return max(2, math.ceil(cavity.max_depth / h))
+def _grid_shape(cavity: CavitySpec, h: float) -> tuple[int, int]:
+    """Element columns and rows (nx, ny) of a rectangle's structured grid.
+
+    At least two of each, and an even column count so the split mirrors
+    cleanly.  h is positive and at most half the width and depth.
+    """
+    nx = max(2, math.ceil(cavity.width / h))
+    return nx + nx % 2, max(2, math.ceil(cavity.max_depth / h))
 
 
 def _structured_rectangle(cavity: CavitySpec, h: float) -> Mesh:
     a, b = cavity.aperture
-    d = float(cavity.depth)
-    nx = max(2, math.ceil(cavity.width / h))
-    nx += nx % 2  # even column count so the split mirrors cleanly
-    ny = _rows(cavity, h)
+    nx, ny = _grid_shape(cavity, h)
     xs = np.linspace(a, b, nx + 1)
-    ys = np.linspace(-d, 0.0, ny + 1)
+    ys = np.linspace(-float(cavity.depth), 0.0, ny + 1)
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i: int, j: int) -> int:
-        # row i (y index, bottom row 0), column j
-        return i * (nx + 1) + j
+    # vid[i, j]: the vertex of row i (y index, bottom row 0) and column j.
+    vid = np.arange(vertices.shape[0], dtype=np.int64).reshape(ny + 1, nx + 1)
+    v00, v10, v01, v11 = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
 
     # Cells left of the cavity midline split along one diagonal, cells right
     # of it along the mirrored one, so the triangulation (and with it the
     # whole discrete operator) commutes with x-reflection of the cavity.
-    tris = []
-    for i in range(ny):
-        for j in range(nx):
-            v00, v10 = vid(i, j), vid(i, j + 1)
-            v01, v11 = vid(i + 1, j), vid(i + 1, j + 1)
-            if j < nx // 2:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # Triangles run by row, then column, then first/second of the cell.
+    left = (np.arange(nx) < nx // 2)[:, None]
+    first = np.where(left, np.stack([v00, v10, v11], -1), np.stack([v00, v10, v01], -1))
+    second = np.where(left, np.stack([v00, v11, v01], -1), np.stack([v10, v11, v01], -1))
+    triangles = np.stack([first, second], axis=2).reshape(-1, 3)
 
-    edges, tags = [], []
-    for j in range(nx):  # bottom wall
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append(WALL)
-    for i in range(ny):  # side walls
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(WALL)
-        edges.append((vid(i, nx), vid(i + 1, nx)))
-        tags.append(WALL)
-    for j in range(nx):  # aperture
-        edges.append((vid(ny, j), vid(ny, j + 1)))
-        tags.append(APERTURE)
-
-    aperture_nodes = np.array([vid(ny, j) for j in range(nx + 1)], dtype=np.int64)
+    # Bottom wall, then the left/right side-wall pair of each row, then the
+    # aperture along the top row.
+    sides = vid[:, [0, nx]]
+    edges = np.concatenate([
+        np.column_stack([vid[0, :-1], vid[0, 1:]]),
+        np.stack([sides[:-1], sides[1:]], axis=-1).reshape(-1, 2),
+        np.column_stack([vid[-1, :-1], vid[-1, 1:]]),
+    ])
+    tags = np.repeat(np.array([WALL, APERTURE], dtype=np.int64), [nx + 2 * ny, nx])
     return Mesh(
         vertices=vertices,
         triangles=triangles,
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray(tags, dtype=np.int64),
-        aperture_nodes=aperture_nodes,
+        boundary_edges=edges,
+        boundary_tags=tags,
+        aperture_nodes=vid[-1].copy(),
     )
 
 

@@ -200,6 +200,11 @@ class TestSolveFreq:
             ("solve-time", ("snapshots", "every"), 10.5, [], "ConfigError"),
             ("solve-time", ("trace",), {"L": 4.0, "N": 2**40}, [], "ConfigError"),
             ("solve-time", ("trace",), {"min_samples": 10**9}, [], "ConfigError"),
+            ("validate", ("trace",), {"L": 40.0}, [], "ConfigError"),
+            ("validate", ("trace",), {"N": 4096}, [], "ConfigError"),
+            ("validate", ("trace",), {"L": 4, "N": 128, "min_samples": 4096}, [],
+             "ConfigError"),
+            ("mesh-export", ("mesh", "h"), 1e-320, [], "MeshFailure"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -212,7 +217,8 @@ class TestSolveFreq:
              "tm-scene-solve-time", "tm-scene-sweep", "tm-scene-mesh-export",
              "seed-negative", "seed-flag-negative",
              "steps-fractional", "snapshots-every-fractional", "trace-n-over-cap",
-             "trace-min-samples-over-cap"],
+             "trace-min-samples-over-cap", "trace-l-alone", "trace-n-alone",
+             "trace-min-samples-with-l-n", "mesh-h-subnormal"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):

@@ -242,8 +242,10 @@ class TestSystemOperator:
 
     def test_coercivity(self, unit_scene, unit_meshes, unit_grid, rng):
         # Re a(u, u) >= min(1/mu_max, eps_min) * s1/|s|^2 * (|grad u|^2 + |s u|^2)
-        extrema = unit_scene.material_extrema()
-        const = min(1.0 / extrema["mu_max"], extrema["eps_min"])
+        bounds = [cav.material_bounds() for cav in unit_scene.cavities]
+        eps_min = min(eb[0] for eb, _ in bounds)
+        mu_max = max(mb[1] for _, mb in bounds)
+        const = min(1.0 / mu_max, eps_min)
         fems = assemble_all(unit_scene, unit_meshes, unit_grid)
         f = fems[0]
         free = f.free_nodes

@@ -128,16 +128,6 @@ class TestBuildScene:
         assert scene.apertures == ((0.0, 1.0), (2.0, 3.0))
         assert [c.id for c in scene.cavities] == [0, 1]
 
-    def test_serialize_roundtrip(self):
-        cavities = [
-            dict(RECT, epsilon="2 + sin(pi*x)"),
-            {"aperture": [2.0, 3.5], "depth": 0.7, "epsilon": 1.5, "mu": 1.0,
-             "collar": 0.2},
-        ]
-        scene = ct.build_scene(make_config(cavities))
-        rebuilt = ct.build_scene(scene.serialize())
-        assert rebuilt == scene
-
 
 class TestPolygon:
     POLY = {
@@ -175,6 +165,13 @@ class TestPolygon:
         with pytest.raises(MeshFailure):
             ct.mesh_cavity(scene.cavities[0], 0.1)
 
+    @pytest.mark.parametrize("mesh_file", [0, 1, True, ["m.txt"]])
+    def test_mesh_file_must_be_a_path_string(self, mesh_file):
+        # open() takes an int (or bool) as a file descriptor: 0 would read
+        # the mesh from stdin, and 1 would close stdout once read.
+        with pytest.raises(ConfigError, match="mesh_file"):
+            ct.build_scene(make_config([dict(self.POLY, mesh_file=mesh_file)]))
+
     def test_polygon_with_imported_mesh(self, tmp_path):
         # A rectangle expressed as a polygon, meshed via the import path.
         rect_scene = ct.build_scene(make_config([RECT]))
@@ -201,6 +198,58 @@ class TestMeshCavity:
         assert mesh.n_vertices == 9
         assert mesh.n_triangles == 8
         assert mesh.aperture_nodes.size == 3
+
+    def test_triangulation_order(self):
+        # 4 columns x 2 rows; the VTK cells and mesh-export files follow this
+        # order: triangles by row, column, then the cell's first/second, and
+        # edges bottom, left/right per row, then the aperture.
+        scene = ct.build_scene(make_config([dict(RECT, depth=0.5)]))
+        mesh = ct.mesh_cavity(scene.cavities[0], 0.25)
+        triangles = [
+            [0, 1, 6], [0, 6, 5], [1, 2, 7], [1, 7, 6], [2, 3, 7], [3, 8, 7],
+            [3, 4, 8], [4, 9, 8], [5, 6, 11], [5, 11, 10], [6, 7, 12], [6, 12, 11],
+            [7, 8, 12], [8, 13, 12], [8, 9, 13], [9, 14, 13],
+        ]
+        edges = [
+            [0, 1], [1, 2], [2, 3], [3, 4], [0, 5], [4, 9], [5, 10], [9, 14],
+            [10, 11], [11, 12], [12, 13], [13, 14],
+        ]
+        for got, want in (
+            (mesh.triangles, triangles),
+            (mesh.boundary_edges, edges),
+            (mesh.boundary_tags, [WALL] * 8 + [APERTURE] * 4),
+            (mesh.aperture_nodes, [10, 11, 12, 13, 14]),
+        ):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("depth, h", [(0.75, 0.15), (1.0, 0.1), (0.3, 0.14)])
+    def test_triangulation_matches_cell_loop(self, depth, h):
+        # Reference: the cell-by-cell loop that the index arithmetic replaces.
+        scene = ct.build_scene(make_config([dict(RECT, depth=depth)]))
+        mesh = ct.mesh_cavity(scene.cavities[0], h)
+        nx = mesh.aperture_nodes.size - 1
+        ny = mesh.n_vertices // (nx + 1) - 1
+
+        def vid(i, j):
+            return i * (nx + 1) + j
+
+        tris = []
+        for i in range(ny):
+            for j in range(nx):
+                v00, v10, v01, v11 = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
+                if j < nx // 2:
+                    tris += [(v00, v10, v11), (v00, v11, v01)]
+                else:
+                    tris += [(v00, v10, v01), (v10, v11, v01)]
+        edges = [(vid(0, j), vid(0, j + 1)) for j in range(nx)]
+        for i in range(ny):
+            edges += [(vid(i, 0), vid(i + 1, 0)), (vid(i, nx), vid(i + 1, nx))]
+        edges += [(vid(ny, j), vid(ny, j + 1)) for j in range(nx)]
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.boundary_edges, edges)
+        assert np.array_equal(mesh.boundary_tags, [WALL] * (nx + 2 * ny) + [APERTURE] * nx)
+        assert np.array_equal(mesh.aperture_nodes, [vid(ny, j) for j in range(nx + 1)])
 
     def test_too_coarse_rejected(self):
         scene = ct.build_scene(make_config([RECT]))
