@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedPolarization,
 )
 from .fem import FemMatrices, SystemOperator, apply_rhs, assemble, build_system
-from .freq import FrequencySolution, FrequencySolver, estimate_report, solve_frequency
+from .freq import FrequencySolution, FrequencySolver, estimate_report
 from .incident import (
     PlaneWave,
     WaveProfile,
@@ -51,7 +51,6 @@ from .trace import (
     TraceGrid,
     apply_B,
     beta,
-    coupled_B_row,
     dtn_dense,
     passivity_defect,
     propagate_exterior,

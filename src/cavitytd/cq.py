@@ -165,7 +165,7 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
     m = 4 * n1
     rho = _WEIGHT_ALIASING ** (1.0 / m)
     s = CqScheme.generating_symbol(rho * np.exp(2j * np.pi * np.arange(m) / m)) / scheme.dt
-    xi = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
+    xi = grid.xi[: grid.N // 2 + 1]  # the rfft modes; beta is even in xi
     scale = (rho ** -np.arange(n1) / m)[:, None]
     weights = np.empty((n1, xi.size))
     imag = 0.0

@@ -49,6 +49,7 @@ __all__ = [
     "assemble_all",
     "apply_rhs",
     "build_system",
+    "solve_by_parts",
     "stack_free",
 ]
 
@@ -74,7 +75,6 @@ class FemMatrices:
     mass_unit: sp.csr_matrix
     stiffness_unit: sp.csr_matrix
     free_nodes: np.ndarray
-    aperture_nodes: np.ndarray
     restriction: sp.csr_matrix
 
     @property
@@ -151,7 +151,6 @@ def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> FemMatrices:
         mass_unit=to_csr(m1_local),
         stiffness_unit=to_csr(k1_local),
         free_nodes=free,
-        aperture_nodes=mesh.aperture_nodes,
         restriction=_trace_restriction(mesh, cavity, grid),
     )
 
@@ -256,17 +255,30 @@ class SystemOperator:
         return 0 if self._lu is None else self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve with the factorization; a complex load on a real matrix is
-        solved as its real and imaginary parts, skipping an all-zero one."""
-        lu = self.factorize()
-        if np.iscomplexobj(b) and not np.iscomplexobj(self.matrix.data):
-            x = np.zeros(b.shape, dtype=np.complex128)
-            if np.any(b.real):
-                x.real = lu.solve(np.ascontiguousarray(b.real))
-            if np.any(b.imag):
-                x.imag = lu.solve(np.ascontiguousarray(b.imag))
-            return x
-        return lu.solve(b)
+        """Solve with the factorization (solve_by_parts for a complex load)."""
+        return solve_by_parts(self.factorize().solve, self.matrix, b)
+
+
+def solve_by_parts(solve, matrix: sp.spmatrix, b: np.ndarray) -> np.ndarray | None:
+    """solve(b) for an operator with this matrix, the one place where a
+    complex load meets a real operator.
+
+    A complex load on a real matrix is solved as its real and imaginary
+    parts: an all-zero part is skipped and stays exactly zero, and each
+    part keeps the real part of its solution (a complex solver, such as a
+    complex preconditioner, adds only round-off to it).  Returns None when
+    `solve` returns None for a part.
+    """
+    if not np.iscomplexobj(b) or np.iscomplexobj(matrix.data):
+        return solve(b)
+    x = np.zeros(b.shape, dtype=np.complex128)
+    for part, target in ((b.real, x.real), (b.imag, x.imag)):
+        if np.any(part):
+            y = solve(np.ascontiguousarray(part))
+            if y is None:
+                return None
+            target[...] = y.real
+    return x
 
 
 @dataclass(frozen=True)
@@ -371,29 +383,16 @@ ORDERING = "MMD_AT_PLUS_A"
 
 
 def build_system(
-    scene: Scene,
-    meshes: list[Mesh],
-    grid: TraceGrid,
-    s: complex,
-    fems: list[FemMatrices] | None = None,
-    pattern: SystemPattern | None = None,
+    pattern: SystemPattern, grid: TraceGrid, s: complex, c: float, mu0: float
 ) -> SystemOperator:
-    """Assemble the coupled operator for all cavities at frequency s.
+    """The coupled operator of all cavities at frequency s (Re s > 0), filled
+    on the scene's fixed pattern.
 
     Cross-cavity blocks enter only through the boundary operator applied
     to the union of zero-extended traces; everything else is block
-    diagonal per cavity.  Pass the pattern of `fems` to skip rebuilding it.
+    diagonal per cavity.
     """
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
-    if len(meshes) != scene.n_cavities or grid.n_apertures != scene.n_cavities:
-        raise DimensionMismatch(
-            f"scene has {scene.n_cavities} cavities, got {len(meshes)} meshes "
-            f"and {grid.n_apertures} grid apertures"
-        )
-    if fems is None:
-        fems = assemble_all(scene, meshes, grid)
-    if pattern is None:
-        pattern = SystemPattern.from_fems(fems)
-    return SystemOperator(s=s, matrix=pattern.matrix(s, grid, scene.c, scene.mu0))
+    return SystemOperator(s=s, matrix=pattern.matrix(s, grid, c, mu0))

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FactorizationFailure
+from .errors import DimensionMismatch, FactorizationFailure
 from .fem import (
     FemMatrices,
     SystemOperator,
@@ -35,6 +35,7 @@ from .fem import (
     apply_rhs,
     assemble_all,
     build_system,
+    solve_by_parts,
 )
 from .scene import Mesh, Scene
 from .trace import TraceGrid, restrict_union, trace_norm
@@ -44,7 +45,6 @@ __all__ = [
     "FrequencySolver",
     "certified_solve",
     "frequency_groups",
-    "solve_frequency",
     "estimate_report",
     "save_solution_csv",
     "solution_csv_format",
@@ -83,9 +83,10 @@ class FrequencySolution:
 class FrequencySolver:
     """Streaming solver: fixed pattern, short-lived LUs.
 
-    Construction assembles the cavities and the coupled sparsity pattern;
-    `operator(s)` returns a fresh, unfactorized SystemOperator, which
-    SuperLU orders when it factorizes.  The solve methods check every
+    Construction checks that the grid carries one aperture per cavity and
+    assembles the cavities and the coupled sparsity pattern.  `operator(s)`
+    is the one builder of the coupled operator: it returns a fresh,
+    unfactorized SystemOperator, which SuperLU orders when it factorizes.  The solve methods check every
     relative residual against 1e-10 and let each factorization go when
     they return: `solve` holds one LU for one frequency, `solve_group`
     one LU at a time for a group of nearby frequencies.
@@ -97,17 +98,18 @@ class FrequencySolver:
         meshes: list[Mesh],
         grid: TraceGrid,
     ) -> None:
+        if grid.n_apertures != scene.n_cavities:
+            raise DimensionMismatch(
+                f"scene has {scene.n_cavities} cavities, the grid "
+                f"{grid.n_apertures} apertures"
+            )
         self.scene = scene
-        self.meshes = meshes
         self.grid = grid
         self.fems: list[FemMatrices] = assemble_all(scene, meshes, grid)
         self.pattern = SystemPattern.from_fems(self.fems)
 
-    def operator(self, s: complex):
-        return build_system(
-            self.scene, self.meshes, self.grid, complex(s),
-            fems=self.fems, pattern=self.pattern,
-        )
+    def operator(self, s: complex) -> SystemOperator:
+        return build_system(self.pattern, self.grid, s, self.scene.c, self.scene.mu0)
 
     def load(self, data: np.ndarray) -> np.ndarray:
         """Free-DOF load vector of aperture data, stacked over the cavities."""
@@ -232,22 +234,12 @@ def _anchored_cg(
 
     Returns None when CG has not reached a relative residual of _CG_TOL
     within _CG_MAX_ITER iterations.  A complex load on a real operator is
-    solved as its real and imaginary parts, each kept real, so at real s
-    the solution of real data has imaginary parts exactly 0.
+    solved by parts (solve_by_parts), so at real s the solution of real
+    data has imaginary parts exactly 0.
     """
     if not np.any(b):
         return np.zeros_like(b)
-    if np.iscomplexobj(op.matrix.data) or not np.iscomplexobj(b):
-        return _cocg(op, anchor, b)
-    x = np.zeros(b.shape, dtype=np.complex128)
-    for part, target in ((b.real, x.real), (b.imag, x.imag)):
-        if np.any(part):
-            y = _cocg(op, anchor, np.ascontiguousarray(part))
-            if y is None:
-                return None
-            # The exact solution is real; a complex anchor adds only round-off.
-            target[...] = y.real
-    return x
+    return solve_by_parts(lambda part: _cocg(op, anchor, part), op.matrix, b)
 
 
 def _cocg(op: SystemOperator, anchor: SystemOperator, b: np.ndarray) -> np.ndarray | None:
@@ -269,17 +261,6 @@ def _cocg(op: SystemOperator, anchor: SystemOperator, b: np.ndarray) -> np.ndarr
         x = x + alpha * p
         r = r - alpha * q
     return x if np.linalg.norm(r) <= tol else None
-
-
-def solve_frequency(
-    scene: Scene,
-    meshes: list[Mesh],
-    grid: TraceGrid,
-    s: complex,
-    data: np.ndarray,
-) -> FrequencySolution:
-    """One-shot coupled solve at a single frequency."""
-    return FrequencySolver(scene, meshes, grid).solve(s, data)
 
 
 def estimate_report(

@@ -374,11 +374,13 @@ def config_block(name: str):
 
 
 def finite_number(value: Any) -> float:
-    """float(value) for a config entry; NaN and +-inf raise ValueError.
+    """float(value) for a config entry; NaN, +-inf and booleans raise ValueError.
 
     Every non-integer number read from a config passes through here, so
-    no later `x <= 0` test can be passed by NaN.
+    no later `x <= 0` test can be passed by NaN, and JSON `true` is not 1.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{value!r} is not a finite number")

@@ -46,7 +46,6 @@ __all__ = [
     "dtn_dense",
     "restrict",
     "restrict_union",
-    "coupled_B_row",
     "trace_norm",
     "passivity_defect",
     "propagate_exterior",
@@ -277,26 +276,6 @@ def restrict_union(u: np.ndarray, grid: TraceGrid) -> np.ndarray:
     """Zero-extend u across the ground plane: keep aperture samples only."""
     _check_grid(u, grid)
     return np.where(grid.union_mask, u, 0)
-
-
-def coupled_B_row(
-    traces: Sequence[np.ndarray],
-    j: int,
-    s: complex,
-    grid: TraceGrid,
-    c: float,
-) -> np.ndarray:
-    """Row j of the coupled aperture boundary condition.
-
-    Sums the zero-extended traces of all cavities, applies the boundary
-    operator once, and restricts to aperture j: the self term and every
-    cross-cavity term in a single FFT pass.
-    """
-    if len(traces) != grid.n_apertures:
-        raise GridMismatch(
-            f"{len(traces)} traces for a grid with {grid.n_apertures} apertures"
-        )
-    return restrict(apply_B(_summed(traces, grid), s, grid, c), j, grid)
 
 
 def multiplier_norm_rows(rows: np.ndarray, order: float, grid: TraceGrid) -> np.ndarray:

@@ -79,6 +79,11 @@ def unit_meshes(unit_scene):
 
 
 @pytest.fixture(scope="session")
+def unit_solver(unit_scene, unit_meshes, unit_grid):
+    return ct.FrequencySolver(unit_scene, unit_meshes, unit_grid)
+
+
+@pytest.fixture(scope="session")
 def two_scene():
     return _scene(
         [

@@ -14,7 +14,7 @@ import pytest
 import cavitytd as ct
 from cavitytd import diagnostics
 from cavitytd.cq import CqScheme
-from cavitytd.fem import assemble_all, build_system
+from cavitytd.fem import assemble_all
 from cavitytd.freq import FrequencySolver, estimate_report
 from cavitytd.incident import boundary_data_bundle, boundary_data_freq
 from cavitytd.trace import apply_B, dtn_dense, restrict, trace_norm
@@ -159,10 +159,11 @@ def test_criterion_05_frequency_estimate_band():
 def test_criterion_06_single_cavity_degeneracy():
     # A complex s (complex symmetric matrix) and a real s (real symmetric).
     _, scene, meshes, grid, pw, _ = load_reference("reference_single")
-    fem = assemble_all(scene, meshes, grid)[0]
+    solver = FrequencySolver(scene, meshes, grid)
+    fem = solver.fems[0]
     worst = 0.0
     for s in (1.1 + 1.9j, 1.3 + 0.0j):
-        general = build_system(scene, meshes, grid, s)
+        general = solver.operator(s)
         single = build_system_single(scene, meshes[0], grid, s)
         assert general.matrix.dtype == single.matrix.dtype
         assert np.array_equal(general.matrix.toarray(), single.matrix.toarray())

@@ -205,6 +205,12 @@ class TestSolveFreq:
             ("validate", ("trace",), {"L": 4, "N": 128, "min_samples": 4096}, [],
              "ConfigError"),
             ("mesh-export", ("mesh", "h"), 1e-320, [], "MeshFailure"),
+            ("solve-freq", ("sweep", "s_values", 0), [True, 0.0], [], "ConfigError"),
+            ("solve-freq", ("sweep", "s_values", 0), [1.0, 0.0, 5.0], [], "ConfigError"),
+            ("solve-time", ("snapshots", "every"), True, [], "ConfigError"),
+            ("validate", ("validate", "trials"), True, [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0),
+             {"aperture": [0.0, True], "depth": True, "epsilon": True}, [], "ConfigError"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -218,7 +224,9 @@ class TestSolveFreq:
              "seed-negative", "seed-flag-negative",
              "steps-fractional", "snapshots-every-fractional", "trace-n-over-cap",
              "trace-min-samples-over-cap", "trace-l-alone", "trace-n-alone",
-             "trace-min-samples-with-l-n", "mesh-h-subnormal"],
+             "trace-min-samples-with-l-n", "mesh-h-subnormal", "sweep-s-value-boolean",
+             "sweep-s-value-three-numbers", "snapshots-every-boolean",
+             "validate-trials-boolean", "cavity-aperture-boolean"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -322,7 +330,10 @@ class TestSolveTime:
         head = snapshots[0].read_text().splitlines()
         assert head[0].startswith("# vtk DataFile")
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["checks"]["causality"] is True
+        # run_time_domain raises above the causality limit, so the t = 0
+        # ratio is reported without a check that could only read true.
+        assert "causality" not in manifest["checks"]
+        assert manifest["metrics"]["initial_ratio"]["value"] <= 1e-8
         assert manifest["checks"]["realness"] is True
         assert 0.0 < manifest["metrics"]["max_residual"] <= 1e-10
         worst = manifest["metrics"]["worst_step"]
@@ -335,7 +346,6 @@ class TestSolveTime:
         metrics = manifest["metrics"]
         assert metrics["trace"] == {"L": 4.0, "N": 64}
         for check, metric, limit in (
-            ("causality", "initial_ratio", 1e-8),
             ("realness", "imag_residue", 1e-10),
             ("energy-dissipation", "dissipation_violation", 1e-8),
             ("stability-ratio", "stability_ratio",
@@ -343,6 +353,7 @@ class TestSolveTime:
         ):
             assert metrics[metric]["limit"] == limit
             assert manifest["checks"][check] is (metrics[metric]["value"] <= limit)
+        assert metrics["initial_ratio"]["limit"] == 1e-8
         stability = (out / "stability_report.csv").read_text().splitlines()[1].split(",")
         assert metrics["stability_ratio"]["value"] == float(stability[3])
         # A rerun into the same directory differs only in wall times.

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 import cavitytd as ct
 from cavitytd.errors import DimensionMismatch, DomainError
-from cavitytd.fem import SystemPattern, assemble, assemble_all, build_system
+from cavitytd.fem import SystemPattern, assemble, assemble_all
 from cavitytd.trace import apply_B_columns
 from conftest import build_system_single, load_reference
 
@@ -139,26 +139,26 @@ class TestApplyRhs:
 class TestSystemOperator:
     S = 1.2 + 2.3j
 
-    def test_rejects_bad_frequency(self, unit_scene, unit_meshes, unit_grid):
+    def test_rejects_bad_frequency(self, unit_solver, unit_scene, unit_meshes, unit_grid):
         # NaN compares false both ways, so it must not pass `Re s <= 0`.
         for s in (-1.0 + 1.0j, complex("nan")):
             with pytest.raises(DomainError):
-                build_system(unit_scene, unit_meshes, unit_grid, s)
+                unit_solver.operator(s)
             with pytest.raises(DomainError):
                 build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
 
-    def test_dtype_follows_s(self, unit_scene, unit_meshes, unit_grid):
+    def test_dtype_follows_s(self, unit_solver):
         # Real symmetric at real s, complex symmetric otherwise.
         for s, dtype in ((1.3, np.float64), (1.3 + 0.0j, np.float64),
                          (1.0 + 0.5j, np.complex128)):
-            op = build_system(unit_scene, unit_meshes, unit_grid, s)
+            op = unit_solver.operator(s)
             assert op.matrix.dtype == dtype
             assert abs(op.matrix - op.matrix.T).max() <= 1e-14 * abs(op.matrix).max()
 
-    def test_complex_load_on_real_operator(self, unit_scene, unit_meshes, unit_grid, rng):
+    def test_complex_load_on_real_operator(self, unit_solver, rng):
         # The real LU solves the real and imaginary parts of a complex load
         # apart; the result matches a complex LU of the same matrix.
-        op = build_system(unit_scene, unit_meshes, unit_grid, 1.3)
+        op = unit_solver.operator(1.3)
         b = rng.standard_normal(op.n_dofs) + 1j * rng.standard_normal(op.n_dofs)
         x = op.solve(b)
         ref = spla.splu(op.matrix.astype(np.complex128).tocsc()).solve(b)
@@ -168,9 +168,9 @@ class TestSystemOperator:
         assert np.all(op.solve(1j * b.imag).real == 0.0)
         assert np.all(op.solve(b.real + 0j).imag == 0.0)
 
-    def test_quadratic_form_two_paths(self, unit_scene, unit_meshes, unit_grid, unit_fem, rng):
+    def test_quadratic_form_two_paths(self, unit_solver, unit_scene, unit_grid, unit_fem, rng):
         # Assemble-then-dot against dot-then-assemble from the primitives.
-        op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
+        op = unit_solver.operator(self.S)
         fem = unit_fem
         free = fem.free_nodes
         c = unit_scene.c
@@ -189,9 +189,9 @@ class TestSystemOperator:
             )
             assert abs(via_matrix - via_parts) <= 1e-12 * abs(via_matrix)
 
-    def test_dense_dtn_consistency(self, unit_scene, unit_meshes, unit_grid, unit_fem, rng):
+    def test_dense_dtn_consistency(self, unit_solver, unit_scene, unit_grid, unit_fem, rng):
         # Replace the FFT coupling with the dense oracle; matvecs agree.
-        op = build_system(unit_scene, unit_meshes, unit_grid, self.S)
+        op = unit_solver.operator(self.S)
         fem = unit_fem
         free = fem.free_nodes
         dense_b = ct.dtn_dense(unit_grid, self.S, unit_scene.c)
@@ -209,14 +209,15 @@ class TestSystemOperator:
             got = op.matvec(u)
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_symmetric_not_hermitian(self, unit_scene, unit_meshes, unit_grid):
-        a = build_system(unit_scene, unit_meshes, unit_grid, self.S).matrix.toarray()
+    def test_symmetric_not_hermitian(self, unit_solver):
+        a = unit_solver.operator(self.S).matrix.toarray()
         assert np.allclose(a, a.T, rtol=1e-12, atol=1e-14)
         assert not np.allclose(a, a.conj().T, rtol=1e-6, atol=1e-8)
 
     def test_cross_blocks_only_through_boundary(self, two_scene, two_meshes, two_grid):
-        op = build_system(two_scene, two_meshes, two_grid, self.S)
-        fems = assemble_all(two_scene, two_meshes, two_grid)
+        solver = ct.FrequencySolver(two_scene, two_meshes, two_grid)
+        op = solver.operator(self.S)
+        fems = solver.fems
         volume = sp.block_diag(
             [
                 (self.S * f.mass[f.free_nodes][:, f.free_nodes]
@@ -231,29 +232,28 @@ class TestSystemOperator:
         # ... and is supported on aperture rows/columns only
         ap_free = []
         offset = 0
-        for f in fems:
+        for f, mesh in zip(fems, two_meshes):
             lookup = {node: i for i, node in enumerate(f.free_nodes)}
             ap_free.extend(
-                offset + lookup[n] for n in f.aperture_nodes if n in lookup
+                offset + lookup[n] for n in mesh.aperture_nodes if n in lookup
             )
             offset += f.n_free
         outside = np.setdiff1d(np.arange(op.n_dofs), np.array(ap_free))
         assert np.max(np.abs(dtn_part[np.ix_(outside, outside)])) == 0.0
 
-    def test_coercivity(self, unit_scene, unit_meshes, unit_grid, rng):
+    def test_coercivity(self, unit_solver, unit_scene, rng):
         # Re a(u, u) >= min(1/mu_max, eps_min) * s1/|s|^2 * (|grad u|^2 + |s u|^2)
         bounds = [cav.material_bounds() for cav in unit_scene.cavities]
         eps_min = min(eb[0] for eb, _ in bounds)
         mu_max = max(mb[1] for _, mb in bounds)
         const = min(1.0 / mu_max, eps_min)
-        fems = assemble_all(unit_scene, unit_meshes, unit_grid)
-        f = fems[0]
+        f = unit_solver.fems[0]
         free = f.free_nodes
         k1 = f.stiffness_unit[free][:, free]
         m1 = f.mass_unit[free][:, free]
         for _ in range(100):
             s = complex(rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0))
-            op = build_system(unit_scene, unit_meshes, unit_grid, s, fems=fems)
+            op = unit_solver.operator(s)
             u = rng.standard_normal(op.n_dofs) + 1j * rng.standard_normal(op.n_dofs)
             lhs = np.vdot(u, op.matvec(u)).real
             grad_sq = np.vdot(u, k1 @ u).real
@@ -261,16 +261,15 @@ class TestSystemOperator:
             rhs = const * (s.real / abs(s) ** 2) * (grad_sq + su_sq)
             assert lhs >= rhs - 1e-9
 
-    def test_continuity_constant_finite(self, unit_scene, unit_meshes, unit_grid, rng):
+    def test_continuity_constant_finite(self, unit_solver, rng):
         # |a(u, v)| <= C(s) |u|_H1 |v|_H1 with C(s) finite over the sample set.
-        fems = assemble_all(unit_scene, unit_meshes, unit_grid)
-        f = fems[0]
+        f = unit_solver.fems[0]
         free = f.free_nodes
         h1 = (f.stiffness_unit + f.mass_unit)[free][:, free]
         worst = 0.0
         for _ in range(20):
             s = complex(rng.uniform(0.25, 8.0), rng.uniform(-8.0, 8.0))
-            op = build_system(unit_scene, unit_meshes, unit_grid, s, fems=fems)
+            op = unit_solver.operator(s)
             u = rng.standard_normal(op.n_dofs) + 1j * rng.standard_normal(op.n_dofs)
             v = rng.standard_normal(op.n_dofs) + 1j * rng.standard_normal(op.n_dofs)
             a_uv = abs(np.vdot(v, op.matvec(u)))
@@ -314,8 +313,8 @@ class TestFixedPattern:
                 shape=volume.shape,
             )
             expected = (volume + dtn).toarray()
-            for op in (solver.operator(s), build_system(scene, meshes, grid, s)):
-                assert np.array_equal(op.matrix.toarray(), expected)  # bit for bit
+            op = solver.operator(s)
+            assert np.array_equal(op.matrix.toarray(), expected)  # bit for bit
 
     def test_stacks_each_cavity_free_block(self, two_scene, two_meshes, two_grid):
         # mass and stiffness are block-diagonal CSR stacks (the march reads
@@ -352,19 +351,20 @@ class TestFixedPattern:
 
 
 class TestSingleCavityDegeneracy:
-    def test_bitwise_matrix_match(self, unit_scene, unit_meshes, unit_grid):
+    def test_bitwise_matrix_match(self, unit_solver, unit_scene, unit_meshes, unit_grid):
         for s in (0.9 + 1.7j, 0.9 + 0.0j):
-            general = build_system(unit_scene, unit_meshes, unit_grid, s)
+            general = unit_solver.operator(s)
             single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
             a = general.matrix.toarray()
             b = single.matrix.toarray()
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)  # bit for bit
 
-    def test_solutions_match(self, unit_scene, unit_meshes, unit_grid, unit_fem, gaussian_wave):
+    def test_solutions_match(self, unit_solver, unit_scene, unit_meshes, unit_grid, unit_fem,
+                             gaussian_wave):
         s = 1.4 + 0.8j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
-        general = build_system(unit_scene, unit_meshes, unit_grid, s)
+        general = unit_solver.operator(s)
         single = build_system_single(unit_scene, unit_meshes[0], unit_grid, s)
         fem = unit_fem
         load = ct.apply_rhs(data, fem.restriction, unit_grid)[fem.free_nodes]

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 import cavitytd as ct
 from cavitytd import freq
 from cavitytd.cq import CqScheme
-from cavitytd.errors import DomainError, FactorizationFailure
+from cavitytd.errors import DimensionMismatch, DomainError, FactorizationFailure
 from cavitytd.fem import SystemOperator
 from cavitytd.freq import (
     FrequencySolver,
@@ -19,11 +19,6 @@ from cavitytd.freq import (
 )
 
 from conftest import REFERENCE_CONTOUR_TOL, cq_frequencies, load_reference
-
-
-@pytest.fixture(scope="module")
-def unit_solver(unit_scene, unit_meshes, unit_grid):
-    return FrequencySolver(unit_scene, unit_meshes, unit_grid)
 
 
 class TestSolveFrequency:
@@ -62,12 +57,19 @@ class TestSolveFrequency:
         for f1, f2 in zip(sol1.fields, sol2.fields):
             assert np.allclose(f2, 2.0 * f1, rtol=1e-12, atol=1e-15)
 
-    def test_mirror_symmetry(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
+    def test_grid_with_extra_aperture_rejected_at_construction(self, unit_scene, unit_meshes):
+        # The grid carries the scene's aperture and one more: the solver
+        # refuses it once, before any operator is built.
+        grid = ct.TraceGrid(L=8.0, N=256, apertures=unit_scene.apertures + ((1.0, 1.5),))
+        with pytest.raises(DimensionMismatch, match="1 cavities, the grid 2 apertures"):
+            FrequencySolver(unit_scene, unit_meshes, grid)
+
+    def test_mirror_symmetry(self, unit_solver, unit_meshes, unit_grid, gaussian_wave):
         # Symmetric scene + even data (normal incidence): the solution is
         # even about x = 0; compare against the x-reflected nodal field.
         s = 1.0 + 1.5j
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
-        sol = ct.solve_frequency(unit_scene, unit_meshes, unit_grid, s, data)
+        sol = unit_solver.solve(s, data)
         mesh = unit_meshes[0]
         field = sol.fields[0]
         order = np.lexsort((mesh.vertices[:, 1], np.round(mesh.vertices[:, 0], 12)))
