@@ -31,7 +31,7 @@ from .freq import (
     solution_csv_format,
 )
 from .incident import PlaneWave, WaveProfile, boundary_data_bundle, boundary_data_freq
-from .io import RunManifest, probe_matrix, write_csv, write_vtk_snapshot
+from .io import RunManifest, probe_matrix, vtk_mesh_part, write_csv, write_vtk_snapshot
 from .scene import (
     Scene,
     build_scene,
@@ -405,6 +405,7 @@ def cmd_solve_time(args) -> int:
     manifest = _manifest(args, run, meshes, scheme=scheme.serialize())
     times = scheme.times()
     probe_rows = []
+    mesh_part = vtk_mesh_part(meshes) if run.snap_every > 0 else None
 
     def observe(n, fields):
         # Fields leave the march only here, as each step passes.
@@ -412,7 +413,7 @@ def cmd_solve_time(args) -> int:
             probe_rows.append([float(times[n])] + [float(w @ fields[ci]) for ci, w in stencils])
         if run.snap_every > 0 and n % run.snap_every == 0:
             snap = out / f"snapshot_{n:05d}.vtk"
-            write_vtk_snapshot(snap, meshes, fields)
+            write_vtk_snapshot(snap, mesh_part, fields)
             manifest.add_output(snap)
 
     t0 = time.perf_counter()

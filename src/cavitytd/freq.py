@@ -292,25 +292,37 @@ def estimate_report(
     }
 
 
-def solution_csv_format(mesh: Mesh) -> str:
-    """The solution file of a mesh as one %-format over (re_u, im_u) pairs.
+def solution_csv_format(mesh: Mesh) -> tuple[str, str]:
+    """The solution file of a mesh as %-formats: one over (re_u, im_u)
+    pairs, and one over re_u alone whose rows end in a literal im_u of 0.
 
     The coordinates are formatted here, once per mesh; formatted floats
-    hold no '%', so the text is safe inside the format.
+    hold no '%', so the text is safe inside the formats.
     """
-    rows = "%.17g,%.17g,%%.17g,%%.17g\n" * mesh.n_vertices
-    return "x,y,re_u,im_u\n" + rows % tuple(mesh.vertices.ravel().tolist())
+    coords = tuple(mesh.vertices.ravel().tolist())
+    head = "x,y,re_u,im_u\n"
+    return (
+        head + "%.17g,%.17g,%%.17g,%%.17g\n" * mesh.n_vertices % coords,
+        head + "%.17g,%.17g,%%.17g,0\n" * mesh.n_vertices % coords,
+    )
 
 
 def save_solution_csv(
-    path: str | Path, mesh: Mesh, field: np.ndarray, fmt: str | None = None
+    path: str | Path, mesh: Mesh, field: np.ndarray, fmt: tuple[str, str] | None = None
 ) -> None:
     """One row `x,y,re_u,im_u` per vertex, every value at 17 significant digits.
 
     `fmt` is `solution_csv_format(mesh)`; pass it to reuse it across fields.
+    A field whose every imaginary part is +0.0 (any real `s`) fills the
+    format that prints them as the same `0` without formatting them.
     """
     if fmt is None:
         fmt = solution_csv_format(mesh)
     values = np.ascontiguousarray(field, dtype=np.complex128).view(np.float64)
+    # Bitwise, so a -0.0 still goes through %.17g and prints as -0.
+    if values[1::2].view(np.int64).any():
+        text = fmt[0] % tuple(values.tolist())
+    else:
+        text = fmt[1] % tuple(values[::2].tolist())
     with open(path, "w", encoding="utf-8") as f:
-        f.write(fmt % tuple(values.tolist()))
+        f.write(text)

@@ -15,6 +15,7 @@ from .scene import Mesh
 
 __all__ = [
     "write_csv",
+    "vtk_mesh_part",
     "write_vtk_snapshot",
     "probe_matrix",
     "RunManifest",
@@ -34,36 +35,45 @@ def write_csv(path: str | Path, header: Sequence[str], rows) -> None:
             )
 
 
-def write_vtk_snapshot(
-    path: str | Path,
-    meshes: Sequence[Mesh],
-    fields: Sequence[np.ndarray],
-) -> None:
-    """Legacy-VTK unstructured snapshot merging all cavity meshes.
+def vtk_mesh_part(meshes: Sequence[Mesh]) -> bytes:
+    """The part of a legacy-VTK BINARY snapshot that no field changes.
 
-    The fields are written as one point-data scalar named u.
-
-    Every float is printed at 17 significant digits; each section is one
-    bulk %-format over all of its lines.
+    All cavity meshes merge into one unstructured grid: `>f8` points
+    (x, y, 0), `>i4` cells (3, i, j, k) with each cavity's vertices offset
+    by the vertex counts before it, and `>i4` cell types (5, triangle).
+    The bytes end with the header of the point-data scalar u, so a
+    snapshot is these bytes followed by its values; a run encodes them
+    once.  Each binary block ends with a newline, as VTK's writer does.
     """
     n_pts = sum(m.n_vertices for m in meshes)
     n_cells = sum(m.n_triangles for m in meshes)
-    points = np.concatenate([m.vertices for m in meshes])
+    points = np.zeros((n_pts, 3), dtype=">f8")
+    points[:, :2] = np.concatenate([m.vertices for m in meshes])
     offsets = np.cumsum([0] + [m.n_vertices for m in meshes])[:-1]
-    cells = np.concatenate([m.triangles + lo for m, lo in zip(meshes, offsets)])
-    values = np.concatenate([np.asarray(v, dtype=float) for v in fields])
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("cavity field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n_pts} double\n")
-        f.write("%.17g %.17g 0\n" * n_pts % tuple(points.ravel().tolist()))
-        f.write(f"CELLS {n_cells} {4 * n_cells}\n")
-        f.write("3 %d %d %d\n" * n_cells % tuple(cells.ravel().tolist()))
-        f.write(f"CELL_TYPES {n_cells}\n")
-        f.write("5\n" * n_cells)
-        f.write(f"POINT_DATA {n_pts}\n")
-        f.write("SCALARS u double 1\nLOOKUP_TABLE default\n")
-        f.write("%.17g\n" * values.size % tuple(values.tolist()))
+    cells = np.full((n_cells, 4), 3, dtype=">i4")
+    cells[:, 1:] = np.concatenate([m.triangles + lo for m, lo in zip(meshes, offsets)])
+    return b"".join([
+        b"# vtk DataFile Version 3.0\ncavity field snapshot\nBINARY\n"
+        b"DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n_pts} double\n".encode(), points.tobytes(), b"\n",
+        f"CELLS {n_cells} {4 * n_cells}\n".encode(), cells.tobytes(), b"\n",
+        f"CELL_TYPES {n_cells}\n".encode(), np.full(n_cells, 5, ">i4").tobytes(), b"\n",
+        f"POINT_DATA {n_pts}\nSCALARS u double 1\nLOOKUP_TABLE default\n".encode(),
+    ])
+
+
+def write_vtk_snapshot(
+    path: str | Path, mesh_part: bytes, fields: Sequence[np.ndarray]
+) -> None:
+    """One legacy-VTK BINARY snapshot: `mesh_part` (`vtk_mesh_part` of the
+    meshes the fields live on), then the fields, cavity after cavity, as
+    `>f8` values of the scalar u."""
+    # concatenate returns native byte order whatever its inputs hold.
+    values = np.concatenate(fields).astype(">f8")
+    with open(path, "wb") as f:
+        f.write(mesh_part)
+        f.write(values.tobytes())
+        f.write(b"\n")
 
 
 def probe_matrix(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -374,12 +375,14 @@ def config_block(name: str):
 
 
 def finite_number(value: Any) -> float:
-    """float(value) for a config entry; NaN, +-inf and booleans raise ValueError.
+    """float(value) for a config entry; NaN, +-inf, booleans and anything
+    that is not a real number (a string such as "1.0") raise ValueError.
 
     Every non-integer number read from a config passes through here, so
-    no later `x <= 0` test can be passed by NaN, and JSON `true` is not 1.
+    no later `x <= 0` test can be passed by NaN, JSON `true` is not 1 and
+    a quoted number is not read as one.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{value!r} is not a number")
     x = float(value)
     if not math.isfinite(x):

@@ -47,6 +47,10 @@ def test_traced_run_opens_every_expected_span(tmp_path, command):
         # contour node; per-node solves would show here first.
         assert layers["cq.nodes"] == 0
         assert layers["fem.builds"] == 1
+        # The tracer sizes every snapshot the writer it wraps writes.
+        snapshots = list((tmp_path / "out").glob("snapshot_*.vtk"))
+        assert snapshots
+        assert layers["io.vtk_bytes"] == sum(p.stat().st_size for p in snapshots)
         solves = 1
     else:
         solves = len(small_config()["sweep"]["s_values"])

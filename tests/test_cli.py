@@ -12,6 +12,7 @@ import pytest
 import cavitytd.cli as cli
 from cavitytd import cq, diagnostics, freq, incident
 from cavitytd.cli import main
+from cavitytd.io import vtk_mesh_part
 from cavitytd.scene import build_scene, mesh_scene
 from cavitytd.trace import TraceGrid
 
@@ -211,6 +212,9 @@ class TestSolveFreq:
             ("validate", ("validate", "trials"), True, [], "ConfigError"),
             ("mesh-export", ("scene", "cavities", 0),
              {"aperture": [0.0, True], "depth": True, "epsilon": True}, [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "aperture"), ["-0.5", "0.5"], [],
+             "ConfigError"),
+            ("solve-time", ("scheme", "steps"), "100", [], "ConfigError"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -226,7 +230,8 @@ class TestSolveFreq:
              "trace-min-samples-over-cap", "trace-l-alone", "trace-n-alone",
              "trace-min-samples-with-l-n", "mesh-h-subnormal", "sweep-s-value-boolean",
              "sweep-s-value-three-numbers", "snapshots-every-boolean",
-             "validate-trials-boolean", "cavity-aperture-boolean"],
+             "validate-trials-boolean", "cavity-aperture-boolean", "cavity-aperture-strings",
+             "steps-string"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -327,8 +332,8 @@ class TestSolveTime:
         assert (out / "stability_report.csv").exists()
         snapshots = list(out.glob("snapshot_*.vtk"))
         assert len(snapshots) == 5  # steps 0, 16, 32, 48, 64
-        head = snapshots[0].read_text().splitlines()
-        assert head[0].startswith("# vtk DataFile")
+        head = snapshots[0].read_bytes().split(b"\n", 4)
+        assert head[0].startswith(b"# vtk DataFile") and head[2] == b"BINARY"
         manifest = json.loads((out / "manifest.json").read_text())
         # run_time_domain raises above the causality limit, so the t = 0
         # ratio is reported without a check that could only read true.
@@ -437,6 +442,26 @@ class TestSolveTime:
         for name in ("probes.csv", "energy.csv", "stability_report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_byte_identical_reruns_and_threads(self, tmp_path):
+        # A rerun, and any --threads value, writes the same bytes to every
+        # snapshot, probes.csv and energy.csv.
+        path = write_config(tmp_path, small_config())
+        blobs = []
+        for run, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+            out = tmp_path / run
+            assert main(["solve-time", "--config", str(path), "--out", str(out),
+                         "--threads", threads]) == 0
+            files = sorted(out.glob("snapshot_*.vtk")) + [out / "probes.csv",
+                                                         out / "energy.csv"]
+            blobs.append([(p.name, p.read_bytes()) for p in files])
+        assert len(blobs[0]) == 2 + 3  # snapshots at steps 0, 16, 32
+        assert blobs[0] == blobs[1] == blobs[2]
+        # Every snapshot starts with the mesh part of the run's meshes.
+        config = small_config()
+        mesh_part = vtk_mesh_part(mesh_scene(build_scene(config), config["mesh"]["h"]))
+        for name, blob in blobs[0][:3]:
+            assert blob.startswith(mesh_part), name
+
     def test_boundary_data_sampled_once_per_order(self, tmp_path, monkeypatch):
         # The march samples g and the energy record reuses it: g, dg/dt and
         # d2g/dt2 are each sampled once per run.
@@ -528,6 +553,9 @@ def test_integer_keys_take_integral_numbers():
     # values are the config-error cases above.
     assert cli._int(100.0) == 100 and isinstance(cli._int(100.0), int)
     assert cli._int(2**60 + 1) == 2**60 + 1
+    # A quoted number is not a number.
+    with pytest.raises(ValueError):
+        cli._int("100")
 
 
 class ReadRecorder(dict):

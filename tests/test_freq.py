@@ -16,6 +16,7 @@ from cavitytd.freq import (
     estimate_report,
     frequency_groups,
     save_solution_csv,
+    solution_csv_format,
 )
 
 from conftest import REFERENCE_CONTOUR_TOL, cq_frequencies, load_reference
@@ -188,21 +189,33 @@ class TestEstimateReport:
 
     def test_solution_csv_matches_row_writer(self, unit_meshes, tmp_path):
         mesh = unit_meshes[0]
-        field = np.random.default_rng(7).standard_normal(mesh.n_vertices) * (1.0 + 1.0j)
+        rng = np.random.default_rng(7)
+        field = rng.standard_normal(mesh.n_vertices) * (1.0 + 1.0j)
         special = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, 1.7976931348623157e308,
                    -1e300, 0.1, 1.0 / 3.0, 123456789.0]
         field.real[: len(special)] = special
         field.imag[: len(special)] = special[::-1]
         field[len(special)] = complex(-0.0, -0.0)
-        path = tmp_path / "sol.csv"
-        save_solution_csv(path, mesh, field)
-        # Reference: the per-row formatting the writer must reproduce byte for byte.
-        expected = "x,y,re_u,im_u\n" + "".join(
-            f"{x:.17g},{y:.17g},{complex(v).real:.17g},{complex(v).imag:.17g}\n"
-            for (x, y), v in zip(mesh.vertices, field)
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
-        assert ",-0,-0\n" in expected and "e-324," in expected
+        # A real field (any real s) has +0.0 imaginary parts; one -0.0
+        # among them must still print as -0.
+        real = rng.standard_normal(mesh.n_vertices).astype(np.complex128)
+        real.real[: len(special)] = special
+        signed = real.copy()
+        signed.imag[3] = -0.0
+        fmt = solution_csv_format(mesh)
+        for name, f in (("complex", field), ("real", real), ("signed", signed)):
+            path = tmp_path / f"{name}.csv"
+            save_solution_csv(path, mesh, f, fmt)
+            # Reference: the per-row formatting the writer must reproduce byte for byte.
+            expected = "x,y,re_u,im_u\n" + "".join(
+                f"{x:.17g},{y:.17g},{complex(v).real:.17g},{complex(v).imag:.17g}\n"
+                for (x, y), v in zip(mesh.vertices, f)
+            )
+            assert path.read_bytes() == expected.encode("utf-8"), name
+            assert "e-324," in expected
+        assert ",-0,-0\n" in (tmp_path / "complex.csv").read_text()
+        assert ",-0\n" not in (tmp_path / "real.csv").read_text()
+        assert (tmp_path / "signed.csv").read_text().count(",-0\n") == 1
 
 
 class TestMultiCavity:
