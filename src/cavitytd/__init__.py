@@ -8,13 +8,12 @@ layer that certifies passivity, coercivity and the stability estimates at
 the discrete level.
 """
 
-from .cq import CqScheme, TimeSolution, run_time_domain, time_derivative
+from .cq import CqScheme, TimeSolution, run_time_domain
 from .diagnostics import (
     EnergyTrace,
     apriori_check,
     dissipation_violation,
     energy,
-    growth_study,
     passivity_suite,
     shutoff_time,
     stability_check,
@@ -38,24 +37,8 @@ from .errors import (
 )
 from .fem import FemMatrices, SystemOperator, apply_rhs, assemble, build_system
 from .freq import FrequencySolution, FrequencySolver, estimate_report
-from .incident import (
-    PlaneWave,
-    WaveProfile,
-    boundary_data_freq,
-    boundary_data_time,
-    evaluate_incident,
-    evaluate_reflected,
-)
+from .incident import PlaneWave, WaveProfile, boundary_data_freq
 from .scene import CavitySpec, MaterialField, Mesh, Scene, build_scene, load_config, mesh_cavity, mesh_scene
-from .trace import (
-    TraceGrid,
-    apply_B,
-    beta,
-    dtn_dense,
-    passivity_defect,
-    propagate_exterior,
-    restrict,
-    trace_norm,
-)
+from .trace import TraceGrid, apply_B, beta, dtn_dense, passivity_defect, restrict, trace_norm
 
 __version__ = "0.1.0"

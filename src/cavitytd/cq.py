@@ -64,7 +64,6 @@ __all__ = [
     "TimeSolution",
     "dtn_weights",
     "run_time_domain",
-    "time_derivative",
 ]
 
 # Largest t = 0 state norm, relative to the trajectory peak, that the march
@@ -107,9 +106,6 @@ class CqScheme:
         zeta = np.asarray(zeta, dtype=np.complex128)
         return (3.0 - 4.0 * zeta + zeta * zeta) / 2.0
 
-    def serialize(self) -> dict:
-        return {"dt": self.dt, "steps": self.steps}
-
 
 # Rows of TimeSolution.forms: the per-step quadratic forms the energy,
 # stability and a-priori checks read (see diagnostics.EnergyTrace).
@@ -123,15 +119,16 @@ class TimeSolution:
     forms is the (6, N+1) array of the quadratic forms named by FORMS, by
     finite-element quadrature: kinetic = du^T M du and potential = u^T K u
     with the material weights, du_l2, du_h1, u_l2 and u_h1 with the unit
-    weights, du the backward difference of `time_derivative`.  state_norm
-    is the Euclidean norm of the stacked nodal vector at each step and g
-    the (N+1, N_trace) aperture data that drove the march.  imag_residue
-    is the largest imaginary part the march discarded from the DtN
-    weights, relative to the largest weight (the step matrix W0 is real by
-    construction); initial_ratio the t = 0 state norm relative to the
-    trajectory peak; max_residual the largest relative residual of the
-    step solves, reached at step worst_step; n_dofs and lu_nnz the size
-    and fill of the one factorization.
+    weights, du the backward difference of u (zero at step 0, first order
+    at step 1, the BDF2 difference after).  state_norm is the Euclidean
+    norm of the stacked nodal vector at each step and g the (N+1, N_trace)
+    aperture data that drove the march.  imag_residue is the largest
+    imaginary part the march discarded from the DtN weights, relative to
+    the largest weight (the step matrix W0 is real by construction);
+    initial_ratio the t = 0 state norm relative to the trajectory peak;
+    max_residual the largest relative residual of the step solves,
+    reached at step worst_step; n_dofs and lu_nnz the size and fill of
+    the one factorization.
     """
 
     times: np.ndarray
@@ -145,10 +142,6 @@ class TimeSolution:
     worst_step: int = 0
     n_dofs: int = 0
     lu_nnz: int = 0
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
 
 
 def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray, float]:
@@ -246,7 +239,7 @@ def run_time_domain(
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
         rhs += rf.T @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
-        # du/dt as `time_derivative` forms it: zero at rest, first order at
+        # du/dt by backward differences: zero at rest, first order at
         # step 1, then the three-term BDF2 difference.
         if n == 1:
             du = (x - recent[0]) / dt
@@ -299,26 +292,3 @@ def _same_or(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     """a when b stores the same CSR arrays (indptr, indices, data), else b."""
     same = all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
     return a if same else b
-
-
-def time_derivative(block: np.ndarray, dt: float) -> np.ndarray:
-    """Backward-difference time derivative of one (N+1, n_nodes) history.
-
-    Step 0 is the rest state (derivative zero), step 1 uses the first-order
-    difference, and steps n >= 2 the second-order three-term formula, which
-    is exact on linear histories from step 1 and quadratic ones from step 2.
-    The march forms the same differences step by step; this block form is
-    the reference its record is tested against.
-    """
-    if block.shape[0] < 3:
-        raise ValueError("need at least 2 steps for BDF2 differences")
-    d = np.zeros_like(block)
-    d[1] = (block[1] - block[0]) / dt
-    # (3 u_n - 4 u_{n-1} + u_{n-2}) / (2 dt) term by term in place: one
-    # history-sized temporary instead of three.
-    rest = d[2:]
-    np.multiply(block[2:], 3.0, out=rest)
-    rest -= 4.0 * block[1:-1]
-    rest += block[:-2]
-    rest /= 2.0 * dt
-    return d

@@ -30,11 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cq import FORMS, CqScheme, TimeSolution, dtn_weights, run_time_domain
+from .cq import FORMS, CqScheme, TimeSolution, dtn_weights
 from .errors import DimensionMismatch
-from .incident import BoundaryDataSeries, PlaneWave, WaveProfile, boundary_data_bundle
+from .incident import BoundaryDataSeries, PlaneWave
 from .io import write_csv
-from .scene import Mesh, Scene
 from .trace import TraceGrid, multiplier_norm_rows, passivity_defect, restrict
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "passivity_suite",
     "dissipation_violation",
     "shutoff_time",
-    "growth_study",
     "save_energy_csv",
 ]
 
@@ -61,7 +59,8 @@ PINNED_FREQ_RATIO_MAX = 2.417
 # Worst stability ratio across the three reference time runs
 # (single 0.2973, two 0.2426, three 0.2102).
 PINNED_STABILITY_RATIO = 0.2974
-# Sustained-data growth study on reference_single at the base horizon T=6.
+# Sustained-data growth study on reference_single at the base horizon T=6
+# (the tests' growth_study, acceptance criterion 09).
 PINNED_APRIORI_LINF = 0.229
 
 # Passivity-suite failure limits on the normalized defect (a trial fails
@@ -73,8 +72,6 @@ DEFECT_TOL, TIME_DEFECT_TOL = 1e-12, 1e-10
 _TD_DT, _TD_REST, _TD_STEPS = 0.1, 32, 34
 # Time steps per block of the data-norm transforms.
 _ROW_BLOCK = 64
-# Time steps of each growth-study march, whatever its horizon.
-_GROWTH_STEPS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +164,6 @@ class StabilityRecord:
     lhs: float
     rhs: float
     ratio: float
-    passed: bool
-    pinned: float
 
 
 @dataclass
@@ -177,7 +172,7 @@ class AprioriRecord:
     l2_ratio: float
 
 
-def stability_check(et: EnergyTrace, pinned: float = PINNED_STABILITY_RATIO) -> StabilityRecord:
+def stability_check(et: EnergyTrace) -> StabilityRecord:
     """Discrete form of the main stability estimate.
 
     lhs = max_n (|du/dt|_L2 + |grad du/dt|_L2); rhs combines the L1-in-time
@@ -188,14 +183,7 @@ def stability_check(et: EnergyTrace, pinned: float = PINNED_STABILITY_RATIO) -> 
     lhs = float(np.max(np.sqrt(et.du_l2) + np.sqrt(et.du_h1)))
     t = et.times
     rhs = float(np.trapezoid(et.g_norm, t) + np.max(et.dg_norm) + np.trapezoid(et.d2g_norm, t))
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
-    return StabilityRecord(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        passed=ratio <= pinned * PIN_MARGIN,
-        pinned=pinned,
-    )
+    return StabilityRecord(lhs=lhs, rhs=rhs, ratio=lhs / rhs if rhs > 0.0 else 0.0)
 
 
 def apriori_check(et: EnergyTrace) -> AprioriRecord:
@@ -203,9 +191,9 @@ def apriori_check(et: EnergyTrace) -> AprioriRecord:
 
     linf_ratio divides the max-in-time L2 norms by the T-weighted data
     norm; l2_ratio uses the time-integrated norms against T^(3/2), T^(1/2)
-    weights, with T the last time of the record.  The growth study reruns
-    this at doubled horizons with a sustained data family and expects no
-    growth of linf_ratio.
+    weights, with T the last time of the record.  Acceptance criterion 09
+    reruns this at doubled horizons with a sustained data family and
+    expects no growth of linf_ratio.
     """
     t = et.times
     horizon = float(t[-1])
@@ -261,10 +249,6 @@ class PassivityReport:
     seed: int
     min_defects: dict[str, float] = dc_field(default_factory=dict)
     failures: dict[str, int] = dc_field(default_factory=dict)
-
-    @property
-    def total_failures(self) -> int:
-        return sum(self.failures.values())
 
     def summary(self) -> str:
         lines = [f"passivity suite: {self.trials} trials, seed {self.seed}"]
@@ -382,41 +366,6 @@ def _time_domain_defect(
     terms = -(grid.dx / (mu0 * grid.N)) * mult * (conv * np.conj(d1)).real
     scale = float(np.sum(np.abs(terms)))
     return float(np.sum(terms)) / scale if scale > 0.0 else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Sustained-data growth study
-# ---------------------------------------------------------------------------
-
-def growth_study(
-    scene: Scene,
-    meshes: list[Mesh],
-    grid: TraceGrid,
-    horizons: tuple[float, ...],
-) -> list[AprioriRecord]:
-    """A-priori ratios for a data family sustained over growing horizons.
-
-    The family at horizon H is a unit-amplitude wide pulse (width H/14,
-    centered at H/2) at normal incidence that keeps the apertures driven
-    through most of the window, marched in _GROWTH_STEPS steps; the
-    field-level ratio must not grow as the horizon doubles.
-    """
-    records = []
-    for horizon in horizons:
-        profile = WaveProfile(
-            kind="gaussian-pulse",
-            center=horizon / 2.0,
-            width=horizon / 14.0,
-            amplitude=1.0,
-        )
-        pw = PlaneWave(
-            profile=profile, theta=math.pi / 2, eps0=scene.eps0, mu0=scene.mu0
-        )
-        scheme = CqScheme(dt=horizon / _GROWTH_STEPS, steps=_GROWTH_STEPS)
-        sol = run_time_domain(scene, meshes, grid, pw, scheme)
-        series = boundary_data_bundle(pw, grid, sol.times, sol.g)
-        records.append(apriori_check(energy(sol, series, grid)))
-    return records
 
 
 def save_energy_csv(path: str | Path, et: EnergyTrace) -> None:

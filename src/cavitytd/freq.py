@@ -76,9 +76,6 @@ class FrequencySolution:
     residual: float
     lu_nnz: int = 0
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.vdot(f, f).real for f in self.fields)))
-
 
 class FrequencySolver:
     """Streaming solver: fixed pattern, short-lived LUs.
@@ -169,18 +166,13 @@ class FrequencySolver:
             s=complex(s), fields=self.expand(x), residual=residual, lu_nnz=lu_nnz
         )
 
-    def solve_load(
-        self, s: complex, b: np.ndarray, node: int | None = None
-    ) -> tuple[np.ndarray, float]:
-        """Certified solve of a free-DOF load.
+    def solve_load(self, s: complex, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Certified solve of a free-DOF load: the solution and its residual.
 
         Serves the tests' all-at-once CQ reference and the benchmark's
-        per-node counter; no command calls it.  Returns the solution and
-        its relative residual; `node` names the CQ contour node in the
-        error raised above the residual limit.
+        per-node counter; no command calls it.
         """
-        where = f"at s={s}" if node is None else f"at CQ node {node} (s={s})"
-        return certified_solve(self.operator(s), b, where)
+        return certified_solve(self.operator(s), b, f"at s={s}")
 
 
 def certified_solve(op: SystemOperator, b: np.ndarray, where: str) -> tuple[np.ndarray, float]:

@@ -39,9 +39,6 @@ from .trace import TraceGrid
 __all__ = [
     "WaveProfile",
     "PlaneWave",
-    "evaluate_incident",
-    "evaluate_reflected",
-    "boundary_data_time",
     "boundary_data_series",
     "boundary_data_freq",
     "BoundaryDataSeries",
@@ -124,9 +121,6 @@ class WaveProfile:
             return self.center + self.width
         return self.center + 7.0 * self.width
 
-    def value(self, tau):
-        return self.derivative(tau, order=0)
-
     def derivative(self, tau, order: int = 1):
         """d^order w / d tau^order, analytic, orders 0..3."""
         if order not in (0, 1, 2, 3):
@@ -200,33 +194,12 @@ class PlaneWave:
         return math.sin(self.theta) / math.sqrt(self.eps0 * self.mu0)
 
 
-def evaluate_incident(pw: PlaneWave, x, y, t):
-    """Incident field at (x, y, t)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return pw.profile.value(t + pw.c1 * x + pw.c2 * y)
-
-
-def evaluate_reflected(pw: PlaneWave, x, y, t):
-    """Ground-plane reflection; cancels the incident trace on y = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return -pw.profile.value(t + pw.c1 * x - pw.c2 * y)
-
-
 def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):
     """g and its time derivatives: 2*c2 * w^(1+order)(t + c1*x)."""
     return 2.0 * pw.c2 * pw.profile.derivative(
         np.asarray(t, dtype=float) + pw.c1 * np.asarray(x, dtype=float),
         order=1 + order,
     )
-
-
-def boundary_data_time(pw: PlaneWave, grid: TraceGrid, t: float) -> np.ndarray:
-    """Aperture-line data g(x, t) sampled on the trace grid (real)."""
-    return _g_closed_form(pw, grid.x, t)
 
 
 def boundary_data_series(

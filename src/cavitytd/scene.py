@@ -515,13 +515,6 @@ class Mesh:
         edges = self.boundary_edges[self.boundary_tags == WALL]
         return np.unique(edges)
 
-    def max_edge_length(self) -> float:
-        p = self.vertices[self.triangles]
-        e = np.stack(
-            [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
-        )
-        return float(np.max(np.linalg.norm(e, axis=2)))
-
 
 def check_mesh_size(cavity: CavitySpec, h: float) -> None:
     """Raise MeshFailure unless h resolves the cavity within MAX_MESH_VERTICES.

@@ -48,7 +48,6 @@ __all__ = [
     "restrict_union",
     "trace_norm",
     "passivity_defect",
-    "propagate_exterior",
 ]
 
 MIN_SAMPLES_PER_APERTURE = 16
@@ -323,18 +322,3 @@ def passivity_defect(
     bw = apply_B(total, s, grid, c)
     pairing = grid.dx * np.sum(bw * np.conj(total))
     return float(-np.real(pairing / (s * mu0)))
-
-
-def propagate_exterior(
-    trace: np.ndarray, s: complex, y: float, grid: TraceGrid, c: float
-) -> np.ndarray:
-    """Lift an aperture-line trace to height y in the exterior half-space.
-
-    Multiplies mode m by exp(beta(xi_m, s) * y); since Re beta < 0 every
-    mode magnitude is non-increasing in y.
-    """
-    if y < 0.0:
-        raise DomainError(f"exterior height must satisfy y >= 0, got {y}")
-    _check_grid(trace, grid)
-    b = beta(grid.xi, s, c)
-    return np.fft.ifft(np.exp(b * y) * np.fft.fft(trace))

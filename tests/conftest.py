@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from cavitytd.cq import CqScheme, dtn_weights
 from cavitytd.errors import DimensionMismatch, DomainError
 from cavitytd.fem import SystemOperator, SystemPattern, assemble
 from cavitytd.freq import FrequencySolver
-from cavitytd.incident import boundary_data_series
+from cavitytd.incident import boundary_data_bundle, boundary_data_series
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,8 +140,10 @@ def reference_single():
 
 
 # ---------------------------------------------------------------------------
-# Test references: the all-at-once CQ realization and the single-cavity
-# assembly.  The package runs neither; the tests compare it against them.
+# Test references: the all-at-once CQ realization, the single-cavity
+# assembly, the block time derivative, the free-space fields and the
+# sustained-data growth study.  The package runs none of them; the tests
+# compare it against them.
 # ---------------------------------------------------------------------------
 
 # Aliasing level of the all-at-once contour in the reference comparisons.
@@ -182,7 +185,7 @@ def run_all_at_once(scene, meshes, grid, pw, scheme, contour_tol):
     g_hat = np.fft.rfft(g_series * lam ** np.arange(n1)[:, None], axis=0)
     solver = FrequencySolver(scene, meshes, grid)
     u_hat = np.stack([
-        solver.solve_load(s_nodes[l], solver.load(g_hat[l]), node=l)[0]
+        solver.solve_load(s_nodes[l], solver.load(g_hat[l]))[0]
         for l in range(n1 // 2 + 1)
     ])
     hist = np.fft.irfft(u_hat, n=n1, axis=0)
@@ -206,6 +209,59 @@ def build_system_single(scene, mesh, grid, s, fem=None):
         fem = assemble(mesh, scene.cavities[0], grid)
     pattern = SystemPattern.from_fems([fem])
     return SystemOperator(s=s, matrix=pattern.matrix(s, grid, scene.c, scene.mu0))
+
+
+def time_derivative(block, dt):
+    """Backward-difference time derivative of one (N+1, n_nodes) history.
+
+    Step 0 is the rest state (derivative zero), step 1 uses the first-order
+    difference, and steps n >= 2 the second-order three-term formula, which
+    is exact on linear histories from step 1 and quadratic ones from step 2.
+    The march forms the same differences step by step.
+    """
+    if block.shape[0] < 3:
+        raise ValueError("need at least 2 steps for BDF2 differences")
+    d = np.zeros_like(block)
+    d[1] = (block[1] - block[0]) / dt
+    d[2:] = (3.0 * block[2:] - 4.0 * block[1:-1] + block[:-2]) / (2.0 * dt)
+    return d
+
+
+def evaluate_incident(pw, x, y, t):
+    """Incident field w(t + c1 x + c2 y) at (x, y, t)."""
+    x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
+    return pw.profile.derivative(t + pw.c1 * x + pw.c2 * y, 0)
+
+
+def evaluate_reflected(pw, x, y, t):
+    """Ground-plane reflection; cancels the incident trace on y = 0."""
+    x, y, t = (np.asarray(v, dtype=float) for v in (x, y, t))
+    return -pw.profile.derivative(t + pw.c1 * x - pw.c2 * y, 0)
+
+
+# Time steps of each growth-study march, whatever its horizon.
+GROWTH_STEPS = 128
+
+
+def growth_study(scene, meshes, grid, horizons):
+    """A-priori ratios for a data family sustained over growing horizons.
+
+    The family at horizon H is a unit-amplitude wide pulse (width H/14,
+    centered at H/2) at normal incidence that keeps the apertures driven
+    through most of the window, marched in GROWTH_STEPS steps; the
+    field-level ratio must not grow as the horizon doubles.
+    """
+    records = []
+    for horizon in horizons:
+        profile = ct.WaveProfile(
+            kind="gaussian-pulse", center=horizon / 2.0, width=horizon / 14.0, amplitude=1.0
+        )
+        pw = ct.PlaneWave(profile=profile, theta=math.pi / 2, eps0=scene.eps0, mu0=scene.mu0)
+        scheme = CqScheme(dt=horizon / GROWTH_STEPS, steps=GROWTH_STEPS)
+        sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
+        series = boundary_data_bundle(pw, grid, sol.times, sol.g)
+        records.append(diagnostics.apriori_check(diagnostics.energy(sol, series, grid)))
+    return records
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from cavitytd.freq import FrequencySolver, estimate_report
 from cavitytd.incident import boundary_data_bundle, boundary_data_freq
 from cavitytd.trace import apply_B, dtn_dense, restrict, trace_norm
 
-from conftest import build_system_single, load_reference, run_recorded
+from conftest import build_system_single, growth_study, load_reference, run_recorded
 
 
 def report(num, label, detail):
@@ -220,7 +220,7 @@ def test_criterion_08_energy_dissipation(reference_runs):
 def test_criterion_09_apriori_growth(reference_runs):
     scene, meshes, grid, pw, scheme, sol = reference_runs["reference_single"]
     base = 6.0
-    records = diagnostics.growth_study(scene, meshes, grid, horizons=(base, 2 * base, 4 * base))
+    records = growth_study(scene, meshes, grid, horizons=(base, 2 * base, 4 * base))
     ratios = [r.linf_ratio for r in records]
     for earlier, later in zip(ratios, ratios[1:]):
         assert later <= 1.25 * earlier

@@ -368,6 +368,36 @@ class TestSolveTime:
             assert rerun.pop(key) and manifest.pop(key)
         assert rerun == manifest
 
+    @pytest.mark.parametrize("pin, dissipation_limit, passed",
+                             [(1e12, 1.0, True), (1e-12, -1.0, False)],
+                             ids=["limits-above", "limits-below"])
+    def test_stability_report_rows_match_manifest_checks(self, tmp_path, monkeypatch,
+                                                         pin, dissipation_limit, passed):
+        # The report copies each verdict the manifest records, with the
+        # value and limit it was judged on, whichever way the verdict goes.
+        monkeypatch.setattr(diagnostics, "PINNED_STABILITY_RATIO", pin)
+        monkeypatch.setattr(diagnostics, "DISSIPATION_LIMIT", dissipation_limit)
+        path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = {
+            row[0]: row for row in
+            (line.split(",") for line in (out / "stability_report.csv").read_text().splitlines()[1:])
+        }
+        # Report row -> (manifest check, its metric, value column, limit column).
+        matched = {
+            "stability": ("stability-ratio", "stability_ratio", 3, None),
+            "dissipation-violation": ("energy-dissipation", "dissipation_violation", 1, 2),
+        }
+        for name, (check, metric, value_col, limit_col) in matched.items():
+            recorded = manifest["metrics"][metric]
+            assert float(rows[name][value_col]) == recorded["value"], name
+            if limit_col is not None:
+                assert float(rows[name][limit_col]) == recorded["limit"], name
+            assert rows[name][4] == str(manifest["checks"][check]), name
+            assert manifest["checks"][check] is passed, name
+
     def test_deterministic_probes(self, tmp_path):
         path = write_config(tmp_path, small_config())
         blobs = []

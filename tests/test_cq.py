@@ -5,7 +5,7 @@ import pytest
 
 import cavitytd as ct
 from cavitytd import cq, fem, freq
-from cavitytd.cq import CqScheme, time_derivative
+from cavitytd.cq import CqScheme
 from cavitytd.errors import DimensionMismatch, FactorizationFailure
 
 from conftest import (
@@ -15,6 +15,7 @@ from conftest import (
     load_reference,
     run_all_at_once,
     run_recorded,
+    time_derivative,
 )
 
 # Aliasing target of the contour tests.
@@ -150,7 +151,7 @@ class TestRunTimeDomain:
                                    gaussian_wave, monkeypatch):
         sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave)
         assert 0.0 < sol.max_residual <= 1e-10
-        assert 0 <= sol.worst_step <= sol.n_steps
+        assert 0 <= sol.worst_step <= sol.scheme.steps
         # Above the limit the run fails and names the step and its time.
         monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
         with pytest.raises(FactorizationFailure, match=re.escape("at step 0 (t=0)")):

@@ -45,3 +45,36 @@ def test_every_error_type_is_raised():
     }
     assert declared
     assert sorted(declared - _raised_names()) == []
+
+
+# Definitions no command reaches that stay on purpose, with the reason.
+UNCALLED = {
+    # FrequencySolver.solve_load: a benchmark seam.  bench/tracer.py wraps it
+    # to count CQ contour nodes, and the tests' all-at-once CQ reference
+    # calls it.
+    "freq.solve_load",
+}
+
+
+def test_every_definition_has_a_caller():
+    # A def or class is in use when a module of the package other than
+    # __init__.py names it (an ast.Name or ast.Attribute); being exported
+    # keeps nothing alive.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(cavitytd.__file__).parent.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    used, defined = set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add((module, node.name))
+    uncalled = {f"{module}.{name}" for module, name in defined if name not in used}
+    assert sorted(uncalled - UNCALLED) == []
+    assert sorted(UNCALLED - uncalled) == []

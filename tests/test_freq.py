@@ -25,7 +25,7 @@ from conftest import REFERENCE_CONTOUR_TOL, cq_frequencies, load_reference
 class TestSolveFrequency:
     def test_zero_data_zero_solution(self, unit_solver, unit_grid):
         sol = unit_solver.solve(1.0 + 1.0j, np.zeros(unit_grid.N, complex))
-        assert sol.norm() == 0.0
+        assert not any(np.any(f) for f in sol.fields)
         assert sol.residual == 0.0
 
     def test_rejects_bad_frequency(self, unit_solver, unit_grid):
@@ -38,7 +38,7 @@ class TestSolveFrequency:
         data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
         sol = unit_solver.solve(s, data)
         assert sol.residual <= 1e-10
-        assert sol.norm() > 0.0
+        assert any(np.any(f) for f in sol.fields)
 
     def test_real_s_gives_exactly_real_fields(self, unit_solver, unit_grid, gaussian_wave):
         # At real s the gaussian data and the matrix are real, so the
@@ -289,7 +289,7 @@ def anchored_sweep(solver, s_values, data):
 
 def relative_difference(sol, ref):
     diff = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(sol.fields, ref.fields)))
-    return diff / ref.norm()
+    return diff / np.sqrt(sum(np.vdot(f, f).real for f in ref.fields))
 
 
 class TestAnchoredSweep:

@@ -284,29 +284,6 @@ class TestPassivity:
                 ct.passivity_defect([np.zeros(unit_grid.N, complex)], s, 1.0, unit_grid, C)
 
 
-class TestPropagate:
-    def test_identity_at_zero_height(self, unit_grid, rng):
-        u = rng.standard_normal(unit_grid.N) + 1j * rng.standard_normal(unit_grid.N)
-        out = ct.propagate_exterior(u, 1.0 + 1.0j, 0.0, unit_grid, C)
-        assert np.allclose(out, u, rtol=1e-13, atol=1e-14)
-
-    def test_constant_decays_like_zero_mode(self, unit_grid):
-        u = np.ones(unit_grid.N, dtype=complex)
-        out = ct.propagate_exterior(u, 1.0 + 0.0j, 1.0, unit_grid, C)
-        assert np.allclose(out, np.exp(-1.0), rtol=1e-12)
-
-    def test_norm_decreases_with_height(self, unit_grid, rng):
-        u = rng.standard_normal(unit_grid.N) + 1j * rng.standard_normal(unit_grid.N)
-        s = 1.0 + 2.0j
-        n1 = np.linalg.norm(ct.propagate_exterior(u, s, 1.0, unit_grid, C))
-        n2 = np.linalg.norm(ct.propagate_exterior(u, s, 2.0, unit_grid, C))
-        assert n2 <= n1
-
-    def test_rejects_negative_height(self, unit_grid):
-        with pytest.raises(DomainError):
-            ct.propagate_exterior(np.zeros(unit_grid.N, complex), 1.0, -0.5, unit_grid, C)
-
-
 class TestPeriodization:
     def test_margin_controls_truncation_error(self):
         # Same sample spacing, doubling the period: the operator restricted
