@@ -31,7 +31,6 @@ from .errors import (
     NonPositiveMaterial,
     OverlappingApertures,
     QuadratureFailure,
-    SingularElement,
     SizeError,
     UnsupportedPolarization,
 )

@@ -34,7 +34,7 @@ from .cq import FORMS, CqScheme, TimeSolution, dtn_weights
 from .errors import DimensionMismatch
 from .incident import BoundaryDataSeries, PlaneWave
 from .io import write_csv
-from .trace import TraceGrid, multiplier_norm_rows, passivity_defect, restrict
+from .trace import TraceGrid, aperture_norm_rows, passivity_defect, restrict
 
 __all__ = [
     "EnergyTrace",
@@ -70,8 +70,6 @@ DEFECT_TOL, TIME_DEFECT_TOL = 1e-12, 1e-10
 # that returns to rest at step _TD_REST, then _TD_STEPS - _TD_REST rest
 # steps, so that the pairing covers every step where D1 u is nonzero.
 _TD_DT, _TD_REST, _TD_STEPS = 0.1, 32, 34
-# Time steps per block of the data-norm transforms.
-_ROW_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +128,10 @@ def energy(sol: TimeSolution, series: BoundaryDataSeries, grid: TraceGrid) -> En
     return EnergyTrace(
         times=sol.times.copy(),
         **dict(zip(FORMS, sol.forms)),
-        g_norm=_trace_norm_rows(series.g, grid),
-        dg_norm=_trace_norm_rows(series.dg, grid),
-        d2g_norm=_trace_norm_rows(series.d2g, grid),
+        g_norm=aperture_norm_rows(series.g, grid),
+        dg_norm=aperture_norm_rows(series.dg, grid),
+        d2g_norm=aperture_norm_rows(series.d2g, grid),
     )
-
-
-def _trace_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
-    """-1/2 trace norm of each row, zero-extended across the ground plane.
-
-    Taken in blocks of rows, so that the transform's temporaries stay one
-    block in size instead of growing with the step count.
-    """
-    mask = grid.union_mask[None, :]
-    return np.concatenate([
-        multiplier_norm_rows(np.where(mask, rows[lo : lo + _ROW_BLOCK], 0.0), -0.5, grid)
-        for lo in range(0, rows.shape[0], _ROW_BLOCK)
-    ])
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -32,10 +32,6 @@ class MeshFailure(CavityError):
     """Triangulation could not be built or fails its structural checks."""
 
 
-class SingularElement(MeshFailure):
-    """A triangle with non-positive signed area reached assembly."""
-
-
 class DomainError(CavityError, ValueError):
     """Complex frequency outside the admissible half-plane Re s > 0."""
 

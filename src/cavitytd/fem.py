@@ -31,12 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    FactorizationFailure,
-    SingularElement,
-)
+from .errors import DimensionMismatch, DomainError, FactorizationFailure
 from .scene import CavitySpec, Mesh, Scene
 from .trace import TraceGrid, apply_B_columns
 
@@ -94,11 +89,7 @@ class FemMatrices:
 
 def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> FemMatrices:
     """Assemble the P1 matrices of one cavity (and its trace restriction)."""
-    areas = mesh.areas()
-    if np.any(areas <= 0.0):
-        bad = int(np.argmin(areas))
-        raise SingularElement(f"triangle {bad} has non-positive area {areas[bad]}")
-
+    areas = mesh.areas()  # all positive: Mesh refuses any other
     tris = mesh.triangles
     p = mesh.vertices[tris]  # (nt, 3, 2)
 
@@ -175,9 +166,15 @@ def _trace_restriction(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> sp.cs
     """Linear interpolation from aperture nodal values to trace samples.
 
     Sample k under the aperture gets the pair (1 - t, t) on the aperture
-    nodes left and right of it; rows off the aperture are empty.
+    nodes left and right of it; rows off the aperture are empty.  The
+    cavity's aperture must be one of the grid's apertures, exactly.
     """
-    ks = np.nonzero(grid.masks[_aperture_index(cavity, grid)])[0]
+    try:
+        ks = np.nonzero(grid.masks[grid.apertures.index(cavity.aperture)])[0]
+    except ValueError:
+        raise DimensionMismatch(
+            f"cavity aperture {cavity.aperture} not present on the trace grid"
+        ) from None
     ap = mesh.aperture_nodes
     xa = mesh.vertices[ap, 0]
     seg = np.clip(np.searchsorted(xa, grid.x[ks], side="right"), 1, len(xa) - 1)
@@ -186,15 +183,6 @@ def _trace_restriction(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> sp.cs
     cols = np.stack([ap[seg - 1], ap[seg]], axis=1).ravel()
     vals = np.stack([1.0 - t, t], axis=1).ravel()
     return sp.csr_matrix((vals, (rows, cols)), shape=(grid.N, mesh.n_vertices))
-
-
-def _aperture_index(cavity: CavitySpec, grid: TraceGrid) -> int:
-    for j, (a, b) in enumerate(grid.apertures):
-        if abs(a - cavity.aperture[0]) < 1e-12 and abs(b - cavity.aperture[1]) < 1e-12:
-            return j
-    raise DimensionMismatch(
-        f"cavity aperture {cavity.aperture} not present on the trace grid"
-    )
 
 
 def apply_rhs(g: np.ndarray, restriction: sp.spmatrix, grid: TraceGrid) -> np.ndarray:

@@ -38,7 +38,7 @@ from .fem import (
     solve_by_parts,
 )
 from .scene import Mesh, Scene
-from .trace import TraceGrid, restrict_union, trace_norm
+from .trace import TraceGrid, aperture_norm_rows
 
 __all__ = [
     "FrequencySolution",
@@ -80,8 +80,8 @@ class FrequencySolution:
 class FrequencySolver:
     """Streaming solver: fixed pattern, short-lived LUs.
 
-    Construction checks that the grid carries one aperture per cavity and
-    assembles the cavities and the coupled sparsity pattern.  `operator(s)`
+    Construction checks that the grid carries exactly the scene's apertures
+    and assembles the cavities and the coupled sparsity pattern.  `operator(s)`
     is the one builder of the coupled operator: it returns a fresh,
     unfactorized SystemOperator, which SuperLU orders when it factorizes.  The solve methods check every
     relative residual against 1e-10 and let each factorization go when
@@ -95,10 +95,11 @@ class FrequencySolver:
         meshes: list[Mesh],
         grid: TraceGrid,
     ) -> None:
-        if grid.n_apertures != scene.n_cavities:
+        if grid.apertures != scene.apertures:
             raise DimensionMismatch(
                 f"scene has {scene.n_cavities} cavities, the grid "
-                f"{grid.n_apertures} apertures"
+                f"{grid.n_apertures} apertures; the grid must carry exactly the "
+                f"scene's apertures {scene.apertures}, got {grid.apertures}"
             )
         self.scene = scene
         self.grid = grid
@@ -271,9 +272,7 @@ def estimate_report(
     grad = np.sqrt(sum(f.h1_seminorm(u) ** 2 for f, u in zip(fems, sol.fields)))
     l2 = np.sqrt(sum(f.l2_norm(u) ** 2 for f, u in zip(fems, sol.fields)))
     lhs = float(grad + abs(s) * l2)
-    rhs = float(
-        (abs(s) / s.real) * trace_norm(restrict_union(data, grid), -0.5, grid)
-    )
+    rhs = float((abs(s) / s.real) * aperture_norm_rows(data[None, :], grid)[0])
     ratio = lhs / rhs if rhs > 0.0 else 0.0
     return {
         "s1": s.real,

@@ -122,7 +122,8 @@ class RunManifest:
     """Reproducibility record written next to every command's outputs.
 
     `write` adds the process's peak RSS at that moment (peak_rss_mb); it and
-    wall_times are the only fields that differ between reruns.
+    wall_times are the only fields that differ between reruns.  Values are
+    plain Python types: a numpy scalar makes `write` raise TypeError.
     """
 
     command: str
@@ -166,15 +167,6 @@ class RunManifest:
             "checks": self.checks,
             "passed": self.passed(),
         }
-        def coerce(obj):
-            if isinstance(obj, (np.bool_,)):
-                return bool(obj)
-            if isinstance(obj, np.integer):
-                return int(obj)
-            if isinstance(obj, np.floating):
-                return float(obj)
-            raise TypeError(f"not JSON serializable: {type(obj)}")
-
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(data, f, indent=2, sort_keys=True, default=coerce)
+            json.dump(data, f, indent=2, sort_keys=True)
             f.write("\n")

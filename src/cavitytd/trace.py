@@ -45,8 +45,8 @@ __all__ = [
     "apply_B",
     "dtn_dense",
     "restrict",
-    "restrict_union",
     "trace_norm",
+    "aperture_norm_rows",
     "passivity_defect",
 ]
 
@@ -56,6 +56,8 @@ MIN_TRACE_SAMPLES = 64
 # Largest trace sample count a grid may have (8 MiB per real sample vector).
 MAX_TRACE_SAMPLES = 2**20
 DENSE_ORACLE_MAX = 1024
+# Rows per block of `aperture_norm_rows`.
+_ROW_BLOCK = 64
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -216,13 +218,6 @@ def _check_grid(u: np.ndarray, grid: TraceGrid) -> None:
         )
 
 
-def _summed(traces: Sequence[np.ndarray], grid: TraceGrid) -> np.ndarray:
-    """Sum of zero-extended traces, each checked against the grid."""
-    for t in traces:
-        _check_grid(t, grid)
-    return sum(traces, np.zeros(grid.N))
-
-
 def apply_B(u: np.ndarray, s: complex, grid: TraceGrid, c: float) -> np.ndarray:
     """Apply the DtN boundary operator: multiply mode m by beta(xi_m, s).
 
@@ -271,19 +266,10 @@ def restrict(u: np.ndarray, j: int, grid: TraceGrid) -> np.ndarray:
     return np.where(grid.masks[j], u, 0)
 
 
-def restrict_union(u: np.ndarray, grid: TraceGrid) -> np.ndarray:
-    """Zero-extend u across the ground plane: keep aperture samples only."""
-    _check_grid(u, grid)
-    return np.where(grid.union_mask, u, 0)
-
-
 def multiplier_norm_rows(rows: np.ndarray, order: float, grid: TraceGrid) -> np.ndarray:
     """Row-wise Fourier-multiplier norm; the single definition behind every
-    trace-norm evaluation in the package (scalar and batched)."""
-    if rows.shape[-1] != grid.N:
-        raise GridMismatch(
-            f"row length {rows.shape[-1]} does not match grid N={grid.N}"
-        )
+    trace-norm evaluation in the package (scalar and batched).  The rows
+    must have length grid.N; its two callers check that."""
     coeff = np.fft.fft(rows, axis=-1) / grid.N
     weight = (1.0 + grid.xi**2) ** order
     return np.sqrt(grid.L * np.sum(weight * np.abs(coeff) ** 2, axis=-1))
@@ -300,6 +286,22 @@ def trace_norm(u: np.ndarray, order: float, grid: TraceGrid) -> float:
     return float(multiplier_norm_rows(u[None, :], order, grid)[0])
 
 
+def aperture_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
+    """-1/2 trace norm of each row of aperture data, zero-extended across
+    the ground plane: the one data norm of the stability estimates.
+
+    Taken in blocks of rows, so that the transform's temporaries stay one
+    block in size instead of growing with the row count.
+    """
+    if rows.ndim != 2 or rows.shape[1] != grid.N:
+        raise GridMismatch(f"rows of shape {rows.shape} do not match grid N={grid.N}")
+    mask = grid.union_mask[None, :]
+    return np.concatenate([
+        multiplier_norm_rows(np.where(mask, rows[lo : lo + _ROW_BLOCK], 0.0), -0.5, grid)
+        for lo in range(0, rows.shape[0], _ROW_BLOCK)
+    ])
+
+
 def passivity_defect(
     traces: Sequence[np.ndarray],
     s: complex,
@@ -313,12 +315,12 @@ def passivity_defect(
     periodic-trapezoid pairing.  Because the traces vanish off their own
     apertures, the double sum collapses onto the full-line form of the
     summed trace, and the mode-wise sign identity of the symbol makes
-    D >= 0 exact up to roundoff.
+    D >= 0 exact up to roundoff.  `beta` refuses Re s <= 0 (DomainError).
     """
     s = complex(s)
-    if not s.real > 0.0:
-        raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
-    total = _summed(traces, grid)
+    for t in traces:
+        _check_grid(t, grid)
+    total = sum(traces, np.zeros(grid.N))
     bw = apply_B(total, s, grid, c)
     pairing = grid.dx * np.sum(bw * np.conj(total))
     return float(-np.real(pairing / (s * mu0)))

@@ -109,6 +109,29 @@ class TestValidate:
         assert manifest["passed"] is True
         assert manifest["metrics"]["trace"] == {"L": 8.0, "N": 2048}
 
+    def three_config(self, tmp_path):
+        config = json.loads((CONFIG_DIR / "reference_three.json").read_text())
+        config["validate"] = {"trials": 5}
+        return write_config(tmp_path, config)
+
+    def test_all_aperture_row(self, tmp_path):
+        path = self.three_config(tmp_path)
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "validate_report.csv").read_text().splitlines()
+        row = [r for r in rows if r.startswith("passivity-3-trace,")]
+        assert len(row) == 1 and row[0].endswith(",True")
+
+    def test_negative_defect_fails_every_trial_exit_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diagnostics, "passivity_defect", lambda *args: -1.0)
+        path = self.three_config(tmp_path)
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        summary = (tmp_path / "validate_summary.txt").read_text()
+        for name in ("single", "two-trace", "3-trace"):
+            assert f"FAIL passivity-{name}:" in summary
+            line = next(r for r in summary.splitlines() if r.strip().startswith(f"{name} "))
+            assert line.endswith("failures 5")
+        assert "PASS passivity-time-domain:" in summary
+
     @pytest.mark.parametrize("trials", ["x", 0], ids=["not-an-integer", "zero"])
     def test_malformed_trials_exit_2(self, tmp_path, capsys, trials):
         path = write_config(tmp_path, small_config(validate={"trials": trials}))
@@ -215,6 +238,20 @@ class TestSolveFreq:
             ("mesh-export", ("scene", "cavities", 0, "aperture"), ["-0.5", "0.5"], [],
              "ConfigError"),
             ("solve-time", ("scheme", "steps"), "100", [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "depth"), 10**400, [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "epsilon"), 10**400, [], "ConfigError"),
+            ("mesh-export", ("mesh", "h"), 10**400, [], "ConfigError"),
+            ("solve-time", ("trace", "L"), 10**400, [], "ConfigError"),
+            ("solve-time", ("incident", "profile", "center"), 10**400, [], "ConfigError"),
+            ("solve-time", ("scheme", "dt"), 10**400, [], "ConfigError"),
+            ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": 10**400}, [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "epsilon"), "1" + "0" * 400, [],
+             "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "epsilon"), "1e20**16", [],
+             "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "mu"), "1 + 0*(1/0)", [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0, "epsilon"), "(-8)**0.5", [],
+             "ConfigError"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -231,7 +268,11 @@ class TestSolveFreq:
              "trace-min-samples-with-l-n", "mesh-h-subnormal", "sweep-s-value-boolean",
              "sweep-s-value-three-numbers", "snapshots-every-boolean",
              "validate-trials-boolean", "cavity-aperture-boolean", "cavity-aperture-strings",
-             "steps-string"],
+             "steps-string", "cavity-depth-overflow", "epsilon-overflow", "mesh-h-overflow",
+             "trace-l-overflow", "profile-center-overflow", "dt-overflow",
+             "sweep-count-overflow", "epsilon-expression-long-integer",
+             "epsilon-expression-overflow", "mu-expression-division-by-zero",
+             "epsilon-expression-complex"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -542,6 +583,35 @@ class TestMeshExport:
             main([command, "--config", str(path), "--out", str(tmp_path), flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read mesh file"),
+            ("3\n-0.5 0\n0.5 0\n", "is truncated"),
+            ("3\n-0.5 0\n0 -1\n0.5 x\n1\n0 1 2\n0\n", "is malformed"),
+            ("3\n-0.5 0\n0 -1\n0.5 -0.1\n1\n0 1 2\n0\n", "has no aperture edge"),
+            ("3\n-0.4 0\n0 -1\n0.5 0\n1\n0 1 2\n0\n", "does not span [-0.5, 0.5]"),
+            ("4\n-0.5 0\n0 -1\n0.5 0\n0 0.5\n2\n0 1 2\n0 2 3\n0\n",
+             "has vertices above y=0"),
+        ],
+        ids=["unreadable", "truncated", "malformed", "one-aperture-node",
+             "aperture-off-span", "vertex-above-ground"],
+    )
+    def test_imported_mesh_failure_exit_2(self, tmp_path, capsys, text, message):
+        mesh_path = tmp_path / "cavity.mesh.txt"
+        if text is not None:
+            mesh_path.write_text(text)
+        config = small_config()
+        config["scene"]["cavities"] = [{
+            "aperture": [-0.5, 0.5],
+            "vertices": [[-0.5, 0.0], [-0.5, -1.0], [0.5, -1.0], [0.5, 0.0]],
+            "epsilon": 1.0, "mu": 1.0, "mesh_file": str(mesh_path),
+        }]
+        path = write_config(tmp_path, config)
+        assert main(["mesh-export", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: MeshFailure" in err and message in err
 
     def test_roundtrip(self, tmp_path):
         path = write_config(tmp_path, small_config())

@@ -65,6 +65,16 @@ class TestSolveFrequency:
         with pytest.raises(DimensionMismatch, match="1 cavities, the grid 2 apertures"):
             FrequencySolver(unit_scene, unit_meshes, grid)
 
+    def test_grid_with_moved_aperture_rejected(self, unit_scene, unit_meshes):
+        # Same aperture count, one end moved by 1e-13: the pairing of
+        # cavities and grid apertures is exact, in the solver and in assemble.
+        ((a, b),) = unit_scene.apertures
+        grid = ct.TraceGrid(L=4.0, N=128, apertures=((a, b + 1e-13),))
+        with pytest.raises(DimensionMismatch, match="exactly the scene's apertures"):
+            FrequencySolver(unit_scene, unit_meshes, grid)
+        with pytest.raises(DimensionMismatch, match="not present on the trace grid"):
+            ct.assemble(unit_meshes[0], unit_scene.cavities[0], grid)
+
     def test_mirror_symmetry(self, unit_solver, unit_meshes, unit_grid, gaussian_wave):
         # Symmetric scene + even data (normal incidence): the solution is
         # even about x = 0; compare against the x-reflected nodal field.

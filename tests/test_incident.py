@@ -213,6 +213,28 @@ class TestBoundaryDataFreq:
             im, _ = quad(integrand, 0.0, t_hi, args=("im",), limit=300, epsabs=1e-12, epsrel=1e-12)
             assert abs(got - complex(re, im)) <= 1e-8 * max(1.0, abs(got))
 
+    @pytest.mark.parametrize("s", [9.5, 12.0, 20.0, 9.5 + 3.0j])
+    def test_gaussian_both_branches_against_quadrature(self, unit_grid, s):
+        # Re zeta >= 0 takes the direct wofz branch, Re zeta < 0 the
+        # reflected one; at s = 9.5 Re zeta changes sign along the line.
+        prof = ct.WaveProfile(kind="gaussian-pulse", center=5.25, width=0.75)
+        pw = ct.PlaneWave(profile=prof, theta=0.4 * np.pi)
+        x = unit_grid.x[::4]
+        zeta = (pw.c1 * x - prof.center + s * prof.width**2) / (np.sqrt(2.0) * prof.width)
+        assert np.any(zeta.real >= 0.0)
+        if s == 9.5:
+            assert np.any(zeta.real < 0.0)
+        got = ct.boundary_data_freq(pw, unit_grid, s)[::4]
+        for xk, gk in zip(x, got):
+            def part(t, f):
+                g = 2.0 * pw.c2 * prof.derivative(np.array(t + pw.c1 * xk), 1)
+                return f(np.exp(-s * t) * g)
+
+            t_hi = prof.support[1] - pw.c1 * xk
+            re, _ = quad(part, 0.0, t_hi, args=(np.real,), limit=300, epsabs=0.0, epsrel=1e-12)
+            im, _ = quad(part, 0.0, t_hi, args=(np.imag,), limit=300, epsabs=0.0, epsrel=1e-12)
+            assert abs(gk - complex(re, im)) <= 1e-11 * abs(complex(re, im))
+
     def test_bump_against_fine_trapezoid(self, bump, unit_grid):
         pw = ct.PlaneWave(profile=bump, theta=np.pi / 2)
         s = 0.8 + 1.5j

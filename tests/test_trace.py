@@ -3,7 +3,7 @@ import pytest
 
 import cavitytd as ct
 from cavitytd.errors import DomainError, GridMismatch, SizeError
-from cavitytd.trace import restrict_union
+from cavitytd.trace import aperture_norm_rows
 
 C = 1.0  # exterior light speed
 
@@ -301,12 +301,19 @@ class TestPeriodization:
         assert d_large < d_small / 10.0
 
 
-class TestCsv:
-    def test_union_restrict(self, two_grid, rng):
-        for u in (rng.standard_normal(two_grid.N) + 0j, rng.standard_normal(two_grid.N)):
-            masked = restrict_union(u, two_grid)
-            assert masked.dtype == u.dtype
-            assert np.all(masked[~two_grid.union_mask] == 0.0)
-            assert np.array_equal(
-                masked[two_grid.union_mask], u[two_grid.union_mask]
-            )
+class TestApertureNorm:
+    def test_rows_equal_zero_extended_trace_norm(self, two_grid, rng):
+        # 130 rows cross two block boundaries; each row's norm is the -1/2
+        # trace norm of its zero extension, bit for bit.
+        real = rng.standard_normal((130, two_grid.N))
+        for rows in (real, real + 1j * rng.standard_normal((130, two_grid.N))):
+            got = aperture_norm_rows(rows, two_grid)
+            ref = [ct.trace_norm(np.where(two_grid.union_mask, row, 0), -0.5, two_grid)
+                   for row in rows]
+            assert got.shape == (130,)
+            assert got.tolist() == ref
+
+    def test_grid_mismatch(self, two_grid):
+        for rows in (np.ones((3, 1)), np.ones(two_grid.N), np.ones((3, 64))):
+            with pytest.raises(GridMismatch):
+                aperture_norm_rows(rows, two_grid)
