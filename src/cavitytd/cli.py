@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .cq import CAUSALITY_LIMIT, REALNESS_LIMIT, CqScheme, run_time_domain
+from .cq import CAUSALITY_LIMIT, MAX_MARCH_SAMPLES, REALNESS_LIMIT, CqScheme, run_time_domain
 from .errors import CavityError, ConfigError, DomainError, MeshFailure
 from .fem import ORDERING
 from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
@@ -127,6 +127,12 @@ def _parse_config(args) -> RunConfig:
             block = config["scheme"]
             run["scheme"] = CqScheme(
                 dt=finite_number(block["dt"]), steps=_int(block["steps"])
+            )
+        n_trace = run["grid"].N
+        if (run["scheme"].steps + 1) * n_trace > MAX_MARCH_SAMPLES:
+            raise ConfigError(
+                f"scheme.steps may be at most {MAX_MARCH_SAMPLES // n_trace - 1} at trace "
+                f"N={n_trace}: (steps + 1) * N may not exceed {MAX_MARCH_SAMPLES}"
             )
     if "sweep" in reads:
         s_flag = getattr(args, "s", None)

@@ -49,10 +49,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CausalityViolation, DimensionMismatch
-from .fem import SystemOperator, apply_rhs, stack_free
+from .fem import SystemOperator, apply_rhs
 from .freq import FrequencySolver, certified_solve
 from .incident import PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
@@ -78,6 +77,8 @@ _WEIGHT_ALIASING = 1e-16
 _WEIGHT_BLOCK = 64
 # BDF2 convolution weights of s^2, times dt^2.
 _D2 = np.array([9.0, -24.0, 22.0, -8.0, 1.0]) / 4.0
+# Largest (steps + 1) * N_trace, the size of the march's data g (512 MiB).
+MAX_MARCH_SAMPLES = 2**26
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,6 @@ def run_time_domain(
     times = scheme.times()
 
     solver = FrequencySolver(scene, meshes, grid)
-    fems = solver.fems
     s0 = 1.5 / dt
     # A(s0) is real at the real s0, and so is W0.
     w0 = SystemOperator(s=s0, matrix=s0 * solver.operator(s0).matrix)
@@ -211,10 +211,8 @@ def run_time_domain(
 
     pattern = solver.pattern
     mass, stiffness, rf = pattern.mass, pattern.stiffness, pattern.restriction
-    # With unit materials a weighted matrix equals its unit twin entry for
-    # entry; the forms then share its products, bit for bit.
-    mass_unit = _same_or(mass, stack_free(fems, "mass_unit"))
-    stiffness_unit = _same_or(stiffness, stack_free(fems, "stiffness_unit"))
+    # A unit twin that is its weighted matrix shares its products below.
+    mass_unit, stiffness_unit, rf_t = pattern.mass_unit, pattern.stiffness_unit, rf.T
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
     g = boundary_data_series(pw, grid, times)
@@ -237,7 +235,7 @@ def run_time_domain(
         rhs = apply_rhs((3.0 * g[n] - 4.0 * g1 + g2) / (2.0 * dt), rf, grid)
         rhs -= mass @ (d2[1:] @ recent)
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
-        rhs += rf.T @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
+        rhs += rf_t @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
         # du/dt by backward differences: zero at rest, first order at
         # step 1, then the three-term BDF2 difference.
@@ -286,9 +284,3 @@ def run_time_domain(
         n_dofs=w0.n_dofs,
         lu_nnz=lu_nnz,
     )
-
-
-def _same_or(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """a when b stores the same CSR arrays (indptr, indices, data), else b."""
-    same = all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
-    return a if same else b

@@ -15,7 +15,7 @@ frequency s is
 with Q the uniform line quadrature and B the FFT boundary operator over
 the union of the zero-extended aperture traces.  The coupled matrix lives
 on one sparsity pattern per scene (SystemPattern), built once from the
-free-DOF blocks of stack_free; a frequency only fills its values, and
+cavities' free-DOF blocks; a frequency only fills its values, and
 SuperLU orders each factorization.
 B is a circulant on the uniform grid, so one FFT kernel column per
 frequency gives the whole aperture block.  At real s the symbol is
@@ -45,7 +45,6 @@ __all__ = [
     "apply_rhs",
     "build_system",
     "solve_by_parts",
-    "stack_free",
 ]
 
 # Barycentric coordinates of the three edge midpoints (degree-2 exact rule).
@@ -59,7 +58,8 @@ class FemMatrices:
     """Per-cavity discrete operators on the full node set.
 
     mass / stiffness carry the material weights (epsilon, 1/mu); the unit
-    variants back the L2 / H1-seminorm evaluations of the estimate checks.
+    variants (the weighted matrix itself where its weight is 1) back the
+    L2 / H1-seminorm evaluations of the estimate checks.
     restriction interpolates nodal aperture values onto the trace grid
     (one linear-interpolation pair per sample under the aperture, zero
     rows elsewhere).
@@ -135,12 +135,12 @@ def assemble(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> FemMatrices:
         return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
     free = np.setdiff1d(np.arange(n), mesh.wall_nodes())
-
+    mass, stiffness = to_csr(m_local), to_csr(k_local)
     return FemMatrices(
-        mass=to_csr(m_local),
-        stiffness=to_csr(k_local),
-        mass_unit=to_csr(m1_local),
-        stiffness_unit=to_csr(k1_local),
+        mass=mass,
+        stiffness=stiffness,
+        mass_unit=mass if np.array_equal(m1_local, m_local) else to_csr(m1_local),
+        stiffness_unit=stiffness if np.array_equal(k1_local, k_local) else to_csr(k1_local),
         free_nodes=free,
         restriction=_trace_restriction(mesh, cavity, grid),
     )
@@ -152,14 +152,6 @@ def assemble_all(scene: Scene, meshes: list[Mesh], grid: TraceGrid) -> list[FemM
             f"{len(meshes)} meshes for {scene.n_cavities} cavities"
         )
     return [assemble(m, c, grid) for m, c in zip(meshes, scene.cavities)]
-
-
-def stack_free(fems: list[FemMatrices], name: str) -> sp.csr_matrix:
-    """Block-diagonal CSR of each cavity's matrix `name` on its free nodes,
-    the one place where the free DOFs of the cavities are stacked."""
-    return sp.block_diag(
-        [getattr(f, name)[f.free_nodes][:, f.free_nodes] for f in fems], format="csr"
-    )
 
 
 def _trace_restriction(mesh: Mesh, cavity: CavitySpec, grid: TraceGrid) -> sp.csr_matrix:
@@ -275,10 +267,12 @@ class SystemPattern:
 
     The pattern is the union of the block-diagonal free-node volume part
     and the dense aperture block.  mass / stiffness are the stacked
-    free-DOF matrices (stack_free, one shared pattern; the march reads them
-    too), whose data land at positions vol_index of the data array; the
-    aperture coupling block lands at positions ap_index, row-major.
-    Building the matrix at one frequency then fills a single data array.
+    free-DOF matrices (one shared pattern), whose data land at positions
+    vol_index of the data array; the aperture coupling block lands at
+    positions ap_index, row-major.  Building the matrix at one frequency
+    then fills a single data array.  The march reads them too, and their
+    unit-weight twins, each the weighted matrix itself when every cavity's
+    twin is.  from_fems is the one place where free DOFs are stacked.
 
     restriction is Rf, the trace restriction of the free DOFs stacked over
     the cavities (CSC, N x n_free): loads and the time-domain DtN history
@@ -295,6 +289,8 @@ class SystemPattern:
     vol_index: np.ndarray
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
+    mass_unit: sp.csr_matrix
+    stiffness_unit: sp.csr_matrix
     ap_index: np.ndarray
     restriction: sp.csc_matrix
     rt: sp.csr_matrix
@@ -303,10 +299,11 @@ class SystemPattern:
 
     @classmethod
     def from_fems(cls, fems: list[FemMatrices]) -> "SystemPattern":
-        mass, stiffness = stack_free(fems, "mass"), stack_free(fems, "stiffness")
-        if not (np.array_equal(mass.indptr, stiffness.indptr)
-                and np.array_equal(mass.indices, stiffness.indices)):
-            raise DimensionMismatch("mass and stiffness patterns differ")
+        def stack(name: str) -> sp.csr_matrix:
+            blocks = [getattr(f, name)[f.free_nodes][:, f.free_nodes] for f in fems]
+            return sp.block_diag(blocks, format="csr")
+
+        mass, stiffness = stack("mass"), stack("stiffness")
         n = mass.shape[0]
 
         r_stack = sp.hstack(
@@ -330,6 +327,9 @@ class SystemPattern:
             vol_index=inverse[: vol_keys.size],
             mass=mass,
             stiffness=stiffness,
+            mass_unit=mass if all(f.mass_unit is f.mass for f in fems) else stack("mass_unit"),
+            stiffness_unit=(stiffness if all(f.stiffness_unit is f.stiffness for f in fems)
+                            else stack("stiffness_unit")),
             ap_index=inverse[vol_keys.size :],
             restriction=r_stack,
             rt=r_ap[samples].T.tocsr(),

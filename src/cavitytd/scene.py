@@ -530,11 +530,16 @@ def check_mesh_size(cavity: CavitySpec, h: float) -> None:
     structured grid's exact vertex count (nx + 1)(ny + 1) must not exceed
     MAX_MESH_VERTICES, and the grid's first layer depth/ny must fit in the
     mu collar (ApertureCollarViolation); both are known from h before any
-    array is built.  An imported polygon triangulation has a size and
-    layers of its own that h does not set, and is checked once loaded.
+    array is built.  A polygon needs an imported triangulation (mesh_file),
+    whose size and layers h does not set; it is checked once loaded.
     """
     if not h > 0.0:
         raise MeshFailure(f"target edge length must be positive, got h={h}")
+    if not cavity.is_rectangle and cavity.mesh_file is None:
+        raise MeshFailure(
+            f"cavity {cavity.id}: polygon cavities require an imported "
+            f"triangulation (mesh_file)"
+        )
     limit = min(cavity.width, cavity.max_depth) / 2.0
     if h > limit:
         raise MeshFailure(
@@ -565,11 +570,6 @@ def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
     if cavity.is_rectangle:
         mesh = _structured_rectangle(cavity, h)
     else:
-        if cavity.mesh_file is None:
-            raise MeshFailure(
-                f"cavity {cavity.id}: polygon cavities require an imported "
-                f"triangulation (mesh_file)"
-            )
         mesh = load_mesh(cavity.mesh_file)
         _check_imported_mesh(mesh, cavity)
         below = mesh.vertices[mesh.vertices[:, 1] < -1e-14, 1]

@@ -252,6 +252,15 @@ class TestSolveFreq:
             ("mesh-export", ("scene", "cavities", 0, "mu"), "1 + 0*(1/0)", [], "ConfigError"),
             ("mesh-export", ("scene", "cavities", 0, "epsilon"), "(-8)**0.5", [],
              "ConfigError"),
+            ("solve-time", ("scheme", "steps"), 10**400, [], "ConfigError"),
+            # (steps + 1) * N one trace row above the cap at small_config's N = 64.
+            ("solve-time", ("scheme", "steps"), cq.MAX_MARCH_SAMPLES // 64, [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities"),
+             [{"aperture": [-0.5, 0.3], "depth": 1.0, "epsilon": 1.0, "mu": 1.0},
+              {"aperture": [0.5, 0.9],
+               "vertices": [[0.5, 0.0], [0.5, -1.0], [0.9, -1.0], [0.9, 0.0]],
+               "epsilon": 1.0, "mu": 1.0}],
+             [], "MeshFailure"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -272,7 +281,8 @@ class TestSolveFreq:
              "trace-l-overflow", "profile-center-overflow", "dt-overflow",
              "sweep-count-overflow", "epsilon-expression-long-integer",
              "epsilon-expression-overflow", "mu-expression-division-by-zero",
-             "epsilon-expression-complex"],
+             "epsilon-expression-complex", "steps-overflow", "steps-over-sample-cap",
+             "polygon-without-mesh-file"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):

@@ -78,3 +78,30 @@ def test_every_definition_has_a_caller():
     uncalled = {f"{module}.{name}" for module, name in defined if name not in used}
     assert sorted(uncalled - UNCALLED) == []
     assert sorted(UNCALLED - uncalled) == []
+
+
+# Imports no code of their module reads that stay on purpose, with the reason.
+UNREAD_IMPORTS = {
+    # cli.assemble_all: a benchmark seam.  bench/tracer.py wraps the name in
+    # cli's namespace to time assembly as the fem.assemble span.
+    "cli.assemble_all",
+}
+
+
+def test_every_import_is_used():
+    # An imported name is in use when its module reads it: an ast.Name,
+    # which is also the base of every attribute chain such as np.zeros.
+    unused = set()
+    for path in Path(cavitytd.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "annotations" and bound not in read:
+                        unused.add(f"{path.stem}.{bound}")
+    assert sorted(unused - UNREAD_IMPORTS) == []
+    assert sorted(UNREAD_IMPORTS - unused) == []

@@ -332,6 +332,39 @@ class TestFixedPattern:
                 assert np.array_equal(diag.toarray(), block.toarray())
             assert stacked.nnz == sum(b.nnz for b in blocks)
 
+    @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
+    def test_unit_twin_is_shared_exactly_when_equal(self, name):
+        # A stacked unit-weight twin is the weighted matrix object exactly
+        # when the cavities' stacked twins store the weighted matrix's CSR
+        # arrays; either way it equals that stack bit for bit.
+        _, scene, meshes, grid, _, _ = load_reference(name)
+        fems = assemble_all(scene, meshes, grid)
+        pattern = SystemPattern.from_fems(fems)
+        arrays = ("indptr", "indices", "data")
+        for weight in ("mass", "stiffness"):
+            weighted = getattr(pattern, weight)
+            twin = getattr(pattern, f"{weight}_unit")
+            stacked = sp.block_diag(
+                [getattr(f, f"{weight}_unit")[f.free_nodes][:, f.free_nodes] for f in fems],
+                format="csr",
+            )
+            equal = all(np.array_equal(getattr(weighted, a), getattr(stacked, a)) for a in arrays)
+            assert (twin is weighted) == equal
+            assert twin.dtype == stacked.dtype
+            for a in arrays:
+                assert np.array_equal(getattr(twin, a), getattr(stacked, a))
+
+    def test_variable_epsilon_keeps_its_own_mass_twin(self):
+        # reference_two's second cavity has a variable epsilon and unit mu.
+        _, scene, meshes, grid, _, _ = load_reference("reference_two")
+        fems = assemble_all(scene, meshes, grid)
+        assert fems[0].mass_unit is fems[0].mass
+        assert fems[1].mass_unit is not fems[1].mass
+        assert all(f.stiffness_unit is f.stiffness for f in fems)
+        pattern = SystemPattern.from_fems(fems)
+        assert pattern.mass_unit is not pattern.mass
+        assert pattern.stiffness_unit is pattern.stiffness
+
     def test_circulant_coupling_matches_column_fft_and_dense(self):
         # The one-kernel-column circulant block equals the FFT of every
         # aperture column and the dense oracle, to round-off.
