@@ -24,6 +24,7 @@ from .errors import CavityError, ConfigError, DomainError, MeshFailure
 from .fem import ORDERING
 from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
 from .freq import (
+    MAX_SWEEP_FREQUENCIES,
     FrequencySolver,
     estimate_report,
     frequency_groups,
@@ -40,6 +41,7 @@ from .scene import (
     finite_number,
     load_config,
     mesh_scene,
+    number_pair,
     save_mesh,
 )
 from .trace import DENSE_ORACLE_MAX, TraceGrid, apply_B, beta, dtn_dense, trace_norm
@@ -142,27 +144,28 @@ def _parse_config(args) -> RunConfig:
             if s_flag:
                 values = [complex(tok) for tok in s_flag.split(",") if tok.strip()]
             elif "s_values" in block:
-                values = [
-                    complex(finite_number(re), finite_number(im))
-                    for re, im in block["s_values"]
-                ]
+                values = [complex(*number_pair(s)) for s in block["s_values"]]
             else:
-                lo, hi = map(finite_number, block.get("s_re", (0.25, 8.0)))
+                lo, hi = number_pair(block.get("s_re", (0.25, 8.0)))
                 im = finite_number(block.get("s_im", 0.0))
-                re = np.geomspace(lo, hi, _int(block.get("count", 20)))
-                values = [complex(v, im) for v in re]
+                count = _int(block.get("count", 20))
+                if count > MAX_SWEEP_FREQUENCIES:
+                    raise ConfigError(
+                        f"sweep.count may be at most {MAX_SWEEP_FREQUENCIES}, got {count}"
+                    )
+                values = [complex(v, im) for v in np.geomspace(lo, hi, count)]
             values = [complex(finite_number(s.real), finite_number(s.imag)) for s in values]
-        if not values:
-            raise ConfigError(f"{source} lists no frequency")
+        if not 0 < len(values) <= MAX_SWEEP_FREQUENCIES:
+            raise ConfigError(
+                f"{source} lists {len(values)} frequencies; give 1 to {MAX_SWEEP_FREQUENCIES}"
+            )
         for s in values:
             if not s.real > 0.0:
                 raise DomainError(f"sweep frequency {s} violates Re s > 0")
         run["s_values"] = tuple(values)
     if "probes" in reads:
         with config_block("probes list"):
-            run["probes"] = tuple(
-                (finite_number(x), finite_number(y)) for x, y in config.get("probes", [])
-            )
+            run["probes"] = tuple(map(number_pair, config.get("probes", [])))
         for x, y in run["probes"]:
             if not any(cav.contains(x, y) for cav in scene.cavities):
                 raise ConfigError(f"probe point ({x}, {y}) lies outside every cavity")

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-10
+# Most frequencies one sweep may list, checked before any is generated:
+# the benchmark sweeps 192 and the shipped configs 20.
+MAX_SWEEP_FREQUENCIES = 2**16
 
 # A sweep frequency joins its group while |s - s_anchor| <= _GROUP_RADIUS
 # * |s_anchor|.  A group member's CG stops at a relative residual of

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import resource
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -153,18 +153,9 @@ class RunManifest:
         return all(self.checks.values())
 
     def write(self, path: str | Path) -> None:
-        data = {
-            "command": self.command,
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "mesh_stats": self.mesh_stats,
-            "wall_times": self.wall_times,
+        data = asdict(self) | {
             # Peak resident set of the process so far, in MiB (Linux reports KiB).
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "metrics": self.metrics,
-            "outputs": self.outputs,
-            "checks": self.checks,
             "passed": self.passed(),
         }
         with open(path, "w", encoding="utf-8") as f:

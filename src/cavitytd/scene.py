@@ -41,6 +41,7 @@ __all__ = [
     "load_config",
     "config_block",
     "finite_number",
+    "number_pair",
     "check_mesh_size",
     "mesh_cavity",
     "mesh_scene",
@@ -53,6 +54,9 @@ APERTURE = 1
 
 # Relative tolerance for "mu equals mu0" on the aperture collar.
 _COLLAR_RTOL = 1e-9
+# A vertex is on the ground line when |y| <= _GROUND_TOL, above it when
+# y > _GROUND_TOL and below it when y < -_GROUND_TOL.
+_GROUND_TOL = 1e-12
 _BOUNDS_SAMPLES = 96
 # Vertex cap for one structured cavity mesh, checked before any array is
 # built: about 60 times the largest mesh the benchmark runs (16.5k).
@@ -308,7 +312,7 @@ def _validate_polygon(cav: CavitySpec) -> None:
     if len(verts) < 3:
         raise ConfigError(f"cavity {cav.id}: polygon needs at least 3 vertices")
     a, b = cav.aperture
-    on_line = np.isclose(verts[:, 1], 0.0, atol=1e-12)
+    on_line = np.abs(verts[:, 1]) <= _GROUND_TOL
     if int(on_line.sum()) != 2:
         raise ConfigError(
             f"cavity {cav.id}: polygon must touch y=0 at exactly the two "
@@ -324,7 +328,7 @@ def _validate_polygon(cav: CavitySpec) -> None:
     n = len(verts)
     if (idx[1] - idx[0]) % n not in (1, n - 1):
         raise ConfigError(f"cavity {cav.id}: aperture endpoints must be adjacent vertices")
-    if np.any(verts[~on_line, 1] >= 0.0):
+    if np.any(verts[:, 1] > _GROUND_TOL):
         raise ConfigError(f"cavity {cav.id}: polygon vertices must lie below y=0")
     # Simplicity: no two non-adjacent edges may cross.
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
@@ -357,13 +361,22 @@ class Scene:
         return tuple(c.aperture for c in self.cavities)
 
 
-def load_config(path: str | Path) -> dict[str, Any]:
+def _read_text(path: str | Path, error: type[Exception], what: str) -> str:
+    """The UTF-8 text of a file the config names; a file that cannot be
+    opened or decoded raises `error` naming `what` and the path."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str | Path) -> dict[str, Any]:
+    """The parsed config document.  ConfigError if the file cannot be read
+    or parsed as JSON, over-deep nesting and over-long integers included."""
+    text = _read_text(path, ConfigError, "config file")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
@@ -395,6 +408,14 @@ def finite_number(value: Any) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{value!r} is not a finite number")
     return x
+
+
+def number_pair(value: Any) -> tuple[float, float]:
+    """(x, y) for a config entry that is exactly two finite numbers, such
+    as an aperture, a polygon vertex, a probe or an [re, im] frequency.
+    Any other length or entry raises ValueError or TypeError."""
+    x, y = value
+    return finite_number(x), finite_number(y)
 
 
 def _material(spec: Any) -> MaterialField:
@@ -439,17 +460,16 @@ def build_scene(config: dict[str, Any]) -> Scene:
     cavities = []
     for raw in raw_cavities:
         with config_block(f"cavity entry {raw!r}"):
-            ap = raw["aperture"]
             mesh_file = raw.get("mesh_file")
             if not isinstance(mesh_file, (str, type(None))):
                 raise TypeError(f"mesh_file must be a path string, got {mesh_file!r}")
             cav = CavitySpec(
                 id=0,  # numbered after ordering
-                aperture=(finite_number(ap[0]), finite_number(ap[1])),
+                aperture=number_pair(raw["aperture"]),
                 epsilon=_material(raw.get("epsilon", 1.0)),
                 mu=_material(raw.get("mu", 1.0)),
                 depth=finite_number(raw["depth"]) if "depth" in raw else None,
-                vertices=tuple(tuple(map(finite_number, v)) for v in raw["vertices"])
+                vertices=tuple(map(number_pair, raw["vertices"]))
                 if "vertices" in raw
                 else None,
                 collar=finite_number(raw["collar"]) if "collar" in raw else None,
@@ -494,6 +514,13 @@ class Mesh:
     aperture_nodes: np.ndarray
 
     def __post_init__(self) -> None:
+        n = self.n_vertices
+        for name, index in (("triangle", self.triangles),
+                            ("boundary edge", self.boundary_edges)):
+            if index.size and (index.min() < 0 or index.max() >= n):
+                raise MeshFailure(f"a {name} names a vertex outside [0, {n})")
+        if np.any((self.boundary_tags != WALL) & (self.boundary_tags != APERTURE)):
+            raise MeshFailure(f"boundary tags must be {WALL} (wall) or {APERTURE} (aperture)")
         areas = self.areas()
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -572,7 +599,7 @@ def mesh_cavity(cavity: CavitySpec, h: float) -> Mesh:
     else:
         mesh = load_mesh(cavity.mesh_file)
         _check_imported_mesh(mesh, cavity)
-        below = mesh.vertices[mesh.vertices[:, 1] < -1e-14, 1]
+        below = mesh.vertices[mesh.vertices[:, 1] < -_GROUND_TOL, 1]
         if below.size == 0:
             raise MeshFailure(f"cavity {cavity.id}: mesh has no interior below y=0")
         _check_collar_resolved(cavity, float(-np.max(below)))
@@ -638,7 +665,7 @@ def _check_imported_mesh(mesh: Mesh, cavity: CavitySpec) -> None:
             f"cavity {cavity.id}: imported aperture [{x[0]}, {x[-1]}] does not "
             f"span [{a}, {b}]"
         )
-    if np.any(mesh.vertices[:, 1] > 1e-12):
+    if np.any(mesh.vertices[:, 1] > _GROUND_TOL):
         raise MeshFailure(f"cavity {cavity.id}: imported mesh has vertices above y=0")
 
 
@@ -680,11 +707,10 @@ def save_mesh(path: str | Path, mesh: Mesh) -> None:
 
 
 def load_mesh(path: str | Path) -> Mesh:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            tokens = f.read().split()
-    except OSError as exc:
-        raise MeshFailure(f"cannot read mesh file {path}: {exc}") from exc
+    """Read a mesh in the format above.  MeshFailure if the file cannot be
+    read, ends early, or holds anything but the three sections: negative
+    counts, non-finite coordinates and trailing tokens count as malformed."""
+    tokens = _read_text(path, MeshFailure, "mesh file").split()
     pos = 0
 
     def take(n: int) -> list[str]:
@@ -695,17 +721,27 @@ def load_mesh(path: str | Path) -> Mesh:
         pos += n
         return out
 
+    def count() -> int:
+        n = int(take(1)[0])
+        if n < 0:
+            raise ValueError(f"negative count {n}")
+        return n
+
     try:
-        nv = int(take(1)[0])
+        nv = count()
         vertices = np.array(take(2 * nv), dtype=float).reshape(nv, 2)
-        nt = int(take(1)[0])
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("a vertex coordinate is not finite")
+        nt = count()
         triangles = np.array(take(3 * nt), dtype=np.int64).reshape(nt, 3)
-        ne = int(take(1)[0])
+        ne = count()
         raw = np.array(take(3 * ne), dtype=np.int64).reshape(ne, 3)
-    except ValueError as exc:
+        if pos < len(tokens):
+            raise ValueError(f"{len(tokens) - pos} tokens follow the boundary edges")
+    except (ValueError, OverflowError) as exc:
         raise MeshFailure(f"mesh file {path} is malformed: {exc}") from exc
 
-    on_line = np.isclose(vertices[:, 1], 0.0, atol=1e-12)
+    on_line = np.abs(vertices[:, 1]) <= _GROUND_TOL
     ap_nodes = np.nonzero(on_line)[0]
     ap_nodes = ap_nodes[np.argsort(vertices[ap_nodes, 0])]
     return Mesh(

@@ -261,6 +261,26 @@ class TestSolveFreq:
                "vertices": [[0.5, 0.0], [0.5, -1.0], [0.9, -1.0], [0.9, 0.0]],
                "epsilon": 1.0, "mu": 1.0}],
              [], "MeshFailure"),
+            ("mesh-export", ("scene", "cavities", 0, "aperture"), [-0.5, 0.5, 7], [],
+             "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0),
+             {"aperture": [-0.5, 0.5], "vertices": [[-0.5], [-0.5, -1.0], [0.5, -1.0], [0.5, 0.0]],
+              "epsilon": 1.0, "mu": 1.0, "mesh_file": "cavity.mesh.txt"},
+             [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0),
+             {"aperture": [-0.5, 0.5],
+              "vertices": [[-0.5, 0.0], [-0.5, -1.0, 0.0], [0.5, -1.0], [0.5, 0.0]],
+              "epsilon": 1.0, "mu": 1.0, "mesh_file": "cavity.mesh.txt"},
+             [], "ConfigError"),
+            ("mesh-export", ("scene", "cavities", 0),
+             {"aperture": [-0.5, 0.5],
+              "vertices": [[-0.5, 0.0, 0.0], [-0.5, -1.0, 0.0], [0.5, -1.0, 0.0],
+                           [0.5, 0.0, 0.0]],
+              "epsilon": 1.0, "mu": 1.0, "mesh_file": "cavity.mesh.txt"},
+             [], "ConfigError: malformed cavity entry"),
+            ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": 10**12}, [], "ConfigError"),
+            ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": freq.MAX_SWEEP_FREQUENCIES + 1},
+             [], "ConfigError"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -282,7 +302,9 @@ class TestSolveFreq:
              "sweep-count-overflow", "epsilon-expression-long-integer",
              "epsilon-expression-overflow", "mu-expression-division-by-zero",
              "epsilon-expression-complex", "steps-overflow", "steps-over-sample-cap",
-             "polygon-without-mesh-file"],
+             "polygon-without-mesh-file", "cavity-aperture-three-numbers",
+             "polygon-vertex-one-number", "polygon-vertices-ragged",
+             "polygon-vertices-three-numbers", "sweep-count-huge", "sweep-count-over-cap"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -581,6 +603,12 @@ class TestSolveTime:
         assert peaks[1] - peaks[0] <= 0.25 * field_history
 
 
+# The unit square below the aperture [-0.5, 0.5] as two triangles, in the
+# format mesh-export writes.
+SQUARE_MESH = ("4\n-0.5 0\n-0.5 -1\n0.5 -1\n0.5 0\n2\n0 1 2\n0 2 3\n"
+               "4\n0 1 0\n1 2 0\n2 3 0\n3 0 1\n")
+
+
 class TestMeshExport:
     @pytest.mark.parametrize(
         "command, flag",
@@ -604,14 +632,26 @@ class TestMeshExport:
             ("3\n-0.4 0\n0 -1\n0.5 0\n1\n0 1 2\n0\n", "does not span [-0.5, 0.5]"),
             ("4\n-0.5 0\n0 -1\n0.5 0\n0 0.5\n2\n0 1 2\n0 2 3\n0\n",
              "has vertices above y=0"),
+            (SQUARE_MESH.replace("0 2 3\n", "0 2 99\n"), "names a vertex outside [0, 4)"),
+            (SQUARE_MESH.replace("0 2 3\n", "0 2 -3\n"), "names a vertex outside [0, 4)"),
+            (SQUARE_MESH.replace("0 1 0\n1 2 0\n2 3 0\n", "0 1 7\n1 2 7\n2 3 7\n"),
+             "boundary tags must be 0 (wall) or 1"),
+            (SQUARE_MESH.replace("0.5 0\n", "0.5 \xff\n"), "cannot read mesh file"),
+            (SQUARE_MESH.replace("\n2\n", "\n-1\n"), "is malformed: negative count -1"),
+            (SQUARE_MESH.replace("0.5 -1", "nan -1"), "is malformed: a vertex coordinate"),
+            (SQUARE_MESH.replace("0 2 3\n", "0 2 99999999999999999999\n"), "is malformed"),
+            (SQUARE_MESH + "3 0 1\n", "is malformed: 3 tokens follow the boundary edges"),
         ],
         ids=["unreadable", "truncated", "malformed", "one-aperture-node",
-             "aperture-off-span", "vertex-above-ground"],
+             "aperture-off-span", "vertex-above-ground", "triangle-index-above-range",
+             "triangle-index-negative", "wall-tag-unknown", "not-utf-8", "count-negative",
+             "vertex-nan", "index-beyond-int64", "trailing-tokens"],
     )
     def test_imported_mesh_failure_exit_2(self, tmp_path, capsys, text, message):
         mesh_path = tmp_path / "cavity.mesh.txt"
         if text is not None:
-            mesh_path.write_text(text)
+            # latin-1 writes "\xff" as the byte 0xff, which is not UTF-8.
+            mesh_path.write_text(text, encoding="latin-1")
         config = small_config()
         config["scene"]["cavities"] = [{
             "aperture": [-0.5, 0.5],
@@ -622,6 +662,21 @@ class TestMeshExport:
         assert main(["mesh-export", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error: MeshFailure" in err and message in err
+
+    def test_imported_square_mesh_exit_0(self, tmp_path):
+        # The mesh the failure cases above corrupt is itself accepted.
+        mesh_path = tmp_path / "cavity.mesh.txt"
+        mesh_path.write_text(SQUARE_MESH)
+        config = small_config()
+        config["scene"]["cavities"] = [{
+            "aperture": [-0.5, 0.5],
+            "vertices": [[-0.5, 0.0], [-0.5, -1.0], [0.5, -1.0], [0.5, 0.0]],
+            "epsilon": 1.0, "mu": 1.0, "mesh_file": str(mesh_path),
+        }]
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["mesh-export", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "cavity0.mesh.txt").read_text() == SQUARE_MESH
 
     def test_roundtrip(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -723,3 +778,24 @@ def test_unread_scheme_key_is_ignored(tmp_path):
         path = write_config(tmp_path, small_config(scheme=scheme))
         runs.append(cli._parse_config(parser.parse_args(["solve-time", "--config", str(path)])))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config file"),
+        (b'{"scene": "\xff"}', "cannot read config file"),
+        (b'{"seed": ' + b"1" * 5000 + b"}", "is not valid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),
+    ],
+    ids=["directory", "not-utf-8", "integer-too-long", "nesting-too-deep"],
+)
+def test_unreadable_config_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["mesh-export", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: ConfigError" in err and message in err

@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ import cavitytd as ct
 import cavitytd.scene as scene_module
 from cavitytd.errors import (
     ApertureCollarViolation,
+    CavityError,
     ConfigError,
     MeshFailure,
     NonPositiveMaterial,
@@ -191,6 +193,26 @@ class TestPolygon:
         assert np.allclose(imported.vertices, mesh.vertices)
 
 
+    def test_aperture_node_is_not_the_first_layer(self, tmp_path):
+        # The node at y = -5e-13 is on the ground line, so the first layer
+        # below the aperture is the full depth, wider than the collar.
+        path = tmp_path / "cavity.mesh.txt"
+        path.write_text("5\n0 0\n0 -1\n1 -1\n1 0\n0.5 -5e-13\n3\n0 1 4\n1 2 4\n2 3 4\n"
+                        "5\n0 1 0\n1 2 0\n2 3 0\n3 4 1\n4 0 1\n")
+        poly = {
+            "aperture": [0.0, 1.0],
+            "vertices": [[0.0, 0.0], [0.0, -1.0], [1.0, -1.0], [1.0, 0.0]],
+            "epsilon": 1.0,
+            "mu": "1 + 0.3*exp(-((y+0.8)/0.05)**2)",
+            "collar": 0.05,
+            "mesh_file": str(path),
+        }
+        cavity = ct.build_scene(make_config([poly])).cavities[0]
+        assert load_mesh(path).aperture_nodes.tolist() == [0, 4, 3]
+        with pytest.raises(ApertureCollarViolation, match=r"first mesh layer \(1\.0\)"):
+            ct.mesh_cavity(cavity, 0.25)
+
+
 class TestMeshCavity:
     def test_structured_counts(self):
         scene = ct.build_scene(make_config([RECT]))
@@ -343,3 +365,52 @@ class TestMeshCavity:
         assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
         assert np.array_equal(back.boundary_tags, mesh.boundary_tags)
         assert np.array_equal(back.aperture_nodes, mesh.aperture_nodes)
+
+
+def _mutations(data: bytes, replacements: list[bytes], rng, count: int) -> list[bytes]:
+    """Seeded malformed copies of `data`: truncated at a random byte, one
+    byte set to 0xff, or one token (number, word or quoted string) replaced."""
+    tokens = [m.span() for m in re.finditer(rb'[^\s,:\[\]{}]+', data)]
+    out = []
+    for _ in range(count):
+        kind = rng.integers(3)
+        if kind == 0:
+            out.append(data[: rng.integers(len(data))])
+        elif kind == 1:
+            at = rng.integers(len(data))
+            out.append(data[:at] + b"\xff" + data[at + 1 :])
+        else:
+            lo, hi = tokens[rng.integers(len(tokens))]
+            out.append(data[:lo] + replacements[rng.integers(len(replacements))] + data[hi:])
+    return out
+
+
+def test_malformed_bytes_raise_cavity_error(tmp_path):
+    # Both readers of config-named files either succeed or raise a
+    # CavityError on any corruption of a valid file; nothing else escapes.
+    rng = np.random.default_rng(0)
+    rect = ct.build_scene(make_config([RECT])).cavities[0]
+    mesh = ct.mesh_cavity(rect, 0.25)
+    mesh_path = tmp_path / "cavity.mesh.txt"
+    save_mesh(mesh_path, mesh)
+    poly = dict(RECT, vertices=[[0.0, 0.0], [0.0, -1.0], [1.0, -1.0], [1.0, 0.0]],
+                mesh_file=str(mesh_path))
+    del poly["depth"]
+    cavity = ct.build_scene(make_config([poly])).cavities[0]
+    replacements = [b"-1", str(mesh.n_vertices).encode(), b"7", b"x"]
+
+    config_path = tmp_path / "config.json"
+    config = (CONFIG_DIR / "reference_single.json").read_bytes()
+    for data in _mutations(config, replacements, rng, 300):
+        config_path.write_bytes(data)
+        try:
+            ct.load_config(config_path)
+        except CavityError:
+            pass
+
+    for data in _mutations(mesh_path.read_bytes(), replacements, rng, 300):
+        mesh_path.write_bytes(data)
+        try:
+            ct.mesh_cavity(cavity, 0.25)
+        except CavityError:
+            pass
