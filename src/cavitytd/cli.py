@@ -9,6 +9,7 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .cq import CAUSALITY_LIMIT, MAX_MARCH_SAMPLES, REALNESS_LIMIT, CqScheme, run_time_domain
+from .cq import MAX_MARCH_SAMPLES, REALNESS_LIMIT, CqScheme, run_time_domain
 from .errors import CavityError, ConfigError, DomainError, MeshFailure
 from .fem import ORDERING
 from .fem import assemble_all  # noqa: F401  (span seam of bench/tracer.py)
@@ -31,7 +32,13 @@ from .freq import (
     save_solution_csv,
     solution_csv_format,
 )
-from .incident import PlaneWave, WaveProfile, boundary_data_bundle, boundary_data_freq
+from .incident import (
+    CAUSALITY_LIMIT,
+    PlaneWave,
+    WaveProfile,
+    boundary_data_bundle,
+    boundary_data_freq,
+)
 from .io import RunManifest, probe_matrix, vtk_mesh_part, write_csv, write_vtk_snapshot
 from .scene import (
     Scene,
@@ -42,6 +49,7 @@ from .scene import (
     load_config,
     mesh_scene,
     number_pair,
+    read_bytes,
     save_mesh,
 )
 from .trace import DENSE_ORACLE_MAX, TraceGrid, apply_B, beta, dtn_dense, trace_norm
@@ -81,12 +89,15 @@ def _int(value) -> int:
 def _parse_config(args) -> RunConfig:
     """Load args.config and build what the command reads from it.
 
-    args.reads names the blocks it reads besides "scene"; the rest stay
-    unread.  Runs before any meshing: every config-determined error leaves
-    here as ConfigError, DomainError or MeshFailure, which main() maps to
-    exit 2.
+    The file is read once, so that a pipe works: args.config_sha256
+    receives the SHA-256 of the bytes parsed, for the manifest.  args.reads
+    names the blocks it reads besides "scene"; the rest stay unread.  Runs
+    before any meshing: every config-determined error leaves here as
+    ConfigError, DomainError or MeshFailure, which main() maps to exit 2.
     """
-    config = load_config(args.config)
+    raw = read_bytes(args.config, ConfigError, "config file")
+    args.config_sha256 = hashlib.sha256(raw).hexdigest()
+    config = load_config(args.config, raw)
     reads = args.reads
     scene = build_scene(config)
     run = {}
@@ -195,7 +206,7 @@ def _out_dir(args) -> Path:
 def _manifest(args, run: RunConfig, meshes=(), **fields) -> RunManifest:
     manifest = RunManifest(
         command=args.command,
-        config_sha256=RunManifest.hash_config(args.config),
+        config_sha256=args.config_sha256,
         mesh_stats=[
             {"vertices": m.n_vertices, "triangles": m.n_triangles,
              "aperture_nodes": int(m.aperture_nodes.size)}
@@ -437,9 +448,9 @@ def cmd_solve_time(args) -> int:
         "step": sol.worst_step, "t": float(sol.times[sol.worst_step])
     }
 
-    # The march sampled g; the bundle adds its two derivatives, which go
-    # once energy has taken their norm rows.
-    et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times, sol.g), grid)
+    # The march recorded the norm row of g; the bundle streams the norm rows
+    # of its two derivatives.
+    et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times, sol.g))
     energy_path = out / "energy.csv"
     diagnostics.save_energy_csv(energy_path, et)
     manifest.add_output(energy_path)

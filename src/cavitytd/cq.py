@@ -31,13 +31,15 @@ products with one matrix.  The history keeps rfft(Rf u_n) for every past
 step, so the sum costs one pass over N + 1 spectra of N_trace/2 + 1 bins
 per step.
 
-The march keeps no field history: besides the four latest states, what
-it holds grows with N only through the sampled data g ((N+1) N_trace
-numbers), the DtN weights and spectra (3 (N+1)(N_trace/2+1)) and the
-per-step record (7 (N+1)); the fields would add (N+1) n_nodes.  Each step
-adds its column to the record, the six quadratic forms of FORMS that the
-energy checks read and the state norm behind the causality check, and
-hands its fields to the caller's observer, if any.
+The march keeps no field history and no space-time data array: besides
+the four latest states, what it holds grows with N only through the DtN
+weights and spectra (3 (N+1)(N_trace/2+1) numbers) and the per-step
+record (8 (N+1)); the fields would add (N+1) n_nodes, the sampled data
+(N+1) N_trace.  It samples g one block of ROW_BLOCK steps at a time and
+keeps the two previous rows that D1 g reads.  Each step adds its column
+to the record: the six quadratic forms of FORMS that the energy checks
+read, the state norm behind the causality check and the -1/2 aperture
+norm of g_n; it hands its fields to the caller's observer, if any.
 
 `validate` certifies the time-domain passivity of these same DtN weights
 (diagnostics.passivity_suite).
@@ -53,9 +55,9 @@ import numpy as np
 from .errors import CausalityViolation, DimensionMismatch
 from .fem import SystemOperator, apply_rhs
 from .freq import FrequencySolver, certified_solve
-from .incident import PlaneWave, boundary_data_series
+from .incident import CAUSALITY_LIMIT, ROW_BLOCK, PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
-from .trace import TraceGrid, beta
+from .trace import TraceGrid, aperture_norm_rows, beta
 
 __all__ = [
     "CqScheme",
@@ -65,19 +67,22 @@ __all__ = [
     "run_time_domain",
 ]
 
-# Largest t = 0 state norm, relative to the trajectory peak, that the march
-# accepts as the rest state (above it, CausalityViolation).
-CAUSALITY_LIMIT = 1e-8
 # Largest imaginary part of the DtN weights, relative to the largest weight,
 # that the real march may discard (TimeSolution.imag_residue).
 REALNESS_LIMIT = 1e-10
 # rho^M of the weight contour: the aliasing level of the DtN weights.
 _WEIGHT_ALIASING = 1e-16
-# Fourier modes per block of the weight transform (a 2 MB transient at M = 2052).
-_WEIGHT_BLOCK = 64
+# Most complex entries in a temporary of the weight transform.  A block of
+# Fourier modes holds M contour samples per mode, so it takes
+# max(1, _WEIGHT_ENTRIES // M) modes: 1 MiB per temporary up to M = 2**16,
+# one mode of M samples beyond.  Each block pays for one FFT plan of
+# length M: at 2048 steps (M = 8196, prime factor 683), blocks of one mode
+# took 2.4 times as long as blocks of seven.
+_WEIGHT_ENTRIES = 2**16
 # BDF2 convolution weights of s^2, times dt^2.
 _D2 = np.array([9.0, -24.0, 22.0, -8.0, 1.0]) / 4.0
-# Largest (steps + 1) * N_trace, the size of the march's data g (512 MiB).
+# Largest (steps + 1) * N_trace.  The DtN weights and spectra the march
+# holds are about 1.5 times that many float64 (768 MiB at the cap).
 MAX_MARCH_SAMPLES = 2**26
 
 
@@ -122,8 +127,9 @@ class TimeSolution:
     with the material weights, du_l2, du_h1, u_l2 and u_h1 with the unit
     weights, du the backward difference of u (zero at step 0, first order
     at step 1, the BDF2 difference after).  state_norm is the Euclidean
-    norm of the stacked nodal vector at each step and g the (N+1, N_trace)
-    aperture data that drove the march.  imag_residue is the largest
+    norm of the stacked nodal vector at each step and g the (N+1,) row of
+    zero-extended -1/2 aperture norms (trace.aperture_norm_rows) of the
+    data that drove the march.  imag_residue is the largest
     imaginary part the march discarded from the DtN weights, relative to
     the largest weight (the step matrix W0 is real by construction);
     initial_ratio the t = 0 state norm relative to the trajectory peak;
@@ -152,7 +158,8 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
     of beta(xi_m, delta(zeta)/dt) = sum_k omega_k zeta^k, and the largest
     discarded imaginary part relative to the largest weight.  The weights
     are the Cauchy integrals over |zeta| = rho on M = 4(N+1) points with
-    rho^M = 1e-16, taken in blocks of modes.  Every contour frequency has
+    rho^M = 1e-16, taken in blocks of modes so that no temporary holds
+    more than max(2**16, M) complex entries.  Every contour frequency has
     Re s > 0 (BDF2 is A-stable), so trace.beta samples the symbol there.
     """
     n1 = scheme.steps + 1
@@ -163,8 +170,9 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
     scale = (rho ** -np.arange(n1) / m)[:, None]
     weights = np.empty((n1, xi.size))
     imag = 0.0
-    for lo in range(0, xi.size, _WEIGHT_BLOCK):
-        block = xi[lo : lo + _WEIGHT_BLOCK]
+    modes = max(1, _WEIGHT_ENTRIES // m)
+    for lo in range(0, xi.size, modes):
+        block = xi[lo : lo + modes]
         symbol = beta(block[None, :], s[:, None], c)
         w = scale * np.fft.fft(symbol, axis=0)[:n1]
         weights[:, lo : lo + block.size] = w.real
@@ -215,8 +223,6 @@ def run_time_domain(
     mass_unit, stiffness_unit, rf_t = pattern.mass_unit, pattern.stiffness_unit, rf.T
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
-    g = boundary_data_series(pw, grid, times)
-    rest = np.zeros(grid.N)
 
     # The mass history reaches four steps back: u_{n-1}, ..., u_{n-4}, zero
     # before t = 0.  The DtN history reaches every past step through
@@ -228,11 +234,18 @@ def run_time_domain(
     residuals = np.zeros(n1)
     forms = np.zeros((len(FORMS), n1))
     state_norm = np.zeros(n1)
+    g_norm = np.zeros(n1)
     du = np.zeros(w0.n_dofs)
+    # g_{n-1} and g_{n-2}, at rest before t = 0.
+    g1 = g2 = np.zeros(grid.N)
     for n in range(n1):
-        # D1 g_n with g at rest before t = 0.
-        g1, g2 = (g[n - k] if n >= k else rest for k in (1, 2))
-        rhs = apply_rhs((3.0 * g[n] - 4.0 * g1 + g2) / (2.0 * dt), rf, grid)
+        if n % ROW_BLOCK == 0:
+            # The data of the next block of steps, and its norm row.
+            block = boundary_data_series(pw, grid, times[n : n + ROW_BLOCK])
+            g_norm[n : n + ROW_BLOCK] = aperture_norm_rows(block, grid)
+        g0 = block[n % ROW_BLOCK]
+        rhs = apply_rhs((3.0 * g0 - 4.0 * g1 + g2) / (2.0 * dt), rf, grid)
+        g1, g2 = g0, g1
         rhs -= mass @ (d2[1:] @ recent)
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
         rhs += rf_t @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
@@ -276,7 +289,7 @@ def run_time_domain(
         scheme=scheme,
         forms=forms,
         state_norm=state_norm,
-        g=g,
+        g=g_norm,
         imag_residue=weight_imag,
         initial_ratio=initial_ratio,
         max_residual=float(residuals[worst]),

@@ -17,9 +17,10 @@ Numer. Math. 129, 2015).
 
 The time-domain checks read one per-step record: the march
 (cq.run_time_domain) accumulates every quadratic form of u and du/dt as it
-runs, `energy` adds the three data-norm rows of the boundary data and
-keeps it all in an EnergyTrace, and the stability, a-priori and
-dissipation checks are arithmetic on that record.  No check needs a field.
+runs, `energy` adds the three data-norm rows of the boundary data
+(incident.boundary_data_bundle) and keeps it all in an EnergyTrace, and
+the stability, a-priori and dissipation checks are arithmetic on that
+record.  No check needs a field.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 
 from .cq import FORMS, CqScheme, TimeSolution, dtn_weights
 from .errors import DimensionMismatch
-from .incident import BoundaryDataSeries, PlaneWave
+from .incident import BoundaryDataNorms, PlaneWave
 from .io import write_csv
-from .trace import TraceGrid, aperture_norm_rows, passivity_defect, restrict
+from .trace import TraceGrid, passivity_defect, restrict
 
 __all__ = [
     "EnergyTrace",
@@ -118,19 +119,19 @@ class EnergyTrace:
         return _cumulative_trapezoid(self.d2g_norm, self.times)
 
 
-def energy(sol: TimeSolution, series: BoundaryDataSeries, grid: TraceGrid) -> EnergyTrace:
-    """The march's per-step forms plus the three data-norm rows of `series`.
+def energy(sol: TimeSolution, norms: BoundaryDataNorms) -> EnergyTrace:
+    """The march's per-step forms plus the three data-norm rows of `norms`.
 
-    The series must be sampled on the solution's time grid.
+    The rows must be taken on the solution's time grid.
     """
-    if not np.array_equal(series.times, sol.times):
-        raise DimensionMismatch("boundary data series is not sampled on the solution times")
+    if not np.array_equal(norms.times, sol.times):
+        raise DimensionMismatch("boundary data norms are not taken on the solution times")
     return EnergyTrace(
         times=sol.times.copy(),
         **dict(zip(FORMS, sol.forms)),
-        g_norm=aperture_norm_rows(series.g, grid),
-        dg_norm=aperture_norm_rows(series.dg, grid),
-        d2g_norm=aperture_norm_rows(series.d2g, grid),
+        g_norm=norms.g,
+        dg_norm=norms.dg,
+        d2g_norm=norms.d2g,
     )
 
 

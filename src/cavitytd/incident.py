@@ -34,21 +34,26 @@ import numpy as np
 from scipy.special import wofz
 
 from .errors import DomainError, QuadratureFailure
-from .trace import TraceGrid
+from .trace import TraceGrid, aperture_norm_rows
 
 __all__ = [
     "WaveProfile",
     "PlaneWave",
     "boundary_data_series",
     "boundary_data_freq",
-    "BoundaryDataSeries",
+    "BoundaryDataNorms",
     "boundary_data_bundle",
 ]
 
 GAUSSIAN = "gaussian-pulse"
 BUMP = "smooth-bump"
-# Times per block of a sampled series.
-_ROW_BLOCK = 64
+# Largest t = 0 state norm, relative to the trajectory peak, that the march
+# accepts as the rest state (above it, cq.run_time_domain raises
+# CausalityViolation).  The default causality_tol derives from it.
+CAUSALITY_LIMIT = 1e-8
+# Times per block in which the march (cq.run_time_domain) and the data-norm
+# rows sample the aperture data: neither holds a full space-time series.
+ROW_BLOCK = 64
 # Absolute and relative tolerance of the bump profile's Laplace quadrature.
 _QUAD_TOL = 1e-10
 
@@ -61,8 +66,8 @@ class WaveProfile:
     center : arrival delay tau0 > 0 (pulse peak)
     width : sigma > 0
     amplitude : peak value
-    causality_tol : admissible waveform magnitude at t <= 0
-        (defaults to 1e-6 * |amplitude|)
+    causality_tol : admissible waveform magnitude at t <= 0 (defaults
+        to CAUSALITY_LIMIT * |amplitude| * width / (sqrt(e) * center))
 
     gaussian-pulse:  A * exp(-(tau - tau0)^2 / (2 sigma^2))
     smooth-bump:     A * exp(1 - 1/(1 - u^2)), u = (tau - tau0)/sigma,
@@ -84,7 +89,12 @@ class WaveProfile:
             raise ValueError(f"profile width must be positive, got {self.width}")
         tol = self.causality_tol
         if tol is None:
-            tol = 1e-6 * abs(self.amplitude)
+            # The data g is 2 c2 w', and the march refuses a state at t = 0
+            # above CAUSALITY_LIMIT of its peak.  A gaussian tail w(0) puts
+            # w'(0) at w(0) (center/width) sqrt(e) / |amplitude| of the peak
+            # of |w'|: the default tail is the one that keeps that at the limit.
+            tol = (CAUSALITY_LIMIT * abs(self.amplitude) * self.width
+                   / (math.sqrt(math.e) * self.center))
             object.__setattr__(self, "causality_tol", tol)
         # sup over tau <= 0 sits at tau = 0 (gaussian) or is exactly zero
         # once the bump support clears the origin.
@@ -207,16 +217,11 @@ def boundary_data_series(
 ) -> np.ndarray:
     """g (or its order-th time derivative) on the grid for every time.
 
-    Returns a real (n_times, N) array; rows follow `times`.  It is filled
-    in blocks of rows, so the closed form's temporaries stay one block in
-    size however many times there are.
+    Returns a real (n_times, N) array; rows follow `times`.  The package
+    asks for at most ROW_BLOCK times at once.
     """
     times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, grid.N))
-    for lo in range(0, times.size, _ROW_BLOCK):
-        block = times[lo : lo + _ROW_BLOCK, None]
-        out[lo : lo + _ROW_BLOCK] = _g_closed_form(pw, grid.x[None, :], block, order=order)
-    return out
+    return _g_closed_form(pw, grid.x[None, :], times[:, None], order=order)
 
 
 def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray:
@@ -293,8 +298,10 @@ def _quad_g_laplace(pw: PlaneWave, x: float, s: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class BoundaryDataSeries:
-    """g and its first two time derivatives sampled on a space-time grid."""
+class BoundaryDataNorms:
+    """Per-time data norms of the estimate checks: the zero-extended -1/2
+    aperture norms (trace.aperture_norm_rows) of g and of its first two
+    time derivatives, each an (n_times,) row."""
 
     times: np.ndarray
     g: np.ndarray
@@ -302,19 +309,29 @@ class BoundaryDataSeries:
     d2g: np.ndarray
 
 
+def _norm_rows(pw: PlaneWave, grid: TraceGrid, times: np.ndarray, order: int) -> np.ndarray:
+    # Sampled and normed one block of ROW_BLOCK times at a time, as the
+    # march streams g: no full series is held.
+    return np.concatenate([
+        aperture_norm_rows(
+            boundary_data_series(pw, grid, times[lo : lo + ROW_BLOCK], order=order), grid
+        )
+        for lo in range(0, times.size, ROW_BLOCK)
+    ])
+
+
 def boundary_data_bundle(
     pw: PlaneWave, grid: TraceGrid, times: np.ndarray, g: np.ndarray | None = None
-) -> BoundaryDataSeries:
-    """Sampled data plus analytic time derivatives for the estimate checks.
+) -> BoundaryDataNorms:
+    """The data-norm rows of g and its analytic time derivatives on `times`.
 
-    `g` is the order-0 series when the caller sampled it on `times`
-    already, as the march does (TimeSolution.g); it is then not sampled
-    again.
+    `g` is the order-0 row when the caller has it already, as the march
+    does (TimeSolution.g); g is then not sampled again.
     """
     times = np.asarray(times, dtype=float)
-    return BoundaryDataSeries(
+    return BoundaryDataNorms(
         times=times,
-        g=boundary_data_series(pw, grid, times, order=0) if g is None else g,
-        dg=boundary_data_series(pw, grid, times, order=1),
-        d2g=boundary_data_series(pw, grid, times, order=2),
+        g=_norm_rows(pw, grid, times, 0) if g is None else g,
+        dg=_norm_rows(pw, grid, times, 1),
+        d2g=_norm_rows(pw, grid, times, 2),
     )

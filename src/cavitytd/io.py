@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import resource
 from dataclasses import asdict, dataclass, field
@@ -135,11 +134,6 @@ class RunManifest:
     metrics: dict[str, Any] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     checks: dict[str, bool] = field(default_factory=dict)
-
-    @staticmethod
-    def hash_config(path: str | Path) -> str:
-        with open(path, "rb") as f:
-            return hashlib.sha256(f.read()).hexdigest()
 
     def add_output(self, path: str | Path) -> None:
         self.outputs.append(str(path))

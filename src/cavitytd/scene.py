@@ -361,19 +361,35 @@ class Scene:
         return tuple(c.aperture for c in self.cavities)
 
 
-def _read_text(path: str | Path, error: type[Exception], what: str) -> str:
-    """The UTF-8 text of a file the config names; a file that cannot be
-    opened or decoded raises `error` naming `what` and the path."""
+def read_bytes(path: str | Path, error: type[Exception], what: str) -> bytes:
+    """The bytes of the config or of a file it names, read once; a file
+    that cannot be opened raises `error` naming `what` and the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def load_config(path: str | Path) -> dict[str, Any]:
-    """The parsed config document.  ConfigError if the file cannot be read
-    or parsed as JSON, over-deep nesting and over-long integers included."""
-    text = _read_text(path, ConfigError, "config file")
+def _read_text(path: str | Path, error: type[Exception], what: str,
+               raw: bytes | None = None) -> str:
+    """The UTF-8 text of the file at `path`, decoded from `raw` when the
+    caller has read its bytes already; a file that cannot be opened or
+    decoded raises `error` naming `what` and the path."""
+    if raw is None:
+        raw = read_bytes(path, error, what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str | Path, raw: bytes | None = None) -> dict[str, Any]:
+    """The parsed config document at `path`, parsed from `raw` when the
+    caller has read its bytes already (the command line hashes the bytes
+    it parses).  ConfigError if the file cannot be read, or its bytes
+    decoded as UTF-8 or parsed as JSON, over-deep nesting and over-long
+    integers included."""
+    text = _read_text(path, ConfigError, "config file", raw)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -56,8 +56,6 @@ MIN_TRACE_SAMPLES = 64
 # Largest trace sample count a grid may have (8 MiB per real sample vector).
 MAX_TRACE_SAMPLES = 2**20
 DENSE_ORACLE_MAX = 1024
-# Rows per block of `aperture_norm_rows`.
-_ROW_BLOCK = 64
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -289,17 +287,10 @@ def trace_norm(u: np.ndarray, order: float, grid: TraceGrid) -> float:
 def aperture_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
     """-1/2 trace norm of each row of aperture data, zero-extended across
     the ground plane: the one data norm of the stability estimates.
-
-    Taken in blocks of rows, so that the transform's temporaries stay one
-    block in size instead of growing with the row count.
     """
     if rows.ndim != 2 or rows.shape[1] != grid.N:
         raise GridMismatch(f"rows of shape {rows.shape} do not match grid N={grid.N}")
-    mask = grid.union_mask[None, :]
-    return np.concatenate([
-        multiplier_norm_rows(np.where(mask, rows[lo : lo + _ROW_BLOCK], 0.0), -0.5, grid)
-        for lo in range(0, rows.shape[0], _ROW_BLOCK)
-    ])
+    return multiplier_norm_rows(np.where(grid.union_mask, rows, 0.0), -0.5, grid)
 
 
 def passivity_defect(

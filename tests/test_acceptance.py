@@ -209,7 +209,7 @@ def test_criterion_07_cq_temporal_convergence():
 def test_criterion_08_energy_dissipation(reference_runs):
     details = []
     for name, (scene, meshes, grid, pw, scheme, sol) in reference_runs.items():
-        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times))
         t_star = diagnostics.shutoff_time(pw, grid)
         violation = diagnostics.dissipation_violation(et, t_star)
         assert violation <= 1e-8, f"{name}: worst per-step increase {violation:.2e}"
@@ -237,7 +237,7 @@ def test_criterion_09_apriori_growth(reference_runs):
         wave = ct.PlaneWave(profile=profile, theta=pw.theta)
         small = CqScheme(dt=scheme.dt, steps=64)
         run = ct.run_time_domain(scene, meshes, grid, wave, small)
-        et = diagnostics.energy(run, boundary_data_bundle(wave, grid, run.times), grid)
+        et = diagnostics.energy(run, boundary_data_bundle(wave, grid, run.times))
         stab = diagnostics.stability_check(et)
         apr = diagnostics.apriori_check(et)
         s = 1.5 + 0.0j

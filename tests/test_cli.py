@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 import cavitytd.cli as cli
 from cavitytd import cq, diagnostics, freq, incident
 from cavitytd.cli import main
+from cavitytd.incident import ROW_BLOCK
 from cavitytd.io import vtk_mesh_part
 from cavitytd.scene import build_scene, mesh_scene
 from cavitytd.trace import TraceGrid
@@ -281,6 +283,12 @@ class TestSolveFreq:
             ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": 10**12}, [], "ConfigError"),
             ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": freq.MAX_SWEEP_FREQUENCIES + 1},
              [], "ConfigError"),
+            # Pulse centres the march refuses as not at rest at t = 0.
+            ("solve-time", ("incident", "profile", "center"), 5.4 * 0.5, [], "ConfigError"),
+            ("solve-time", ("incident", "profile", "center"), 6.2 * 0.5, [], "ConfigError"),
+            # The frequency commands never march but share the rule: one
+            # default causality_tol for every command that reads the pulse.
+            ("solve-freq", ("incident", "profile", "center"), 6.0 * 0.5, [], "ConfigError"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -304,7 +312,9 @@ class TestSolveFreq:
              "epsilon-expression-complex", "steps-overflow", "steps-over-sample-cap",
              "polygon-without-mesh-file", "cavity-aperture-three-numbers",
              "polygon-vertex-one-number", "polygon-vertices-ragged",
-             "polygon-vertices-three-numbers", "sweep-count-huge", "sweep-count-over-cap"],
+             "polygon-vertices-three-numbers", "sweep-count-huge", "sweep-count-over-cap",
+             "profile-center-5.4-widths", "profile-center-6.2-widths",
+             "solve-freq-profile-center-6-widths"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
@@ -489,6 +499,21 @@ class TestSolveTime:
         path = write_config(tmp_path, config)
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("widths, default_code, loose_code", [(5.4, 2, 1), (6.2, 2, 1),
+                                                                  (6.6, 0, 0)])
+    def test_rest_state_rules_agree(self, tmp_path, widths, default_code, loose_code):
+        # The parse step's default causality_tol refuses the centres at 5.4
+        # and 6.2 widths (profile-center-*-widths above); given a loose
+        # tolerance, the march refuses them too, and accepts 6.6 widths,
+        # which the default admits.
+        config = small_config()
+        config["incident"]["profile"]["center"] = widths * 0.5
+        path = write_config(tmp_path, config, "default.json")
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == default_code
+        config["incident"]["profile"]["causality_tol"] = 1e-3
+        path = write_config(tmp_path, config, "loose.json")
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == loose_code
+
     def test_nan_dt_exit_2(self, tmp_path, monkeypatch, capsys):
         # json reads the NaN literal; the scheme check must reject it before
         # the scene is meshed, let alone solved.
@@ -566,30 +591,37 @@ class TestSolveTime:
             assert blob.startswith(mesh_part), name
 
     def test_boundary_data_sampled_once_per_order(self, tmp_path, monkeypatch):
-        # The march samples g and the energy record reuses it: g, dg/dt and
-        # d2g/dt2 are each sampled once per run.
+        # The march samples g and records its norm row, which the energy
+        # record reuses: g, dg/dt and d2g/dt2 are each sampled once per
+        # time of the run, in blocks of at most ROW_BLOCK times.
         series = incident.boundary_data_series
-        orders = []
+        rows = {}
 
-        def count_orders(*args, order=0):
-            orders.append(order)
-            return series(*args, order=order)
+        def count_rows(pw, grid, times, order=0):
+            assert len(times) <= ROW_BLOCK
+            rows[order] = rows.get(order, 0) + len(times)
+            return series(pw, grid, times, order=order)
 
-        monkeypatch.setattr(cq, "boundary_data_series", count_orders)
-        monkeypatch.setattr(incident, "boundary_data_series", count_orders)
-        path = write_config(tmp_path, small_config())
+        monkeypatch.setattr(cq, "boundary_data_series", count_rows)
+        monkeypatch.setattr(incident, "boundary_data_series", count_rows)
+        steps = 2 * ROW_BLOCK + 5
+        path = write_config(tmp_path, small_config(scheme={"dt": 0.2, "steps": steps}))
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 0
-        assert sorted(orders) == [0, 1, 2]
+        assert rows == {0: steps + 1, 1: steps + 1, 2: steps + 1}
 
     def test_memory_flat_in_the_step_count(self, tmp_path):
-        # No field history: quadrupling the step count grows only the DtN
-        # weights and spectra, the sampled data and the scalar records,
-        # which stay far below the 3S steps of fields it would add.
-        h, steps = 0.04, 32
-        config = small_config(mesh={"h": h}, snapshots={"every": 0})
-        n_nodes = sum(m.n_vertices for m in mesh_scene(build_scene(config), h))
+        # The march holds no field history and no space-time data array.
+        # From 512 to 2048 steps its traced peak may grow only by the DtN
+        # weights and spectra, 3 (N_trace/2 + 1) float64 per added step, by
+        # the per-step records (32 float64 allowed: the forms, norms and
+        # residuals, the energy record and a probe row) and by 256 KiB for
+        # the rest.  Sampled data would add N_trace float64 per step and
+        # order, a field history n_nodes (702 here) per step.
+        config = small_config(mesh={"h": 0.04}, snapshots={"every": 0})
+        n_trace = config["trace"]["N"]
         peaks = []
-        for n in (steps, 4 * steps):
+        steps = (512, 2048)
+        for n in steps:
             config["scheme"] = {"dt": 0.2, "steps": n}
             path = write_config(tmp_path, config, f"config{n}.json")
             tracemalloc.start()
@@ -599,8 +631,8 @@ class TestSolveTime:
             finally:
                 tracemalloc.stop()
             assert code == 0
-        field_history = 3 * steps * n_nodes * 8
-        assert peaks[1] - peaks[0] <= 0.25 * field_history
+        per_step = (3 * (n_trace // 2 + 1) + 32) * 8
+        assert peaks[1] - peaks[0] <= (steps[1] - steps[0]) * per_step + 2**18
 
 
 # The unit square below the aperture [-0.5, 0.5] as two triangles, in the
@@ -762,7 +794,7 @@ def test_every_shipped_config_key_is_read(name, monkeypatch):
     path = CONFIG_DIR / f"{name}.json"
     document = json.loads(path.read_text())
     seen = set()
-    monkeypatch.setattr(cli, "load_config", lambda _: ReadRecorder(document, seen))
+    monkeypatch.setattr(cli, "load_config", lambda *_: ReadRecorder(document, seen))
     parser = cli._build_parser()
     for command in ("validate", "solve-freq", "solve-time", "sweep", "mesh-export"):
         cli._parse_config(parser.parse_args([command, "--config", str(path)]))
@@ -799,3 +831,24 @@ def test_unreadable_config_exit_2(tmp_path, capsys, content, message):
     assert main(["mesh-export", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: ConfigError" in err and message in err
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_manifest_hashes_the_config_bytes_read(tmp_path):
+    # A config given as a pipe (--config <(cat config.json)) can be read
+    # only once: the manifest hashes the bytes the run parsed, as it does
+    # for a regular file.
+    raw = json.dumps(small_config()).encode()
+    path = write_config(tmp_path, small_config())
+    assert main(["mesh-export", "--config", str(path), "--out", str(tmp_path / "file")]) == 0
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, raw)
+        os.close(write_end)
+        argv = ["mesh-export", "--config", f"/dev/fd/{read_end}", "--out", str(tmp_path / "pipe")]
+        assert main(argv) == 0
+    finally:
+        os.close(read_end)
+    for run in ("file", "pipe"):
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(raw).hexdigest(), run

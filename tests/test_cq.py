@@ -7,6 +7,8 @@ import cavitytd as ct
 from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme
 from cavitytd.errors import DimensionMismatch, FactorizationFailure
+from cavitytd.incident import ROW_BLOCK, boundary_data_series
+from cavitytd.trace import aperture_norm_rows
 
 from conftest import (
     REFERENCE_CONTOUR_TOL,
@@ -119,6 +121,15 @@ class TestRunTimeDomain:
         arrival = gaussian_wave.profile.center - 6.0 * gaussian_wave.profile.width
         early = norms[sol.times < arrival]
         assert np.all(early <= 1e-6 * peak)
+
+    def test_streamed_data_norm_row(self, unit_scene, unit_meshes, unit_grid, gaussian_wave):
+        # The march samples g one block of ROW_BLOCK steps at a time and
+        # records its norm row, which equals the full series' bitwise, over
+        # a partial last block too.
+        sol = self.run(unit_scene, unit_meshes, unit_grid, gaussian_wave, steps=100, T=7.0)
+        assert sol.times.size % ROW_BLOCK != 0
+        full = boundary_data_series(gaussian_wave, unit_grid, sol.times)
+        assert np.array_equal(sol.g, aperture_norm_rows(full, unit_grid))
 
     def test_imag_residue_small(self, unit_scene, unit_meshes, unit_grid,
                                 gaussian_wave, monkeypatch):

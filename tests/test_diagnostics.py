@@ -39,7 +39,7 @@ def small_run(unit_scene, unit_meshes, unit_grid, gaussian_wave):
     scheme = CqScheme(dt=10.0 / 80, steps=80)
     sol, fields = run_recorded(unit_scene, unit_meshes, unit_grid, gaussian_wave, scheme)
     series = boundary_data_bundle(gaussian_wave, unit_grid, sol.times)
-    et = diagnostics.energy(sol, series, unit_grid)
+    et = diagnostics.energy(sol, series)
     return sol, fields, et
 
 
@@ -64,14 +64,14 @@ class TestEnergy:
     def test_zero_solution(self, unit_scene, unit_meshes, unit_grid):
         scheme = CqScheme(dt=0.1, steps=5)
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, rest_wave(), scheme)
-        et = diagnostics.energy(sol, rest_series(unit_grid, sol.times), unit_grid)
+        et = diagnostics.energy(sol, rest_series(unit_grid, sol.times))
         assert np.all(et.total == 0.0)
 
     def test_mismatched_inputs_rejected(self, unit_scene, unit_meshes, unit_grid):
         scheme = CqScheme(dt=0.1, steps=5)
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, rest_wave(), scheme)
         with pytest.raises(DimensionMismatch):
-            diagnostics.energy(sol, rest_series(unit_grid, 2.0 * sol.times), unit_grid)
+            diagnostics.energy(sol, rest_series(unit_grid, 2.0 * sol.times))
 
     def test_linear_history_constant_kinetic(self, unit_scene, unit_meshes, unit_grid, rng,
                                              monkeypatch):
@@ -87,7 +87,7 @@ class TestEnergy:
         steps = iter(t)
         monkeypatch.setattr(cq, "certified_solve", lambda op, b, where: (next(steps) * w[free], 0.0))
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, rest_wave(), scheme)
-        et = diagnostics.energy(sol, rest_series(unit_grid, t), unit_grid)
+        et = diagnostics.energy(sol, rest_series(unit_grid, t))
         expected = float(w @ (fems[0].mass @ w))
         assert np.allclose(et.kinetic[1:], expected, rtol=1e-12)
         pot1 = float(w @ (fems[0].stiffness @ w))
@@ -135,7 +135,7 @@ class TestDissipation:
     def test_reference_run_dissipates(self, reference_single):
         _, scene, meshes, grid, pw, scheme = reference_single
         sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times))
         t_star = diagnostics.shutoff_time(pw, grid)
         assert diagnostics.dissipation_violation(et, t_star) <= 1e-8
 
@@ -144,7 +144,7 @@ class TestDissipation:
         # at shutoff again.
         _, scene, meshes, grid, pw, scheme = reference_single
         sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times))
         t_star = diagnostics.shutoff_time(pw, grid)
         idx = np.nonzero(et.times >= t_star)[0]
         assert np.max(et.total[idx]) <= et.total[idx[0]] * (1 + 1e-12)
@@ -167,7 +167,7 @@ class TestStabilityChecks:
             pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
             scheme = CqScheme(dt=0.125, steps=48)
             sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
-            et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times), unit_grid)
+            et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times))
             stab = diagnostics.stability_check(et)
             apr = diagnostics.apriori_check(et)
             ratios.append((stab.ratio, apr.linf_ratio, apr.l2_ratio))
@@ -179,7 +179,7 @@ class TestStabilityChecks:
         pw = ct.PlaneWave(profile=prof, theta=np.pi / 2)
         scheme = CqScheme(dt=0.25, steps=24)
         sol = ct.run_time_domain(unit_scene, unit_meshes, unit_grid, pw, scheme)
-        et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times), unit_grid)
+        et = diagnostics.energy(sol, boundary_data_bundle(pw, unit_grid, sol.times))
         rec = diagnostics.stability_check(et)
         assert rec.lhs == 0.0
         assert rec.ratio == 0.0
@@ -194,7 +194,7 @@ class TestStabilityChecks:
             meshes = ct.mesh_scene(scene, h)
             scheme = CqScheme(dt=16.0 / steps, steps=steps)
             sol = ct.run_time_domain(scene, meshes, grid, pw, scheme)
-            et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times), grid)
+            et = diagnostics.energy(sol, boundary_data_bundle(pw, grid, sol.times))
             rec = diagnostics.stability_check(et)
             ratios.append(rec.ratio)
         assert abs(ratios[1] - ratios[0]) <= 0.2 * ratios[0]

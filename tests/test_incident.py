@@ -4,7 +4,13 @@ from scipy.integrate import quad
 
 import cavitytd as ct
 from cavitytd.errors import DomainError
-from cavitytd.incident import boundary_data_bundle, boundary_data_series
+from cavitytd.incident import (
+    CAUSALITY_LIMIT,
+    ROW_BLOCK,
+    boundary_data_bundle,
+    boundary_data_series,
+)
+from cavitytd.trace import aperture_norm_rows
 
 from conftest import evaluate_incident, evaluate_reflected
 
@@ -157,10 +163,19 @@ class TestBoundaryData:
         assert np.allclose(g, fd, rtol=1e-8, atol=1e-8)
 
     def test_causality(self, gauss, unit_grid):
+        # Before t = 0 the data g stays within 1e-6 of the amplitude on the
+        # whole grid and the waveform within causality_tol; wherever the
+        # wavefront has not arrived (t + c1 x <= 0), g = 2 c2 w' stays within
+        # CAUSALITY_LIMIT of its peak, the march's rest-state bar.  The peak
+        # of |w'| sits one width before the center.
         pw = ct.PlaneWave(profile=gauss, theta=1.3)
+        peak = 2.0 * pw.c2 * abs(gauss.derivative(gauss.center - gauss.width, 1))
         for t in np.linspace(-5.0, 0.0, 21):
+            assert abs(gauss.derivative(t, 0)) <= gauss.causality_tol
             g = boundary_data_series(pw, unit_grid, [t])[0]
-            assert np.max(np.abs(g)) <= gauss.causality_tol
+            assert np.max(np.abs(g)) <= 1e-6 * abs(gauss.amplitude)
+            ahead = t + pw.c1 * unit_grid.x <= 0.0
+            assert np.max(np.abs(g[ahead])) <= CAUSALITY_LIMIT * peak
 
     def test_series_matches_pointwise(self, gauss, unit_grid):
         pw = ct.PlaneWave(profile=gauss, theta=1.0)
@@ -170,16 +185,24 @@ class TestBoundaryData:
             assert np.allclose(series[n], boundary_data_series(pw, unit_grid, [t])[0].real)
 
     def test_bundle_derivative_orders(self, gauss, unit_grid):
+        # Orders 1 and 2 of the series are the time derivatives of order 0,
+        # and the bundle's rows are the norm rows of the series of each
+        # order, bitwise, though it streams them one block at a time.
         pw = ct.PlaneWave(profile=gauss, theta=1.0)
-        times = np.linspace(0.0, 6.0, 601)
-        bundle = boundary_data_bundle(pw, unit_grid, times)
+        times = np.linspace(0.0, 6.0, 601)  # not a multiple of ROW_BLOCK
+        g, dg, d2g = (boundary_data_series(pw, unit_grid, times, order) for order in range(3))
         dt = times[1] - times[0]
-        fd = np.gradient(bundle.g, dt, axis=0)
-        scale = np.max(np.abs(bundle.dg))
-        assert np.allclose(fd[2:-2], bundle.dg[2:-2], rtol=0.01, atol=1e-3 * scale)
-        fd2 = np.gradient(bundle.dg, dt, axis=0)
-        scale2 = np.max(np.abs(bundle.d2g))
-        assert np.allclose(fd2[2:-2], bundle.d2g[2:-2], rtol=0.01, atol=1e-3 * scale2)
+        fd = np.gradient(g, dt, axis=0)
+        scale = np.max(np.abs(dg))
+        assert np.allclose(fd[2:-2], dg[2:-2], rtol=0.01, atol=1e-3 * scale)
+        fd2 = np.gradient(dg, dt, axis=0)
+        scale2 = np.max(np.abs(d2g))
+        assert np.allclose(fd2[2:-2], d2g[2:-2], rtol=0.01, atol=1e-3 * scale2)
+        assert times.size % ROW_BLOCK != 0
+        bundle = boundary_data_bundle(pw, unit_grid, times)
+        assert np.array_equal(bundle.times, times)
+        for row, series in ((bundle.g, g), (bundle.dg, dg), (bundle.d2g, d2g)):
+            assert np.array_equal(row, aperture_norm_rows(series, unit_grid))
 
 
 class TestBoundaryDataFreq:

@@ -303,8 +303,8 @@ class TestPeriodization:
 
 class TestApertureNorm:
     def test_rows_equal_zero_extended_trace_norm(self, two_grid, rng):
-        # 130 rows cross two block boundaries; each row's norm is the -1/2
-        # trace norm of its zero extension, bit for bit.
+        # Each of 130 rows normed at once is the -1/2 trace norm of its
+        # zero extension, bit for bit.
         real = rng.standard_normal((130, two_grid.N))
         for rows in (real, real + 1j * rng.standard_normal((130, two_grid.N))):
             got = aperture_norm_rows(rows, two_grid)
