@@ -200,12 +200,15 @@ class SystemOperator:
     """Frequency-domain coupled operator with a lazy direct factorization.
 
     SuperLU orders each factorization itself, by minimum degree on
-    A^T + A in symmetric mode (ORDERING).
+    A^T + A in symmetric mode (ORDERING).  triangular_solves counts the
+    solves made with the factorization; a complex load on a real matrix
+    counts one per nonzero part (solve_by_parts).
     """
 
     s: complex
     matrix: sp.csc_matrix
     _lu: spla.SuperLU | None = field(default=None, repr=False)
+    triangular_solves: int = field(default=0, repr=False)
 
     @property
     def n_dofs(self) -> int:
@@ -236,7 +239,11 @@ class SystemOperator:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve with the factorization (solve_by_parts for a complex load)."""
-        return solve_by_parts(self.factorize().solve, self.matrix, b)
+        return solve_by_parts(self._lu_solve, self.matrix, b)
+
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        self.triangular_solves += 1
+        return self.factorize().solve(b)
 
 
 def solve_by_parts(solve, matrix: sp.spmatrix, b: np.ndarray) -> np.ndarray | None:

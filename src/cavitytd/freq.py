@@ -10,9 +10,12 @@ A sweep is solved in groups of nearby frequencies (`frequency_groups`).
 The first frequency of a group, its anchor, is solved directly; the
 others are solved by conjugate gradients on their own operator,
 preconditioned by the anchor's factorization, and carry the same
-residual certificate.  The anchor's factorization is dropped when its
-group ends, so memory stays flat in the number of solves and at most one
-factorization per worker thread is alive.  The estimate report measures
+residual certificate.  Each member's CG starts from the Galerkin
+projection of its own operator onto the group's most recent solutions,
+which costs sparse products but no triangular solve.  The anchor's
+factorization is dropped when its group ends, so memory stays flat in
+the number of solves and at most one factorization per worker thread is
+alive.  The estimate report measures
 the discrete counterpart of the resolvent bound
 
     ||grad u|| + ||s u||  <=  C * |s| / Re(s) * ||data||_{-1/2}
@@ -22,6 +25,7 @@ whose constant is pinned empirically on the reference scene.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,9 +63,11 @@ MAX_SWEEP_FREQUENCIES = 2**16
 # * |s_anchor|.  A group member's CG stops at a relative residual of
 # _CG_TOL, 1000x under the certificate; one that has not converged after
 # _CG_MAX_ITER iterations is factorized and becomes the group's anchor.
+# A member's CG starts from the group's _SEED_VECTORS most recent solutions.
 _GROUP_RADIUS = 0.25
 _CG_TOL = 1e-13
 _CG_MAX_ITER = 20
+_SEED_VECTORS = 8
 
 
 @dataclass
@@ -70,14 +76,17 @@ class FrequencySolution:
 
     residual is the relative residual of the solve and lu_nnz the fill of
     its factorization: 0 for a zero load, which needs none, and for a
-    sweep member solved on its group anchor's factorization.  At real s
-    with real data the fields have exactly zero imaginary parts.
+    sweep member solved on its group anchor's factorization.
+    triangular_solves counts the solves it made with a factorization, its
+    own or its anchor's.  At real s with real data the fields have exactly
+    zero imaginary parts.
     """
 
     s: complex
     fields: list[np.ndarray]
     residual: float
     lu_nnz: int = 0
+    triangular_solves: int = 0
 
 
 class FrequencySolver:
@@ -136,7 +145,7 @@ class FrequencySolver:
         if op is None:
             op = self.operator(s)
         x, residual = certified_solve(op, self.load(data), f"at s={s}")
-        return self._solution(s, x, residual, op.lu_nnz)
+        return self._solution(s, x, residual, op.lu_nnz, op.triangular_solves)
 
     def solve_group(
         self, s_values: list[complex], data: list[np.ndarray]
@@ -144,30 +153,41 @@ class FrequencySolver:
         """Solve one group of `frequency_groups` on its anchor's factorization.
 
         The first frequency, the anchor, is a direct solve.  Each other one
-        runs preconditioned CG on its own operator (`_anchored_cg`) and is
-        certified like a direct solve; one whose CG does not converge is
-        solved directly and becomes the anchor for the rest of the group.
+        runs preconditioned CG on its own operator (`_anchored_cg`), started
+        from the solutions of the anchor and the members after it (at most
+        _SEED_VECTORS, the most recent), and is certified like a direct
+        solve; one whose CG does not converge is solved directly and becomes
+        the anchor for the rest of the group, its solution the only seed.
         """
         out = []
-        anchor = None
+        anchor, seeds = None, deque(maxlen=_SEED_VECTORS)
         for s, d in zip(s_values, data):
             op = self.operator(s)
+            sol = None
             if anchor is not None:
                 b = self.load(d)
-                x = _anchored_cg(op, anchor, b)
+                done = anchor.triangular_solves
+                x = _anchored_cg(op, anchor, b, seeds)
                 if x is not None:
                     residual = _certify(op, x, b, f"at s={s}")
-                    out.append(self._solution(s, x, residual, 0))
-                    continue
-            anchor = None  # drop the old LU before factorizing the new one
-            out.append(self.solve(s, d, op))
-            # A zero load leaves op unfactorized; it cannot precondition.
-            anchor = op if op.lu_nnz else None
+                    sol = self._solution(s, x, residual, 0, anchor.triangular_solves - done)
+            if sol is None:
+                # Drop the old LU and seeds before factorizing the new one.
+                anchor = None
+                seeds.clear()
+                sol = self.solve(s, d, op)
+                # A zero load leaves op unfactorized; it cannot precondition.
+                anchor = op if op.lu_nnz else None
+            # An exactly real solution is held as float64.
+            seed = np.concatenate([u[f.free_nodes] for f, u in zip(self.fems, sol.fields)])
+            seeds.append(seed if seed.imag.any() else seed.real.copy())
+            out.append(sol)
         return out
 
-    def _solution(self, s, x, residual, lu_nnz) -> FrequencySolution:
+    def _solution(self, s, x, residual, lu_nnz, triangular_solves) -> FrequencySolution:
         return FrequencySolution(
-            s=complex(s), fields=self.expand(x), residual=residual, lu_nnz=lu_nnz
+            s=complex(s), fields=self.expand(x), residual=residual, lu_nnz=lu_nnz,
+            triangular_solves=triangular_solves,
         )
 
     def solve_load(self, s: complex, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,9 +244,10 @@ def frequency_groups(s_values) -> list[list[complex]]:
 
 
 def _anchored_cg(
-    op: SystemOperator, anchor: SystemOperator, b: np.ndarray
+    op: SystemOperator, anchor: SystemOperator, b: np.ndarray, seeds
 ) -> np.ndarray | None:
-    """Solve op x = b by CG preconditioned with anchor's factorization.
+    """Solve op x = b by CG preconditioned with anchor's factorization,
+    started from the Galerkin projection onto the span of `seeds`.
 
     Returns None when CG has not reached a relative residual of _CG_TOL
     within _CG_MAX_ITER iterations.  A complex load on a real operator is
@@ -235,16 +256,35 @@ def _anchored_cg(
     """
     if not np.any(b):
         return np.zeros_like(b)
-    return solve_by_parts(lambda part: _cocg(op, anchor, part), op.matrix, b)
+    return solve_by_parts(lambda part: _cocg(op, anchor, part, seeds), op.matrix, b)
 
 
-def _cocg(op: SystemOperator, anchor: SystemOperator, b: np.ndarray) -> np.ndarray | None:
+def _cocg(
+    op: SystemOperator, anchor: SystemOperator, b: np.ndarray, seeds
+) -> np.ndarray | None:
     # Conjugate orthogonal CG: the recurrence of CG in the unconjugated form
     # x^T y.  It is plain CG on the real symmetric operators of real s and
-    # serves the complex symmetric ones as well; x0 = anchor^-1 b.
+    # serves the complex symmetric ones as well.  x0 is the Galerkin
+    # projection onto the seeds (Fischer, CMAME 163, 1998), reached by
+    # conjugate-direction steps in the same form: each seed is made
+    # op-conjugate to the directions before it, and x and r step along it.
+    # A step costs one matvec and no triangular solve; a direction with
+    # p^T op p == 0, such as a zero solution, is skipped.
     tol = _CG_TOL * np.linalg.norm(b)
-    x = anchor.solve(b)
-    r = b - op.matvec(x)
+    x, r, steps = np.zeros_like(b), b, []
+    for v in seeds:
+        p = v
+        for pj, qj, pqj in steps:
+            p = p - ((qj @ p) / pqj) * pj
+        q = op.matvec(p)
+        pq = p @ q
+        if pq == 0.0:
+            continue
+        alpha = (p @ r) / pq
+        x = x + alpha * p
+        r = r - alpha * q
+        steps.append((p, q, pq))
+    del steps  # CG keeps none of the directions
     p, rz = None, 1.0
     for _ in range(_CG_MAX_ITER):
         if np.linalg.norm(r) <= tol:

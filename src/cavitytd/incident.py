@@ -96,21 +96,28 @@ class WaveProfile:
             tol = (CAUSALITY_LIMIT * abs(self.amplitude) * self.width
                    / (math.sqrt(math.e) * self.center))
             object.__setattr__(self, "causality_tol", tol)
-        # sup over tau <= 0 sits at tau = 0 (gaussian) or is exactly zero
-        # once the bump support clears the origin.
+        self.check_rest(0.0)
+
+    def check_rest(self, t: float) -> None:
+        """Raise ValueError unless the waveform is at rest for tau <= t.
+
+        sup |w| over tau <= t sits at tau = min(t, center) for the gaussian,
+        which must stay within causality_tol there; it is exactly zero while
+        the bump support starts after t.
+        """
         if self.kind == GAUSSIAN:
-            tail = abs(self.amplitude) * math.exp(-self.center**2 / (2 * self.width**2))
-            if self.amplitude != 0.0 and tail > tol:
+            lag = self.center - min(t, self.center)
+            tail = abs(self.amplitude) * math.exp(-(lag**2) / (2 * self.width**2))
+            if self.amplitude != 0.0 and tail > self.causality_tol:
                 raise ValueError(
-                    f"gaussian tail at t<=0 is {tail:.3e} > causality tolerance "
-                    f"{tol:.3e}; increase center/width ratio"
+                    f"gaussian tail at t<={t:.6g} is {tail:.3e} > causality tolerance "
+                    f"{self.causality_tol:.3e}; increase center/width ratio"
                 )
-        else:
-            if self.center < self.width:
-                raise ValueError(
-                    f"bump support [{self.center - self.width}, "
-                    f"{self.center + self.width}] reaches t <= 0"
-                )
+        elif self.center - self.width < t:
+            raise ValueError(
+                f"bump support [{self.center - self.width}, "
+                f"{self.center + self.width}] reaches t <= {t:.6g}"
+            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -202,6 +209,17 @@ class PlaneWave:
     @property
     def c2(self) -> float:
         return math.sin(self.theta) / math.sqrt(self.eps0 * self.mu0)
+
+    def check_rest(self, apertures) -> None:
+        """Raise ValueError unless the field is at rest at t = 0 on every
+        aperture.
+
+        Point x sees the waveform at t + c1*x, so an oblique wave reaches
+        the aperture end with the largest c1*x first: the profile is tested
+        up to t = max(0, c1*x) over the aperture ends.
+        """
+        arrival = max([0.0] + [self.c1 * x for ap in apertures for x in ap])
+        self.profile.check_rest(arrival)
 
 
 def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):

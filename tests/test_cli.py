@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,8 @@ class TestSolveFreq:
                              "--threads", threads]) == 0
                 metrics = json.loads((out / "manifest.json").read_text())["metrics"]
                 record = [metrics[k] for k in ("dofs", "factorizations", "lu_nnz",
-                                               "max_residual", "worst_frequency")]
+                                               "triangular_solves", "max_residual",
+                                               "worst_frequency")]
                 files = sorted(out.glob("*.csv"))
                 blobs.append((record, [p.name for p in files],
                               [p.read_bytes() for p in files]))
@@ -392,6 +394,24 @@ class TestSolveFreq:
         config["scene"]["polarization"] = "TM"
         path = write_config(tmp_path, config)
         assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_written_group_is_let_go_before_the_next_is_solved(self, tmp_path, monkeypatch):
+        # With one thread, no solution of an earlier group is alive when a
+        # group's solve starts: each is dropped as it is written.
+        refs = []
+        solve_group = freq.FrequencySolver.solve_group
+
+        def spy(solver, s_values, data):
+            assert all(ref() is None for ref in refs)
+            sols = solve_group(solver, s_values, data)
+            refs.extend(weakref.ref(sol) for sol in sols)
+            return sols
+
+        monkeypatch.setattr(freq.FrequencySolver, "solve_group", spy)
+        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 24, "s_im": 0.0})
+        path = write_config(tmp_path, config)
+        assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert len(refs) == 24 and all(ref() is None for ref in refs)
 
 
 class TestSolveTime:
@@ -513,6 +533,34 @@ class TestSolveTime:
         config["incident"]["profile"]["causality_tol"] = 1e-3
         path = write_config(tmp_path, config, "loose.json")
         assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == loose_code
+
+    def test_oblique_rest_state_at_aperture_arrival(self, tmp_path, monkeypatch, capsys):
+        # reference_two's wave (theta = 0.4 pi) reaches the aperture end
+        # x = 1.5 at waveform time c1 * 1.5 = 0.46, before t = 0.  Centred at
+        # 6.6 widths, the waveform there is 1.7e-8 against the default
+        # tolerance 9.2e-10 (3.5e-10 at the origin), and the march reads an
+        # initial ratio of 2.8e-8 against its 1e-8.  solve-time exits 2
+        # before meshing; the frequency commands, which never march, keep
+        # the rule at the origin, and the shipped centre (7.33 widths) runs.
+        config = json.loads((CONFIG_DIR / "reference_two.json").read_text())
+        shipped = write_config(tmp_path, config, "shipped.json")
+        config["incident"]["profile"]["center"] = 6.6 * 0.75
+        path = write_config(tmp_path, config)
+        parser = cli._build_parser()
+        for command in ("solve-freq", "sweep"):
+            cli._parse_config(parser.parse_args([command, "--config", str(path)]))
+        cli._parse_config(parser.parse_args(["solve-time", "--config", str(shipped)]))
+        config["incident"]["profile"]["causality_tol"] = 1e-3
+        loose = write_config(tmp_path, config, "loose.json")
+        assert main(["solve-time", "--config", str(loose), "--out", str(tmp_path)]) == 1
+        assert "CausalityViolation" in capsys.readouterr().err
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("config error reached the meshing stage")
+
+        monkeypatch.setattr(cli, "mesh_scene", no_work)
+        assert main(["solve-time", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "gaussian tail at t<=0.463525 is 1.697e-08" in capsys.readouterr().err
 
     def test_nan_dt_exit_2(self, tmp_path, monkeypatch, capsys):
         # json reads the NaN literal; the scheme check must reject it before

@@ -297,6 +297,19 @@ def anchored_sweep(solver, s_values, data):
     return sols
 
 
+def spy_solves(monkeypatch):
+    """Count the calls of SystemOperator.solve from here on."""
+    calls = [0]
+    solve = SystemOperator.solve
+
+    def counting_solve(op, b):
+        calls[0] += 1
+        return solve(op, b)
+
+    monkeypatch.setattr(SystemOperator, "solve", counting_solve)
+    return calls
+
+
 def relative_difference(sol, ref):
     diff = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(sol.fields, ref.fields)))
     return diff / np.sqrt(sum(np.vdot(f, f).real for f in ref.fields))
@@ -345,6 +358,86 @@ class TestAnchoredSweep:
         assert len(frequency_groups(s_values)) == 1
         with pytest.raises(FactorizationFailure, match=re.escape(f"at s={s_values[1]}")):
             solver.solve_group(s_values, data)
+
+    @pytest.mark.parametrize("kind, parent, bound", [("real", 288, 230), ("complex", 287, 258)])
+    def test_seeded_start_saves_triangular_solves(self, two_sweeps, kind, parent, bound,
+                                                  monkeypatch):
+        # Every solve made with a factorization, the anchors' own included.
+        # Started from A(s_anchor)^-1 b, the sweeps made `parent` of them;
+        # started from the group's earlier solutions they make 221 and 254.
+        # Their groups hold 4 and at most 6 frequencies, so a member has at
+        # most 5 seeds; the dense sweep below shows the saving on longer
+        # groups.
+        solver, _, sweeps = two_sweeps
+        calls = spy_solves(monkeypatch)
+        sols = anchored_sweep(solver, SWEEPS[kind], sweeps[kind][0])
+        assert sum(sol.triangular_solves for sol in sols) == calls[0] <= bound < parent
+
+    def test_seeded_start_halves_triangular_solves_on_long_groups(self, two_sweeps,
+                                                                 monkeypatch):
+        # 192 real frequencies in 15 groups, as many as the benchmark's
+        # sweep: 1286 solves from A(s_anchor)^-1 b, 402 from the seeds.
+        solver, pw, _ = two_sweeps
+        s_values = [complex(v) for v in np.geomspace(0.25, 8.0, 192)]
+        data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
+        calls = spy_solves(monkeypatch)
+        sols = anchored_sweep(solver, s_values, data)
+        assert sum(sol.lu_nnz > 0 for sol in sols) == len(frequency_groups(s_values)) == 15
+        assert sum(sol.triangular_solves for sol in sols) == calls[0] <= 1286 // 2
+        assert all(0.0 < sol.residual <= 1e-10 for sol in sols)
+        for s, d, sol in list(zip(s_values, data, sols))[::7]:
+            assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
+
+    def test_zero_member_direction_is_skipped(self, two_sweeps):
+        # The middle member has zero data: its zero solution becomes a seed
+        # with p^T A p == 0, which the next member's start skips.
+        solver, pw, _ = two_sweeps
+        s_values = [1.0, 1.05, 1.1, 1.15 + 0.05j]
+        data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
+        data[1] = np.zeros_like(data[1])
+        sols = solver.solve_group(s_values, data)
+        assert [sol.lu_nnz > 0 for sol in sols] == [True, False, False, False]
+        zero = sols[1]
+        assert zero.residual == 0.0 and zero.triangular_solves == 0
+        assert all(not np.any(f) for f in zero.fields)
+        for s, d, sol in zip(s_values[2:], data[2:], sols[2:]):
+            assert 0.0 < sol.residual <= 1e-10
+            assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
+
+    def test_real_members_after_complex_seeds_stay_real(self, two_sweeps):
+        # Real members follow a complex anchor and a complex member: their
+        # starts and CG iterates are complex, their fields exactly real.
+        solver, pw, _ = two_sweeps
+        s_values = [1.0 + 0.2j, 1.1, 1.05 + 0.1j, 1.15, 1.2]
+        data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
+        sols = solver.solve_group(s_values, data)
+        assert sols[0].lu_nnz > 0 and all(sol.lu_nnz == 0 for sol in sols[1:])
+        for s, d, sol in zip(s_values, data, sols):
+            if s.imag == 0.0:
+                assert all(np.all(f.imag == 0.0) for f in sol.fields)
+            assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [freq._SEED_VECTORS, 2])
+    def test_at_most_the_cap_of_seeds_is_held(self, two_sweeps, cap, monkeypatch):
+        # One group of 16 frequencies; real solutions are held as float64.
+        monkeypatch.setattr(freq, "_SEED_VECTORS", cap)
+        held = []
+        cocg = freq._cocg
+
+        def spy(op, anchor, b, seeds):
+            held.append([v.dtype for v in seeds])
+            return cocg(op, anchor, b, seeds)
+
+        monkeypatch.setattr(freq, "_cocg", spy)
+        solver, pw, _ = two_sweeps
+        s_values = [complex(v) for v in np.linspace(2.0, 2.5, 16)]
+        assert len(frequency_groups(s_values)) == 1
+        data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
+        sols = solver.solve_group(s_values, data)
+        assert [len(dtypes) for dtypes in held] == [min(k, cap) for k in range(1, 16)]
+        assert all(dtype == np.float64 for dtypes in held for dtype in dtypes)
+        for s, d, sol in zip(s_values, data, sols):
+            assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
 
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_cg_cap_zero_makes_every_frequency_an_anchor(self, two_sweeps, kind,
