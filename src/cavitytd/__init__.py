@@ -12,10 +12,9 @@ from .cq import CqScheme, TimeSolution, run_time_domain
 from .diagnostics import (
     EnergyTrace,
     apriori_check,
-    dissipation_violation,
     energy,
+    passivity_deficit,
     passivity_suite,
-    shutoff_time,
     stability_check,
 )
 from .errors import (

@@ -34,14 +34,15 @@ per step.
 The march keeps no field history and no space-time data array: besides
 the four latest states, what it holds grows with N only through the DtN
 weights and spectra (3 (N+1)(N_trace/2+1) numbers) and the per-step
-record (8 (N+1)); the fields would add (N+1) n_nodes, the sampled data
+record (9 (N+1)); the fields would add (N+1) n_nodes, the sampled data
 (N+1) N_trace.  It samples g one block of ROW_BLOCK steps at a time and
 keeps the two previous rows that D1 g reads.  Each step adds its column
-to the record: the six quadratic forms of FORMS that the energy checks
+to the record: the rows of FORMS that the energy and passivity checks
 read, the state norm behind the causality check and the -1/2 aperture
 norm of g_n; it hands its fields to the caller's observer, if any.
 
-`validate` certifies the time-domain passivity of these same DtN weights
+The flux row is the pairing -(dx/mu0) <(omega * Rf u)_n, D1(Rf u)_n>
+(flux_terms), which `validate` certifies on random histories
 (diagnostics.passivity_suite).
 """
 
@@ -64,6 +65,7 @@ __all__ = [
     "FORMS",
     "TimeSolution",
     "dtn_weights",
+    "flux_terms",
     "run_time_domain",
 ]
 
@@ -113,23 +115,23 @@ class CqScheme:
         return (3.0 - 4.0 * zeta + zeta * zeta) / 2.0
 
 
-# Rows of TimeSolution.forms: the per-step quadratic forms the energy,
-# stability and a-priori checks read (see diagnostics.EnergyTrace).
-FORMS = ("kinetic", "potential", "du_l2", "du_h1", "u_l2", "u_h1")
+# Rows of TimeSolution.forms: the per-step forms the energy, stability,
+# a-priori and passivity checks read (see diagnostics.EnergyTrace).
+FORMS = ("kinetic", "potential", "du_l2", "du_h1", "u_l2", "u_h1", "flux")
 
 
 @dataclass
 class TimeSolution:
     """The march's per-step record on the time grid; it holds no field.
 
-    forms is the (6, N+1) array of the quadratic forms named by FORMS, by
-    finite-element quadrature: kinetic = du^T M du and potential = u^T K u
-    with the material weights, du_l2, du_h1, u_l2 and u_h1 with the unit
-    weights, du the backward difference of u (zero at step 0, first order
-    at step 1, the BDF2 difference after).  state_norm is the Euclidean
-    norm of the stacked nodal vector at each step and g the (N+1,) row of
-    zero-extended -1/2 aperture norms (trace.aperture_norm_rows) of the
-    data that drove the march.  imag_residue is the largest
+    forms is the (7, N+1) array of the rows named by FORMS: by quadrature,
+    kinetic = du^T M du and potential = u^T K u with the material weights,
+    du_l2, du_h1, u_l2 and u_h1 with the unit weights, du the backward
+    difference of u (zero at step 0, first order at step 1, the BDF2
+    difference after); flux the summed flux_terms.  state_norm is the
+    Euclidean norm of the stacked nodal vector at each step and g the
+    (N+1,) row of zero-extended -1/2 aperture norms of the data that drove
+    the march (trace.aperture_norm_rows).  imag_residue is the largest
     imaginary part the march discarded from the DtN weights, relative to
     the largest weight (the step matrix W0 is real by construction);
     initial_ratio the t = 0 state norm relative to the trajectory peak;
@@ -178,6 +180,17 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
         weights[:, lo : lo + block.size] = w.real
         imag = max(imag, float(np.max(np.abs(w.imag))))
     return weights, imag / float(np.max(np.abs(weights)))
+
+
+def flux_terms(conv: np.ndarray, d1: np.ndarray, grid: TraceGrid, mu0: float) -> np.ndarray:
+    """Per-mode terms of the pairing -(dx/mu0) <conv, d1> of two rfft spectra
+    (last axis), the DtN convolution omega * Rf u and the BDF2 difference
+    D1(Rf u).  The rfft multiplicities weight them to sum to the pairing of
+    the full spectrum: inner modes twice, (N even) zero and Nyquist once.
+    """
+    mult = np.full(conv.shape[-1], 2.0)
+    mult[[0, -1]] = 1.0
+    return -(grid.dx / (mu0 * grid.N)) * mult * (conv * np.conj(d1)).real
 
 
 def run_time_domain(
@@ -236,8 +249,9 @@ def run_time_domain(
     state_norm = np.zeros(n1)
     g_norm = np.zeros(n1)
     du = np.zeros(w0.n_dofs)
-    # g_{n-1} and g_{n-2}, at rest before t = 0.
+    # g_{n-1}, g_{n-2} and the spectra z_{n-1}, z_{n-2}: at rest before t = 0.
     g1 = g2 = np.zeros(grid.N)
+    z1 = z2 = np.zeros(omega.shape[1], dtype=complex)
     for n in range(n1):
         if n % ROW_BLOCK == 0:
             # The data of the next block of steps, and its norm row.
@@ -260,6 +274,9 @@ def run_time_domain(
             du += recent[1]
             du /= 2.0 * dt
         m_du, k_x = mass @ du, stiffness @ x
+        # The flux pairs the whole DtN convolution with D1 of the spectra.
+        z = np.fft.rfft(rf @ x)
+        d1z = (3.0 * z - 4.0 * z1 + z2) / (2.0 * dt)
         forms[:, n] = (
             du @ m_du,
             x @ k_x,
@@ -267,12 +284,13 @@ def run_time_domain(
             du @ (stiffness_unit @ du),
             x @ (mass_unit @ x),
             x @ (k_x if stiffness_unit is stiffness else stiffness_unit @ x),
+            np.sum(flux_terms(omega[0] * z + (re + 1j * im), d1z, grid, scene.mu0)),
         )
         state_norm[n] = np.sqrt(x @ x)
         recent[1:] = recent[:-1]
         recent[0] = x
-        z = np.fft.rfft(rf @ x)
         spectra[n1 - 1 - n] = z.real, z.imag
+        z1, z2 = z, z1
         if observer is not None:
             observer(n, solver.expand(x))
 

@@ -126,18 +126,6 @@ class WaveProfile:
             return (self.center - self.width, self.center + self.width)
         return (self.center - 8.0 * self.width, self.center + 8.0 * self.width)
 
-    @property
-    def tail_time(self) -> float:
-        """Time after which the waveform tail is below ~1e-10 of the peak.
-
-        Beyond seven widths the gaussian injects relative energy per step
-        quadratically below every tolerance used by the energy checks; the
-        bump is exactly zero past its support.
-        """
-        if self.kind == BUMP:
-            return self.center + self.width
-        return self.center + 7.0 * self.width
-
     def derivative(self, tau, order: int = 1):
         """d^order w / d tau^order, analytic, orders 0..3."""
         if order not in (0, 1, 2, 3):

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -413,6 +415,45 @@ class TestSolveFreq:
         assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert len(refs) == 24 and all(ref() is None for ref in refs)
 
+    def test_threads_hold_at_most_their_groups(self, tmp_path, monkeypatch):
+        # With --threads 3, no more than three groups are in flight: a slow
+        # writer does not let the workers solve ahead of it.  The 24 real
+        # frequencies fall into 8 groups of 3, so at most 9 solutions are
+        # alive at once.
+        lock = threading.Lock()
+        live, peak = [0], [0]
+        solve_group = freq.FrequencySolver.solve_group
+        save_solution_csv = cli.save_solution_csv
+
+        def released():
+            with lock:
+                live[0] -= 1
+
+        def spy(solver, s_values, data):
+            sols = solve_group(solver, s_values, data)
+            with lock:
+                live[0] += len(sols)
+                peak[0] = max(peak[0], live[0])
+            for sol in sols:
+                weakref.finalize(sol, released)
+            return sols
+
+        def slow_save(*args):
+            time.sleep(0.01)
+            save_solution_csv(*args)
+
+        monkeypatch.setattr(freq.FrequencySolver, "solve_group", spy)
+        monkeypatch.setattr(cli, "save_solution_csv", slow_save)
+        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 24, "s_im": 0.0})
+        path = write_config(tmp_path, config)
+        assert freq.frequency_groups(np.geomspace(0.5, 4.0, 24)) == [
+            list(map(complex, g)) for g in np.split(np.geomspace(0.5, 4.0, 24), 8)
+        ]
+        assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path),
+                     "--threads", "3"]) == 0
+        assert live[0] == 0
+        assert 3 <= peak[0] <= 9
+
 
 class TestSolveTime:
     def test_zero_amplitude_all_zero(self, tmp_path):
@@ -455,7 +496,7 @@ class TestSolveTime:
         assert metrics["trace"] == {"L": 4.0, "N": 64}
         for check, metric, limit in (
             ("realness", "imag_residue", 1e-10),
-            ("energy-dissipation", "dissipation_violation", 1e-8),
+            ("boundary-passivity", "passivity_deficit", 1e-10),
             ("stability-ratio", "stability_ratio",
              diagnostics.PINNED_STABILITY_RATIO * diagnostics.PIN_MARGIN),
         ):
@@ -471,15 +512,15 @@ class TestSolveTime:
             assert rerun.pop(key) and manifest.pop(key)
         assert rerun == manifest
 
-    @pytest.mark.parametrize("pin, dissipation_limit, passed",
+    @pytest.mark.parametrize("pin, passivity_limit, passed",
                              [(1e12, 1.0, True), (1e-12, -1.0, False)],
                              ids=["limits-above", "limits-below"])
     def test_stability_report_rows_match_manifest_checks(self, tmp_path, monkeypatch,
-                                                         pin, dissipation_limit, passed):
+                                                         pin, passivity_limit, passed):
         # The report copies each verdict the manifest records, with the
         # value and limit it was judged on, whichever way the verdict goes.
         monkeypatch.setattr(diagnostics, "PINNED_STABILITY_RATIO", pin)
-        monkeypatch.setattr(diagnostics, "DISSIPATION_LIMIT", dissipation_limit)
+        monkeypatch.setattr(diagnostics, "TIME_DEFECT_TOL", passivity_limit)
         path = write_config(tmp_path, small_config())
         out = tmp_path / "out"
         assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
@@ -491,7 +532,7 @@ class TestSolveTime:
         # Report row -> (manifest check, its metric, value column, limit column).
         matched = {
             "stability": ("stability-ratio", "stability_ratio", 3, None),
-            "dissipation-violation": ("energy-dissipation", "dissipation_violation", 1, 2),
+            "passivity-deficit": ("boundary-passivity", "passivity_deficit", 1, 2),
         }
         for name, (check, metric, value_col, limit_col) in matched.items():
             recorded = manifest["metrics"][metric]
@@ -500,6 +541,25 @@ class TestSolveTime:
                 assert float(rows[name][limit_col]) == recorded["limit"], name
             assert rows[name][4] == str(manifest["checks"][check]), name
             assert manifest["checks"][check] is passed, name
+
+    def test_negated_dtn_history_fails_boundary_passivity(self, tmp_path, monkeypatch):
+        # A march whose DtN history has its sign flipped feeds energy back
+        # through the apertures: the cumulative outflow goes negative on the
+        # shipped scene, and the check reads false.
+        dtn_weights = cq.dtn_weights
+
+        def negated(*args):
+            omega, imag = dtn_weights(*args)
+            omega[1:] *= -1.0
+            return omega, imag
+
+        monkeypatch.setattr(cq, "dtn_weights", negated)
+        out = tmp_path / "out"
+        assert main(["solve-time", "--config", str(CONFIG_DIR / "reference_single.json"),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checks"]["boundary-passivity"] is False
+        assert manifest["metrics"]["passivity_deficit"]["value"] > 0.1
 
     def test_deterministic_probes(self, tmp_path):
         path = write_config(tmp_path, small_config())

@@ -189,9 +189,10 @@ class TestRunTimeDomain:
 
     @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
     def test_streamed_forms_match_the_history_walk(self, name):
-        # The march accumulates its six forms step by step; walking the
-        # recorded history afterwards, with time_derivative building du/dt,
-        # gives the same record up to the order of summation.
+        # The march accumulates its forms step by step; walking the recorded
+        # history afterwards, with time_derivative building du/dt and the
+        # DtN convolution of the whole trace history, gives the same record
+        # up to the order of summation.
         _, scene, meshes, grid, pw, scheme = load_reference(name)
         sol, fields = run_recorded(scene, meshes, grid, pw, scheme)
         fems = fem.assemble_all(scene, meshes, grid)
@@ -208,6 +209,17 @@ class TestRunTimeDomain:
                 ("u_l2", u, f.mass_unit), ("u_h1", u, f.stiffness_unit),
             ):
                 walked[key] = walked[key] + form(block, matrix)
+        trace = np.fft.rfft(sum(f.restriction @ u.T for f, u in zip(fems, fields)).T, axis=1)
+        omega, _ = cq.dtn_weights(grid, scene.c, scheme)
+        conv = np.zeros_like(trace)
+        for k in range(scheme.steps + 1):
+            conv[k:] += omega[k] * trace[: scheme.steps + 1 - k]
+        # The BDF2 difference of a history at rest before t = 0.
+        d1 = 3.0 * trace
+        d1[1:] -= 4.0 * trace[:-1]
+        d1[2:] += trace[:-2]
+        d1 /= 2.0 * scheme.dt
+        walked["flux"] = np.sum(cq.flux_terms(conv, d1, grid, scene.mu0), axis=1)
         for key, got in zip(cq.FORMS, sol.forms):
             ref = walked[key]
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), key
