@@ -220,6 +220,14 @@ def _manifest(args, run: RunConfig, meshes=(), **fields) -> RunManifest:
     )
     if run.grid is not None:
         manifest.metrics["trace"] = {"L": run.grid.L, "N": run.grid.N}
+    if run.grid is not None and run.h:
+        # The solve commands' resolution: mesh size against trace spacing,
+        # and for the march the step against the pulse width.
+        res = {"h": run.h, "dx": run.grid.dx, "h_over_dx": run.h / run.grid.dx, "L": run.grid.L}
+        if run.scheme is not None:
+            res["dt"] = run.scheme.dt
+            res["dt_over_width"] = run.scheme.dt / run.wave.profile.width
+        manifest.metrics["resolution"] = {key: float(v) for key, v in res.items()}
     return manifest
 
 
@@ -332,6 +340,8 @@ def cmd_validate(args) -> int:
     manifest.add_output(summary_path)
 
     manifest.checks = {c["name"]: bool(c["passed"]) for c in checks}
+    for name, value, limit, _ in rows:
+        manifest.metrics[name] = {"value": value, "limit": limit}
     manifest.write(out / "manifest.json")
     ok = manifest.passed()
     print(f"validate: {'PASS' if ok else 'FAIL'} ({len(checks)} checks)")

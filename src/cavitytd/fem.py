@@ -44,7 +44,6 @@ __all__ = [
     "assemble_all",
     "apply_rhs",
     "build_system",
-    "solve_by_parts",
 ]
 
 # Barycentric coordinates of the three edge midpoints (degree-2 exact rule).
@@ -201,8 +200,7 @@ class SystemOperator:
 
     SuperLU orders each factorization itself, by minimum degree on
     A^T + A in symmetric mode (ORDERING).  triangular_solves counts the
-    solves made with the factorization; a complex load on a real matrix
-    counts one per nonzero part (solve_by_parts).
+    solves made with the factorization.
     """
 
     s: complex
@@ -238,34 +236,10 @@ class SystemOperator:
         return 0 if self._lu is None else self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve with the factorization (solve_by_parts for a complex load)."""
-        return solve_by_parts(self._lu_solve, self.matrix, b)
-
-    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve with the factorization, in its arithmetic: a real matrix
+        takes a real load (SuperLU raises TypeError on a complex one)."""
         self.triangular_solves += 1
         return self.factorize().solve(b)
-
-
-def solve_by_parts(solve, matrix: sp.spmatrix, b: np.ndarray) -> np.ndarray | None:
-    """solve(b) for an operator with this matrix, the one place where a
-    complex load meets a real operator.
-
-    A complex load on a real matrix is solved as its real and imaginary
-    parts: an all-zero part is skipped and stays exactly zero, and each
-    part keeps the real part of its solution (a complex solver, such as a
-    complex preconditioner, adds only round-off to it).  Returns None when
-    `solve` returns None for a part.
-    """
-    if not np.iscomplexobj(b) or np.iscomplexobj(matrix.data):
-        return solve(b)
-    x = np.zeros(b.shape, dtype=np.complex128)
-    for part, target in ((b.real, x.real), (b.imag, x.imag)):
-        if np.any(part):
-            y = solve(np.ascontiguousarray(part))
-            if y is None:
-                return None
-            target[...] = y.real
-    return x
 
 
 @dataclass(frozen=True)

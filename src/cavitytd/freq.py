@@ -39,7 +39,6 @@ from .fem import (
     apply_rhs,
     assemble_all,
     build_system,
-    solve_by_parts,
 )
 from .scene import Mesh, Scene
 from .trace import TraceGrid, aperture_norm_rows
@@ -62,7 +61,8 @@ MAX_SWEEP_FREQUENCIES = 2**16
 # A sweep frequency joins its group while |s - s_anchor| <= _GROUP_RADIUS
 # * |s_anchor|.  A group member's CG stops at a relative residual of
 # _CG_TOL, 1000x under the certificate; one that has not converged after
-# _CG_MAX_ITER iterations is factorized and becomes the group's anchor.
+# _CG_MAX_ITER iterations, or whose realness differs from the anchor's,
+# is factorized and becomes the group's anchor.
 # A member's CG starts from the group's _SEED_VECTORS most recent solutions.
 _GROUP_RADIUS = 0.25
 _CG_TOL = 1e-13
@@ -72,14 +72,15 @@ _SEED_VECTORS = 8
 
 @dataclass
 class FrequencySolution:
-    """Complex nodal fields at one frequency, full node set per cavity.
+    """Nodal fields at one frequency, full node set per cavity.
 
-    residual is the relative residual of the solve and lu_nnz the fill of
-    its factorization: 0 for a zero load, which needs none, and for a
-    sweep member solved on its group anchor's factorization.
+    The fields take the dtype of the load: float64 at real s, where the
+    operator and boundary_data_freq's data are real, and complex128
+    otherwise.  residual is the relative residual of the solve and lu_nnz
+    the fill of its factorization: 0 for a zero load, which needs none,
+    and for a sweep member solved on its group anchor's factorization.
     triangular_solves counts the solves it made with a factorization, its
-    own or its anchor's.  At real s with real data the fields have exactly
-    zero imaginary parts.
+    own or its anchor's.
     """
 
     s: complex
@@ -153,21 +154,24 @@ class FrequencySolver:
         """Solve one group of `frequency_groups` on its anchor's factorization.
 
         The first frequency, the anchor, is a direct solve.  Each other one
-        runs preconditioned CG on its own operator (`_anchored_cg`), started
-        from the solutions of the anchor and the members after it (at most
+        runs preconditioned CG on its own operator (`_cocg`), started from
+        the solutions of the anchor and the members after it (at most
         _SEED_VECTORS, the most recent), and is certified like a direct
-        solve; one whose CG does not converge is solved directly and becomes
-        the anchor for the rest of the group, its solution the only seed.
+        solve.  CG runs only on an anchor of the member's own arithmetic,
+        real or complex.  A member whose realness differs from the
+        anchor's, or whose CG does not converge, is solved directly and
+        becomes the anchor for the rest of the group, its solution the only
+        seed.
         """
         out = []
         anchor, seeds = None, deque(maxlen=_SEED_VECTORS)
         for s, d in zip(s_values, data):
             op = self.operator(s)
             sol = None
-            if anchor is not None:
+            if anchor is not None and anchor.matrix.dtype == op.matrix.dtype:
                 b = self.load(d)
                 done = anchor.triangular_solves
-                x = _anchored_cg(op, anchor, b, seeds)
+                x = _cocg(op, anchor, b, seeds)
                 if x is not None:
                     residual = _certify(op, x, b, f"at s={s}")
                     sol = self._solution(s, x, residual, 0, anchor.triangular_solves - done)
@@ -178,9 +182,7 @@ class FrequencySolver:
                 sol = self.solve(s, d, op)
                 # A zero load leaves op unfactorized; it cannot precondition.
                 anchor = op if op.lu_nnz else None
-            # An exactly real solution is held as float64.
-            seed = np.concatenate([u[f.free_nodes] for f, u in zip(self.fems, sol.fields)])
-            seeds.append(seed if seed.imag.any() else seed.real.copy())
+            seeds.append(np.concatenate([u[f.free_nodes] for f, u in zip(self.fems, sol.fields)]))
             out.append(sol)
         return out
 
@@ -243,25 +245,15 @@ def frequency_groups(s_values) -> list[list[complex]]:
     return groups
 
 
-def _anchored_cg(
+def _cocg(
     op: SystemOperator, anchor: SystemOperator, b: np.ndarray, seeds
 ) -> np.ndarray | None:
     """Solve op x = b by CG preconditioned with anchor's factorization,
     started from the Galerkin projection onto the span of `seeds`.
 
     Returns None when CG has not reached a relative residual of _CG_TOL
-    within _CG_MAX_ITER iterations.  A complex load on a real operator is
-    solved by parts (solve_by_parts), so at real s the solution of real
-    data has imaginary parts exactly 0.
+    within _CG_MAX_ITER iterations, and the zero solution for a zero load.
     """
-    if not np.any(b):
-        return np.zeros_like(b)
-    return solve_by_parts(lambda part: _cocg(op, anchor, part, seeds), op.matrix, b)
-
-
-def _cocg(
-    op: SystemOperator, anchor: SystemOperator, b: np.ndarray, seeds
-) -> np.ndarray | None:
     # Conjugate orthogonal CG: the recurrence of CG in the unconjugated form
     # x^T y.  It is plain CG on the real symmetric operators of real s and
     # serves the complex symmetric ones as well.  x0 is the Galerkin
@@ -347,16 +339,15 @@ def save_solution_csv(
     """One row `x,y,re_u,im_u` per vertex, every value at 17 significant digits.
 
     `fmt` is `solution_csv_format(mesh)`; pass it to reuse it across fields.
-    A field whose every imaginary part is +0.0 (any real `s`) fills the
-    format that prints them as the same `0` without formatting them.
+    A real field (any real `s`) fills the format whose im_u is a literal 0,
+    and a complex one prints every imaginary part, a -0.0 as -0.
     """
     if fmt is None:
         fmt = solution_csv_format(mesh)
-    values = np.ascontiguousarray(field, dtype=np.complex128).view(np.float64)
-    # Bitwise, so a -0.0 still goes through %.17g and prints as -0.
-    if values[1::2].view(np.int64).any():
+    if np.iscomplexobj(field):
+        values = np.ascontiguousarray(field, dtype=np.complex128).view(np.float64)
         text = fmt[0] % tuple(values.tolist())
     else:
-        text = fmt[1] % tuple(values[::2].tolist())
+        text = fmt[1] % tuple(np.asarray(field, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

@@ -231,18 +231,22 @@ def boundary_data_series(
 
 
 def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray:
-    """Laplace transform of the aperture data at frequency s (complex).
+    """Laplace transform of the aperture data at frequency s.
 
     Gaussian profiles use the closed form through the scaled complementary
     error function; the bump profile integrates its compact support with
-    adaptive quadrature to _QUAD_TOL.
+    adaptive quadrature to _QUAD_TOL.  The transform of real data is real
+    at real s: the result is float64 there, like the operator of real s,
+    and complex128 otherwise.
     """
     s = complex(s)
     if not s.real > 0.0:
         raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
     if pw.profile.kind == GAUSSIAN:
-        return _gaussian_g_laplace(pw, grid.x, s)
-    return np.array([_quad_g_laplace(pw, xk, s) for xk in grid.x], dtype=np.complex128)
+        g = _gaussian_g_laplace(pw, grid.x, s)
+    else:
+        g = np.array([_quad_g_laplace(pw, xk, s) for xk in grid.x], dtype=np.complex128)
+    return g.real.copy() if s.imag == 0.0 else g
 
 
 def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:

@@ -11,7 +11,7 @@ from cavitytd.cq import CqScheme, dtn_weights
 from cavitytd.errors import DimensionMismatch, DomainError
 from cavitytd.fem import SystemOperator, SystemPattern, assemble
 from cavitytd.freq import FrequencySolver
-from cavitytd.incident import BoundaryDataNorms, boundary_data_series
+from cavitytd.incident import BoundaryDataNorms, boundary_data_freq, boundary_data_series
 from cavitytd.trace import aperture_norm_rows
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -141,9 +141,9 @@ def reference_single():
 
 
 # ---------------------------------------------------------------------------
-# Test references: the all-at-once CQ realization, the single-cavity
-# assembly, the block time derivative, the free-space fields and the
-# sustained-data growth study.  The package runs none of them; the tests
+# Test references: the all-at-once CQ realization, the time-exact Laplace
+# inversion, the single-cavity assembly, the block time derivative, the
+# free-space fields and the sustained-data growth study.  The package runs none of them; the tests
 # compare it against them.
 # ---------------------------------------------------------------------------
 
@@ -185,13 +185,40 @@ def run_all_at_once(scene, meshes, grid, pw, scheme, contour_tol):
     g_series = boundary_data_series(pw, grid, scheme.times())
     g_hat = np.fft.rfft(g_series * lam ** np.arange(n1)[:, None], axis=0)
     solver = FrequencySolver(scene, meshes, grid)
+    # Node l = 0 is real: its operator is real, and so is its transform.
     u_hat = np.stack([
-        solver.solve_load(s_nodes[l], solver.load(g_hat[l]))[0]
+        solver.solve_load(s_nodes[l], solver.load(g_hat[l] if l else g_hat[0].real))[0]
         for l in range(n1 // 2 + 1)
     ])
     hist = np.fft.irfft(u_hat, n=n1, axis=0)
     hist *= lam ** (-np.arange(n1, dtype=float))[:, None]
     return solver.expand(hist)
+
+
+def laplace_inversion(solver, pw, times, a, period, omega_max):
+    """Time-exact nodal fields: the frequency solves inverted along Re s = a.
+
+        u(t) = (e^{a t} / pi) Re int_0^inf U(a + i w) e^{i w t} dw,
+
+    by the trapezoid rule in w with step 2 pi / period up to omega_max, one
+    `solver.solve` of `boundary_data_freq` per node; the w = 0 node is the
+    real solve of s = a.  Aliasing is about e^{-a (period - t)}, and the
+    truncation is negligible once the data spectrum is.  The reference has
+    the march's mesh, trace grid and L, so their difference is the time
+    error alone.  Returns one (len(times), n_nodes) block per cavity.
+    """
+    dw = 2.0 * np.pi / period
+    omegas = dw * np.arange(int(omega_max / dw) + 1)
+    u_hat = np.stack([
+        np.concatenate(solver.solve(s, boundary_data_freq(pw, solver.grid, s)).fields)
+        for s in a + 1j * omegas
+    ])
+    times = np.asarray(times, dtype=float)
+    weights = np.full(omegas.size, dw)
+    weights[0] = dw / 2.0
+    hist = (np.exp(1j * np.outer(times, omegas)) * weights) @ u_hat
+    hist = hist.real * (np.exp(a * times) / np.pi)[:, None]
+    return np.split(hist, np.cumsum([f.n_nodes for f in solver.fems])[:-1], axis=1)
 
 
 def build_system_single(scene, mesh, grid, s, fem=None):

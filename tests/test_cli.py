@@ -78,6 +78,24 @@ class TestValidate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["passed"] is True
 
+    def test_manifest_records_each_check_value_and_limit(self, tmp_path):
+        # Each check's value and limit sit under metrics, keyed by the check,
+        # as the same two numbers as its report row.  Three apertures give
+        # all nine checks.
+        config = json.loads((CONFIG_DIR / "reference_three.json").read_text())
+        config["validate"]["trials"] = 40
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = (out / "validate_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(manifest["checks"]) == 9
+        for row in rows:
+            name, value, limit, passed = row.split(",")
+            assert manifest["metrics"][name] == {"value": float(value), "limit": float(limit)}
+            assert manifest["checks"][name] is (passed == "True")
+        assert "resolution" not in manifest["metrics"]
+
     def test_flipped_dtn_weight_exit_1(self, tmp_path, flipped_dtn_weight):
         path = write_config(tmp_path, small_config())
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
@@ -390,6 +408,37 @@ class TestSolveFreq:
             assert blobs[0] == blobs[1]
             factorizations = blobs[0][0][1]
             assert factorizations == count if count == 6 else factorizations < count
+
+    def test_mixed_realness_factorizes_at_each_switch(self, tmp_path):
+        # One group that switches between complex and real s three times:
+        # each switch factorizes, and the files match direct solves and do
+        # not depend on the thread count.
+        s_flag = "1+0.2j,1.1,1.05+0.1j,1.15"
+        s_values = [complex(tok) for tok in s_flag.split(",")]
+        assert len(freq.frequency_groups(s_values)) == 1
+        config = small_config()
+        path = write_config(tmp_path, config)
+        blobs = []
+        for threads in ("1", "3"):
+            out = tmp_path / threads
+            assert main(["solve-freq", "--config", str(path), "--out", str(out),
+                         "--s", s_flag, "--threads", threads]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["metrics"]["factorizations"] == 4
+            files = sorted(out.glob("*.csv"))
+            blobs.append(([p.name for p in files], [p.read_bytes() for p in files]))
+        assert blobs[0] == blobs[1]
+        scene = build_scene(config)
+        grid = TraceGrid(L=4.0, N=64, apertures=scene.apertures)
+        solver = freq.FrequencySolver(scene, mesh_scene(scene, 0.2), grid)
+        profile = incident.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5)
+        wave = incident.PlaneWave(profile, math.pi / 2)
+        for k, s in enumerate(s_values):
+            ref = solver.solve(s, incident.boundary_data_freq(wave, grid, s)).fields[0]
+            rows = np.loadtxt(out / f"solution_s{k:03d}_cavity0.csv", delimiter=",",
+                              skiprows=1)
+            got = rows[:, 2] + 1j * rows[:, 3]
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_tm_scene_exit_2(self, tmp_path):
         config = small_config()
@@ -747,6 +796,19 @@ class TestSolveTime:
 # format mesh-export writes.
 SQUARE_MESH = ("4\n-0.5 0\n-0.5 -1\n0.5 -1\n0.5 0\n2\n0 1 2\n0 2 3\n"
                "4\n0 1 0\n1 2 0\n2 3 0\n3 0 1\n")
+
+
+@pytest.mark.parametrize("command", ["solve-freq", "sweep", "solve-time"])
+def test_manifest_records_resolution(tmp_path, command):
+    # h, dx = L/N and L of the config, and for the march dt and dt/sigma.
+    path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    resolution = json.loads((out / "manifest.json").read_text())["metrics"]["resolution"]
+    expected = {"h": 0.2, "dx": 4.0 / 64, "h_over_dx": 0.2 / (4.0 / 64), "L": 4.0}
+    if command == "solve-time":
+        expected |= {"dt": 0.2, "dt_over_width": 0.2 / 0.5}
+    assert resolution == expected
 
 
 class TestMeshExport:

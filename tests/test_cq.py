@@ -14,6 +14,7 @@ from conftest import (
     REFERENCE_CONTOUR_TOL,
     contour_radius,
     cq_frequencies,
+    laplace_inversion,
     load_reference,
     run_all_at_once,
     run_recorded,
@@ -235,6 +236,49 @@ class TestRunTimeDomain:
         _, fields = self.run_recorded(two_scene, two_meshes, two_grid, pw, steps=64, T=8.0)
         assert np.max(np.abs(fields[0])) > 0.0
         assert np.max(np.abs(fields[1])) > 0.0
+
+
+# The time-exact reference: inversion along Re s = 0.3 with step 2 pi / 96
+# up to omega = 14, and a second setting that must agree with it.
+INVERSION = (0.3, 96.0, 14.0)
+INVERSION_CHECK = (0.4, 128.0, 18.0)
+# The march's largest error at the shipped dt = 0.125 against the reference,
+# relative to its peak over every node and step (t <= 16), rounded up from
+# the measured 0.156 and 0.145.
+SHIPPED_DT_ERROR = {"reference_single": 0.16, "reference_three": 0.15}
+
+
+class TestTimeExactReference:
+    def test_inversion_agrees_with_itself(self, reference_single):
+        # A change of (a, P, Omega) moves the reference by under 1e-8 of peak.
+        _, scene, meshes, grid, pw, scheme = reference_single
+        solver = freq.FrequencySolver(scene, meshes, grid)
+        refs = [np.concatenate(laplace_inversion(solver, pw, scheme.times(), *setting),
+                               axis=1)
+                for setting in (INVERSION, INVERSION_CHECK)]
+        peak = np.max(np.abs(refs[0]))
+        assert np.max(np.abs(refs[0] - refs[1])) <= 1e-8 * peak
+
+    @pytest.mark.parametrize("name", SHIPPED_DT_ERROR)
+    def test_march_converges_at_second_order(self, name):
+        # The march at the shipped dt, dt/2 and dt/4 against the time-exact
+        # reference: BDF2's order, at least 1.7 per halving, and no more
+        # error at the shipped dt than measured.
+        _, scene, meshes, grid, pw, scheme = load_reference(name)
+        assert scheme.dt == 0.125 and scheme.steps == 128
+        solver = freq.FrequencySolver(scene, meshes, grid)
+        fine = CqScheme(dt=scheme.dt / 4, steps=4 * scheme.steps)
+        ref = np.concatenate(laplace_inversion(solver, pw, fine.times(), *INVERSION), axis=1)
+        peak = np.max(np.abs(ref))
+        errors = []
+        for k in (1, 2, 4):
+            march = CqScheme(dt=scheme.dt / k, steps=k * scheme.steps)
+            _, fields = run_recorded(scene, meshes, grid, pw, march)
+            diff = np.concatenate(fields, axis=1) - ref[:: 4 // k]
+            errors.append(np.max(np.abs(diff)) / peak)
+        orders = np.log2(errors[:-1]) - np.log2(errors[1:])
+        assert errors[0] <= SHIPPED_DT_ERROR[name]
+        assert np.all(orders >= 1.7)
 
 
 class TestTimeDerivative:

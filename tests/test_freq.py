@@ -41,14 +41,14 @@ class TestSolveFrequency:
         assert any(np.any(f) for f in sol.fields)
 
     def test_real_s_gives_exactly_real_fields(self, unit_solver, unit_grid, gaussian_wave):
-        # At real s the gaussian data and the matrix are real, so the
-        # complex fields carry exact zeros as imaginary parts.
-        s = 1.7
-        sol = unit_solver.solve(s, ct.boundary_data_freq(gaussian_wave, unit_grid, s))
-        assert sol.lu_nnz > 0 and sol.residual <= 1e-10
-        for f in sol.fields:
-            assert f.dtype == np.complex128
-            assert np.any(f.real != 0.0) and np.all(f.imag == 0.0)
+        # The dtype follows s from the data to the fields: float64 at real
+        # s, where the data and the matrix are real, complex128 otherwise.
+        for s, dtype in ((1.7, np.float64), (1.7 + 0.3j, np.complex128)):
+            data = ct.boundary_data_freq(gaussian_wave, unit_grid, s)
+            assert data.dtype == unit_solver.load(data).dtype == dtype
+            sol = unit_solver.solve(s, data)
+            assert sol.lu_nnz > 0 and sol.residual <= 1e-10
+            assert all(f.dtype == dtype and np.any(f) for f in sol.fields)
 
     def test_linearity_in_data(self, unit_solver, unit_grid, gaussian_wave):
         s = 2.0 + 0.4j
@@ -206,14 +206,17 @@ class TestEstimateReport:
         field.real[: len(special)] = special
         field.imag[: len(special)] = special[::-1]
         field[len(special)] = complex(-0.0, -0.0)
-        # A real field (any real s) has +0.0 imaginary parts; one -0.0
-        # among them must still print as -0.
-        real = rng.standard_normal(mesh.n_vertices).astype(np.complex128)
-        real.real[: len(special)] = special
-        signed = real.copy()
+        # A real field (any real s) prints im_u as 0, the bytes %.17g gives
+        # +0.0: the same file as the complex field with +0.0 imaginary
+        # parts.  One -0.0 among them must still print as -0.
+        real = rng.standard_normal(mesh.n_vertices)
+        real[: len(special)] = special
+        zero_imag = real.astype(np.complex128)
+        signed = zero_imag.copy()
         signed.imag[3] = -0.0
         fmt = solution_csv_format(mesh)
-        for name, f in (("complex", field), ("real", real), ("signed", signed)):
+        for name, f in (("complex", field), ("real", real), ("zero_imag", zero_imag),
+                        ("signed", signed)):
             path = tmp_path / f"{name}.csv"
             save_solution_csv(path, mesh, f, fmt)
             # Reference: the per-row formatting the writer must reproduce byte for byte.
@@ -225,6 +228,7 @@ class TestEstimateReport:
             assert "e-324," in expected
         assert ",-0,-0\n" in (tmp_path / "complex.csv").read_text()
         assert ",-0\n" not in (tmp_path / "real.csv").read_text()
+        assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "zero_imag.csv").read_bytes()
         assert (tmp_path / "signed.csv").read_text().count(",-0\n") == 1
 
 
@@ -310,6 +314,21 @@ def spy_solves(monkeypatch):
     return calls
 
 
+def spy_cg_dtypes(monkeypatch):
+    """Record, per CG call from here on, the dtypes of its seeds and the
+    set of dtypes of its seeds, load, operator and anchor."""
+    calls = []
+    cocg = freq._cocg
+
+    def spy(op, anchor, b, seeds):
+        held = [v.dtype for v in seeds]
+        calls.append((held, set(held) | {b.dtype, op.matrix.dtype, anchor.matrix.dtype}))
+        return cocg(op, anchor, b, seeds)
+
+    monkeypatch.setattr(freq, "_cocg", spy)
+    return calls
+
+
 def relative_difference(sol, ref):
     diff = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(sol.fields, ref.fields)))
     return diff / np.sqrt(sum(np.vdot(f, f).real for f in ref.fields))
@@ -334,20 +353,21 @@ class TestAnchoredSweep:
         for s, sol, ref in zip(SWEEPS[kind], sols, direct):
             assert sol.s == s and 0.0 < sol.residual <= 1e-10
             assert relative_difference(sol, ref) <= 1e-12
-            if s.imag == 0.0:
-                assert all(np.all(f.imag == 0.0) for f in sol.fields)
+            assert all(f.dtype == ref.fields[0].dtype for f in sol.fields)
 
     def test_real_member_of_complex_anchor_stays_real(self, two_sweeps):
-        # The real s joins the group of a complex anchor: its CG iterates
-        # are complex, and the solution keeps their exactly real part.
+        # The real s joins the group of a complex anchor but runs no CG on
+        # it: it is factorized in real arithmetic and becomes the anchor,
+        # so its fields are its direct solve's, float64.
         solver, pw, _ = two_sweeps
         s_values = [1.0 + 0.2j, 1.1]
+        assert len(frequency_groups(s_values)) == 1
         data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
         anchor, member = solver.solve_group(s_values, data)
         ref = solver.solve(s_values[1], data[1])
-        assert anchor.lu_nnz > 0 and member.lu_nnz == 0
-        assert all(np.all(f.imag == 0.0) for f in member.fields)
-        assert relative_difference(member, ref) <= 1e-12
+        assert anchor.lu_nnz > 0 and member.lu_nnz == ref.lu_nnz > 0
+        assert all(f.dtype == np.float64 for f in member.fields)
+        assert all(np.array_equal(a, b) for a, b in zip(member.fields, ref.fields))
 
     def test_member_certificate_miss_names_its_frequency(self, two_sweeps, monkeypatch):
         # CG stopped far above the certificate: the member's fresh residual
@@ -389,14 +409,15 @@ class TestAnchoredSweep:
             assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
 
     def test_zero_member_direction_is_skipped(self, two_sweeps):
-        # The middle member has zero data: its zero solution becomes a seed
-        # with p^T A p == 0, which the next member's start skips.
+        # The second member has zero data: its zero solution becomes a seed
+        # with p^T A p == 0, which the next member's start skips.  The last,
+        # complex member is factorized: it runs no CG on the real anchor.
         solver, pw, _ = two_sweeps
         s_values = [1.0, 1.05, 1.1, 1.15 + 0.05j]
         data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
         data[1] = np.zeros_like(data[1])
         sols = solver.solve_group(s_values, data)
-        assert [sol.lu_nnz > 0 for sol in sols] == [True, False, False, False]
+        assert [sol.lu_nnz > 0 for sol in sols] == [True, False, False, True]
         zero = sols[1]
         assert zero.residual == 0.0 and zero.triangular_solves == 0
         assert all(not np.any(f) for f in zero.fields)
@@ -404,38 +425,49 @@ class TestAnchoredSweep:
             assert 0.0 < sol.residual <= 1e-10
             assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
 
-    def test_real_members_after_complex_seeds_stay_real(self, two_sweeps):
-        # Real members follow a complex anchor and a complex member: their
-        # starts and CG iterates are complex, their fields exactly real.
+    def test_real_members_after_complex_seeds_stay_real(self, two_sweeps, monkeypatch):
+        # Realness switches three times in one group: each switch drops the
+        # old anchor and its seeds and factorizes, so the last real member
+        # runs CG on a real anchor from real seeds only.
+        calls = spy_cg_dtypes(monkeypatch)
         solver, pw, _ = two_sweeps
-        s_values = [1.0 + 0.2j, 1.1, 1.05 + 0.1j, 1.15, 1.2]
+        s_values = [1.0 + 0.2j, 1.1, 1.05 + 0.1j, 1.15, 1.12]
+        assert len(frequency_groups(s_values)) == 1
         data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
         sols = solver.solve_group(s_values, data)
-        assert sols[0].lu_nnz > 0 and all(sol.lu_nnz == 0 for sol in sols[1:])
+        assert [sol.lu_nnz > 0 for sol in sols] == [True, True, True, True, False]
+        assert [dtypes for _, dtypes in calls] == [{np.dtype(np.float64)}]
         for s, d, sol in zip(s_values, data, sols):
-            if s.imag == 0.0:
-                assert all(np.all(f.imag == 0.0) for f in sol.fields)
+            dtype = np.float64 if s.imag == 0.0 else np.complex128
+            assert all(f.dtype == dtype for f in sol.fields)
             assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_dtype_follows_s_from_data_to_seeds(self, two_sweeps, kind, monkeypatch):
+        # Data, load, CG seeds and fields: float64 at real s, complex128 at
+        # complex s, with no copy or split between them.
+        dtype = np.dtype(np.float64 if kind == "real" else np.complex128)
+        calls = spy_cg_dtypes(monkeypatch)
+        solver, _, sweeps = two_sweeps
+        data, _ = sweeps[kind]
+        assert {d.dtype for d in data} == {solver.load(d).dtype for d in data} == {dtype}
+        sols = anchored_sweep(solver, SWEEPS[kind], data)
+        assert len(calls) == len(sols) - len(frequency_groups(SWEEPS[kind])) > 0
+        assert all(dtypes == {dtype} for _, dtypes in calls)
+        assert {f.dtype for sol in sols for f in sol.fields} == {dtype}
 
     @pytest.mark.parametrize("cap", [freq._SEED_VECTORS, 2])
     def test_at_most_the_cap_of_seeds_is_held(self, two_sweeps, cap, monkeypatch):
-        # One group of 16 frequencies; real solutions are held as float64.
+        # One group of 16 real frequencies, whose solutions are float64.
         monkeypatch.setattr(freq, "_SEED_VECTORS", cap)
-        held = []
-        cocg = freq._cocg
-
-        def spy(op, anchor, b, seeds):
-            held.append([v.dtype for v in seeds])
-            return cocg(op, anchor, b, seeds)
-
-        monkeypatch.setattr(freq, "_cocg", spy)
+        calls = spy_cg_dtypes(monkeypatch)
         solver, pw, _ = two_sweeps
         s_values = [complex(v) for v in np.linspace(2.0, 2.5, 16)]
         assert len(frequency_groups(s_values)) == 1
         data = [ct.boundary_data_freq(pw, solver.grid, s) for s in s_values]
         sols = solver.solve_group(s_values, data)
-        assert [len(dtypes) for dtypes in held] == [min(k, cap) for k in range(1, 16)]
-        assert all(dtype == np.float64 for dtypes in held for dtype in dtypes)
+        assert [len(held) for held, _ in calls] == [min(k, cap) for k in range(1, 16)]
+        assert all(dtypes == {np.dtype(np.float64)} for _, dtypes in calls)
         for s, d, sol in zip(s_values, data, sols):
             assert relative_difference(sol, solver.solve(s, d)) <= 1e-12
 
