@@ -42,7 +42,7 @@ read, the state norm behind the causality check and the -1/2 aperture
 norm of g_n; it hands its fields to the caller's observer, if any.
 
 The flux row is the pairing -(dx/mu0) <(omega * Rf u)_n, D1(Rf u)_n>
-(flux_terms), which `validate` certifies on random histories
+(trace.pairing_terms), which `validate` certifies on random histories
 (diagnostics.passivity_suite).
 """
 
@@ -58,14 +58,13 @@ from .fem import SystemOperator, apply_rhs
 from .freq import FrequencySolver, certified_solve
 from .incident import CAUSALITY_LIMIT, ROW_BLOCK, PlaneWave, boundary_data_series
 from .scene import Mesh, Scene
-from .trace import TraceGrid, aperture_norm_rows, beta
+from .trace import TraceGrid, aperture_norm_rows, beta, pairing_terms
 
 __all__ = [
     "CqScheme",
     "FORMS",
     "TimeSolution",
     "dtn_weights",
-    "flux_terms",
     "run_time_domain",
 ]
 
@@ -128,8 +127,8 @@ class TimeSolution:
     kinetic = du^T M du and potential = u^T K u with the material weights,
     du_l2, du_h1, u_l2 and u_h1 with the unit weights, du the backward
     difference of u (zero at step 0, first order at step 1, the BDF2
-    difference after); flux the summed flux_terms.  state_norm is the
-    Euclidean norm of the stacked nodal vector at each step and g the
+    difference after); flux the summed trace.pairing_terms.  state_norm is
+    the Euclidean norm of the stacked nodal vector at each step and g the
     (N+1,) row of zero-extended -1/2 aperture norms of the data that drove
     the march (trace.aperture_norm_rows).  imag_residue is the largest
     imaginary part the march discarded from the DtN weights, relative to
@@ -168,7 +167,7 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
     m = 4 * n1
     rho = _WEIGHT_ALIASING ** (1.0 / m)
     s = CqScheme.generating_symbol(rho * np.exp(2j * np.pi * np.arange(m) / m)) / scheme.dt
-    xi = grid.xi[: grid.N // 2 + 1]  # the rfft modes; beta is even in xi
+    xi = grid.rfft_xi
     scale = (rho ** -np.arange(n1) / m)[:, None]
     weights = np.empty((n1, xi.size))
     imag = 0.0
@@ -180,17 +179,6 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
         weights[:, lo : lo + block.size] = w.real
         imag = max(imag, float(np.max(np.abs(w.imag))))
     return weights, imag / float(np.max(np.abs(weights)))
-
-
-def flux_terms(conv: np.ndarray, d1: np.ndarray, grid: TraceGrid, mu0: float) -> np.ndarray:
-    """Per-mode terms of the pairing -(dx/mu0) <conv, d1> of two rfft spectra
-    (last axis), the DtN convolution omega * Rf u and the BDF2 difference
-    D1(Rf u).  The rfft multiplicities weight them to sum to the pairing of
-    the full spectrum: inner modes twice, (N even) zero and Nyquist once.
-    """
-    mult = np.full(conv.shape[-1], 2.0)
-    mult[[0, -1]] = 1.0
-    return -(grid.dx / (mu0 * grid.N)) * mult * (conv * np.conj(d1)).real
 
 
 def run_time_domain(
@@ -284,7 +272,7 @@ def run_time_domain(
             du @ (stiffness_unit @ du),
             x @ (mass_unit @ x),
             x @ (k_x if stiffness_unit is stiffness else stiffness_unit @ x),
-            np.sum(flux_terms(omega[0] * z + (re + 1j * im), d1z, grid, scene.mu0)),
+            np.sum(pairing_terms(omega[0] * z + (re + 1j * im), d1z, grid, scene.mu0)),
         )
         state_norm[n] = np.sqrt(x @ x)
         recent[1:] = recent[:-1]

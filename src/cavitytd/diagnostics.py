@@ -9,10 +9,10 @@ than PIN_MARGIN.
 The passivity suite exercises the sign-definiteness of the boundary
 quadratic form three ways: single trace, coupled two-trace, and n-trace
 random configurations in the frequency domain, plus the time-domain
-pairing of the march's own BDF2 DtN weights (cq.dtn_weights) with the
-BDF2 difference (cq.flux_terms).  BDF2 is A-stable, so by Parseval on
-|zeta| = 1 that pairing is nonnegative mode by mode for every causal
-history that returns to rest (Lubich, Numer. Math. 67, 1994; Banjai,
+pairing (trace.pairing_terms) of the march's own BDF2 DtN weights
+(cq.dtn_weights) with the BDF2 difference.  BDF2 is A-stable, so by
+Parseval on |zeta| = 1 that pairing is nonnegative mode by mode for every
+causal history that returns to rest (Lubich, Numer. Math. 67, 1994; Banjai,
 Lubich & Sayas, Numer. Math. 129, 2015).
 
 The time-domain checks read one per-step record: the march
@@ -31,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cq import FORMS, CqScheme, TimeSolution, dtn_weights, flux_terms
+from .cq import FORMS, CqScheme, TimeSolution, dtn_weights
 from .errors import DimensionMismatch
 from .incident import BoundaryDataNorms
 from .io import write_csv
-from .trace import TraceGrid, passivity_defect, restrict
+from .trace import TraceGrid, pairing_terms, passivity_defect, restrict
 
 __all__ = [
     "EnergyTrace",
@@ -333,7 +333,7 @@ def _time_domain_defect(
     d1[1:] -= 4.0 * u_hat[:-1]
     d1[2:] += u_hat[:-2]
     d1 /= 2.0 * _TD_DT
-    terms = flux_terms(conv, d1, grid, mu0)
+    terms = pairing_terms(conv, d1, grid, mu0)
     scale = float(np.sum(np.abs(terms)))
     return float(np.sum(terms)) / scale if scale > 0.0 else 0.0
 

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, DomainError, FactorizationFailure
 from .scene import CavitySpec, Mesh, Scene
-from .trace import TraceGrid, apply_B_columns
+from .trace import TraceGrid, apply_B as apply_B_columns  # span seam of bench/tracer.py
 
 __all__ = [
     "ORDERING",

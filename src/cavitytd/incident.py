@@ -290,21 +290,17 @@ def _quad_g_laplace(pw: PlaneWave, x: float, s: complex) -> complex:
     if t1 <= t0:
         return 0.0 + 0.0j
 
-    def integrand_re(t):
-        return float(np.real(np.exp(-s * t) * _g_closed_form(pw, x, t)))
-
-    def integrand_im(t):
-        return float(np.imag(np.exp(-s * t) * _g_closed_form(pw, x, t)))
-
-    re, re_err = quad(integrand_re, t0, t1, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    im, im_err = quad(integrand_im, t0, t1, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    scale = max(abs(re) + abs(im), abs(pw.profile.amplitude))
-    if max(re_err, im_err) > 100.0 * _QUAD_TOL * scale + 10.0 * _QUAD_TOL:
+    value, err = quad(
+        lambda t: np.exp(-s * t) * _g_closed_form(pw, x, t), t0, t1,
+        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, complex_func=True,
+    )
+    scale = max(abs(value.real) + abs(value.imag), abs(pw.profile.amplitude))
+    worst = max(err.real, err.imag)
+    if worst > 100.0 * _QUAD_TOL * scale + 10.0 * _QUAD_TOL:
         raise QuadratureFailure(
-            f"Laplace quadrature error {max(re_err, im_err):.2e} above tolerance at "
-            f"x={x}, s={s}"
+            f"Laplace quadrature error {worst:.2e} above tolerance at x={x}, s={s}"
         )
-    return complex(re, im)
+    return value
 
 
 @dataclass(frozen=True)

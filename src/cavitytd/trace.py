@@ -10,7 +10,10 @@ realized as exact zeros between them.
 Trace data are plain length-N numpy arrays, and every operator that needs
 the symbol takes its one parameter, the exterior light speed ``c``
 (`beta` rejects ``c <= 0`` and NaN).  The dtype follows the data: the
-restrictions keep a real trace real, and the FFT operators return complex.
+restrictions keep a real trace real, and so does `apply_B` at real s,
+where the symbol is real (through the rfft modes `TraceGrid.rfft_xi`).
+This module is the one owner of how B(s) is applied, which modes it acts
+on, how two rfft spectra pair (`pairing_terms`) and how traces are normed.
 
 Transform convention, fixed here and used everywhere in the package:
 
@@ -47,6 +50,7 @@ __all__ = [
     "restrict",
     "trace_norm",
     "aperture_norm_rows",
+    "pairing_terms",
     "passivity_defect",
 ]
 
@@ -125,6 +129,12 @@ class TraceGrid:
     def xi(self) -> np.ndarray:
         """Angular frequencies 2*pi*m/L in FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
+
+    @cached_property
+    def rfft_xi(self) -> np.ndarray:
+        """The rfft modes xi[: N/2 + 1].  The symbol is even in xi, so the
+        sign numpy gives the last one (Nyquist) does not matter."""
+        return self.xi[: self.N // 2 + 1]
 
     @cached_property
     def masks(self) -> tuple[np.ndarray, ...]:
@@ -219,28 +229,20 @@ def _check_grid(u: np.ndarray, grid: TraceGrid) -> None:
 def apply_B(u: np.ndarray, s: complex, grid: TraceGrid, c: float) -> np.ndarray:
     """Apply the DtN boundary operator: multiply mode m by beta(xi_m, s).
 
-    Linear in u; O(N log N).  The dense counterpart `dtn_dense` reproduces
-    this exactly (same modes, same normalization).
+    Acts along axis 0 of a trace or of an (N, k) array of columns; linear
+    in u, O(N log N).  At real s the symbol is real, so a real input goes
+    through rfft / irfft and comes back as an exactly real float64 array;
+    otherwise the result is complex.  The dense counterpart `dtn_dense`
+    reproduces this exactly (same modes, same normalization).
     """
-    _check_grid(u, grid)
-    return np.fft.ifft(beta(grid.xi, s, c) * np.fft.fft(u))
-
-
-def apply_B_columns(cols: np.ndarray, s: complex, grid: TraceGrid, c: float) -> np.ndarray:
-    """apply_B over the columns of an (N, k) array in one vectorized pass.
-
-    At real s the symbol is real, so real columns map to real columns: they
-    go through rfft / irfft and come back as an exactly real array.
-    """
-    if cols.shape[0] != grid.N:
-        raise GridMismatch(f"column length {cols.shape[0]} does not match grid N={grid.N}")
-    if complex(s).imag == 0.0 and not np.iscomplexobj(cols):
-        # The rfft modes are xi[: N/2 + 1]; the symbol is even, so the sign
-        # numpy gives the last one (Nyquist) does not matter.
-        b = beta(grid.xi[: grid.N // 2 + 1], s, c).real
-        return np.fft.irfft(b[:, None] * np.fft.rfft(cols, axis=0), n=grid.N, axis=0)
+    if u.ndim not in (1, 2) or u.shape[0] != grid.N:
+        raise GridMismatch(f"trace array of shape {u.shape} does not match grid N={grid.N}")
+    axis0 = (slice(None),) + (None,) * (u.ndim - 1)  # the symbol along axis 0
+    if complex(s).imag == 0.0 and not np.iscomplexobj(u):
+        b = beta(grid.rfft_xi, s, c).real
+        return np.fft.irfft(b[axis0] * np.fft.rfft(u, axis=0), n=grid.N, axis=0)
     b = beta(grid.xi, s, c)
-    return np.fft.ifft(b[:, None] * np.fft.fft(cols, axis=0), axis=0)
+    return np.fft.ifft(b[axis0] * np.fft.fft(u, axis=0), axis=0)
 
 
 def dtn_dense(grid: TraceGrid, s: complex, c: float) -> np.ndarray:
@@ -264,24 +266,20 @@ def restrict(u: np.ndarray, j: int, grid: TraceGrid) -> np.ndarray:
     return np.where(grid.masks[j], u, 0)
 
 
-def multiplier_norm_rows(rows: np.ndarray, order: float, grid: TraceGrid) -> np.ndarray:
-    """Row-wise Fourier-multiplier norm; the single definition behind every
-    trace-norm evaluation in the package (scalar and batched).  The rows
-    must have length grid.N; its two callers check that."""
-    coeff = np.fft.fft(rows, axis=-1) / grid.N
-    weight = (1.0 + grid.xi**2) ** order
-    return np.sqrt(grid.L * np.sum(weight * np.abs(coeff) ** 2, axis=-1))
-
-
-def trace_norm(u: np.ndarray, order: float, grid: TraceGrid) -> float:
+def trace_norm(u: np.ndarray, order: float, grid: TraceGrid) -> float | np.ndarray:
     """Fourier-multiplier Sobolev norm with weight (1 + xi^2)**order.
 
     Normalized so that order = 0 reproduces the discrete L2 norm
     sqrt(dx * sum |u_k|^2); orders +-1/2 are the trace norms paired by the
     boundary-operator continuity estimate.  Homogeneous of degree one.
+    A float for one trace, one norm per row (last axis) of a 2-D array.
     """
-    _check_grid(u, grid)
-    return float(multiplier_norm_rows(u[None, :], order, grid)[0])
+    if u.ndim not in (1, 2) or u.shape[-1] != grid.N:
+        raise GridMismatch(f"trace array of shape {u.shape} does not match grid N={grid.N}")
+    coeff = np.fft.fft(u, axis=-1) / grid.N
+    weight = (1.0 + grid.xi**2) ** order
+    norm = np.sqrt(grid.L * np.sum(weight * np.abs(coeff) ** 2, axis=-1))
+    return float(norm) if u.ndim == 1 else norm
 
 
 def aperture_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
@@ -290,7 +288,18 @@ def aperture_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
     """
     if rows.ndim != 2 or rows.shape[1] != grid.N:
         raise GridMismatch(f"rows of shape {rows.shape} do not match grid N={grid.N}")
-    return multiplier_norm_rows(np.where(grid.union_mask, rows, 0.0), -0.5, grid)
+    return trace_norm(np.where(grid.union_mask, rows, 0.0), -0.5, grid)
+
+
+def pairing_terms(a: np.ndarray, b: np.ndarray, grid: TraceGrid, mu0: float) -> np.ndarray:
+    """Per-mode terms of the pairing -(dx/mu0) <a, b> of two real traces,
+    given as rfft spectra (last axis).  The rfft multiplicities weight the
+    terms to sum to the pairing of the full spectrum: inner modes twice,
+    (N even) zero and Nyquist once.
+    """
+    mult = np.full(a.shape[-1], 2.0)
+    mult[[0, -1]] = 1.0
+    return -(grid.dx / (mu0 * grid.N)) * mult * (a * np.conj(b)).real
 
 
 def passivity_defect(

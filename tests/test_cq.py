@@ -8,7 +8,7 @@ from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme
 from cavitytd.errors import DimensionMismatch, FactorizationFailure
 from cavitytd.incident import ROW_BLOCK, boundary_data_series
-from cavitytd.trace import aperture_norm_rows
+from cavitytd.trace import aperture_norm_rows, pairing_terms
 
 from conftest import (
     REFERENCE_CONTOUR_TOL,
@@ -220,7 +220,7 @@ class TestRunTimeDomain:
         d1[1:] -= 4.0 * trace[:-1]
         d1[2:] += trace[:-2]
         d1 /= 2.0 * scheme.dt
-        walked["flux"] = np.sum(cq.flux_terms(conv, d1, grid, scene.mu0), axis=1)
+        walked["flux"] = np.sum(pairing_terms(conv, d1, grid, scene.mu0), axis=1)
         for key, got in zip(cq.FORMS, sol.forms):
             ref = walked[key]
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), key

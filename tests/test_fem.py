@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 import cavitytd as ct
 from cavitytd.errors import DimensionMismatch, DomainError
 from cavitytd.fem import SystemPattern, assemble, assemble_all
-from cavitytd.trace import apply_B_columns
+from cavitytd.trace import apply_B
 from conftest import build_system_single, load_reference
 
 
@@ -181,7 +181,7 @@ class TestSystemOperator:
             m = fem.mass[free][:, free]
             k = fem.stiffness[free][:, free]
             ru = (fem.restriction[:, free] @ u).astype(np.complex128)
-            bru = apply_B_columns(ru[:, None], self.S, unit_grid, c)[:, 0]
+            bru = apply_B(ru[:, None], self.S, unit_grid, c)[:, 0]
             boundary = unit_grid.dx * np.sum(bru * np.conj(ru))
             via_parts = (
                 self.S * np.vdot(u, m @ u)
@@ -377,8 +377,8 @@ class TestFixedPattern:
             got = solver.pattern.coupling(s, grid, c)
             # At real s the block and the real-column path are exactly real.
             assert got.dtype == (np.float64 if s.imag == 0.0 else np.complex128)
-            by_columns = ra.T @ (grid.dx * apply_B_columns(ra.astype(np.complex128), s, grid, c))
-            real_columns = ra.T @ (grid.dx * apply_B_columns(ra, s, grid, c))
+            by_columns = ra.T @ (grid.dx * apply_B(ra.astype(np.complex128), s, grid, c))
+            real_columns = ra.T @ (grid.dx * apply_B(ra, s, grid, c))
             dense = ra.T @ (grid.dx * ct.dtn_dense(grid, s, c)) @ ra
             for ref in (by_columns, real_columns, dense):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

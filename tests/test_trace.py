@@ -117,6 +117,21 @@ class TestApplyB:
         ref = dense @ u
         got = ct.apply_B(u, s, unit_grid, C)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        # A real trace at real s stays real, through the rfft modes.
+        real = rng.standard_normal(unit_grid.N)
+        got = ct.apply_B(real, 1.3, unit_grid, C)
+        ref = ct.dtn_dense(unit_grid, 1.3, C) @ real
+        assert got.dtype == np.float64
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        # Each column of an (N, 3) block is the call on that one trace.
+        real = rng.standard_normal((unit_grid.N, 3))
+        for block in (real, real + 1j * rng.standard_normal((unit_grid.N, 3))):
+            for sv in (1.3, s):
+                got = ct.apply_B(block, sv, unit_grid, C)
+                assert got.shape == block.shape
+                for k in range(3):
+                    one = ct.apply_B(block[:, k], sv, unit_grid, C)
+                    assert got[:, k].tobytes() == one.tobytes()
 
     def test_linearity(self, unit_grid, rng):
         u = rng.standard_normal(unit_grid.N) + 1j * rng.standard_normal(unit_grid.N)
@@ -312,6 +327,8 @@ class TestApertureNorm:
                    for row in rows]
             assert got.shape == (130,)
             assert got.tolist() == ref
+            extended = np.where(two_grid.union_mask, rows, 0)
+            assert ct.trace_norm(extended, -0.5, two_grid).tolist() == got.tolist()
 
     def test_grid_mismatch(self, two_grid):
         for rows in (np.ones((3, 1)), np.ones(two_grid.N), np.ones((3, 64))):
