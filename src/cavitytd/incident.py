@@ -21,8 +21,10 @@ aperture data reduces to the closed form
 which is what the solvers consume; the nonlocal term of the exact
 boundary condition drops out analytically and is retained only as a test
 oracle.  The Laplace transform of g is evaluated in closed form for the
-gaussian profile (scaled complementary error function) and by adaptive
-quadrature for the compactly supported bump.
+gaussian profile (scaled complementary error function).  For the compactly
+supported bump it is one adaptive quadrature per frequency, shared by every
+sample the pulse reaches after t = 0; only the samples whose support is cut
+at t = 0 take a quadrature each.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import DomainError, QuadratureFailure
 from .trace import TraceGrid, aperture_norm_rows
@@ -234,10 +235,11 @@ def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray
     """Laplace transform of the aperture data at frequency s.
 
     Gaussian profiles use the closed form through the scaled complementary
-    error function; the bump profile integrates its compact support with
-    adaptive quadrature to _QUAD_TOL.  The transform of real data is real
-    at real s: the result is float64 there, like the operator of real s,
-    and complex128 otherwise.
+    error function.  The bump profile takes one adaptive quadrature to
+    _QUAD_TOL per frequency, shared by every sample the pulse reaches after
+    t = 0, and one more per sample whose support is cut at t = 0.  The
+    transform of real data is real at real s: the result is float64 there,
+    like the operator of real s, and complex128 otherwise.
     """
     s = complex(s)
     if not s.real > 0.0:
@@ -245,7 +247,7 @@ def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray
     if pw.profile.kind == GAUSSIAN:
         g = _gaussian_g_laplace(pw, grid.x, s)
     else:
-        g = np.array([_quad_g_laplace(pw, xk, s) for xk in grid.x], dtype=np.complex128)
+        g = _bump_g_laplace(pw, grid.x, s)
     return g.real.copy() if s.imag == 0.0 else g
 
 
@@ -260,6 +262,10 @@ def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
     where E is evaluated through the Faddeeva reflection when Re(zeta) < 0
     so both branches stay bounded for strongly delayed pulses.
     """
+    # Imported here: only the frequency commands need it, and scipy.special
+    # adds about 3.7 MB to every process that loads it.
+    from scipy.special import wofz
+
     prof = pw.profile
     sigma, tau0, amp = prof.width, prof.center, prof.amplitude
     r0 = pw.c1 * np.asarray(x, dtype=float) - tau0
@@ -279,26 +285,56 @@ def _gaussian_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
     return 2.0 * pw.c2 * amp * (s * sigma * math.sqrt(math.pi / 2.0) * E - gauss)
 
 
-def _quad_g_laplace(pw: PlaneWave, x: float, s: complex) -> complex:
+def _bump_g_laplace(pw: PlaneWave, x: np.ndarray, s: complex) -> np.ndarray:
+    """Laplace transform of the bump data at every x.
+
+    A sample with c1*x <= lo, the start of the support, is at rest at t = 0,
+    and its transform is the shared one delayed:
+
+        g^(x, s) = exp(-s (lo - c1 x)) * W(s),
+        W(s) = int_0^{hi-lo} e^{-s t} 2 c2 w'(t + lo) dt,
+
+    W taken from the support start so that neither factor overflows.  The
+    samples with c1*x > lo, whose support is cut at t = 0, keep their own
+    quadrature; x = 0, a sample of every trace grid, is never cut.
+    """
+    lo = pw.profile.support[0]
+    delay = pw.c1 * x
+    cut = delay > lo
+    g = np.empty(x.shape, dtype=np.complex128)
+    g[~cut] = np.exp(-s * (lo - delay[~cut])) * _quad_g_laplace(pw, None, s)
+    g[cut] = [_quad_g_laplace(pw, xk, s) for xk in x[cut]]
+    return g
+
+
+def _quad_g_laplace(pw: PlaneWave, x: float | None, s: complex) -> complex:
+    """int_0^inf e^{-st} g(x, t) dt by adaptive quadrature to _QUAD_TOL.
+
+    x = None gives the shared transform W(s) of _bump_g_laplace: the one at
+    a point the support start reaches at t = 0 exactly.
+    """
     # Imported here: only the bump profile needs it, and scipy.integrate
     # (with the scipy.optimize it pulls in) is a large share of start-up.
     from scipy.integrate import quad
 
     lo, hi = pw.profile.support
-    t0 = max(0.0, lo - pw.c1 * x)
-    t1 = hi - pw.c1 * x
+    delay = lo if x is None else pw.c1 * x
+    t0 = max(0.0, lo - delay)
+    t1 = hi - delay
     if t1 <= t0:
         return 0.0 + 0.0j
 
     value, err = quad(
-        lambda t: np.exp(-s * t) * _g_closed_form(pw, x, t), t0, t1,
+        lambda t: np.exp(-s * t) * (2.0 * pw.c2 * pw.profile.derivative(t + delay, 1)),
+        t0, t1,
         epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, complex_func=True,
     )
     scale = max(abs(value.real) + abs(value.imag), abs(pw.profile.amplitude))
     worst = max(err.real, err.imag)
     if worst > 100.0 * _QUAD_TOL * scale + 10.0 * _QUAD_TOL:
+        where = "in the shared transform at" if x is None else f"at x={x},"
         raise QuadratureFailure(
-            f"Laplace quadrature error {worst:.2e} above tolerance at x={x}, s={s}"
+            f"Laplace quadrature error {worst:.2e} above tolerance {where} s={s}"
         )
     return value
 

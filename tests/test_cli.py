@@ -899,20 +899,43 @@ class TestMeshExport:
         assert not (tmp_path / "ignored").exists()
 
 
-def test_import_leaves_out_scipy_integrate():
-    # Only the bump profile's Laplace quadrature uses scipy.integrate; the
-    # CLI must not pay for it at start-up.
+def _fresh_python(code):
+    """Run `code` in a new interpreter that imports cavitytd from this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    code = "import sys, cavitytd.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+# Only the frequency commands use these: scipy.special for the gaussian
+# transform, scipy.integrate for the bump's Laplace quadrature.
+FREQUENCY_MODULES = ("scipy.integrate", "scipy.special")
+
+
+@pytest.mark.parametrize("module", FREQUENCY_MODULES)
+def test_import_leaves_out_frequency_module(module):
+    # The CLI must not pay for them at start-up.
+    code = f"import sys, cavitytd.cli; print({module!r} in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_time_commands_leave_out_frequency_modules(tmp_path):
+    config = CONFIG_DIR / "reference_single.json"
+    code = (
+        "import sys\n"
+        "from cavitytd.cli import main\n"
+        "for command in ('solve-time', 'validate'):\n"
+        f"    assert main([command, '--config', {str(config)!r},\n"
+        f"                 '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"print([m for m in {FREQUENCY_MODULES!r} if m in sys.modules])"
+    )
+    assert _fresh_python(code) == "[]"
 
 
 def test_integer_keys_take_integral_numbers():

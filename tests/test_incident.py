@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 import cavitytd as ct
@@ -7,6 +8,7 @@ from cavitytd.errors import DomainError
 from cavitytd.incident import (
     CAUSALITY_LIMIT,
     ROW_BLOCK,
+    _quad_g_laplace,
     boundary_data_bundle,
     boundary_data_series,
 )
@@ -266,6 +268,45 @@ class TestBoundaryDataFreq:
         g = 2.0 * pw.c2 * bump.derivative(t, 1)
         oracle = np.trapezoid(np.exp(-s * t) * g, t)
         assert abs(got - oracle) <= 1e-8 * max(1.0, abs(oracle))
+
+    # (center, theta): normal incidence; reference_two's oblique angle; and
+    # an oblique bump whose support is cut at t = 0 where c1*x > 0.5.
+    BUMP_CASES = [(3.0, np.pi / 2), (3.0, 0.4 * np.pi), (1.5, 0.2 * np.pi)]
+
+    # At s = 400 a shared transform taken from tau = 0 underflows to 0.
+    @pytest.mark.parametrize("s", [0.25, 2.0, 1.0 + 4.0j, 400.0])
+    @pytest.mark.parametrize("center, theta", BUMP_CASES)
+    def test_bump_matches_per_sample_quadrature(self, unit_grid, center, theta, s):
+        prof = ct.WaveProfile(kind="smooth-bump", center=center, width=1.0)
+        pw = ct.PlaneWave(profile=prof, theta=theta)
+        cut = pw.c1 * unit_grid.x > prof.support[0]
+        assert cut.any() == (center == 1.5)
+        got = ct.boundary_data_freq(pw, unit_grid, s)
+        assert got.dtype == (np.float64 if complex(s).imag == 0.0 else np.complex128)
+        ref = np.array([_quad_g_laplace(pw, xk, complex(s)) for xk in unit_grid.x])
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_bump_one_quadrature_per_frequency_plus_cut_samples(self, unit_grid, monkeypatch):
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return quad(*args, **kw)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        n_cuts = []
+        for center, theta in self.BUMP_CASES:
+            prof = ct.WaveProfile(kind="smooth-bump", center=center, width=1.0)
+            pw = ct.PlaneWave(profile=prof, theta=theta)
+            # A sample past the support's end (c1*x >= hi) is zero without one.
+            delay = pw.c1 * unit_grid.x
+            lo, hi = prof.support
+            n_cuts.append(int(np.sum((delay > lo) & (delay < hi))))
+            for s in (0.25, 1.0 + 4.0j):
+                calls.clear()
+                ct.boundary_data_freq(pw, unit_grid, s)
+                assert len(calls) == 1 + n_cuts[-1]
+        assert n_cuts[-1] > 0
 
     def test_linear_in_amplitude(self, unit_grid):
         s = 1.1 + 0.7j
