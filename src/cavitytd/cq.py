@@ -29,17 +29,23 @@ mass, stiffness and trace restriction, are the solver's own
 (SystemPattern): the load and both ends of the DtN history are sparse
 products with one matrix.  The history keeps rfft(Rf u_n) for every past
 step, so the sum costs one pass over N + 1 spectra of N_trace/2 + 1 bins
-per step.
+per step.  Each distinct matrix among M, K and their unit-weight twins
+multiplies u_n once per step; the mass history and the du forms are
+combinations of stored products with the BDF2 weights.  Where the twins
+are the weighted matrices, a step makes six sparse products: the load,
+the DtN history's Rf^T, the residual's W0 u_n, M u_n, K u_n and Rf u_n.
 
 The march keeps no field history and no space-time data array: besides
-the four latest states, what it holds grows with N only through the DtN
-weights and spectra (3 (N+1)(N_trace/2+1) numbers) and the per-step
-record (9 (N+1)); the fields would add (N+1) n_nodes, the sampled data
-(N+1) N_trace.  It samples g one block of ROW_BLOCK steps at a time and
-keeps the two previous rows that D1 g reads.  Each step adds its column
-to the record: the rows of FORMS that the energy and passivity checks
-read, the state norm behind the causality check and the -1/2 aperture
-norm of g_n; it hands its fields to the caller's observer, if any.
+the two latest states that du reads, M u for the four steps the mass
+history reaches and two rows for each other distinct form matrix, what
+it holds grows with N only through the DtN weights and spectra
+(3 (N+1)(N_trace/2+1) numbers) and the per-step record (9 (N+1)); the
+fields would add (N+1) n_nodes, the sampled data (N+1) N_trace.  It
+samples g one block of ROW_BLOCK steps at a time and keeps the two
+previous rows that D1 g reads.  Each step adds its column to the record:
+the rows of FORMS that the energy and passivity checks read, the state
+norm behind the causality check and the -1/2 aperture norm of g_n; it
+hands its fields to the caller's observer, if any.
 
 The flux row is the pairing -(dx/mu0) <(omega * Rf u)_n, D1(Rf u)_n>
 (trace.pairing_terms), which `validate` certifies on random histories
@@ -77,11 +83,14 @@ _WEIGHT_ALIASING = 1e-16
 # Fourier modes holds M contour samples per mode, so it takes
 # max(1, _WEIGHT_ENTRIES // M) modes: 1 MiB per temporary up to M = 2**16,
 # one mode of M samples beyond.  Each block pays for one FFT plan of
-# length M: at 2048 steps (M = 8196, prime factor 683), blocks of one mode
-# took 2.4 times as long as blocks of seven.
+# length M: at the 2048-step length 8196 (prime factor 683), blocks of one
+# mode took 2.4 times as long as blocks of seven.
 _WEIGHT_ENTRIES = 2**16
 # BDF2 convolution weights of s^2, times dt^2.
 _D2 = np.array([9.0, -24.0, 22.0, -8.0, 1.0]) / 4.0
+# Weights of x_n, x_{n-1}, x_{n-2} in dt * du_n: zero at rest, the first-
+# order difference at step 1, the BDF2 difference after.
+_DU_WEIGHTS = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.5, -2.0, 0.5]])
 # Largest (steps + 1) * N_trace.  The DtN weights and spectra the march
 # holds are about 1.5 times that many float64 (768 MiB at the cap).
 MAX_MARCH_SAMPLES = 2**26
@@ -152,19 +161,36 @@ class TimeSolution:
     lu_nnz: int = 0
 
 
+def _contour_length(n1: int) -> int:
+    """The smallest 7-smooth integer >= 4 n1: the FFT length of the weight
+    contour.  Any M >= 4 n1 keeps rho^M = 1e-16 and a rounding level
+    eps * rho^(-N) no worse than M = 4 n1; a prime factor such as 683 in
+    4 * 2049 = 8196 made the transform several times slower."""
+    m = 4 * n1
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray, float]:
     """BDF2 convolution weights of the DtN symbol on the rfft modes.
 
     Returns the real (N+1, N_trace/2+1) array omega[k, m], the k-th weight
     of beta(xi_m, delta(zeta)/dt) = sum_k omega_k zeta^k, and the largest
     discarded imaginary part relative to the largest weight.  The weights
-    are the Cauchy integrals over |zeta| = rho on M = 4(N+1) points with
-    rho^M = 1e-16, taken in blocks of modes so that no temporary holds
+    are the Cauchy integrals over |zeta| = rho on M points with
+    rho^M = 1e-16, M the smallest 7-smooth integer >= 4(N+1)
+    (_contour_length), taken in blocks of modes so that no temporary holds
     more than max(2**16, M) complex entries.  Every contour frequency has
     Re s > 0 (BDF2 is A-stable), so trace.beta samples the symbol there.
     """
     n1 = scheme.steps + 1
-    m = 4 * n1
+    m = _contour_length(n1)
     rho = _WEIGHT_ALIASING ** (1.0 / m)
     s = CqScheme.generating_symbol(rho * np.exp(2j * np.pi * np.arange(m) / m)) / scheme.dt
     xi = grid.rfft_xi
@@ -179,6 +205,12 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
         weights[:, lo : lo + block.size] = w.real
         imag = max(imag, float(np.max(np.abs(w.imag))))
     return weights, imag / float(np.max(np.abs(weights)))
+
+
+def _latest(now: np.ndarray, ring: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """now, then the ring's rows of steps n - 1 and n - 2 (step m sits in
+    row m % len(ring))."""
+    return now, ring[(n - 1) % len(ring)], ring[(n - 2) % len(ring)]
 
 
 def run_time_domain(
@@ -219,24 +251,34 @@ def run_time_domain(
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
     pattern = solver.pattern
-    mass, stiffness, rf = pattern.mass, pattern.stiffness, pattern.restriction
-    # A unit twin that is its weighted matrix shares its products below.
-    mass_unit, stiffness_unit, rf_t = pattern.mass_unit, pattern.stiffness_unit, rf.T
+    mass, rf = pattern.mass, pattern.restriction
+    rf_t = rf.T
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
+    # Each distinct form matrix multiplies x_n once per step; a unit twin
+    # that is its weighted matrix shares its products.
+    named = (mass, pattern.stiffness, pattern.mass_unit, pattern.stiffness_unit)
+    distinct = [a for i, a in enumerate(named) if all(a is not b for b in named[:i])]
+    slot = [next(j for j, b in enumerate(distinct) if a is b) for a in named]
 
-    # The mass history reaches four steps back: u_{n-1}, ..., u_{n-4}, zero
-    # before t = 0.  The DtN history reaches every past step through
-    # rfft(Rf u_n), stored latest first from the end (row N - n holds step
-    # n, so spectra[N + 1 - n:] lists steps n - 1 down to 0) and with real
-    # and imaginary parts apart so its sum runs on real arrays.
-    recent = np.zeros((4, w0.n_dofs))
+    # The march holds the two states du reads and each distinct matrix's
+    # products with the latest states: M x for the four steps the mass
+    # history reaches, every other matrix for the two that du reads.  Row
+    # n % len(ring) of a ring holds step n; all rows are zero before t = 0,
+    # so the mass history sum_{j=1..4} d2_j M x_{n-j} weights the rows of
+    # its ring by mass_weights[n % 4].  The DtN history reaches every past
+    # step through rfft(Rf u_n), stored latest first from the end (row
+    # N - n holds step n, so spectra[N + 1 - n:] lists steps n - 1 down to
+    # 0) and with real and imaginary parts apart so its sum runs on real
+    # arrays.
+    states = np.zeros((2, w0.n_dofs))
+    products = [np.zeros((4 if a is mass else 2, w0.n_dofs)) for a in distinct]
+    mass_weights = np.array([d2[1 + (r - 1 - np.arange(4)) % 4] for r in range(4)])
     spectra = np.zeros((n1, 2, omega.shape[1]))
     residuals = np.zeros(n1)
     forms = np.zeros((len(FORMS), n1))
     state_norm = np.zeros(n1)
     g_norm = np.zeros(n1)
-    du = np.zeros(w0.n_dofs)
     # g_{n-1}, g_{n-2} and the spectra z_{n-1}, z_{n-2}: at rest before t = 0.
     g1 = g2 = np.zeros(grid.N)
     z1 = z2 = np.zeros(omega.shape[1], dtype=complex)
@@ -248,35 +290,38 @@ def run_time_domain(
         g0 = block[n % ROW_BLOCK]
         rhs = apply_rhs((3.0 * g0 - 4.0 * g1 + g2) / (2.0 * dt), rf, grid)
         g1, g2 = g0, g1
-        rhs -= mass @ (d2[1:] @ recent)
+        rhs -= mass_weights[n % 4] @ products[0]
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
-        rhs += rf_t @ (dtn_scale * np.fft.irfft(re + 1j * im, n=grid.N))
+        history = re + 1j * im
+        rhs += rf_t @ (dtn_scale * np.fft.irfft(history, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
         # du/dt by backward differences: zero at rest, first order at
-        # step 1, then the three-term BDF2 difference.
-        if n == 1:
-            du = (x - recent[0]) / dt
-        elif n >= 2:
-            np.multiply(x, 3.0, out=du)
-            du -= 4.0 * recent[0]
-            du += recent[1]
-            du /= 2.0 * dt
-        m_du, k_x = mass @ du, stiffness @ x
+        # step 1, then the three-term BDF2 difference.  With the same
+        # weights c, du^T A du = sum_i c_i du^T (A x_{n-i}) for every form
+        # matrix A, from the stored products.
+        c = _DU_WEIGHTS[min(n, 2)] / dt
+        du = sum(ci * v for ci, v in zip(c, _latest(x, states, n)))
+        x_prods = [a @ x for a in distinct]
+        du_forms = [sum(ci * (du @ v) for ci, v in zip(c, _latest(p, ring, n)))
+                    for p, ring in zip(x_prods, products)]
+        _, k_x, mu_x, ku_x = (x_prods[j] for j in slot)
+        kinetic, _, du_l2, du_h1 = (du_forms[j] for j in slot)
         # The flux pairs the whole DtN convolution with D1 of the spectra.
         z = np.fft.rfft(rf @ x)
         d1z = (3.0 * z - 4.0 * z1 + z2) / (2.0 * dt)
         forms[:, n] = (
-            du @ m_du,
+            kinetic,
             x @ k_x,
-            du @ (m_du if mass_unit is mass else mass_unit @ du),
-            du @ (stiffness_unit @ du),
-            x @ (mass_unit @ x),
-            x @ (k_x if stiffness_unit is stiffness else stiffness_unit @ x),
-            np.sum(pairing_terms(omega[0] * z + (re + 1j * im), d1z, grid, scene.mu0)),
+            du_l2,
+            du_h1,
+            x @ mu_x,
+            x @ ku_x,
+            np.sum(pairing_terms(omega[0] * z + history, d1z, grid, scene.mu0)),
         )
         state_norm[n] = np.sqrt(x @ x)
-        recent[1:] = recent[:-1]
-        recent[0] = x
+        states[n % 2] = x
+        for p, ring in zip(x_prods, products):
+            ring[n % len(ring)] = p
         spectra[n1 - 1 - n] = z.real, z.imag
         z1, z2 = z, z1
         if observer is not None:

@@ -199,8 +199,12 @@ class SystemOperator:
     """Frequency-domain coupled operator with a lazy direct factorization.
 
     SuperLU orders each factorization itself, by minimum degree on
-    A^T + A in symmetric mode (ORDERING).  triangular_solves counts the
-    solves made with the factorization.
+    A^T + A in symmetric mode (ORDERING).  The matrix is symmetric by
+    construction (SystemPattern.matrix: real symmetric at real s, complex
+    symmetric, A^T = A but not Hermitian, otherwise), and so is any real
+    multiple of it such as the march's W0; solve relies on that and takes
+    SuperLU's transposed sweep, which solves A^T x = b.  triangular_solves
+    counts the solves made with the factorization.
     """
 
     s: complex
@@ -239,7 +243,10 @@ class SystemOperator:
         """Solve with the factorization, in its arithmetic: a real matrix
         takes a real load (SuperLU raises TypeError on a complex one)."""
         self.triangular_solves += 1
-        return self.factorize().solve(b)
+        # Every matrix here is symmetric (A^T = A, complex symmetric off the
+        # real axis), so A^T x = b is the same system, and SuperLU's
+        # transposed sweep solves it faster than the plain one.
+        return self.factorize().solve(b, trans="T")
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,15 @@ def gaussian_wave():
     return ct.PlaneWave(profile=profile, theta=np.pi / 2)
 
 
-def load_reference(name):
+def load_reference(name, cavity_edits=None):
+    """A shipped config's scene, meshes, grid, wave and scheme.
+
+    cavity_edits, when given, maps a cavity index to keys that replace or
+    extend that cavity's entry in the config.
+    """
     config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    for j, edit in (cavity_edits or {}).items():
+        config["scene"]["cavities"][j].update(edit)
     scene = ct.build_scene(config)
     meshes = ct.mesh_scene(scene, config["mesh"]["h"])
     grid = ct.TraceGrid(

@@ -68,6 +68,31 @@ class TestCqScheme:
             assert s[n1 - l] == pytest.approx(np.conj(s[l]), rel=1e-14)
 
 
+def _seven_smooth(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestDtnWeights:
+    @pytest.mark.parametrize("steps", [128, 512, 2048])
+    def test_smooth_contour_matches_the_4n_contour(self, steps, unit_scene, unit_grid,
+                                                   monkeypatch):
+        # The weight contour takes the smallest 7-smooth length M >= 4(N+1);
+        # any M with rho^M = 1e-16 gives the weights to round-off.
+        n1 = steps + 1
+        m = cq._contour_length(n1)
+        assert _seven_smooth(m) and m >= 4 * n1
+        assert not any(_seven_smooth(k) for k in range(4 * n1, m))
+        scheme = CqScheme(dt=16.0 / steps, steps=steps)
+        omega, imag = cq.dtn_weights(unit_grid, unit_scene.c, scheme)
+        monkeypatch.setattr(cq, "_contour_length", lambda n1: 4 * n1)
+        ref, _ = cq.dtn_weights(unit_grid, unit_scene.c, scheme)
+        assert np.max(np.abs(omega - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert imag <= cq.REALNESS_LIMIT
+
+
 class TestRunTimeDomain:
     def run(self, scene, meshes, grid, pw, steps=48, T=6.0):
         return ct.run_time_domain(scene, meshes, grid, pw, CqScheme(dt=T / steps, steps=steps))
@@ -188,15 +213,27 @@ class TestRunTimeDomain:
         diff = max(np.max(np.abs(a - b)) for a, b in zip(march, ref))
         assert diff <= 1e-8 * peak
 
-    @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
-    def test_streamed_forms_match_the_history_walk(self, name):
-        # The march accumulates its forms step by step; walking the recorded
+    @pytest.mark.parametrize("name, edits", [
+        ("reference_single", None), ("reference_two", None), ("reference_three", None),
+        # Variable permeability too, so that all four form matrices are
+        # distinct: mu is 1 on a collar of depth 0.3 beneath the aperture
+        # and 1 - 0.3 sin(pi x) (y + 0.3) below it.
+        ("reference_two", {1: {"mu": "1 + 0.15*sin(pi*x)*(abs(y + 0.3) - (y + 0.3))",
+                               "collar": 0.3}}),
+    ])
+    def test_streamed_forms_match_the_history_walk(self, name, edits):
+        # The march accumulates its forms step by step from the products of
+        # each form matrix with the latest states; walking the recorded
         # history afterwards, with time_derivative building du/dt and the
         # DtN convolution of the whole trace history, gives the same record
         # up to the order of summation.
-        _, scene, meshes, grid, pw, scheme = load_reference(name)
+        _, scene, meshes, grid, pw, scheme = load_reference(name, edits)
         sol, fields = run_recorded(scene, meshes, grid, pw, scheme)
         fems = fem.assemble_all(scene, meshes, grid)
+        if edits is not None:
+            pattern = fem.SystemPattern.from_fems(fems)
+            assert pattern.stiffness_unit is not pattern.stiffness
+            assert pattern.mass_unit is not pattern.mass
 
         def form(block, matrix):
             return np.einsum("ni,ni->n", block, (matrix @ block.T).T)

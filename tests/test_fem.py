@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cavitytd as ct
+from cavitytd import cq
 from cavitytd.errors import DimensionMismatch, DomainError
 from cavitytd.fem import SystemPattern, assemble, assemble_all
 from cavitytd.trace import apply_B
@@ -214,6 +215,27 @@ class TestSystemOperator:
         a = unit_solver.operator(self.S).matrix.toarray()
         assert np.allclose(a, a.T, rtol=1e-12, atol=1e-14)
         assert not np.allclose(a, a.conj().T, rtol=1e-6, atol=1e-8)
+
+    def test_transposed_sweep_solves_the_symmetric_operators(self, rng, monkeypatch):
+        # solve takes SuperLU's transposed sweep, which solves A^T x = b:
+        # the system itself only because every matrix the package
+        # factorizes equals its plain transpose.  Checked on variable
+        # epsilon at a real and a complex s, and on the march's W0.
+        _, scene, meshes, grid, pw, scheme = load_reference("reference_two")
+        solver = ct.FrequencySolver(scene, meshes, grid)
+        step_ops = []
+        solve = cq.certified_solve
+        monkeypatch.setattr(cq, "certified_solve",
+                            lambda op, *a: step_ops.append(op) or solve(op, *a))
+        ct.run_time_domain(scene, meshes, grid, pw, scheme)
+        for op in (solver.operator(1.3), solver.operator(1.1 + 1.9j), step_ops[0]):
+            a = op.matrix
+            assert abs(a - a.T).max() <= 1e-14 * abs(a).max()
+            b = rng.standard_normal(op.n_dofs).astype(a.dtype)
+            if np.iscomplexobj(a):
+                b += 1j * rng.standard_normal(op.n_dofs)
+            ref = spla.spsolve(a, b)
+            assert np.linalg.norm(op.solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_cross_blocks_only_through_boundary(self, two_scene, two_meshes, two_grid):
         solver = ct.FrequencySolver(two_scene, two_meshes, two_grid)
