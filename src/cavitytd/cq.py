@@ -251,8 +251,7 @@ def run_time_domain(
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
     pattern = solver.pattern
-    mass, rf = pattern.mass, pattern.restriction
-    rf_t = rf.T
+    mass, rf, rf_t = pattern.mass, pattern.restriction, pattern.restriction.T
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
     # Each distinct form matrix multiplies x_n once per step; a unit twin

@@ -214,12 +214,16 @@ class TestRunTimeDomain:
         assert diff <= 1e-8 * peak
 
     @pytest.mark.parametrize("name, edits", [
-        ("reference_single", None), ("reference_two", None), ("reference_three", None),
+        pytest.param(name, None, id=name)
+        for name in ("reference_single", "reference_two", "reference_three")
+    ] + [
         # Variable permeability too, so that all four form matrices are
         # distinct: mu is 1 on a collar of depth 0.3 beneath the aperture
         # and 1 - 0.3 sin(pi x) (y + 0.3) below it.
-        ("reference_two", {1: {"mu": "1 + 0.15*sin(pi*x)*(abs(y + 0.3) - (y + 0.3))",
-                               "collar": 0.3}}),
+        pytest.param("reference_two",
+                     {1: {"mu": "1 + 0.15*sin(pi*x)*(abs(y + 0.3) - (y + 0.3))",
+                          "collar": 0.3}},
+                     id="reference_two_variable_mu"),
     ])
     def test_streamed_forms_match_the_history_walk(self, name, edits):
         # The march accumulates its forms step by step from the products of
