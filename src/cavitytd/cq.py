@@ -9,7 +9,8 @@ is discretized in time with BDF2 convolution quadrature (Lubich,
 Math. 52, 1988).  The discrete operational calculus is an algebra
 homomorphism, so the system may be multiplied by s exactly: the marched
 operator is s*A(s) = s^2*M + K - (1/mu0) Rf^T (dx B(s)) Rf with load
-b(s g^), and every factor gets its own convolution weights,
+b(s g^), and every factor gets its own convolution weights, all from the
+one BDF2 row (3/2, -2, 1/2) of delta(zeta) = 3/2 - 2 zeta + zeta^2/2:
 
 - s^2: the five weights d2 = (9, -24, 22, -8, 1) / (4 dt^2) of delta^2,
 - s g^: the BDF2 difference D1 g_n = (3 g_n - 4 g_{n-1} + g_{n-2}) / (2 dt)
@@ -30,15 +31,16 @@ mass, stiffness and trace restriction, are the solver's own
 products with one matrix.  The history keeps rfft(Rf u_n) for every past
 step, so the sum costs one pass over N + 1 spectra of N_trace/2 + 1 bins
 per step.  Each distinct matrix among M, K and their unit-weight twins
-multiplies u_n once per step; the mass history and the du forms are
-combinations of stored products with the BDF2 weights.  Where the twins
-are the weighted matrices, a step makes six sparse products: the load,
-the DtN history's Rf^T, the residual's W0 u_n, M u_n, K u_n and Rf u_n.
+multiplies u_n once per step.  The march keeps its step state in one
+ring of four rows: row n % 4 holds u_n and each distinct matrix times
+u_n, so the mass history weights the ring's M column, and du with A du
+for every form matrix A is one BDF2 combination of the three latest rows.
+Where the twins are the weighted matrices, a step makes six sparse
+products: the load, the DtN history's Rf^T, the residual's W0 u_n, M u_n,
+K u_n and Rf u_n.
 
 The march keeps no field history and no space-time data array: besides
-the two latest states that du reads, M u for the four steps the mass
-history reaches and two rows for each other distinct form matrix, what
-it holds grows with N only through the DtN weights and spectra
+the ring, what it holds grows with N only through the DtN weights and spectra
 (3 (N+1)(N_trace/2+1) numbers) and the per-step record (9 (N+1)); the
 fields would add (N+1) n_nodes, the sampled data (N+1) N_trace.  It
 samples g one block of ROW_BLOCK steps at a time and keeps the two
@@ -86,11 +88,14 @@ _WEIGHT_ALIASING = 1e-16
 # length M: at the 2048-step length 8196 (prime factor 683), blocks of one
 # mode took 2.4 times as long as blocks of seven.
 _WEIGHT_ENTRIES = 2**16
-# BDF2 convolution weights of s^2, times dt^2.
-_D2 = np.array([9.0, -24.0, 22.0, -8.0, 1.0]) / 4.0
+# The BDF2 difference dt * D1 x_n = sum_i BDF2[i] x_{n-i}; every time
+# stencil of the package derives from it.
+BDF2 = np.array([1.5, -2.0, 0.5])
+# BDF2 convolution weights of s^2, times dt^2: those of delta^2.
+_D2 = np.convolve(BDF2, BDF2)
 # Weights of x_n, x_{n-1}, x_{n-2} in dt * du_n: zero at rest, the first-
 # order difference at step 1, the BDF2 difference after.
-_DU_WEIGHTS = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.5, -2.0, 0.5]])
+_DU_WEIGHTS = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], BDF2])
 # Largest (steps + 1) * N_trace.  The DtN weights and spectra the march
 # holds are about 1.5 times that many float64 (768 MiB at the cap).
 MAX_MARCH_SAMPLES = 2**26
@@ -120,7 +125,7 @@ class CqScheme:
     def generating_symbol(zeta):
         """BDF2 generating polynomial delta(zeta) = (3 - 4 zeta + zeta^2)/2."""
         zeta = np.asarray(zeta, dtype=np.complex128)
-        return (3.0 - 4.0 * zeta + zeta * zeta) / 2.0
+        return BDF2[0] + BDF2[1] * zeta + BDF2[2] * (zeta * zeta)
 
 
 # Rows of TimeSolution.forms: the per-step forms the energy, stability,
@@ -207,12 +212,6 @@ def dtn_weights(grid: TraceGrid, c: float, scheme: CqScheme) -> tuple[np.ndarray
     return weights, imag / float(np.max(np.abs(weights)))
 
 
-def _latest(now: np.ndarray, ring: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """now, then the ring's rows of steps n - 1 and n - 2 (step m sits in
-    row m % len(ring))."""
-    return now, ring[(n - 1) % len(ring)], ring[(n - 2) % len(ring)]
-
-
 def run_time_domain(
     scene: Scene,
     meshes: list[Mesh],
@@ -244,34 +243,34 @@ def run_time_domain(
     times = scheme.times()
 
     solver = FrequencySolver(scene, meshes, grid)
-    s0 = 1.5 / dt
+    s0 = float(BDF2[0]) / dt
     # A(s0) is real at the real s0, and so is W0.
     w0 = SystemOperator(s=s0, matrix=s0 * solver.operator(s0).matrix)
     lu_nnz = w0.factorize().nnz
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
     pattern = solver.pattern
-    mass, rf, rf_t = pattern.mass, pattern.restriction, pattern.restriction.T
+    rf, rf_t = pattern.restriction, pattern.restriction.T
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
-    # Each distinct form matrix multiplies x_n once per step; a unit twin
-    # that is its weighted matrix shares its products.
-    named = (mass, pattern.stiffness, pattern.mass_unit, pattern.stiffness_unit)
+    # Each distinct form matrix multiplies x_n once per step, into its own
+    # ring column; a unit twin that is its weighted matrix shares its column.
+    named = (pattern.mass, pattern.stiffness, pattern.mass_unit, pattern.stiffness_unit)
     distinct = [a for i, a in enumerate(named) if all(a is not b for b in named[:i])]
-    slot = [next(j for j, b in enumerate(distinct) if a is b) for a in named]
+    col_m, col_k, col_mu, col_ku = (
+        1 + next(j for j, b in enumerate(distinct) if a is b) for a in named
+    )
 
-    # The march holds the two states du reads and each distinct matrix's
-    # products with the latest states: M x for the four steps the mass
-    # history reaches, every other matrix for the two that du reads.  Row
-    # n % len(ring) of a ring holds step n; all rows are zero before t = 0,
-    # so the mass history sum_{j=1..4} d2_j M x_{n-j} weights the rows of
-    # its ring by mass_weights[n % 4].  The DtN history reaches every past
-    # step through rfft(Rf u_n), stored latest first from the end (row
-    # N - n holds step n, so spectra[N + 1 - n:] lists steps n - 1 down to
-    # 0) and with real and imaginary parts apart so its sum runs on real
-    # arrays.
-    states = np.zeros((2, w0.n_dofs))
-    products = [np.zeros((4 if a is mass else 2, w0.n_dofs)) for a in distinct]
+    # Row n % 4 of the ring holds step n: x_n, then each distinct matrix
+    # times x_n, written over step n - 4 after the solve.  All rows are
+    # zero before t = 0, so the mass history sum_{j=1..4} d2_j M x_{n-j}
+    # weights ring[:, col_m] by mass_weights[n % 4], and du with every
+    # A du is one combination of the three latest rows.  The DtN history
+    # reaches every past step through rfft(Rf u_n), stored latest first
+    # from the end (row N - n holds step n, so spectra[N + 1 - n:] lists
+    # steps n - 1 down to 0) and with real and imaginary parts apart so its
+    # sum runs on real arrays.
+    ring = np.zeros((4, 1 + len(distinct), w0.n_dofs))
     mass_weights = np.array([d2[1 + (r - 1 - np.arange(4)) % 4] for r in range(4)])
     spectra = np.zeros((n1, 2, omega.shape[1]))
     residuals = np.zeros(n1)
@@ -287,40 +286,26 @@ def run_time_domain(
             block = boundary_data_series(pw, grid, times[n : n + ROW_BLOCK])
             g_norm[n : n + ROW_BLOCK] = aperture_norm_rows(block, grid)
         g0 = block[n % ROW_BLOCK]
-        rhs = apply_rhs((3.0 * g0 - 4.0 * g1 + g2) / (2.0 * dt), rf, grid)
+        rhs = apply_rhs(BDF2 @ [g0, g1, g2] / dt, rf, grid)
         g1, g2 = g0, g1
-        rhs -= mass_weights[n % 4] @ products[0]
+        rhs -= mass_weights[n % 4] @ ring[:, col_m]
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
         history = re + 1j * im
         rhs += rf_t @ (dtn_scale * np.fft.irfft(history, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
+        ring[n % 4] = [x, *(a @ x for a in distinct)]
         # du/dt by backward differences: zero at rest, first order at
-        # step 1, then the three-term BDF2 difference.  With the same
-        # weights c, du^T A du = sum_i c_i du^T (A x_{n-i}) for every form
-        # matrix A, from the stored products.
+        # step 1, then the BDF2 difference.  Row j of d is du for j = 0,
+        # A du for the ring's column-j matrix A.
         c = _DU_WEIGHTS[min(n, 2)] / dt
-        du = sum(ci * v for ci, v in zip(c, _latest(x, states, n)))
-        x_prods = [a @ x for a in distinct]
-        du_forms = [sum(ci * (du @ v) for ci, v in zip(c, _latest(p, ring, n)))
-                    for p, ring in zip(x_prods, products)]
-        _, k_x, mu_x, ku_x = (x_prods[j] for j in slot)
-        kinetic, _, du_l2, du_h1 = (du_forms[j] for j in slot)
+        d = sum(ci * ring[(n - i) % 4] for i, ci in enumerate(c))
+        du_forms, x_forms = d @ d[0], ring[n % 4] @ x
         # The flux pairs the whole DtN convolution with D1 of the spectra.
         z = np.fft.rfft(rf @ x)
-        d1z = (3.0 * z - 4.0 * z1 + z2) / (2.0 * dt)
-        forms[:, n] = (
-            kinetic,
-            x @ k_x,
-            du_l2,
-            du_h1,
-            x @ mu_x,
-            x @ ku_x,
-            np.sum(pairing_terms(omega[0] * z + history, d1z, grid, scene.mu0)),
-        )
-        state_norm[n] = np.sqrt(x @ x)
-        states[n % 2] = x
-        for p, ring in zip(x_prods, products):
-            ring[n % len(ring)] = p
+        flux = pairing_terms(omega[0] * z + history, BDF2 @ [z, z1, z2] / dt, grid, scene.mu0)
+        forms[:, n] = (du_forms[col_m], x_forms[col_k], du_forms[col_mu], du_forms[col_ku],
+                       x_forms[col_mu], x_forms[col_ku], np.sum(flux))
+        state_norm[n] = np.sqrt(x_forms[0])
         spectra[n1 - 1 - n] = z.real, z.imag
         z1, z2 = z, z1
         if observer is not None:

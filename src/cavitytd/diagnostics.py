@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cq import FORMS, CqScheme, TimeSolution, dtn_weights
+from .cq import BDF2, FORMS, CqScheme, TimeSolution, dtn_weights
 from .errors import DimensionMismatch
 from .incident import BoundaryDataNorms
 from .io import write_csv
@@ -329,10 +329,10 @@ def _time_domain_defect(
     conv = np.zeros_like(u_hat)
     for k in range(n1):
         conv[k:] += omega[k] * u_hat[: n1 - k]
-    d1 = 3.0 * u_hat
-    d1[1:] -= 4.0 * u_hat[:-1]
-    d1[2:] += u_hat[:-2]
-    d1 /= 2.0 * _TD_DT
+    d1 = np.zeros_like(u_hat)
+    for k, b in enumerate(BDF2):
+        d1[k:] += b * u_hat[: n1 - k]
+    d1 /= _TD_DT
     terms = pairing_terms(conv, d1, grid, mu0)
     scale = float(np.sum(np.abs(terms)))
     return float(np.sum(terms)) / scale if scale > 0.0 else 0.0

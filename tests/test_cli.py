@@ -310,6 +310,8 @@ class TestSolveFreq:
             # The frequency commands never march but share the rule: one
             # default causality_tol for every command that reads the pulse.
             ("solve-freq", ("incident", "profile", "center"), 6.0 * 0.5, [], "ConfigError"),
+            # A horizon of 0.8 ends more than four widths (2.0) before the peak arrives at 3.5.
+            ("solve-time", ("scheme", "steps"), 4, [], "ConfigError: scheme: the horizon"),
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
@@ -335,7 +337,7 @@ class TestSolveFreq:
              "polygon-vertex-one-number", "polygon-vertices-ragged",
              "polygon-vertices-three-numbers", "sweep-count-huge", "sweep-count-over-cap",
              "profile-center-5.4-widths", "profile-center-6.2-widths",
-             "solve-freq-profile-center-6-widths"],
+             "solve-freq-profile-center-6-widths", "horizon-before-arrival"],
     )
     def test_config_error_before_meshing_exit_2(self, tmp_path, monkeypatch, capsys,
                                                 command, entry, value, flags, error):
