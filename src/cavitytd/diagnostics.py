@@ -21,6 +21,7 @@ that same pairing on its own trajectory as it runs, `energy` adds the
 three data-norm rows of the boundary data (incident.boundary_data_bundle)
 and keeps it all in an EnergyTrace, and the stability, a-priori and
 passivity checks are arithmetic on that record.  No check needs a field.
+The commands keep each value, limit and verdict in manifest.json alone.
 """
 
 from __future__ import annotations
@@ -219,19 +220,10 @@ def passivity_deficit(et: EnergyTrace) -> float:
 
 @dataclass
 class PassivityReport:
-    trials: int
-    seed: int
+    """Per configuration: the worst normalized defect and the trials that failed."""
+
     min_defects: dict[str, float] = dc_field(default_factory=dict)
     failures: dict[str, int] = dc_field(default_factory=dict)
-
-    def summary(self) -> str:
-        lines = [f"passivity suite: {self.trials} trials, seed {self.seed}"]
-        for name in self.min_defects:
-            lines.append(
-                f"  {name:12s} min defect {self.min_defects[name]: .3e}  "
-                f"failures {self.failures[name]}"
-            )
-        return "\n".join(lines)
 
 
 def _random_trace(rng: np.random.Generator, grid: TraceGrid, j: int) -> np.ndarray:
@@ -261,7 +253,7 @@ def passivity_suite(
     if trials < 1:
         raise ValueError("at least one trial required")
     rng = np.random.default_rng(seed)
-    report = PassivityReport(trials=trials, seed=seed)
+    report = PassivityReport()
 
     configs = [("single", 1)]
     if grid.n_apertures >= 2:

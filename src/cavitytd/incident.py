@@ -30,6 +30,7 @@ at t = 0 take a quadrature each.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ CAUSALITY_LIMIT = 1e-8
 # Times per block in which the march (cq.run_time_domain) and the data-norm
 # rows sample the aperture data: neither holds a full space-time series.
 ROW_BLOCK = 64
+# Bound on |s| * width below which the gaussian transform's (s * width)**2
+# stays finite; PlaneWave.check_frequency refuses any frequency at or above
+# it, real ones and the bump profile's included.
+MAX_S_WIDTH = math.sqrt(sys.float_info.max)
 # Absolute and relative tolerance of the bump profile's Laplace quadrature.
 _QUAD_TOL = 1e-10
 
@@ -210,6 +215,15 @@ class PlaneWave:
         arrival = max([0.0] + [self.c1 * x for ap in apertures for x in ap])
         self.profile.check_rest(arrival)
 
+    def check_frequency(self, s: complex) -> None:
+        """Raise DomainError unless Re s > 0 and |s| * width < MAX_S_WIDTH."""
+        if not s.real > 0.0:
+            raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
+        if not abs(s) * self.profile.width < MAX_S_WIDTH:
+            raise DomainError(
+                f"frequency s={s} is too large: |s| * width must stay below {MAX_S_WIDTH:.4g}"
+            )
+
 
 def _g_closed_form(pw: PlaneWave, x, t, order: int = 0):
     """g and its time derivatives: 2*c2 * w^(1+order)(t + c1*x)."""
@@ -242,8 +256,7 @@ def boundary_data_freq(pw: PlaneWave, grid: TraceGrid, s: complex) -> np.ndarray
     like the operator of real s, and complex128 otherwise.
     """
     s = complex(s)
-    if not s.real > 0.0:
-        raise DomainError(f"frequency must satisfy Re s > 0, got s={s}")
+    pw.check_frequency(s)
     if pw.profile.kind == GAUSSIAN:
         g = _gaussian_g_laplace(pw, grid.x, s)
     else:

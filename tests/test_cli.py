@@ -73,35 +73,48 @@ class TestValidate:
              "--out", str(tmp_path)]
         )
         assert code == 0
-        summary = (tmp_path / "validate_summary.txt").read_text()
-        assert "FAIL" not in summary
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["passed"] is True
+        assert len(manifest["checks"]) == 7 and all(manifest["checks"].values())
+        assert manifest["outputs"] == []
 
     def test_manifest_records_each_check_value_and_limit(self, tmp_path):
         # Each check's value and limit sit under metrics, keyed by the check,
-        # as the same two numbers as its report row.  Three apertures give
-        # all nine checks.
+        # next to its verdict; a passivity check adds its failed trials.
+        # Three apertures give all nine checks.
         config = json.loads((CONFIG_DIR / "reference_three.json").read_text())
         config["validate"]["trials"] = 40
         path = write_config(tmp_path, config)
         out = tmp_path / "out"
         assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        rows = (out / "validate_report.csv").read_text().splitlines()[1:]
-        assert len(rows) == len(manifest["checks"]) == 9
-        for row in rows:
-            name, value, limit, passed = row.split(",")
-            assert manifest["metrics"][name] == {"value": float(value), "limit": float(limit)}
-            assert manifest["checks"][name] is (passed == "True")
-        assert "resolution" not in manifest["metrics"]
+        checks, metrics = manifest["checks"], manifest["metrics"]
+        assert sorted(checks) == [
+            "operator-continuity", "oracle-equivalence", "passivity-3-trace",
+            "passivity-single", "passivity-time-domain", "passivity-two-trace",
+            "symbol-bound", "symbol-branch-eq", "symbol-branch-re",
+        ]
+        for name, passed in checks.items():
+            metric = metrics[name]
+            assert isinstance(metric["value"], float) and isinstance(metric["limit"], float)
+            if name.startswith("passivity-"):
+                assert set(metric) == {"value", "limit", "failures"}
+                assert metric["failures"] == 0 and metric["value"] >= metric["limit"]
+            else:
+                assert set(metric) == {"value", "limit"}
+                assert metric["value"] <= metric["limit"]
+            assert passed is True, name
+        assert metrics["passivity-time-domain"]["limit"] == -diagnostics.TIME_DEFECT_TOL
+        assert metrics["passivity-single"]["limit"] == -diagnostics.DEFECT_TOL
+        assert "resolution" not in metrics
 
     def test_flipped_dtn_weight_exit_1(self, tmp_path, flipped_dtn_weight):
         path = write_config(tmp_path, small_config())
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
-        summary = (tmp_path / "validate_summary.txt").read_text()
-        assert "FAIL passivity-time-domain" in summary
-        assert summary.count("FAIL") == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        failed = [name for name, passed in manifest["checks"].items() if not passed]
+        assert failed == ["passivity-time-domain"]
+        assert manifest["metrics"]["passivity-time-domain"]["failures"] > 0
 
     def test_overlapping_apertures_exit_2(self, tmp_path):
         config = small_config()
@@ -140,20 +153,34 @@ class TestValidate:
     def test_all_aperture_row(self, tmp_path):
         path = self.three_config(tmp_path)
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "validate_report.csv").read_text().splitlines()
-        row = [r for r in rows if r.startswith("passivity-3-trace,")]
-        assert len(row) == 1 and row[0].endswith(",True")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["checks"]["passivity-3-trace"] is True
+        assert manifest["metrics"]["passivity-3-trace"]["failures"] == 0
 
     def test_negative_defect_fails_every_trial_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(diagnostics, "passivity_defect", lambda *args: -1.0)
         path = self.three_config(tmp_path)
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
-        summary = (tmp_path / "validate_summary.txt").read_text()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         for name in ("single", "two-trace", "3-trace"):
-            assert f"FAIL passivity-{name}:" in summary
-            line = next(r for r in summary.splitlines() if r.strip().startswith(f"{name} "))
-            assert line.endswith("failures 5")
-        assert "PASS passivity-time-domain:" in summary
+            assert manifest["checks"][f"passivity-{name}"] is False
+            assert manifest["metrics"][f"passivity-{name}"]["failures"] == 5
+        assert manifest["checks"]["passivity-time-domain"] is True
+        assert manifest["metrics"]["passivity-time-domain"]["failures"] == 0
+
+    def test_rerun_differs_only_in_wall_times(self, tmp_path):
+        # manifest.json is validate's one record: a rerun into the same
+        # directory rewrites it with every check's value and verdict unchanged.
+        path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        manifests = []
+        for _ in range(2):
+            assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        for manifest in manifests:
+            assert manifest.pop("wall_times") and manifest.pop("peak_rss_mb")
+        assert manifests[0] == manifests[1]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     @pytest.mark.parametrize("trials", ["x", 0], ids=["not-an-integer", "zero"])
     def test_malformed_trials_exit_2(self, tmp_path, capsys, trials):
@@ -218,6 +245,9 @@ class TestSolveFreq:
             ("solve-freq", (), None, ["--s", "1+nanj"], "ConfigError"),
             ("solve-freq", ("sweep", "s_values", 1), [math.nan, 0.0], [], "ConfigError"),
             ("solve-freq", ("sweep", "s_values", 1), [0.0, 1.0], [], "DomainError"),
+            # (s * width)**2 of the gaussian transform would overflow.
+            ("solve-freq", (), None, ["--s", "1+1e155j"], "DomainError"),
+            ("solve-freq", ("sweep", "s_values"), [[1.0, 1e155]], [], "DomainError"),
             ("solve-freq", ("sweep",), {"s_values": []}, [], "ConfigError"),
             ("sweep", ("sweep",), {"s_re": [0.5, 4.0], "count": 0}, [], "ConfigError"),
             ("solve-freq", (), None, ["--s", ","], "ConfigError"),
@@ -315,6 +345,7 @@ class TestSolveFreq:
         ],
         ids=["sweep-count-not-an-integer", "sweep-s-value-without-imag", "theta-outside-0-pi",
              "s-flag-nan", "s-flag-nan-imag", "sweep-s-value-nan", "sweep-s-value-zero-real",
+             "s-flag-huge-imag", "sweep-s-value-huge-imag",
              "sweep-s-values-empty", "sweep-count-zero", "s-flag-empty",
              "eps0-nan",
              "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
@@ -524,7 +555,6 @@ class TestSolveTime:
         assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "energy.csv").exists()
         assert (out / "probes.csv").exists()
-        assert (out / "stability_report.csv").exists()
         snapshots = list(out.glob("snapshot_*.vtk"))
         assert len(snapshots) == 5  # steps 0, 16, 32, 48, 64
         head = snapshots[0].read_bytes().split(b"\n", 4)
@@ -554,8 +584,10 @@ class TestSolveTime:
             assert metrics[metric]["limit"] == limit
             assert manifest["checks"][check] is (metrics[metric]["value"] <= limit)
         assert metrics["initial_ratio"]["limit"] == 1e-8
-        stability = (out / "stability_report.csv").read_text().splitlines()[1].split(",")
-        assert metrics["stability_ratio"]["value"] == float(stability[3])
+        # The a-priori ratios are reported without a check.
+        assert set(metrics["apriori_ratio"]) == {"linf", "l2"}
+        assert all(v > 0.0 for v in metrics["apriori_ratio"].values())
+        assert not any(name.startswith("apriori") for name in manifest["checks"])
         # A rerun into the same directory differs only in wall times.
         assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
         rerun = json.loads((out / "manifest.json").read_text())
@@ -568,30 +600,22 @@ class TestSolveTime:
                              ids=["limits-above", "limits-below"])
     def test_stability_report_rows_match_manifest_checks(self, tmp_path, monkeypatch,
                                                          pin, passivity_limit, passed):
-        # The report copies each verdict the manifest records, with the
-        # value and limit it was judged on, whichever way the verdict goes.
+        # Each verdict the manifest records follows from the value and limit
+        # recorded next to it, whichever way the verdict goes.
         monkeypatch.setattr(diagnostics, "PINNED_STABILITY_RATIO", pin)
         monkeypatch.setattr(diagnostics, "TIME_DEFECT_TOL", passivity_limit)
         path = write_config(tmp_path, small_config())
         out = tmp_path / "out"
         assert main(["solve-time", "--config", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        rows = {
-            row[0]: row for row in
-            (line.split(",") for line in (out / "stability_report.csv").read_text().splitlines()[1:])
-        }
-        # Report row -> (manifest check, its metric, value column, limit column).
-        matched = {
-            "stability": ("stability-ratio", "stability_ratio", 3, None),
-            "passivity-deficit": ("boundary-passivity", "passivity_deficit", 1, 2),
-        }
-        for name, (check, metric, value_col, limit_col) in matched.items():
+        for check, metric, limit in (
+            ("stability-ratio", "stability_ratio", pin * diagnostics.PIN_MARGIN),
+            ("boundary-passivity", "passivity_deficit", passivity_limit),
+        ):
             recorded = manifest["metrics"][metric]
-            assert float(rows[name][value_col]) == recorded["value"], name
-            if limit_col is not None:
-                assert float(rows[name][limit_col]) == recorded["limit"], name
-            assert rows[name][4] == str(manifest["checks"][check]), name
-            assert manifest["checks"][check] is passed, name
+            assert recorded["limit"] == limit, check
+            assert manifest["checks"][check] is (recorded["value"] <= limit), check
+            assert manifest["checks"][check] is passed, check
 
     def test_negated_dtn_history_fails_boundary_passivity(self, tmp_path, monkeypatch):
         # A march whose DtN history has its sign flipped feeds energy back
@@ -726,8 +750,12 @@ class TestSolveTime:
         assert main(["solve-time", "--config", str(path), "--out", str(out1)]) == 0
         assert main(["solve-time", "--config", str(path), "--out", str(out2),
                      "--threads", "2"]) == 0
-        for name in ("probes.csv", "energy.csv", "stability_report.csv"):
+        for name in ("probes.csv", "energy.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # The checks' values and verdicts do not depend on the thread count.
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
+        for key in ("metrics", "checks"):
+            assert manifests[0][key] == manifests[1][key]
 
     def test_byte_identical_reruns_and_threads(self, tmp_path):
         # A rerun, and any --threads value, writes the same bytes to every
@@ -811,6 +839,19 @@ def test_manifest_records_resolution(tmp_path, command):
     if command == "solve-time":
         expected |= {"dt": 0.2, "dt_over_width": 0.2 / 0.5}
     assert resolution == expected
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-freq", "sweep", "solve-time",
+                                     "mesh-export"])
+def test_out_dir_holds_manifest_and_its_outputs(tmp_path, command):
+    # The manifest lists every file a command writes besides itself.
+    path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    names = [Path(p).name for p in outputs]
+    assert len(set(names)) == len(names)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
 
 
 class TestMeshExport:

@@ -105,3 +105,48 @@ def test_every_import_is_used():
                         unused.add(f"{path.stem}.{bound}")
     assert sorted(unused - UNREAD_IMPORTS) == []
     assert sorted(UNREAD_IMPORTS - unused) == []
+
+
+# Dataclass fields no module of the package reads that stay on purpose,
+# with the reason.
+UNREAD_FIELDS = {
+    # The march's per-step state norm: public record of the time solution,
+    # read by the tests and the README's API example.
+    "cq.TimeSolution.state_norm",
+    # The two sides of the stability estimate: public API of
+    # diagnostics.stability_check, read by the tests; solve-time records
+    # only their ratio.
+    "diagnostics.StabilityRecord.lhs",
+    "diagnostics.StabilityRecord.rhs",
+    # Reaches manifest.json through asdict in RunManifest.write.
+    "io.RunManifest.mesh_stats",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(fn, ast.Name) and fn.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # A field is in use when some module of the package reads an attribute
+    # of its name (an ast.Attribute in load context); a field only ever
+    # written is state nothing reads.  Matching is by name, so a field
+    # shares the reads of every other field of its name.
+    read, fields = set(), set()
+    for path in Path(cavitytd.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {
+                    (f"{path.stem}.{node.name}", stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+    assert fields
+    unread = {f"{owner}.{name}" for owner, name in fields if name not in read}
+    assert sorted(unread - UNREAD_FIELDS) == []
+    assert sorted(UNREAD_FIELDS - unread) == []

@@ -220,6 +220,15 @@ class TestBoundaryDataFreq:
             with pytest.raises(DomainError):
                 ct.boundary_data_freq(pw, unit_grid, s)
 
+    def test_rejects_overflowing_frequency(self, gauss, bump, unit_grid):
+        # |s| * width past MAX_S_WIDTH would overflow the gaussian's
+        # (s * width)**2; the bound holds for real s and for the bump too.
+        for profile in (gauss, bump):
+            pw = ct.PlaneWave(profile=profile, theta=1.0)
+            for s in (1.0 + 1e155j, 1e155 + 0j):
+                with pytest.raises(DomainError, match="too large"):
+                    ct.boundary_data_freq(pw, unit_grid, s)
+
     def test_closed_form_against_quadrature(self, gauss, unit_grid, rng):
         # Independent oracle: direct numerical Laplace transform of g(x, .)
         pw = ct.PlaneWave(profile=gauss, theta=1.2)
