@@ -27,27 +27,30 @@ with W the aperture trapezoid weights and the real matrix
 W0 = s0*A(s0), s0 = 3/(2 dt), the same at every step: one factorization
 per run, one certified solve per step.  M, K and Rf, the stacked free-DOF
 mass, stiffness and trace restriction, are the solver's own
-(SystemPattern): the load and both ends of the DtN history are sparse
-products with one matrix.  The history keeps rfft(Rf u_n) for every past
+(SystemPattern).  Rf is zero off the aperture DOFs, so the loads and
+both ends of the DtN history are sparse products with its aperture
+columns Rf_a alone.  The history keeps rfft(Rf_a u_n) for every past
 step, so the sum costs one pass over N + 1 spectra of N_trace/2 + 1 bins
-per step.  Each distinct matrix among M, K and their unit-weight twins
-multiplies u_n once per step.  The march keeps its step state in one
-ring of four rows: row n % 4 holds u_n and each distinct matrix times
-u_n, so the mass history weights the ring's M column, and du with A du
-for every form matrix A is one BDF2 combination of the three latest rows.
-Where the twins are the weighted matrices, a step makes six sparse
-products: the load, the DtN history's Rf^T, the residual's W0 u_n, M u_n,
-K u_n and Rf u_n.
+per step.  The march keeps its step state in one ring of four rows: row
+n % 4 holds u_n and each distinct matrix among M, K and their unit-weight
+twins times u_n, so the mass history weights the ring's M column, and du
+with A du for every form matrix A is one BDF2 combination of the ring's
+rows.  Where the twins are the weighted matrices, a step makes five
+sparse products: the DtN history's Rf_a^T, the residual's W0 u_n, M u_n,
+K u_n and Rf_a u_n, and a sixth with the probe rows when the run has
+probes.  The loads Rf_a^T W D1 g take one product per block of ROW_BLOCK
+steps.
 
 The march keeps no field history and no space-time data array: besides
 the ring, what it holds grows with N only through the DtN weights and spectra
-(3 (N+1)(N_trace/2+1) numbers) and the per-step record (9 (N+1)); the
-fields would add (N+1) n_nodes, the sampled data (N+1) N_trace.  It
-samples g one block of ROW_BLOCK steps at a time and keeps the two
-previous rows that D1 g reads.  Each step adds its column to the record:
-the rows of FORMS that the energy and passivity checks read, the state
-norm behind the causality check and the -1/2 aperture norm of g_n; it
-hands its fields to the caller's observer, if any.
+(3 (N+1)(N_trace/2+1) numbers) and the per-step record ((9 + P)(N+1) for
+P probes); the fields would add (N+1) n_nodes, the sampled data
+(N+1) N_trace.  It samples g one block of ROW_BLOCK steps at a time,
+with the two previous rows that D1 g reads.  Each step adds its column
+to the record: the rows of FORMS that the energy and passivity checks
+read, the state norm behind the causality check, the -1/2 aperture norm
+of g_n and the field at the probe points.  It hands its fields to the
+caller's observer, if any, at every k-th step (k = 1 by default).
 
 The flux row is the pairing -(dx/mu0) <(omega * Rf u)_n, D1(Rf u)_n>
 (trace.pairing_terms), which `validate` certifies on random histories
@@ -56,7 +59,7 @@ The flux row is the pairing -(dx/mu0) <(omega * Rf u)_n, D1(Rf u)_n>
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +147,11 @@ class TimeSolution:
     difference after); flux the summed trace.pairing_terms.  state_norm is
     the Euclidean norm of the stacked nodal vector at each step and g the
     (N+1,) row of zero-extended -1/2 aperture norms of the data that drove
-    the march (trace.aperture_norm_rows).  imag_residue is the largest
-    imaginary part the march discarded from the DtN weights, relative to
-    the largest weight (the step matrix W0 is real by construction);
+    the march (trace.aperture_norm_rows).  probes is the (n_probes, N+1)
+    array of the field at the march's probe points, one row per point.
+    imag_residue is the largest imaginary part the march discarded from
+    the DtN weights, relative to the largest weight (the step matrix W0
+    is real by construction);
     initial_ratio the t = 0 state norm relative to the trajectory peak;
     max_residual the largest relative residual of the step solves,
     reached at step worst_step; n_dofs and lu_nnz the size and fill of
@@ -158,6 +163,7 @@ class TimeSolution:
     forms: np.ndarray
     state_norm: np.ndarray
     g: np.ndarray = field(repr=False)
+    probes: np.ndarray = field(repr=False)
     imag_residue: float = 0.0
     initial_ratio: float = 0.0
     max_residual: float = 0.0
@@ -219,15 +225,20 @@ def run_time_domain(
     pw: PlaneWave,
     scheme: CqScheme,
     observer: Callable[[int, list[np.ndarray]], None] | None = None,
+    *,
+    probes: Sequence[tuple[int, np.ndarray]] = (),
+    observe_every: int = 1,
 ) -> TimeSolution:
     """Marched CQ solution of the reduced initial-boundary value problem.
 
     Factorizes the real step matrix W0 once and solves one certified step
     per time level; a residual above the limit raises FactorizationFailure
-    naming the step.  Each step adds its column of the record (the forms
-    and the state norm); `observer(n, fields)`, when given, receives step
-    n's full per-cavity node values as it passes, fresh arrays it may
-    keep.  The observer is the only way fields leave the march.  Raises
+    naming the step.  Each step adds its column of the record (the forms,
+    the state norm and the values at `probes`, (cavity index, node
+    weights) pairs as io.probe_matrix returns them); `observer(n, fields)`,
+    when given, receives step n's full per-cavity node values at every
+    step n with n % observe_every == 0, fresh arrays it may keep.  The
+    observer is the only way fields leave the march.  Raises
     CausalityViolation when the state at t = 0 is not at rest relative to
     the trajectory peak.  Raises DimensionMismatch when the wave assumes
     other exterior constants than the scene: the DtN weights take the
@@ -238,6 +249,8 @@ def run_time_domain(
             f"the wave's exterior (eps0={pw.eps0}, mu0={pw.mu0}) is not the "
             f"scene's (eps0={scene.eps0}, mu0={scene.mu0})"
         )
+    if observe_every < 1:
+        raise ValueError(f"observe_every must be at least 1, got {observe_every}")
     n1 = scheme.steps + 1
     dt = scheme.dt
     times = scheme.times()
@@ -250,7 +263,11 @@ def run_time_domain(
     omega, weight_imag = dtn_weights(grid, scene.c, scheme)
 
     pattern = solver.pattern
-    rf, rf_t = pattern.restriction, pattern.restriction.T
+    # Rf is zero off the aperture DOFs ap: the trace reads and the loads
+    # touch only its aperture columns rf_a.
+    ap = pattern.aperture_dofs
+    rf_a = pattern.restriction[:, ap]
+    rf_a_t = rf_a.T
     dtn_scale = grid.dx / scene.mu0
     d2 = _D2 / (dt * dt)
     # Each distinct form matrix multiplies x_n once per step, into its own
@@ -260,55 +277,71 @@ def run_time_domain(
     col_m, col_k, col_mu, col_ku = (
         1 + next(j for j, b in enumerate(distinct) if a is b) for a in named
     )
+    probe_rows = solver.free_rows(probes)
 
     # Row n % 4 of the ring holds step n: x_n, then each distinct matrix
     # times x_n, written over step n - 4 after the solve.  All rows are
-    # zero before t = 0, so the mass history sum_{j=1..4} d2_j M x_{n-j}
-    # weights ring[:, col_m] by mass_weights[n % 4], and du with every
-    # A du is one combination of the three latest rows.  The DtN history
-    # reaches every past step through rfft(Rf u_n), stored latest first
-    # from the end (row N - n holds step n, so spectra[N + 1 - n:] lists
-    # steps n - 1 down to 0) and with real and imaginary parts apart so its
-    # sum runs on real arrays.
+    # zero before t = 0, so the negated mass history
+    # -sum_{j=1..4} d2_j M x_{n-j}, where each step's load starts, weights
+    # ring[:, col_m] by mass_weights[n % 4], and du with every A du is one
+    # combination of the ring's rows by du_weights[min(n, 2), n % 4], which
+    # weights row (n - i) % 4 by _DU_WEIGHTS[min(n, 2), i] / dt.  The DtN
+    # history reaches every past step through rfft(Rf u_n), stored latest
+    # first from the end (row N - n holds step n, so spectra[N + 1 - n:]
+    # lists steps n - 1 down to 0) and with real and imaginary parts apart
+    # so its sum runs on real arrays.
     ring = np.zeros((4, 1 + len(distinct), w0.n_dofs))
-    mass_weights = np.array([d2[1 + (r - 1 - np.arange(4)) % 4] for r in range(4)])
+    mass_weights = -np.array([d2[1 + (r - 1 - np.arange(4)) % 4] for r in range(4)])
+    du_weights = np.zeros((3, 4, 4))
+    for r in range(4):
+        du_weights[:, r, (r - np.arange(3)) % 4] = _DU_WEIGHTS / dt
+    du = np.empty(ring.shape[1:])
     spectra = np.zeros((n1, 2, omega.shape[1]))
     residuals = np.zeros(n1)
     forms = np.zeros((len(FORMS), n1))
     state_norm = np.zeros(n1)
     g_norm = np.zeros(n1)
-    # g_{n-1}, g_{n-2} and the spectra z_{n-1}, z_{n-2}: at rest before t = 0.
-    g1 = g2 = np.zeros(grid.N)
+    probe_values = np.zeros((probe_rows.shape[0], n1))
+    # The loads of g_{n-2}, g_{n-1} before a block and the spectra z_{n-1},
+    # z_{n-2}: at rest before t = 0.
+    past = np.zeros((2, ap.size))
     z1 = z2 = np.zeros(omega.shape[1], dtype=complex)
     for n in range(n1):
         if n % ROW_BLOCK == 0:
-            # The data of the next block of steps, and its norm row.
+            # The data of the next block of steps, its norm row and the
+            # loads of its BDF2 difference D1 g: the block is loaded in one
+            # product and differenced after, on the aperture DOFs, which
+            # is the same by linearity and holds no second block of data.
             block = boundary_data_series(pw, grid, times[n : n + ROW_BLOCK])
             g_norm[n : n + ROW_BLOCK] = aperture_norm_rows(block, grid)
-        g0 = block[n % ROW_BLOCK]
-        rhs = apply_rhs(BDF2 @ [g0, g1, g2] / dt, rf, grid)
-        g1, g2 = g0, g1
-        rhs -= mass_weights[n % 4] @ ring[:, col_m]
+            rows = np.concatenate([past, apply_rhs(block, rf_a, grid)])
+            loads = sum(c * rows[2 - i : rows.shape[0] - i] for i, c in enumerate(BDF2)) / dt
+            past = rows[-2:]
+        r = n % 4
+        rhs = mass_weights[r] @ ring[:, col_m]
         re, im = np.einsum("kb,kcb->cb", omega[1 : n + 1], spectra[n1 - n :])
         history = re + 1j * im
-        rhs += rf_t @ (dtn_scale * np.fft.irfft(history, n=grid.N))
+        rhs[ap] += loads[n % ROW_BLOCK] + rf_a_t @ (dtn_scale * np.fft.irfft(history, n=grid.N))
         x, residuals[n] = certified_solve(w0, rhs, f"at step {n} (t={times[n]:g})")
-        ring[n % 4] = [x, *(a @ x for a in distinct)]
+        ring[r, 0] = x
+        for j, a in enumerate(distinct, 1):
+            ring[r, j] = a @ x
         # du/dt by backward differences: zero at rest, first order at
-        # step 1, then the BDF2 difference.  Row j of d is du for j = 0,
+        # step 1, then the BDF2 difference.  Row j of du is du for j = 0,
         # A du for the ring's column-j matrix A.
-        c = _DU_WEIGHTS[min(n, 2)] / dt
-        d = sum(ci * ring[(n - i) % 4] for i, ci in enumerate(c))
-        du_forms, x_forms = d @ d[0], ring[n % 4] @ x
+        np.dot(du_weights[min(n, 2), r], ring.reshape(4, -1), out=du.reshape(-1))
+        du_forms, x_forms = du @ du[0], ring[r] @ x
         # The flux pairs the whole DtN convolution with D1 of the spectra.
-        z = np.fft.rfft(rf @ x)
+        z = np.fft.rfft(rf_a @ x[ap])
         flux = pairing_terms(omega[0] * z + history, BDF2 @ [z, z1, z2] / dt, grid, scene.mu0)
         forms[:, n] = (du_forms[col_m], x_forms[col_k], du_forms[col_mu], du_forms[col_ku],
                        x_forms[col_mu], x_forms[col_ku], np.sum(flux))
         state_norm[n] = np.sqrt(x_forms[0])
         spectra[n1 - 1 - n] = z.real, z.imag
         z1, z2 = z, z1
-        if observer is not None:
+        if probe_values.size:
+            probe_values[:, n] = probe_rows @ x
+        if observer is not None and n % observe_every == 0:
             observer(n, solver.expand(x))
 
     worst = int(np.argmax(residuals))
@@ -325,6 +358,7 @@ def run_time_domain(
         forms=forms,
         state_norm=state_norm,
         g=g_norm,
+        probes=probe_values,
         imag_residue=weight_imag,
         initial_ratio=initial_ratio,
         max_residual=float(residuals[worst]),

@@ -180,18 +180,19 @@ def apply_rhs(g: np.ndarray, restriction: sp.spmatrix, grid: TraceGrid) -> np.nd
     """Load vector R^T W g of line data g: entry i is <g, hat_i> over the apertures.
 
     `restriction` is a trace restriction R: one cavity's
-    (FemMatrices.restriction, full node set) or the stacked free-DOF one
-    (SystemPattern.restriction).  W is the aperture trapezoid rule, which
-    reproduces the exact hat integrals (h inside, h/2 at the corner nodes)
-    when grid samples align with the aperture nodes.  Real data gives a
-    real load.
+    (FemMatrices.restriction, full node set), the stacked free-DOF one
+    (SystemPattern.restriction) or its aperture columns.  W is the aperture
+    trapezoid rule, which reproduces the exact hat integrals (h inside, h/2
+    at the corner nodes) when grid samples align with the aperture nodes.
+    Real data gives a real load.  A (rows, N) array of data, one trace per
+    row, gives the (rows, n) array of their loads in one sparse product.
     """
-    if g.shape != (grid.N,) or restriction.shape[0] != grid.N:
+    if g.ndim not in (1, 2) or g.shape[-1] != grid.N or restriction.shape[0] != grid.N:
         raise DimensionMismatch(
-            f"data of length {g.shape} and a restriction of {restriction.shape[0]} "
+            f"data of shape {g.shape} and a restriction of {restriction.shape[0]} "
             f"rows do not match grid N={grid.N}"
         )
-    return restriction.T @ (grid.aperture_weights * g)
+    return (restriction.T @ (grid.aperture_weights * g).T).T
 
 
 @dataclass
@@ -264,11 +265,13 @@ class SystemPattern:
 
     restriction is Rf, the trace restriction of the free DOFs stacked over
     the cavities (CSC, N x n_free): loads and the time-domain DtN history
-    read it.  The boundary operator is a circulant on the uniform trace
-    grid: entry (p, q) is its kernel column B e_0 at lag[p, q] =
-    (k_p - k_q) mod N.  The coupling block is therefore rt (dx B) rt^T,
-    where rt is the sparse transpose of Rf on the aperture columns, limited
-    to the trace samples k under the apertures.
+    read it.  aperture_dofs lists its nonempty columns, the free DOFs on
+    the apertures; every other column of Rf is zero.  The boundary
+    operator is a circulant on the uniform trace grid: entry (p, q) is its
+    kernel column B e_0 at lag[p, q] = (k_p - k_q) mod N.  The coupling
+    block is therefore rt (dx B) rt^T, where rt is the sparse transpose of
+    Rf on the aperture columns, limited to the trace samples k under the
+    apertures.
     """
 
     shape: tuple[int, int]
@@ -281,6 +284,7 @@ class SystemPattern:
     stiffness_unit: sp.csr_matrix
     ap_index: np.ndarray
     restriction: sp.csc_matrix
+    aperture_dofs: np.ndarray
     rt: sp.csr_matrix
     lag: np.ndarray
     free_offsets: np.ndarray
@@ -320,6 +324,7 @@ class SystemPattern:
                             else stack("stiffness_unit")),
             ap_index=inverse[vol_keys.size :],
             restriction=r_stack,
+            aperture_dofs=ap_cols,
             rt=r_ap[samples].T.tocsr(),
             lag=(samples[:, None] - samples[None, :]) % r_stack.shape[0],
             free_offsets=np.concatenate([[0], np.cumsum([f.n_free for f in fems])[:-1]]),

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, FactorizationFailure
 from .fem import (
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-10
+# Load norms inside which np.linalg.norm, a root of summed squares, loses
+# nothing to their underflow (entries below about 1e-154) or overflow.
+_NORM_RANGE = (2.0**-460, 2.0**460)
 # Most frequencies one sweep may list, checked before any is generated:
 # the benchmark sweeps 192 and the shipped configs 20.
 MAX_SWEEP_FREQUENCIES = 2**16
@@ -135,6 +139,20 @@ class FrequencySolver:
             out.append(full)
         return out
 
+    def free_rows(self, stencils) -> sp.csr_matrix:
+        """Sparse rows over the free DOFs of per-cavity node weights.
+
+        `stencils` lists (cavity index, weights over that cavity's nodes)
+        pairs, as io.probe_matrix returns them.  Row i applied to free-DOF
+        values x gives w_i @ expand(x)[c_i] up to the order of summation:
+        the wall nodes drop out exactly, since the field is zero there.
+        """
+        dense = np.zeros((len(stencils), self.pattern.shape[0]))
+        for row, (ci, w) in zip(dense, stencils):
+            f, lo = self.fems[ci], self.pattern.free_offsets[ci]
+            row[lo : lo + f.n_free] = w[f.free_nodes]
+        return sp.csr_matrix(dense)
+
     def solve(
         self, s: complex, data: np.ndarray, op: SystemOperator | None = None
     ) -> FrequencySolution:
@@ -206,22 +224,41 @@ def certified_solve(op: SystemOperator, b: np.ndarray, where: str) -> tuple[np.n
 
     A zero load returns the zero solution without a solve; a residual
     above 1e-10 raises FactorizationFailure with `where` naming the solve.
+    Unless the load's norm is 0 or leaves _NORM_RANGE, taking that norm
+    is the one pass over b.
     """
-    if not np.any(b):
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0 and not np.any(b):
         return np.zeros_like(b), 0.0
     x = op.solve(b)
-    return x, _certify(op, x, b, where)
+    return x, _certify(op, x, b, where, b_norm)
 
 
-def _certify(op: SystemOperator, x: np.ndarray, b: np.ndarray, where: str) -> float:
+def _certify(
+    op: SystemOperator, x: np.ndarray, b: np.ndarray, where: str, b_norm: float | None = None
+) -> float:
     """Relative residual of x for op x = b (one matvec), at most 1e-10.
 
     A larger residual raises FactorizationFailure with `where` naming the
-    solve; a zero load has residual 0.
+    solve; a zero load has residual 0.  `b_norm` is the caller's
+    np.linalg.norm(b), if it took it.  When that norm leaves _NORM_RANGE,
+    where the squares inside it underflow or overflow, both norms are
+    taken of moduli scaled by the power of two that brings max|b| into
+    [1/2, 1): exact, so the certificate holds at any representable load.
     """
-    if not np.any(b):
-        return 0.0
-    residual = float(np.linalg.norm(op.matvec(x) - b) / np.linalg.norm(b))
+    if b_norm is None:
+        b_norm = np.linalg.norm(b)
+    r = op.matvec(x) - b
+    if _NORM_RANGE[0] <= b_norm <= _NORM_RANGE[1]:
+        residual = float(np.linalg.norm(r) / b_norm)
+    else:
+        moduli = np.abs(b)
+        peak = np.max(moduli)
+        if peak == 0.0:
+            return 0.0
+        shift = -np.frexp(peak)[1]
+        residual = float(np.linalg.norm(np.ldexp(np.abs(r), shift))
+                         / np.linalg.norm(np.ldexp(moduli, shift)))
     if not residual <= _RESIDUAL_LIMIT:
         raise FactorizationFailure(
             f"solve residual {residual:.3e} exceeds {_RESIDUAL_LIMIT} {where}"

@@ -137,6 +137,14 @@ class TraceGrid:
         return self.xi[: self.N // 2 + 1]
 
     @cached_property
+    def rfft_multiplicity(self) -> np.ndarray:
+        """How often each rfft mode occurs in the full spectrum: twice, but
+        once at zero and at Nyquist (N is even)."""
+        mult = np.full(self.N // 2 + 1, 2.0)
+        mult[[0, -1]] = 1.0
+        return mult
+
+    @cached_property
     def masks(self) -> tuple[np.ndarray, ...]:
         out = []
         for a, b in self.apertures:
@@ -293,13 +301,11 @@ def aperture_norm_rows(rows: np.ndarray, grid: TraceGrid) -> np.ndarray:
 
 def pairing_terms(a: np.ndarray, b: np.ndarray, grid: TraceGrid, mu0: float) -> np.ndarray:
     """Per-mode terms of the pairing -(dx/mu0) <a, b> of two real traces,
-    given as rfft spectra (last axis).  The rfft multiplicities weight the
-    terms to sum to the pairing of the full spectrum: inner modes twice,
-    (N even) zero and Nyquist once.
+    given as rfft spectra (last axis).  The rfft multiplicities
+    (TraceGrid.rfft_multiplicity) weight the terms to sum to the pairing of
+    the full spectrum: inner modes twice, zero and Nyquist once.
     """
-    mult = np.full(a.shape[-1], 2.0)
-    mult[[0, -1]] = 1.0
-    return -(grid.dx / (mu0 * grid.N)) * mult * (a * np.conj(b)).real
+    return -(grid.dx / (mu0 * grid.N)) * grid.rfft_multiplicity * (a * np.conj(b)).real
 
 
 def passivity_defect(

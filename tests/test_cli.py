@@ -402,6 +402,22 @@ class TestSolveFreq:
         field = np.loadtxt(out / "solution_s000_cavity0.csv", delimiter=",", skiprows=1)
         assert np.all(field[:, 2:] == 0.0)
 
+    def test_tiny_amplitude_certifies_and_scales_exactly(self, tmp_path):
+        # At amplitude 2**-530 the load's squares underflow; the certificate
+        # still holds, and every value is the amplitude-1 value times 2**-530.
+        config = json.loads((CONFIG_DIR / "reference_single.json").read_text())
+        fields = []
+        for amplitude in (1.0, 2.0**-530):
+            config["incident"]["profile"]["amplitude"] = amplitude
+            path = write_config(tmp_path, config, f"config_{len(fields)}.json")
+            out = tmp_path / f"out_{len(fields)}"
+            assert main(["solve-freq", "--config", str(path), "--out", str(out),
+                         "--s", "1+0.5j"]) == 0
+            fields.append(np.loadtxt(out / "solution_s000_cavity0.csv", delimiter=",",
+                                     skiprows=1)[:, 2:])
+        assert np.any(fields[0])
+        assert np.array_equal(fields[1], np.ldexp(fields[0], -530))
+
     def test_s_flag_override(self, tmp_path):
         path = write_config(tmp_path, small_config())
         out = tmp_path / "out"

@@ -8,10 +8,12 @@ from cavitytd import cq, fem, freq
 from cavitytd.cq import CqScheme
 from cavitytd.errors import DimensionMismatch, FactorizationFailure
 from cavitytd.incident import ROW_BLOCK, boundary_data_series
+from cavitytd.io import probe_matrix
 from cavitytd.trace import aperture_norm_rows, pairing_terms
 
 from conftest import (
     REFERENCE_CONTOUR_TOL,
+    FieldRecorder,
     contour_radius,
     cq_frequencies,
     laplace_inversion,
@@ -99,6 +101,10 @@ class TestRunTimeDomain:
 
     def run_recorded(self, scene, meshes, grid, pw, steps=48, T=6.0):
         return run_recorded(scene, meshes, grid, pw, CqScheme(dt=T / steps, steps=steps))
+
+    def run_observed(self, scene, meshes, grid, pw, observer, steps=48, T=6.0, **kwargs):
+        scheme = CqScheme(dt=T / steps, steps=steps)
+        return ct.run_time_domain(scene, meshes, grid, pw, scheme, observer, **kwargs)
 
     def test_zero_data_zero_solution(self, unit_scene, unit_meshes, unit_grid):
         prof = ct.WaveProfile(kind="gaussian-pulse", center=3.0, width=0.4, amplitude=0.0)
@@ -267,6 +273,67 @@ class TestRunTimeDomain:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), key
         norms = np.sqrt(sum(np.sum(u * u, axis=1) for u in fields))
         assert np.allclose(sol.state_norm, norms, rtol=1e-12, atol=0.0)
+
+    def test_probe_record_matches_the_recorded_fields(self):
+        # The march records its probes from free-DOF rows of the probe
+        # stencils; the stencils applied to the full fields give the same
+        # values up to the order of summation.
+        config, scene, meshes, grid, pw, scheme = load_reference("reference_three")
+        points = config["probes"] + [
+            [a + 0.3 * (b - a), -0.4 * cav["depth"]]
+            for cav in config["scene"]["cavities"] for a, b in [cav["aperture"]]
+        ]
+        stencils = probe_matrix(meshes, points)
+        recorder = FieldRecorder()
+        sol = ct.run_time_domain(scene, meshes, grid, pw, scheme, recorder, probes=stencils)
+        fields = recorder.fields
+        expected = np.stack([fields[ci] @ w for ci, w in stencils])
+        assert sol.probes.shape == (len(points), scheme.steps + 1)
+        assert {ci for ci, _ in stencils} == {0, 1, 2}
+        peak = np.max(np.abs(expected))
+        assert peak > 0.0
+        assert np.max(np.abs(sol.probes - expected)) <= 1e-14 * peak
+        bare = ct.run_time_domain(scene, meshes, grid, pw, scheme)
+        assert bare.probes.shape == (0, scheme.steps + 1)
+
+    @pytest.mark.parametrize("every", [1, 5, 48, 49])
+    def test_observer_cadence(self, unit_scene, unit_meshes, unit_grid, gaussian_wave, every):
+        seen = []
+        self.run_observed(unit_scene, unit_meshes, unit_grid, gaussian_wave,
+                          lambda n, fields: seen.append(n), observe_every=every)
+        assert seen == [n for n in range(49) if n % every == 0]
+        with pytest.raises(ValueError):
+            self.run_observed(unit_scene, unit_meshes, unit_grid, gaussian_wave,
+                              lambda n, fields: None, observe_every=0)
+
+    def test_default_cadence_delivers_every_step(self, unit_scene, unit_meshes, unit_grid,
+                                                 gaussian_wave):
+        _, fields = self.run_recorded(unit_scene, unit_meshes, unit_grid, gaussian_wave)
+        assert all(f.shape[0] == 49 for f in fields)
+
+    @pytest.mark.parametrize("steps, every, observed", [(100, 7, True), (127, 1, True),
+                                                        (128, 1, False)])
+    def test_march_dispatch_counts(self, unit_scene, unit_meshes, unit_grid, gaussian_wave,
+                                   monkeypatch, steps, every, observed):
+        # The march loads one block of ROW_BLOCK steps per apply_rhs call
+        # and expands fields only on the steps its observer sees: a march
+        # that goes back to a load or an expansion per step fails here.
+        calls = {"apply_rhs": 0, "expand": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cq, "apply_rhs", counting("apply_rhs", cq.apply_rhs))
+        monkeypatch.setattr(freq.FrequencySolver, "expand",
+                            counting("expand", freq.FrequencySolver.expand))
+        observer = (lambda n, fields: None) if observed else None
+        self.run_observed(unit_scene, unit_meshes, unit_grid, gaussian_wave, observer,
+                          steps=steps, observe_every=every)
+        assert calls["apply_rhs"] == -(-(steps + 1) // ROW_BLOCK)
+        assert calls["expand"] == (-(-(steps + 1) // every) if observed else 0)
 
     def test_multi_cavity_coupling_reaches_far_cavity(self, two_scene, two_meshes, two_grid):
         # Oblique pulse arriving from the left: the right cavity's field is

@@ -101,6 +101,24 @@ class TestApplyRhs:
         with pytest.raises(DimensionMismatch):
             ct.apply_rhs(np.zeros(unit_grid.N), unit_fem.restriction.T, unit_grid)
 
+    def test_block_dimension_mismatch(self, unit_fem, unit_grid):
+        # A block is (rows, N): a 3-D array or rows of another length raise.
+        with pytest.raises(DimensionMismatch):
+            ct.apply_rhs(np.zeros((2, 3, unit_grid.N)), unit_fem.restriction, unit_grid)
+        with pytest.raises(DimensionMismatch):
+            ct.apply_rhs(np.zeros((3, 32)), unit_fem.restriction, unit_grid)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_row_block_equals_row_loads(self, unit_fem, unit_grid, rng, dtype):
+        # One product loads a (rows, N) block: row j is the load of data row j.
+        block = rng.standard_normal((5, unit_grid.N)).astype(dtype)
+        if dtype is complex:
+            block += 1j * rng.standard_normal((5, unit_grid.N))
+        loads = ct.apply_rhs(block, unit_fem.restriction, unit_grid)
+        rows = np.stack([ct.apply_rhs(g, unit_fem.restriction, unit_grid) for g in block])
+        assert loads.shape == rows.shape and loads.dtype == rows.dtype == dtype
+        assert np.max(np.abs(loads - rows)) <= 1e-15 * np.max(np.abs(rows))
+
     def test_real_data_gives_real_load(self, unit_fem, unit_grid, rng):
         # The real part of the complex-data load, bit for bit.
         re, im = rng.standard_normal((2, unit_grid.N))

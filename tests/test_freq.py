@@ -40,6 +40,23 @@ class TestSolveFrequency:
         assert sol.residual <= 1e-10
         assert any(np.any(f) for f in sol.fields)
 
+    @pytest.mark.parametrize("s", [1.7, 1.3 + 0.9j])
+    def test_certificate_holds_at_any_load_scale(self, unit_solver, unit_grid,
+                                                 gaussian_wave, s):
+        # Scaling the load by a power of two scales the solve exactly; the
+        # certificate then reads the same residual, also where the load's
+        # squares underflow (2**-600) or overflow (2**600, where the first
+        # norm warns of the overflow).
+        op = unit_solver.operator(s)
+        b = unit_solver.load(ct.boundary_data_freq(gaussian_wave, unit_grid, s))
+        x, residual = freq.certified_solve(op, b, "at scale 1")
+        assert 0.0 < residual <= 1e-10
+        for shift in (-600, 600):
+            with np.errstate(over="ignore"):
+                xs, rs = freq.certified_solve(op, b * 2.0**shift, f"at scale 2**{shift}")
+            assert np.array_equal(xs, x * 2.0**shift)
+            assert rs == pytest.approx(residual, rel=1e-12)
+
     def test_real_s_gives_exactly_real_fields(self, unit_solver, unit_grid, gaussian_wave):
         # The dtype follows s from the data to the fields: float64 at real
         # s, where the data and the matrix are real, complex128 otherwise.
