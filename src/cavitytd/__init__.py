@@ -14,7 +14,6 @@ from .diagnostics import (
     apriori_check,
     energy,
     passivity_deficit,
-    passivity_suite,
     stability_check,
 )
 from .errors import (

@@ -53,8 +53,8 @@ of g_n and the field at the probe points.  It hands its fields to the
 caller's observer, if any, at every k-th step (k = 1 by default).
 
 The flux row is the pairing -(dx/mu0) <(omega * Rf u)_n, D1(Rf u)_n>
-(trace.pairing_terms), which `validate` certifies on random histories
-(diagnostics.passivity_suite).
+(trace.pairing_terms), which `validate` certifies for every history, mode
+by mode (diagnostics.time_passivity).
 """
 
 from __future__ import annotations

@@ -6,14 +6,17 @@ asserts non-regression afterwards: the pins below were recorded on the
 shipped reference scenes and subsequent runs may not exceed them by more
 than PIN_MARGIN.
 
-The passivity suite exercises the sign-definiteness of the boundary
-quadratic form three ways: single trace, coupled two-trace, and n-trace
-random configurations in the frequency domain, plus the time-domain
-pairing (trace.pairing_terms) of the march's own BDF2 DtN weights
-(cq.dtn_weights) with the BDF2 difference.  BDF2 is A-stable, so by
-Parseval on |zeta| = 1 that pairing is nonnegative mode by mode for every
-causal history that returns to rest (Lubich, Numer. Math. 67, 1994; Banjai,
-Lubich & Sayas, Numer. Math. 129, 2015).
+The passivity certificates are exact, and they need no random samples:
+every boundary form is diagonal in the Fourier modes.  In the frequency
+domain the form of any set of aperture traces is that of their sum, so
+one sign per (mode, frequency) certifies it for every trace.  In the time
+domain the pairing (trace.pairing_terms) of the march's own BDF2 DtN
+weights (cq.dtn_weights) with the BDF2 difference is one quadratic form
+per mode over the history, nonnegative for every history exactly when its
+matrix is negative semidefinite.  The symbol has Re(beta/s) < 0 wherever
+Re s > 0, and BDF2 is A-stable, so both hold up to the weights' round-off
+(Lubich, Numer. Math. 67, 1994; Banjai, Lubich & Sayas, Numer. Math. 129,
+2015).
 
 The time-domain checks read one per-step record: the march
 (cq.run_time_domain) accumulates every quadratic form of u and du/dt and
@@ -26,8 +29,8 @@ The commands keep each value, limit and verdict in manifest.json alone.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,18 +39,21 @@ from .cq import BDF2, FORMS, CqScheme, TimeSolution, dtn_weights
 from .errors import DimensionMismatch
 from .incident import BoundaryDataNorms
 from .io import write_csv
-from .trace import TraceGrid, pairing_terms, passivity_defect, restrict
+from .trace import TraceGrid, beta
 
 __all__ = [
     "EnergyTrace",
     "StabilityRecord",
     "AprioriRecord",
-    "PassivityReport",
     "energy",
     "stability_check",
     "apriori_check",
-    "passivity_suite",
     "passivity_deficit",
+    "symbol_blocks",
+    "frequency_forms",
+    "frequency_passivity",
+    "pairing_forms",
+    "time_passivity",
     "save_energy_csv",
 ]
 
@@ -64,15 +70,13 @@ PINNED_STABILITY_RATIO = 0.2974
 # (the tests' growth_study, acceptance criterion 09).
 PINNED_APRIORI_LINF = 0.229
 
-# Passivity-suite failure limits on the normalized defect (a trial fails
-# below minus the limit): frequency-domain configurations, time-domain form
-# (also the limit of solve-time's passivity_deficit).
+# Passivity certificate limits: frequency domain, time domain (also the
+# limit of solve-time's passivity_deficit).
 DEFECT_TOL, TIME_DEFECT_TOL = 1e-12, 1e-10
-# Time-domain passivity histories: random signals under a sin^2 envelope
-# that returns to rest at step _TD_REST, then _TD_STEPS - _TD_REST rest
-# steps, so that the pairing covers every step where D1 u is nonzero.
-_TD_DT, _TD_REST, _TD_STEPS = 0.1, 32, 34
-
+# The time-domain certificate's step and step count.
+_TD_DT, _TD_STEPS = 0.1, 34
+# Most symbol values or pairing-matrix entries a certificate holds at once.
+_CERT_ENTRIES = 2**18
 
 # ---------------------------------------------------------------------------
 # Energy
@@ -215,119 +219,93 @@ def passivity_deficit(et: EnergyTrace) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Passivity suite
+# Passivity certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PassivityReport:
-    """Per configuration: the worst normalized defect and the trials that failed."""
+def symbol_blocks(
+    grid: TraceGrid, c: float, s: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The symbol on the rfft modes of `grid` at the frequencies `s`.
 
-    min_defects: dict[str, float] = dc_field(default_factory=dict)
-    failures: dict[str, int] = dc_field(default_factory=dict)
-
-
-def _random_trace(rng: np.random.Generator, grid: TraceGrid, j: int) -> np.ndarray:
-    vals = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    return restrict(vals, j, grid)
-
-
-def _random_s(rng: np.random.Generator) -> complex:
-    return complex(10.0 * (1.0 - rng.random()), rng.uniform(-10.0, 10.0))
-
-
-def passivity_suite(
-    grid: TraceGrid,
-    c: float,
-    trials: int = 1000,
-    seed: int = 0,
-    mu0: float = 1.0,
-) -> PassivityReport:
-    """Randomized sign checks of the boundary quadratic form.
-
-    Frequency-domain configurations run with one trace, two traces and all
-    apertures of the grid (whichever exist); the time-domain configuration
-    pairs random causal trace histories with the march's DtN weights,
-    built once here.  Failures (normalized defect below -DEFECT_TOL, or
-    -TIME_DEFECT_TOL in the time domain) are report content, not exceptions.
+    Yields (modes, beta(grid.rfft_xi[modes], s[:, None])) for consecutive
+    slices of the modes, each symbol block of at most _CERT_ENTRIES values.
     """
-    if trials < 1:
-        raise ValueError("at least one trial required")
-    rng = np.random.default_rng(seed)
-    report = PassivityReport()
-
-    configs = [("single", 1)]
-    if grid.n_apertures >= 2:
-        configs.append(("two-trace", 2))
-    if grid.n_apertures > 2:
-        configs.append((f"{grid.n_apertures}-trace", grid.n_apertures))
-
-    for name, n_traces in configs:
-        worst = math.inf
-        fails = 0
-        for _ in range(trials):
-            s = _random_s(rng)
-            traces = [_random_trace(rng, grid, j) for j in range(n_traces)]
-            scale = max(
-                sum(float(np.linalg.norm(t)) ** 2 for t in traces), 1.0
-            )
-            d = passivity_defect(traces, s, mu0, grid, c) / scale
-            worst = min(worst, d)
-            if d < -DEFECT_TOL:
-                fails += 1
-        report.min_defects[name] = worst
-        report.failures[name] = fails
-
-    worst = math.inf
-    fails = 0
-    td_trials = max(1, trials // 10)  # each trial is a full space-time history
-    omega, _ = dtn_weights(grid, c, CqScheme(dt=_TD_DT, steps=_TD_STEPS))
-    for _ in range(td_trials):
-        d = _time_domain_defect(rng, grid, omega, mu0)
-        worst = min(worst, d)
-        if d < -TIME_DEFECT_TOL:
-            fails += 1
-    report.min_defects["time-domain"] = worst
-    report.failures["time-domain"] = fails
-    return report
+    s = np.ravel(s)[:, None]
+    step = max(1, _CERT_ENTRIES // s.size)
+    for lo in range(0, grid.rfft_xi.size, step):
+        modes = slice(lo, lo + step)
+        yield modes, beta(grid.rfft_xi[modes], s, c)
 
 
-def _time_domain_defect(
-    rng: np.random.Generator, grid: TraceGrid, omega: np.ndarray, mu0: float
-) -> float:
-    """Normalized time-domain passivity pairing of the march's DtN weights.
+def frequency_forms(
+    grid: TraceGrid, c: float, s: np.ndarray, mu0: float
+) -> Iterator[np.ndarray]:
+    """The boundary form's mode coefficients at the frequencies `s`.
 
-    For a random real causal history u_n on the apertures, at rest from
-    step _TD_REST on, evaluates
-        D = -(dx/mu0) sum_n <(omega * u)_n, (D1 u)_n>
-    on the rfft modes, with omega the (N+1, N_trace/2+1) weights of
-    cq.dtn_weights, * their causal convolution in time and D1 the BDF2
-    difference, and returns D over the sum of the magnitudes of its
-    (step, mode) terms, a number in [-1, 1].  D1 u vanishes after step
-    _TD_REST + 1, so the finite sum is the |zeta| = 1 integral exactly.
+    The coupled form of any set of traces (trace.passivity_defect) is that
+    of their sum, L sum_m c_m(s) |u_m|^2 over its rfft coefficients u_m,
+    with c_m(s) = -mult_m Re(beta(xi_m, s) / (s mu0)) and mult_m the
+    TraceGrid.rfft_multiplicity.  Yields c_m(s), one (s.size, modes) block
+    per block of symbol_blocks.
+    """
+    s_col = np.ravel(s)[:, None]
+    for modes, symbol in symbol_blocks(grid, c, s):
+        yield -grid.rfft_multiplicity[modes] * (symbol / (s_col * mu0)).real
+
+
+def frequency_passivity(grid: TraceGrid, c: float, s: np.ndarray, mu0: float) -> float:
+    """Exact certificate of the boundary form at the frequencies `s`.
+
+    The form is nonnegative for every set of aperture traces exactly when
+    every coefficient c_m(s) of frequency_forms is.  Returns
+    -min c_m(s) / max |c_m(s)| over the modes and frequencies: at most 0
+    exactly then, 0 when every c_m(s) is 0, NaN when any is NaN.
+    """
+    lows, peaks = zip(*((f.min(), np.abs(f).max()) for f in frequency_forms(grid, c, s, mu0)))
+    peak = np.max(peaks)
+    return float(-np.min(lows) / peak) if peak != 0.0 else 0.0
+
+
+def pairing_forms(omega: np.ndarray, dt: float) -> np.ndarray:
+    """The time-domain pairing of each mode as a symmetric matrix.
+
+    For the (n1, modes) DtN weights omega (cq.dtn_weights), returns the
+    (modes, n1, n1) stack S_m = sym(T_delta^T T_omega(m)), T_omega(m) the
+    lower-triangular Toeplitz matrix of omega[:, m] and T_delta that of the
+    BDF2 row over dt.  A history h of n1 steps in mode m then pairs as
+    sum_n Re((omega * h)_n conj((D1 h)_n)) = h^H S_m h, and
+    trace.pairing_terms weights that by -(dx/(mu0 N)) mult_m.
     """
     n1 = omega.shape[0]
-    t = _TD_DT * np.arange(n1)
-    envelope = np.sin(np.pi * np.minimum(t / t[_TD_REST], 1.0)) ** 2
-    hist = np.zeros((n1, grid.N))
-    for j in range(grid.n_apertures):
-        base = restrict(rng.standard_normal(grid.N), j, grid)
-        signal = np.zeros(n1)
-        for _ in range(3):
-            om = rng.uniform(0.5, 4.0)
-            signal += rng.standard_normal() * np.sin(om * t + rng.uniform(0, 2 * np.pi))
-        hist += (envelope * signal)[:, None] * base[None, :]
+    lag = np.subtract.outer(np.arange(n1), np.arange(n1))
+    causal = lag >= 0
+    lag = np.where(causal, lag, 0)
+    delta = np.zeros(n1)
+    delta[: BDF2.size] = BDF2 / dt
+    t_omega = np.moveaxis(omega[lag], -1, 0) * causal
+    a = (delta[lag] * causal).T @ t_omega
+    return 0.5 * (a + np.swapaxes(a, 1, 2))
 
-    u_hat = np.fft.rfft(hist, axis=1)
-    conv = np.zeros_like(u_hat)
-    for k in range(n1):
-        conv[k:] += omega[k] * u_hat[: n1 - k]
-    d1 = np.zeros_like(u_hat)
-    for k, b in enumerate(BDF2):
-        d1[k:] += b * u_hat[: n1 - k]
-    d1 /= _TD_DT
-    terms = pairing_terms(conv, d1, grid, mu0)
-    scale = float(np.sum(np.abs(terms)))
-    return float(np.sum(terms)) / scale if scale > 0.0 else 0.0
+
+def time_passivity(grid: TraceGrid, c: float) -> float:
+    """Exact certificate of the march's time-domain boundary pairing.
+
+    Takes the march's own DtN weights (cq.dtn_weights) at step _TD_DT over
+    _TD_STEPS steps.  The pairing trace.pairing_terms forms of (omega * u)
+    and D1 u is nonnegative for every full-line history u of those steps,
+    aperture histories among them, exactly when every pairing_forms matrix
+    S_m is negative semidefinite (discrete positivity: Banjai, Lubich &
+    Sayas, Numer. Math. 129, 2015).  Returns max_m lambda_max(S_m) over the
+    largest |lambda| of all S_m: at most 0 exactly then.
+    """
+    omega, _ = dtn_weights(grid, c, CqScheme(dt=_TD_DT, steps=_TD_STEPS))
+    step = max(1, _CERT_ENTRIES // omega.shape[0] ** 2)
+    ends = np.concatenate([
+        np.linalg.eigvalsh(pairing_forms(omega[:, lo : lo + step], _TD_DT))[:, [0, -1]]
+        for lo in range(0, omega.shape[1], step)
+    ])
+    peak = np.max(np.abs(ends))
+    return float(np.max(ends[:, 1]) / peak) if peak != 0.0 else 0.0
 
 
 def save_energy_csv(path: str | Path, et: EnergyTrace) -> None:

@@ -127,7 +127,6 @@ class RunManifest:
 
     command: str
     config_sha256: str
-    seed: int | None = None
     scheme: dict[str, Any] | None = None
     mesh_stats: list[dict[str, int]] = field(default_factory=list)
     wall_times: dict[str, float] = field(default_factory=dict)

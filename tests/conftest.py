@@ -308,12 +308,27 @@ def growth_study(scene, meshes, grid, horizons):
     return records
 
 
+# Edits (rows, factor) of the DtN weights omega[k, m] that break the
+# time-domain passivity of the march's weights on reference_three.
+DTN_MUTATIONS = {
+    "history-negated": (slice(1, None), -1.0),
+    "omega1-x1.5": (1, 1.5),
+    "omega5-x1.1": (5, 1.1),
+    "omega1-negated": (1, -1.0),
+}
+
+
+def mutate_dtn_weights(monkeypatch, rows, factor):
+    """diagnostics reads DtN weights whose `rows` are scaled by `factor`."""
+    def mutated(*args):
+        omega, imag = dtn_weights(*args)
+        omega[rows] *= factor
+        return omega, imag
+
+    monkeypatch.setattr(diagnostics, "dtn_weights", mutated)
+
+
 @pytest.fixture
 def flipped_dtn_weight(monkeypatch):
     """diagnostics reads DtN weights whose row omega_1 is negated."""
-    def flipped(*args):
-        omega, imag = dtn_weights(*args)
-        omega[1] *= -1.0
-        return omega, imag
-
-    monkeypatch.setattr(diagnostics, "dtn_weights", flipped)
+    mutate_dtn_weights(monkeypatch, *DTN_MUTATIONS["omega1-negated"])

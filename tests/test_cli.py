@@ -19,7 +19,9 @@ from cavitytd.cli import main
 from cavitytd.incident import ROW_BLOCK
 from cavitytd.io import vtk_mesh_part
 from cavitytd.scene import build_scene, mesh_scene
-from cavitytd.trace import TraceGrid
+from cavitytd.trace import TraceGrid, beta
+
+from conftest import DTN_MUTATIONS, mutate_dtn_weights
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -44,8 +46,6 @@ def small_config(**overrides):
         "sweep": {"s_values": [[1.0, 0.0], [2.0, 1.0]]},
         "probes": [[0.0, -0.5]],
         "snapshots": {"every": 16},
-        "validate": {"trials": 40},
-        "seed": 11,
     }
     config.update(overrides)
     return config
@@ -75,38 +75,30 @@ class TestValidate:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["passed"] is True
-        assert len(manifest["checks"]) == 7 and all(manifest["checks"].values())
+        assert len(manifest["checks"]) == 6 and all(manifest["checks"].values())
         assert manifest["outputs"] == []
 
     def test_manifest_records_each_check_value_and_limit(self, tmp_path):
         # Each check's value and limit sit under metrics, keyed by the check,
-        # next to its verdict; a passivity check adds its failed trials.
-        # Three apertures give all nine checks.
-        config = json.loads((CONFIG_DIR / "reference_three.json").read_text())
-        config["validate"]["trials"] = 40
-        path = write_config(tmp_path, config)
+        # next to its verdict; a check passes at a value at most its limit.
         out = tmp_path / "out"
+        path = CONFIG_DIR / "reference_three.json"
         assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         checks, metrics = manifest["checks"], manifest["metrics"]
         assert sorted(checks) == [
-            "operator-continuity", "oracle-equivalence", "passivity-3-trace",
-            "passivity-single", "passivity-time-domain", "passivity-two-trace",
+            "oracle-equivalence", "passivity-frequency", "passivity-time-domain",
             "symbol-bound", "symbol-branch-eq", "symbol-branch-re",
         ]
         for name, passed in checks.items():
             metric = metrics[name]
+            assert set(metric) == {"value", "limit"}
             assert isinstance(metric["value"], float) and isinstance(metric["limit"], float)
-            if name.startswith("passivity-"):
-                assert set(metric) == {"value", "limit", "failures"}
-                assert metric["failures"] == 0 and metric["value"] >= metric["limit"]
-            else:
-                assert set(metric) == {"value", "limit"}
-                assert metric["value"] <= metric["limit"]
+            assert metric["value"] <= metric["limit"]
             assert passed is True, name
-        assert metrics["passivity-time-domain"]["limit"] == -diagnostics.TIME_DEFECT_TOL
-        assert metrics["passivity-single"]["limit"] == -diagnostics.DEFECT_TOL
-        assert "resolution" not in metrics
+        assert metrics["passivity-time-domain"]["limit"] == diagnostics.TIME_DEFECT_TOL
+        assert metrics["passivity-frequency"]["limit"] == diagnostics.DEFECT_TOL
+        assert "resolution" not in metrics and "seed" not in manifest
 
     def test_flipped_dtn_weight_exit_1(self, tmp_path, flipped_dtn_weight):
         path = write_config(tmp_path, small_config())
@@ -114,7 +106,17 @@ class TestValidate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         failed = [name for name, passed in manifest["checks"].items() if not passed]
         assert failed == ["passivity-time-domain"]
-        assert manifest["metrics"]["passivity-time-domain"]["failures"] > 0
+        metric = manifest["metrics"]["passivity-time-domain"]
+        assert metric["value"] > metric["limit"]
+
+    @pytest.mark.parametrize("mutation", sorted(DTN_MUTATIONS))
+    def test_dtn_mutation_fails_time_domain_exit_1(self, tmp_path, monkeypatch, mutation):
+        mutate_dtn_weights(monkeypatch, *DTN_MUTATIONS[mutation])
+        path = CONFIG_DIR / "reference_three.json"
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        failed = [name for name, passed in manifest["checks"].items() if not passed]
+        assert failed == ["passivity-time-domain"]
 
     def test_overlapping_apertures_exit_2(self, tmp_path):
         config = small_config()
@@ -137,7 +139,7 @@ class TestValidate:
     def test_fine_grid_narrow_aperture(self, tmp_path):
         # 26 samples in the aperture at N = 2048; a grid of the same period
         # at the dense oracle's cap N = 1024 would hold only 13 of them.
-        config = small_config(trace={"L": 8.0, "N": 2048}, validate={"trials": 2})
+        config = small_config(trace={"L": 8.0, "N": 2048})
         config["scene"]["cavities"][0]["aperture"] = [-0.05, 0.05]
         path = write_config(tmp_path, config)
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 0
@@ -145,28 +147,28 @@ class TestValidate:
         assert manifest["passed"] is True
         assert manifest["metrics"]["trace"] == {"L": 8.0, "N": 2048}
 
-    def three_config(self, tmp_path):
-        config = json.loads((CONFIG_DIR / "reference_three.json").read_text())
-        config["validate"] = {"trials": 5}
-        return write_config(tmp_path, config)
-
     def test_all_aperture_row(self, tmp_path):
-        path = self.three_config(tmp_path)
+        # One frequency certificate covers every set of aperture traces, the
+        # three apertures of reference_three together too: no check per
+        # trace count.
+        path = CONFIG_DIR / "reference_three.json"
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["checks"]["passivity-3-trace"] is True
-        assert manifest["metrics"]["passivity-3-trace"]["failures"] == 0
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert checks["passivity-frequency"] is True
+        assert [name for name in checks if name.startswith("passivity-")] == [
+            "passivity-frequency", "passivity-time-domain"
+        ]
 
-    def test_negative_defect_fails_every_trial_exit_1(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(diagnostics, "passivity_defect", lambda *args: -1.0)
-        path = self.three_config(tmp_path)
+    def test_conjugated_symbol_fails_passivity_frequency_exit_1(self, tmp_path, monkeypatch):
+        # The certificate's symbol conjugated: its modulus, so the symbol
+        # bound, stays put, and Re(beta/s) changes sign near the branch
+        # point at small Re s.
+        monkeypatch.setattr(diagnostics, "beta", lambda *args: np.conj(beta(*args)))
+        path = CONFIG_DIR / "reference_three.json"
         assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        for name in ("single", "two-trace", "3-trace"):
-            assert manifest["checks"][f"passivity-{name}"] is False
-            assert manifest["metrics"][f"passivity-{name}"]["failures"] == 5
-        assert manifest["checks"]["passivity-time-domain"] is True
-        assert manifest["metrics"]["passivity-time-domain"]["failures"] == 0
+        failed = [name for name, passed in manifest["checks"].items() if not passed]
+        assert failed == ["passivity-frequency"]
 
     def test_rerun_differs_only_in_wall_times(self, tmp_path):
         # manifest.json is validate's one record: a rerun into the same
@@ -181,12 +183,6 @@ class TestValidate:
             assert manifest.pop("wall_times") and manifest.pop("peak_rss_mb")
         assert manifests[0] == manifests[1]
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
-
-    @pytest.mark.parametrize("trials", ["x", 0], ids=["not-an-integer", "zero"])
-    def test_malformed_trials_exit_2(self, tmp_path, capsys, trials):
-        path = write_config(tmp_path, small_config(validate={"trials": trials}))
-        assert main(["validate", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "ConfigError" in capsys.readouterr().err
 
 
 class TestSolveFreq:
@@ -259,7 +255,6 @@ class TestSolveFreq:
             ("solve-time", ("scheme", "steps"), math.inf, [], "ConfigError"),
             ("mesh-export", ("mesh", "h"), math.nan, [], "ConfigError"),
             ("mesh-export", ("scene", "cavities", 0, "depth"), math.nan, [], "ConfigError"),
-            ("validate", ("seed",), "x", [], "ConfigError"),
             ("mesh-export", ("mesh", "h"), 1e-9, [], "MeshFailure"),
             ("mesh-export", ("scene", "cavities", 0),
              {"aperture": [-0.5, 0.5], "depth": 1.0, "epsilon": 1.0,
@@ -271,8 +266,6 @@ class TestSolveFreq:
             ("solve-time", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
             ("sweep", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
             ("mesh-export", ("scene", "polarization"), "TM", [], "UnsupportedPolarization"),
-            ("validate", ("seed",), -3, [], "ConfigError"),
-            ("validate", (), None, ["--seed", "-1"], "ConfigError"),
             ("solve-time", ("scheme", "steps"), 40.7, [], "ConfigError"),
             ("solve-time", ("snapshots", "every"), 10.5, [], "ConfigError"),
             ("solve-time", ("trace",), {"L": 4.0, "N": 2**40}, [], "ConfigError"),
@@ -285,7 +278,6 @@ class TestSolveFreq:
             ("solve-freq", ("sweep", "s_values", 0), [True, 0.0], [], "ConfigError"),
             ("solve-freq", ("sweep", "s_values", 0), [1.0, 0.0, 5.0], [], "ConfigError"),
             ("solve-time", ("snapshots", "every"), True, [], "ConfigError"),
-            ("validate", ("validate", "trials"), True, [], "ConfigError"),
             ("mesh-export", ("scene", "cavities", 0),
              {"aperture": [0.0, True], "depth": True, "epsilon": True}, [], "ConfigError"),
             ("mesh-export", ("scene", "cavities", 0, "aperture"), ["-0.5", "0.5"], [],
@@ -350,15 +342,14 @@ class TestSolveFreq:
              "eps0-nan",
              "profile-center-nan", "profile-width-nan", "profile-amplitude-nan",
              "dt-infinity", "steps-infinity", "mesh-h-nan", "cavity-depth-nan",
-             "seed-not-a-number", "mesh-h-tiny", "collar-thinner-than-first-layer",
+             "mesh-h-tiny", "collar-thinner-than-first-layer",
              "probe-outside-every-cavity", "tm-scene", "tm-scene-validate",
              "tm-scene-solve-time", "tm-scene-sweep", "tm-scene-mesh-export",
-             "seed-negative", "seed-flag-negative",
              "steps-fractional", "snapshots-every-fractional", "trace-n-over-cap",
              "trace-min-samples-over-cap", "trace-l-alone", "trace-n-alone",
              "trace-min-samples-with-l-n", "mesh-h-subnormal", "sweep-s-value-boolean",
              "sweep-s-value-three-numbers", "snapshots-every-boolean",
-             "validate-trials-boolean", "cavity-aperture-boolean", "cavity-aperture-strings",
+             "cavity-aperture-boolean", "cavity-aperture-strings",
              "steps-string", "cavity-depth-overflow", "epsilon-overflow", "mesh-h-overflow",
              "trace-l-overflow", "profile-center-overflow", "dt-overflow",
              "sweep-count-overflow", "epsilon-expression-long-integer",
@@ -874,7 +865,8 @@ class TestMeshExport:
     @pytest.mark.parametrize(
         "command, flag",
         [("mesh-export", "--seed"), ("mesh-export", "--threads"), ("validate", "--threads"),
-         ("solve-time", "--seed"), ("solve-freq", "--seed"), ("sweep", "--seed")],
+         ("validate", "--seed"), ("solve-time", "--seed"), ("solve-freq", "--seed"),
+         ("sweep", "--seed")],
     )
     def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
         path = write_config(tmp_path, small_config())
@@ -1054,14 +1046,18 @@ def test_every_shipped_config_key_is_read(name, monkeypatch):
 
 
 def test_unread_scheme_key_is_ignored(tmp_path):
-    # The benchmark's generated configs still carry scheme.contour_tol,
-    # which no command reads.
+    # The benchmark's generated configs still carry scheme.contour_tol and
+    # the top-level seed, and older configs a validate block; no command
+    # reads them.
     parser = cli._build_parser()
-    runs = []
-    for scheme in ({"dt": 0.2, "steps": 32}, {"dt": 0.2, "steps": 32, "contour_tol": 1e-20}):
-        path = write_config(tmp_path, small_config(scheme=scheme))
-        runs.append(cli._parse_config(parser.parse_args(["solve-time", "--config", str(path)])))
-    assert runs[0] == runs[1]
+    old_keys = {"scheme": {"dt": 0.2, "steps": 32, "contour_tol": 1e-20},
+                "seed": 11, "validate": {"trials": 40}}
+    current = write_config(tmp_path, small_config(), "current.json")
+    old = write_config(tmp_path, small_config(**old_keys), "old.json")
+    for command in ("validate", "solve-freq", "solve-time", "sweep", "mesh-export"):
+        runs = [cli._parse_config(parser.parse_args([command, "--config", str(path)]))
+                for path in (current, old)]
+        assert runs[0] == runs[1], command
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,23 @@
-import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import cavitytd as ct
-from cavitytd import cq, diagnostics
-from cavitytd.cq import CqScheme
+from cavitytd import cli, cq, diagnostics
+from cavitytd.cq import CqScheme, dtn_weights
 from cavitytd.errors import DimensionMismatch
 from cavitytd.fem import assemble_all
 from cavitytd.incident import boundary_data_bundle
+from cavitytd.trace import pairing_terms
 
-from conftest import run_recorded, time_derivative
+from conftest import (
+    CONFIG_DIR,
+    DTN_MUTATIONS,
+    mutate_dtn_weights,
+    run_recorded,
+    time_derivative,
+)
 
 
 def element_loop_energy(mesh, cavity, u, du):
@@ -209,35 +216,66 @@ class TestStabilityChecks:
         assert a.l2_ratio == b.l2_ratio
 
 
-class TestPassivitySuite:
-    def test_trials_validation(self, unit_grid):
-        with pytest.raises(ValueError):
-            diagnostics.passivity_suite(unit_grid, 1.0, trials=0)
+def shipped_grid(name):
+    """A shipped config's scene and trace grid, without meshing."""
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    scene = ct.build_scene(config)
+    return scene, ct.TraceGrid(config["trace"]["L"], config["trace"]["N"], scene.apertures)
 
-    def test_report_clean(self, two_grid):
-        report = diagnostics.passivity_suite(two_grid, 1.0, trials=100, seed=7)
-        assert set(report.min_defects) == {"single", "two-trace", "time-domain"}
-        assert sum(report.failures.values()) == 0
-        assert report.min_defects["single"] >= -1e-12
-        assert report.min_defects["two-trace"] >= -1e-12
-        assert report.min_defects["time-domain"] >= -1e-10
 
-    def test_time_domain_pairs_the_march_weights(self, two_grid, flipped_dtn_weight):
-        # The time-domain check pairs the weights cq.dtn_weights gives the
-        # march: negating their row omega_1 makes that pairing indefinite,
-        # and every history then fails.
-        report = diagnostics.passivity_suite(two_grid, 1.0, trials=100, seed=7)
-        assert report.failures["time-domain"] == 10
-        assert report.min_defects["time-domain"] < -diagnostics.TIME_DEFECT_TOL
-        assert report.failures["single"] == report.failures["two-trace"] == 0
+# The frequencies validate certifies.
+S_LATTICE = cli._S_LATTICE
 
-    def test_reproducible(self, two_grid):
-        r1 = diagnostics.passivity_suite(two_grid, 1.0, trials=50, seed=3)
-        r2 = diagnostics.passivity_suite(two_grid, 1.0, trials=50, seed=3)
-        assert r1.min_defects == r2.min_defects
 
-    def test_report_holds_defects_and_failures_only(self):
-        # The trial count and seed are the caller's inputs; the report keeps
-        # only what the trials measured.
-        fields = [f.name for f in dataclasses.fields(diagnostics.PassivityReport)]
-        assert fields == ["min_defects", "failures"]
+class TestPassivityCertificates:
+    @pytest.mark.parametrize("name", ["reference_single", "reference_two", "reference_three"])
+    def test_clean_weights_read_below_zero(self, name):
+        scene, grid = shipped_grid(name)
+        assert diagnostics.time_passivity(grid, scene.c) < 0.0
+        assert diagnostics.frequency_passivity(grid, scene.c, S_LATTICE, scene.mu0) < 0.0
+
+    @pytest.mark.parametrize("mutation", sorted(DTN_MUTATIONS))
+    def test_mutated_weights_read_above_limit(self, monkeypatch, mutation):
+        # Each edit makes the pairing indefinite for some history of the
+        # certificate's 35 steps; "omega1-negated" is the flipped_dtn_weight
+        # fixture's edit.
+        scene, grid = shipped_grid("reference_three")
+        mutate_dtn_weights(monkeypatch, *DTN_MUTATIONS[mutation])
+        assert diagnostics.time_passivity(grid, scene.c) > diagnostics.TIME_DEFECT_TOL
+
+    def test_extreme_eigenvector_is_a_witness(self, two_grid):
+        # The top eigenvector of a mutated S_m, as the history of mode m
+        # alone, paired as the march pairs it (direct causal convolution,
+        # BDF2 difference, trace.pairing_terms): the pairing is
+        # -(dx/(mu0 N)) mult_m lambda_max, negative.
+        mu0, dt = 1.3, diagnostics._TD_DT
+        omega, _ = dtn_weights(two_grid, 1.0, CqScheme(dt=dt, steps=diagnostics._TD_STEPS))
+        omega[1:] *= -1.0
+        lam, vec = np.linalg.eigh(diagnostics.pairing_forms(omega, dt))
+        m = int(np.argmax(lam[:, -1]))
+        assert lam[m, -1] > 0.0
+        n1 = omega.shape[0]
+        hist = np.zeros((n1, omega.shape[1]), complex)
+        hist[:, m] = vec[m, :, -1]
+        conv = np.zeros_like(hist)
+        for k in range(n1):
+            conv[k:] += omega[k] * hist[: n1 - k]
+        d1 = np.zeros_like(hist)
+        for k, b in enumerate(cq.BDF2):
+            d1[k:] += b * hist[: n1 - k]
+        d1 /= dt
+        pairing = float(np.sum(pairing_terms(conv, d1, two_grid, mu0)))
+        weight = two_grid.dx / (mu0 * two_grid.N) * two_grid.rfft_multiplicity[m]
+        assert -pairing / weight == pytest.approx(lam[m, -1], rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.0 + 0.0j, 0.01 + 7.0j, 3.0 - 2.0j])
+    def test_single_mode_defect_is_the_form_coefficient(self, two_grid, s):
+        # The trace exp(i xi_m x) has the one coefficient 1 at mode m, so its
+        # defect is L c_m(s) / mult_m.
+        mu0 = 1.3
+        forms = np.concatenate(list(diagnostics.frequency_forms(two_grid, 1.0, [s], mu0)), axis=1)
+        for m in (0, 1, 17, two_grid.N // 2):
+            u = np.exp(1j * two_grid.xi[m] * two_grid.x)
+            defect = ct.passivity_defect([u], s, mu0, two_grid, 1.0)
+            expected = two_grid.L * forms[0, m] / two_grid.rfft_multiplicity[m]
+            assert defect == pytest.approx(expected, rel=1e-12)

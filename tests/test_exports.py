@@ -53,6 +53,11 @@ UNCALLED = {
     # to count CQ contour nodes, and the tests' all-at-once CQ reference
     # calls it.
     "freq.solve_load",
+    # trace.passivity_defect and trace.restrict: the coupled boundary form of
+    # restricted aperture traces, the reference of acceptance criterion 03
+    # and of the frequency certificate's test (tests/test_diagnostics.py).
+    "trace.passivity_defect",
+    "trace.restrict",
 }
 
 
