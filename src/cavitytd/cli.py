@@ -2,10 +2,10 @@
 
 Subcommands: validate, solve-freq, solve-time, sweep, mesh-export.  All
 numerical tunables live in the JSON config document; flags only select
-paths and thread counts, and solve-freq's --s a frequency list in place
-of the config's sweep.  Every command writes manifest.json, the one
-record of each check's value, limit and verdict.  Exit codes: 0 success,
-1 run/property failure, 2 configuration error.
+paths, and solve-freq's --s a frequency list in place of the config's
+sweep.  Every command writes manifest.json, the one record of each
+check's value, limit and verdict.  Exit codes: 0 success, 1 run/property
+failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -315,13 +315,6 @@ def cmd_freq(args) -> int:
     manifest = _manifest(args, run, meshes)
     solver = FrequencySolver(run.scene, meshes, run.grid)
     t0 = time.perf_counter()
-
-    def solve_group(group):
-        data = [boundary_data_freq(run.wave, run.grid, s) for s in group]
-        return list(zip(solver.solve_group(group, data), data))
-
-    # Solves may run concurrently; writing stays serialized and ordered.
-    # Each group is written as it completes, so no sweep holds all fields.
     write_fields = args.command == "solve-freq"
     formats = [solution_csv_format(mesh) for mesh in meshes] if write_fields else []
     records, solves = [], []
@@ -336,32 +329,13 @@ def cmd_freq(args) -> int:
                 save_solution_csv(path, mesh, sol.fields[j], fmt)
                 manifest.add_output(path)
 
-    def write(solved_groups):
-        for pairs in solved_groups:
-            # Popped as written: no field of this group is held while the
-            # next one is solved.
-            while pairs:
-                write_one(*pairs.pop(0))
-
-    # The groups depend on the frequencies alone, never on the thread count.
-    groups = frequency_groups(run.s_values)
-    threads = max(1, args.threads)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def solved_in_window(pool):
-            # At most `threads` groups in flight: a group is submitted as the
-            # oldest goes to the writer, so fields cannot pile up ahead of it.
-            window = [pool.submit(solve_group, group) for group in groups[:threads]]
-            for group in groups[threads:]:
-                yield window.pop(0).result()
-                window.append(pool.submit(solve_group, group))
-            yield from (future.result() for future in window)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            write(solved_in_window(pool))
-    else:
-        write(map(solve_group, groups))
+    for group in frequency_groups(run.s_values):
+        data = [boundary_data_freq(run.wave, run.grid, s) for s in group]
+        pairs = list(zip(solver.solve_group(group, data), data))
+        # Written in sweep order and popped as written: no field of this
+        # group is held while the next one is solved.
+        while pairs:
+            write_one(*pairs.pop(0))
     manifest.wall_times["solves"] = time.perf_counter() - t0
     manifest.metrics["dofs"] = solver.pattern.shape[0]
     residuals, lu_nnz, frequencies, triangular_solves = zip(*solves)
@@ -510,9 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory "
                        "(env CAVITY_TD_OUT overrides)")
         if name in ("solve-freq", "solve-time", "sweep"):
-            # solve-time accepts it for scripts that pass it to every solve
-            # command; the march is sequential, so there it has no effect.
-            p.add_argument("--threads", type=int, default=1)
+            # Accepted for scripts that pass it to every solve command.
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted and ignored: every solve runs serially")
         if name == "solve-freq":
             p.add_argument("--s", default=None,
                            help="comma-separated complex frequencies, e.g. '1+0.5j,2'")

@@ -14,9 +14,8 @@ residual certificate.  Each member's CG starts from the Galerkin
 projection of its own operator onto the group's most recent solutions,
 which costs sparse products but no triangular solve.  The anchor's
 factorization is dropped when its group ends, so memory stays flat in
-the number of solves and at most one factorization per worker thread is
-alive.  The estimate report measures
-the discrete counterpart of the resolvent bound
+the number of solves and at most one factorization is alive.  The
+estimate report measures the discrete counterpart of the resolvent bound
 
     ||grad u|| + ||s u||  <=  C * |s| / Re(s) * ||data||_{-1/2}
 

@@ -60,6 +60,14 @@ ROW_BLOCK = 64
 # stays finite; PlaneWave.check_frequency refuses any frequency at or above
 # it, real ones and the bump profile's included.
 MAX_S_WIDTH = math.sqrt(sys.float_info.max)
+# Largest |amplitude|, and the inverse of the smallest nonzero one.  The
+# march's quadratic forms scale as amplitude**2 and leave the normal range
+# first: at 2**-520 the t = 0 state norm underflows and initial_ratio reads 0,
+# at 2**-600 every state and data norm reads 0 and the ratios fall back to
+# their 0/0 guard; at 2**-480 a sweep member's CG on reference_two fails its
+# residual certificate.  At 2**300 and 2**-300 every solve-time check and
+# ratio on reference_single is bitwise its value at amplitude 1.
+MAX_AMPLITUDE = 2.0**300
 # Absolute and relative tolerance of the bump profile's Laplace quadrature.
 _QUAD_TOL = 1e-10
 
@@ -71,7 +79,7 @@ class WaveProfile:
     kind : "gaussian-pulse" or "smooth-bump"
     center : arrival delay tau0 > 0 (pulse peak)
     width : sigma > 0
-    amplitude : peak value
+    amplitude : peak value, 0 or of modulus in [1/MAX_AMPLITUDE, MAX_AMPLITUDE]
     causality_tol : admissible waveform magnitude at t <= 0 (defaults
         to CAUSALITY_LIMIT * |amplitude| * width / (sqrt(e) * center))
 
@@ -93,6 +101,12 @@ class WaveProfile:
             raise ValueError(f"profile center must be positive, got {self.center}")
         if not self.width > 0.0:
             raise ValueError(f"profile width must be positive, got {self.width}")
+        size = abs(self.amplitude)
+        if not size <= MAX_AMPLITUDE or 0.0 < size < 1.0 / MAX_AMPLITUDE:  # NaN too
+            raise ValueError(
+                f"profile amplitude must be 0 or of modulus in [2**-300, 2**300], "
+                f"got {self.amplitude}"
+            )
         tol = self.causality_tol
         if tol is None:
             # The data g is 2 c2 w', and the march refuses a state at t = 0

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -393,21 +392,18 @@ class TestSolveFreq:
         field = np.loadtxt(out / "solution_s000_cavity0.csv", delimiter=",", skiprows=1)
         assert np.all(field[:, 2:] == 0.0)
 
-    def test_tiny_amplitude_certifies_and_scales_exactly(self, tmp_path):
-        # At amplitude 2**-530 the load's squares underflow; the certificate
-        # still holds, and every value is the amplitude-1 value times 2**-530.
-        config = json.loads((CONFIG_DIR / "reference_single.json").read_text())
-        fields = []
-        for amplitude in (1.0, 2.0**-530):
-            config["incident"]["profile"]["amplitude"] = amplitude
-            path = write_config(tmp_path, config, f"config_{len(fields)}.json")
-            out = tmp_path / f"out_{len(fields)}"
-            assert main(["solve-freq", "--config", str(path), "--out", str(out),
-                         "--s", "1+0.5j"]) == 0
-            fields.append(np.loadtxt(out / "solution_s000_cavity0.csv", delimiter=",",
-                                     skiprows=1)[:, 2:])
-        assert np.any(fields[0])
-        assert np.array_equal(fields[1], np.ldexp(fields[0], -530))
+    def test_tiny_amplitude_certifies_and_scales_exactly(self, reference_single):
+        # At load scale 2**-530 the load's squares underflow; the certificate
+        # still holds, and the field is the scale-1 field times 2**-530.  The
+        # commands refuse such an amplitude (incident.MAX_AMPLITUDE), so the
+        # scaled data go to the solver of reference_single directly.
+        _, scene, meshes, grid, wave, _ = reference_single
+        solver = freq.FrequencySolver(scene, meshes, grid)
+        s = 1.0 + 0.5j
+        data = incident.boundary_data_freq(wave, grid, s)
+        sols = [solver.solve(s, data * scale) for scale in (1.0, 2.0**-530)]
+        assert np.any(sols[0].fields[0]) and sols[1].residual <= 1e-10
+        assert np.array_equal(sols[1].fields[0], sols[0].fields[0] * 2.0**-530)
 
     def test_s_flag_override(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -429,7 +425,7 @@ class TestSolveFreq:
         # Complex and real frequencies: the outputs and the manifest's solve
         # record do not depend on the thread count.  Over [0.5, 4] six
         # frequencies are six groups of one; 24 put several frequencies in
-        # each group, so the concurrent groups solve anchored members.
+        # each group, so the groups solve anchored members.
         for s_im, count in ((0.5, 6), (0.0, 6), (0.0, 24), (0.5, 24)):
             config = small_config(sweep={"s_re": [0.5, 4.0], "count": count, "s_im": s_im})
             path = write_config(tmp_path, config)
@@ -504,44 +500,29 @@ class TestSolveFreq:
         assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert len(refs) == 24 and all(ref() is None for ref in refs)
 
-    def test_threads_hold_at_most_their_groups(self, tmp_path, monkeypatch):
-        # With --threads 3, no more than three groups are in flight: a slow
-        # writer does not let the workers solve ahead of it.  The 24 real
-        # frequencies fall into 8 groups of 3, so at most 9 solutions are
-        # alive at once.
-        lock = threading.Lock()
-        live, peak = [0], [0]
-        solve_group = freq.FrequencySolver.solve_group
-        save_solution_csv = cli.save_solution_csv
+    @pytest.mark.parametrize("command", ["solve-freq", "sweep"])
+    def test_threads_flag_runs_the_serial_path(self, tmp_path, monkeypatch, command):
+        # --threads is accepted and has no effect: no thread is started, and
+        # every output and manifest field but the timings and the peak RSS
+        # is the same as with --threads 1.
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
 
-        def released():
-            with lock:
-                live[0] -= 1
-
-        def spy(solver, s_values, data):
-            sols = solve_group(solver, s_values, data)
-            with lock:
-                live[0] += len(sols)
-                peak[0] = max(peak[0], live[0])
-            for sol in sols:
-                weakref.finalize(sol, released)
-            return sols
-
-        def slow_save(*args):
-            time.sleep(0.01)
-            save_solution_csv(*args)
-
-        monkeypatch.setattr(freq.FrequencySolver, "solve_group", spy)
-        monkeypatch.setattr(cli, "save_solution_csv", slow_save)
-        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 24, "s_im": 0.0})
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 24, "s_im": 0.5})
         path = write_config(tmp_path, config)
-        assert freq.frequency_groups(np.geomspace(0.5, 4.0, 24)) == [
-            list(map(complex, g)) for g in np.split(np.geomspace(0.5, 4.0, 24), 8)
-        ]
-        assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path),
-                     "--threads", "3"]) == 0
-        assert live[0] == 0
-        assert 3 <= peak[0] <= 9
+        blobs = []
+        for threads in ("1", "3"):
+            out = tmp_path / threads
+            assert main([command, "--config", str(path), "--out", str(out),
+                         "--threads", threads]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["wall_times"], manifest["peak_rss_mb"]
+            manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+            files = sorted(out.glob("*.csv"))
+            blobs.append((manifest, [(p.name, p.read_bytes()) for p in files]))
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0][1]) == (1 + 24 if command == "solve-freq" else 1)
 
 
 class TestSolveTime:
@@ -827,6 +808,62 @@ class TestSolveTime:
             assert code == 0
         per_step = (3 * (n_trace // 2 + 1) + 32) * 8
         assert peaks[1] - peaks[0] <= (steps[1] - steps[0]) * per_step + 2**18
+
+
+class TestAmplitude:
+    """The problem is linear in the amplitude, and a power of two commutes
+    with every floating-point operation short of under- and overflow."""
+
+    # The manifest's ratio metrics: homogeneous of degree 0 in the amplitude.
+    RATIOS = ("apriori_ratio", "imag_residue", "initial_ratio", "passivity_deficit",
+              "stability_ratio", "max_residual", "estimate_ratio_max")
+
+    @staticmethod
+    def run(tmp_path, command, amplitude):
+        config = small_config()
+        config["incident"]["profile"]["amplitude"] = amplitude
+        out = tmp_path / f"{command}-{amplitude!r}"
+        path = write_config(tmp_path, config, f"{out.name}.json")
+        return main([command, "--config", str(path), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("k", [-300, 300])
+    @pytest.mark.parametrize("command, pattern, columns", [
+        ("solve-time", "probes.csv", slice(1, None)),
+        ("solve-freq", "solution_*.csv", slice(2, None)),
+    ])
+    def test_power_of_two_scales_bitwise(self, tmp_path, command, pattern, columns, k):
+        # Probes and solution values scale bitwise by 2**k; every check and
+        # ratio reads the same.  Amplitude 0 runs and writes zeros.
+        runs = []
+        for amplitude in (1.0, 2.0**k, 0.0):
+            code, out = self.run(tmp_path, command, amplitude)
+            assert code == 0
+            values = [np.loadtxt(p, delimiter=",", skiprows=1)[:, columns]
+                      for p in sorted(out.glob(pattern))]
+            runs.append((json.loads((out / "manifest.json").read_text()), values))
+        (base, ones), (scaled, twos), (_, zeros) = runs
+        assert ones and len(twos) == len(zeros) == len(ones) and np.any(ones[0])
+        for one, two, zero in zip(ones, twos, zeros):
+            assert np.array_equal(two, np.ldexp(one, k))
+            assert not np.any(zero)
+        assert scaled["checks"] == base["checks"]
+        ratios = [key for key in self.RATIOS if key in base["metrics"]]
+        assert "max_residual" in ratios
+        assert [scaled["metrics"][key] for key in ratios] == [
+            base["metrics"][key] for key in ratios]
+
+    @pytest.mark.parametrize("amplitude", [2.0**-301, 2.0**301, 2.0**-600],
+                             ids=["2**-301", "2**301", "2**-600"])
+    @pytest.mark.parametrize("command", ["solve-time", "solve-freq"])
+    def test_out_of_range_exit_2_before_meshing(self, tmp_path, monkeypatch, capsys,
+                                                command, amplitude):
+        def no_mesh(*args):
+            raise AssertionError("the amplitude reached the mesher")
+
+        monkeypatch.setattr(cli, "mesh_scene", no_mesh)
+        assert self.run(tmp_path, command, amplitude)[0] == 2
+        err = capsys.readouterr().err
+        assert "ConfigError: malformed incident block: profile amplitude" in err
 
 
 # The unit square below the aperture [-0.5, 0.5] as two triangles, in the

@@ -7,6 +7,7 @@ import cavitytd as ct
 from cavitytd.errors import DomainError
 from cavitytd.incident import (
     CAUSALITY_LIMIT,
+    MAX_AMPLITUDE,
     ROW_BLOCK,
     _quad_g_laplace,
     boundary_data_bundle,
@@ -39,6 +40,19 @@ class TestWaveProfile:
         for center, width in ((np.nan, 0.5), (3.5, np.nan)):
             with pytest.raises(ValueError):
                 ct.WaveProfile(kind="gaussian-pulse", center=center, width=width)
+
+    def test_amplitude_range(self):
+        # 0 and moduli in [2**-300, 2**300] construct; NaN and any modulus
+        # outside, where the march's quadratic forms would leave the normal
+        # range, do not.
+        assert MAX_AMPLITUDE == 2.0**300
+        for amplitude in (0.0, 2.0**-300, -(2.0**-300), 2.0**300, -(2.0**300)):
+            ct.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5, amplitude=amplitude)
+        for amplitude in (np.nan, 2.0**-301, -(2.0**-301), 2.0**301, -(2.0**301), np.inf,
+                          5e-324):
+            with pytest.raises(ValueError, match="amplitude"):
+                ct.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5,
+                               amplitude=amplitude)
 
     def test_causal_tail_enforced(self):
         # center only 2 widths from the origin: tail e^-2 >> tolerance
