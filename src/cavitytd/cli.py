@@ -31,9 +31,8 @@ from .freq import (
     FrequencySolver,
     estimate_report,
     frequency_groups,
-    save_solution_csv,
-    solution_csv_format,
 )
+from .freq import save_solution_csv  # noqa: F401  (span seam of bench/tracer.py)
 from .incident import (
     CAUSALITY_LIMIT,
     PlaneWave,
@@ -315,28 +314,38 @@ def cmd_freq(args) -> int:
     manifest = _manifest(args, run, meshes)
     solver = FrequencySolver(run.scene, meshes, run.grid)
     t0 = time.perf_counter()
-    write_fields = args.command == "solve-freq"
-    formats = [solution_csv_format(mesh) for mesh in meshes] if write_fields else []
     records, solves = [], []
+    writer = None
+    if args.command == "solve-freq":
+        # Imported here, so that the other commands do not compile it: run
+        # without cached bytecode, every module imported costs peak memory.
+        from .writer import SolutionWriter
 
-    def write_one(sol, data):
-        idx = len(records)
+        writer = SolutionWriter(out, meshes)
+
+    def hand_over(sol, data):
         records.append(estimate_report(sol, data, run.grid, solver.fems))
         solves.append((sol.residual, sol.lu_nnz, sol.s, sol.triangular_solves))
-        if write_fields:
-            for j, (mesh, fmt) in enumerate(zip(meshes, formats)):
-                path = out / f"solution_s{idx:03d}_cavity{j}.csv"
-                save_solution_csv(path, mesh, sol.fields[j], fmt)
+        if writer:
+            for path in writer.send(sol.fields):
                 manifest.add_output(path)
 
-    for group in frequency_groups(run.s_values):
-        data = [boundary_data_freq(run.wave, run.grid, s) for s in group]
-        pairs = list(zip(solver.solve_group(group, data), data))
-        # Written in sweep order and popped as written: no field of this
-        # group is held while the next one is solved.
-        while pairs:
-            write_one(*pairs.pop(0))
-    manifest.wall_times["solves"] = time.perf_counter() - t0
+    try:
+        for group in frequency_groups(run.s_values):
+            data = [boundary_data_freq(run.wave, run.grid, s) for s in group]
+            pairs = list(zip(solver.solve_group(group, data), data))
+            # Handed over in sweep order and popped as handed: no field of
+            # this group is held while the next one is solved.
+            while pairs:
+                hand_over(*pairs.pop(0))
+    finally:
+        if writer:
+            writer.close()
+    solve_time = time.perf_counter() - t0
+    if writer:
+        manifest.wall_times["write"] = writer.blocked
+        solve_time -= writer.blocked
+    manifest.wall_times["solves"] = solve_time
     manifest.metrics["dofs"] = solver.pattern.shape[0]
     residuals, lu_nnz, frequencies, triangular_solves = zip(*solves)
     # Only a solve that factorized its own operator reports LU fill.

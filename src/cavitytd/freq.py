@@ -199,7 +199,9 @@ class FrequencySolver:
                 sol = self.solve(s, d, op)
                 # A zero load leaves op unfactorized; it cannot precondition.
                 anchor = op if op.lu_nnz else None
-            seeds.append(np.concatenate([u[f.free_nodes] for f, u in zip(self.fems, sol.fields)]))
+            # Held at unit peak, as _cocg takes its seeds.
+            seed = np.concatenate([u[f.free_nodes] for f, u in zip(self.fems, sol.fields)])
+            seeds.append(_unit_scaled(seed)[0])
             out.append(sol)
         return out
 
@@ -287,7 +289,8 @@ def _cocg(
     op: SystemOperator, anchor: SystemOperator, b: np.ndarray, seeds
 ) -> np.ndarray | None:
     """Solve op x = b by CG preconditioned with anchor's factorization,
-    started from the Galerkin projection onto the span of `seeds`.
+    started from the Galerkin projection onto the span of `seeds`, each
+    scaled to a peak modulus in [1/2, 1) (`_unit_scaled`).
 
     Returns None when CG has not reached a relative residual of _CG_TOL
     within _CG_MAX_ITER iterations, and the zero solution for a zero load.
@@ -300,6 +303,11 @@ def _cocg(
     # op-conjugate to the directions before it, and x and r step along it.
     # A step costs one matvec and no triangular solve; a direction with
     # p^T op p == 0, such as a zero solution, is skipped.
+    # The load runs scaled, as the seeds are, by the power of two that
+    # brings its peak modulus into [1/2, 1).  That is exact: the iterates
+    # are 2**k times the unscaled ones bit for bit, and no inner product
+    # underflows or overflows at any load scale.
+    b, shift = _unit_scaled(b)
     tol = _CG_TOL * np.linalg.norm(b)
     x, r, steps = np.zeros_like(b), b, []
     for v in seeds:
@@ -318,7 +326,7 @@ def _cocg(
     p, rz = None, 1.0
     for _ in range(_CG_MAX_ITER):
         if np.linalg.norm(r) <= tol:
-            return x
+            return _scaled(x, -shift)
         z = anchor.solve(r)
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
@@ -326,7 +334,18 @@ def _cocg(
         alpha = rz / (p @ q)
         x = x + alpha * p
         r = r - alpha * q
-    return x if np.linalg.norm(r) <= tol else None
+    return _scaled(x, -shift) if np.linalg.norm(r) <= tol else None
+
+
+def _scaled(v: np.ndarray, k: int) -> np.ndarray:
+    """v times 2**k, exact short of underflow, for real or complex v."""
+    return np.ldexp(v.view(np.float64), k).view(v.dtype)
+
+
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v scaled by the 2**k that brings max|v| into [1/2, 1), and k (0 for v = 0)."""
+    k = -int(np.frexp(np.max(np.abs(v)))[1])
+    return _scaled(v, k), k
 
 
 def estimate_report(

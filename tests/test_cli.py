@@ -65,6 +65,32 @@ def write_config(tmp_path, config, name="config.json"):
     return path
 
 
+def in_process_solutions(config, s_values, out):
+    """Write into `out`, in this process and by save_solution_csv, the
+    solution files of solve-freq on small_config's scene at s_values; the
+    files' names."""
+    scene = build_scene(config)
+    grid = TraceGrid(L=4.0, N=64, apertures=scene.apertures)
+    meshes = mesh_scene(scene, 0.2)
+    solver = freq.FrequencySolver(scene, meshes, grid)
+    profile = incident.WaveProfile(kind="gaussian-pulse", center=3.5, width=0.5)
+    wave = incident.PlaneWave(profile, math.pi / 2)
+    out.mkdir()
+    idx = 0
+    for group in freq.frequency_groups(s_values):
+        data = [incident.boundary_data_freq(wave, grid, s) for s in group]
+        for sol in solver.solve_group(group, data):
+            for j, (mesh, field) in enumerate(zip(meshes, sol.fields)):
+                freq.save_solution_csv(out / f"solution_s{idx:03d}_cavity{j}.csv", mesh, field)
+            idx += 1
+    return sorted(p.name for p in out.iterdir())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestValidate:
     def test_shipped_reference_config(self, tmp_path):
         code = main(
@@ -207,6 +233,8 @@ class TestSolveFreq:
         assert 0.0 < metrics["max_residual"] <= 1e-10
         worst = metrics["worst_frequency"]
         assert worst["s"] == small_config()["sweep"]["s_values"][worst["index"]]
+        # The time the run waited on the solution writer is its own entry.
+        assert sorted(manifest["wall_times"]) == ["solves", "write"]
 
     def test_manifest_records_auto_sized_grid(self, tmp_path):
         path = write_config(tmp_path, small_config(trace={}))
@@ -215,6 +243,8 @@ class TestSolveFreq:
         grid = TraceGrid.for_apertures([(-0.5, 0.5)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["metrics"]["trace"] == {"L": grid.L, "N": grid.N}
+        # sweep writes no solution file and starts no writer.
+        assert sorted(manifest["wall_times"]) == ["solves"]
 
     def test_sweep_count_contract(self, tmp_path):
         config = small_config(sweep={"s_re": [0.5, 4.0], "count": 20, "s_im": 0.0})
@@ -381,6 +411,63 @@ class TestSolveFreq:
         assert main(["solve-freq", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "run failed: FactorizationFailure" in err and "at s=(1+0j)" in err
+
+    @pytest.mark.parametrize("s_im", [0.0, 0.5])
+    def test_writer_files_match_in_process_writes(self, tmp_path, s_im):
+        # The forked writer formats every file as save_solution_csv does in
+        # process, byte for byte, and is reaped before the command returns.
+        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 24, "s_im": s_im})
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["solve-freq", "--config", str(path), "--out", str(out)]) == 0
+        assert_no_child_left()
+        s_values = [complex(v, s_im) for v in np.geomspace(0.5, 4.0, 24)]
+        names = in_process_solutions(config, s_values, tmp_path / "ref")
+        assert names == sorted(p.name for p in out.glob("solution_*.csv"))
+        assert len(names) == 24
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_solver_failure_keeps_the_earlier_groups_files(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # The second group misses its certificate: the run exits 1 with the
+        # first group's files written in full and no other, and the writer
+        # is reaped.
+        solve_group = freq.FrequencySolver.solve_group
+        calls = []
+
+        def fail_from_the_second_group(solver, s_values, data):
+            calls.append(s_values)
+            if len(calls) == 2:
+                monkeypatch.setattr(freq, "_RESIDUAL_LIMIT", 1e-300)
+            return solve_group(solver, s_values, data)
+
+        monkeypatch.setattr(freq.FrequencySolver, "solve_group", fail_from_the_second_group)
+        config = small_config(sweep={"s_re": [0.5, 4.0], "count": 24, "s_im": 0.0})
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["solve-freq", "--config", str(path), "--out", str(out)]) == 1
+        assert "run failed: FactorizationFailure" in capsys.readouterr().err
+        assert_no_child_left()
+        monkeypatch.undo()
+        names = in_process_solutions(config, calls[0], tmp_path / "ref")
+        assert 1 < len(names) < 24
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_writer_failure_reaches_the_caller(self, tmp_path):
+        # A directory in the place of a solution file: the writer's OSError
+        # is raised in the command, as an in-process write raises it.
+        path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        blocked = out / "solution_s001_cavity0.csv"
+        blocked.mkdir(parents=True)
+        with pytest.raises(OSError) as failure:
+            main(["solve-freq", "--config", str(path), "--out", str(out)])
+        assert str(blocked) in str(failure.value)
+        assert_no_child_left()
+        assert (out / "solution_s000_cavity0.csv").is_file()
 
     def test_zero_amplitude_zero_field_files(self, tmp_path):
         config = small_config()

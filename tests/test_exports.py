@@ -90,6 +90,10 @@ UNREAD_IMPORTS = {
     # cli.assemble_all: a benchmark seam.  bench/tracer.py wraps the name in
     # cli's namespace to time assembly as the fem.assemble span.
     "cli.assemble_all",
+    # cli.save_solution_csv: a benchmark seam.  bench/tracer.py wraps the
+    # name as an io.csv span; solve-freq's solution files are written by the
+    # forked process of writer.py, whose spans the tracer does not see.
+    "cli.save_solution_csv",
 }
 
 

@@ -472,6 +472,21 @@ class TestAnchoredSweep:
         assert all(dtypes == {dtype} for _, dtypes in calls)
         assert {f.dtype for sol in sols for f in sol.fields} == {dtype}
 
+    @pytest.mark.parametrize("k", [-480, -600])
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_members_scale_exactly(self, two_sweeps, kind, k):
+        # The members' CG once took its inner products unscaled: data at
+        # 2**-480 missed the certificate.  It runs at unit peak now, so the
+        # fields of scaled data are 2**k times the fields at scale 1, bitwise.
+        solver, _, sweeps = two_sweeps
+        data = sweeps[kind][0]
+        ref = anchored_sweep(solver, SWEEPS[kind], data)
+        sols = anchored_sweep(solver, SWEEPS[kind], [d * 2.0**k for d in data])
+        assert sum(sol.lu_nnz == 0 for sol in sols) > 0
+        for sol, r in zip(sols, ref):
+            assert sol.residual <= 1e-10
+            assert all(np.array_equal(a, b * 2.0**k) for a, b in zip(sol.fields, r.fields))
+
     @pytest.mark.parametrize("cap", [freq._SEED_VECTORS, 2])
     def test_at_most_the_cap_of_seeds_is_held(self, two_sweeps, cap, monkeypatch):
         # One group of 16 real frequencies, whose solutions are float64.
